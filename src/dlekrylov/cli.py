@@ -93,6 +93,8 @@ def _iteration_rows(traj):
             "residual_max": rec.residual_max,
             "coupling_norm": rec.coupling_norm,
             "elapsed_s": rec.elapsed,
+            "bdf_basis": rec.bdf_basis,
+            "bdf_cond": rec.bdf_cond,
         }
         for rec in traj.iterations
     ]

@@ -92,12 +92,30 @@ def sym_eig(M):
     return SymEig(w[order], U[:, order])
 
 
+def check_lyapunov_solvable(ev):
+    """Raise SolvabilityError when two eigenvalues of F sum to zero.
+
+    lambda_i + lambda_j == 0 for some pair means F X + X F^T + Q = 0 has
+    no unique solution.
+    """
+    if ev.size:
+        pair_sums = np.abs(ev[:, None] + ev[None, :])
+        scale = max(np.max(np.abs(ev)), 1.0)
+        if np.min(pair_sums) <= 1e-14 * scale:
+            raise SolvabilityError(
+                "Lyapunov operator is singular: eigenvalue pair sums to zero"
+            )
+
+
 class LyapunovSolver:
     """Bartels-Stewart solver for F X + X F^T + Q = 0 with F fixed.
 
-    The real Schur form of F is computed once; repeated solves against
-    different right-hand sides reuse it (one trsyl call each), which is
-    what the fixed-step implicit time integration needs.
+    The real Schur form F = U S U^T is computed once; repeated solves
+    against different right-hand sides reuse it (one trsyl call each).
+    `solve` works in the original coordinates, with two congruences by U
+    per call. `solve_schur` skips them for a caller that keeps its
+    right-hand sides in Schur coordinates: the BDF grid does so when the
+    eigenvectors of F are too ill-conditioned for its eigenbasis step.
     """
 
     def __init__(self, F):
@@ -105,15 +123,7 @@ class LyapunovSolver:
         self.F = F
         self.n = F.shape[0]
         self.S, self.U = sla.schur(F, output="real")
-        ev = np.linalg.eigvals(self.S) if self.n else np.array([])
-        # lambda_i + lambda_j == 0 for some pair means no unique solution
-        if self.n:
-            pair_sums = np.abs(ev[:, None] + ev[None, :])
-            scale = max(np.max(np.abs(ev)), 1.0)
-            if np.min(pair_sums) <= 1e-14 * scale:
-                raise SolvabilityError(
-                    "Lyapunov operator is singular: eigenvalue pair sums to zero"
-                )
+        check_lyapunov_solvable(np.linalg.eigvals(self.S) if self.n else np.array([]))
 
     def solve(self, Q):
         """Solve F X + X F^T + Q = 0 for symmetric Q; X is symmetrized."""
@@ -122,16 +132,19 @@ class LyapunovSolver:
             raise ValueError(f"Q has dimension {Q.shape[0]}, expected {self.n}")
         if self.n == 0:
             return Q.copy()
-        C = self.U.T @ (-Q) @ self.U
-        Y, scale, info = lapack.dtrsyl(self.S, self.S, C, tranb="T")
+        X = self.U @ self.solve_schur(self.U.T @ Q @ self.U) @ self.U.T
+        return sym_part(X)
+
+    def solve_schur(self, C):
+        """Solve S Y + Y S^T + C = 0 in Schur coordinates (one trsyl call)."""
+        Y, scale, info = lapack.dtrsyl(self.S, self.S, -C, tranb="T")
         if info < 0 or scale == 0.0:
             raise SolvabilityError(f"trsyl failed with info={info}, scale={scale}")
         if info == 1:
             raise SolvabilityError(
                 "trsyl solved a perturbed system: near-singular Lyapunov operator"
             )
-        X = self.U @ (Y / scale) @ self.U.T
-        return sym_part(X)
+        return Y / scale
 
 
 def lyap_direct(F, Q):

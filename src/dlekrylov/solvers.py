@@ -3,10 +3,14 @@
 Two routes share the same Krylov outer loop. The exponential route
 propagates the projected Gramian integral over the time grid with a
 composite Gauss-Legendre panel rule; the BDF route integrates the
-projected matrix ODE with a fixed-step backward differentiation formula,
-each step reducing to one small algebraic Lyapunov solve. Convergence is
-monitored through the coupling-block residual formula, which never forms
-the large approximation.
+projected matrix ODE with a fixed-step backward differentiation formula.
+Each BDF step is a small algebraic Lyapunov equation with the same
+coefficient on the whole grid, so the grid runs in a basis that makes the
+solve cheap: in the eigenbasis of the projected operator the solve is one
+elementwise product, and when the eigenvectors are ill-conditioned the
+real Schur basis takes over with one triangular Sylvester solve per step.
+Convergence is monitored through the coupling-block residual formula,
+which never forms the large approximation.
 """
 
 import math
@@ -14,9 +18,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .dense import (LyapunovSolver, SolvabilityError, expm, frob_norm,
-                    spec_norm_2, sym_eig, sym_part)
+from .dense import (LyapunovSolver, SolvabilityError, check_lyapunov_solvable,
+                    expm, frob_norm, spec_norm_2, sym_eig, sym_part)
 from .krylov import KrylovBreakdown, KrylovDecomposition
 from .sparsela import LinearOperator, wrap_dense, wrap_sparse
 
@@ -29,20 +34,6 @@ BDF_TABLE = {
 
 class PSDViolationError(ValueError):
     """A projected solution has an eigenvalue below the allowed floor."""
-
-
-@dataclass(frozen=True)
-class BDFCoefficients:
-    order: int
-    beta: float
-    alphas: tuple
-
-    @classmethod
-    def for_order(cls, p):
-        if p not in BDF_TABLE:
-            raise ValueError(f"BDF order must be in {sorted(BDF_TABLE)}, got {p}")
-        beta, alphas = BDF_TABLE[p]
-        return cls(p, beta, alphas)
 
 
 @dataclass(frozen=True)
@@ -120,6 +111,8 @@ class IterationRecord:
     gbar_sup: float
     small_final: np.ndarray
     elapsed: float
+    bdf_basis: str = None              # step basis of a BDF grid run
+    bdf_cond: float = None             # cond(V) that chose that basis
 
 
 @dataclass
@@ -159,11 +152,7 @@ class Trajectory:
         dtol = self.config.dtol if dtol is None else dtol
         out = np.empty(len(self.nodes), dtype=int)
         for i, G in enumerate(self.small_solutions):
-            if G.size == 0:
-                out[i] = 0
-                continue
-            vals = np.linalg.eigvalsh(sym_part(G))
-            out[i] = int(np.sum(vals > dtol))
+            out[i] = _truncation_rank(np.linalg.eigvalsh(sym_part(G)), dtol)
         return out
 
 
@@ -314,56 +303,50 @@ def _residuals_over_nodes(coupling, bar_rows):
     return np.sqrt(2.0) * np.sqrt(np.einsum("nik,nik->n", prod, prod))
 
 
+def _truncation_rank(vals, dtol):
+    """Count of the eigenvalues `vals` (from eigvalsh) above dtol.
+
+    Trajectory.ranks and truncate_lowrank both count this way, so a
+    reported rank is the width of the factor: eigh and eigvalsh differ at
+    rounding level, which flips the count of an eigenvalue near dtol.
+    """
+    return int(np.sum(vals > dtol))
+
+
 def truncate_lowrank(basis, small_sol, dtol=1e-12):
     """Eigen-truncate a projected PSD solution and lift it through the basis.
 
-    Eigenvalues with magnitude at most dtol are dropped; an eigenvalue
-    below -dtol violates positive semidefiniteness and raises.
+    Eigenvalues at most dtol are dropped. An eigenvalue below
+    -max(dtol, k*eps*lambda_max) violates positive semidefiniteness and
+    raises; smaller negative ones are rounding in the eigensolver and are
+    dropped like the rest.
     """
     V = basis.inner_basis if isinstance(basis, KrylovDecomposition) else np.asarray(basis)
+    vals = np.linalg.eigvalsh(sym_part(small_sol))
+    if vals.size:
+        floor = max(dtol, vals.size * np.finfo(float).eps * vals[-1])
+        if vals[0] < -floor:
+            raise PSDViolationError(
+                f"projected solution has eigenvalue {vals[0]:.3e} < {-floor:.3e}"
+            )
+    r = _truncation_rank(vals, dtol)
     eig = sym_eig(small_sol)
-    if eig.values.size and eig.values[-1] < -dtol:
-        raise PSDViolationError(
-            f"projected solution has eigenvalue {eig.values[-1]:.3e} < -dtol"
-        )
-    keep = eig.values > dtol
-    Z = V @ (eig.vectors[:, keep] * np.sqrt(eig.values[keep]))
+    Z = V @ (eig.vectors[:, :r] * np.sqrt(vals[::-1][:r]))
     return SymLowRank(Z)
 
 
 def _psd_floor(Y):
-    """Clip tiny negative eigenvalues; cheap Cholesky screen first."""
+    """Clip tiny negative eigenvalues; cheap Cholesky screen first.
+
+    Y itself is returned when the screen passes, so `is` tells a clip."""
     k = Y.shape[0]
     scale = max(np.trace(Y) / max(k, 1), 0.0)
-    shift = 1e-13 * max(scale, 1e-300)
-    try:
-        np.linalg.cholesky(Y + shift * np.eye(k))
+    shifted = Y.copy()
+    shifted.flat[::k + 1] += 1e-13 * max(scale, 1e-300)
+    if lapack.dpotrf(shifted, lower=True, overwrite_a=True, clean=False)[1] == 0:
         return Y
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(Y)
-        return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-
-
-def bdf_step(T, Bm, history, h, coeffs):
-    """One fixed-step BDF update of the projected matrix ODE.
-
-    `history` holds the previous solutions, most recent first, at least
-    `coeffs.order` of them. The implicit relation is one algebraic
-    Lyapunov equation with coefficient h*beta*T - I/2 and a dense
-    right-hand side assembled exactly from the history.
-    """
-    T = np.asarray(T, dtype=float)
-    Bm = np.asarray(Bm, dtype=float)
-    p = coeffs.order
-    if len(history) < p:
-        raise ValueError(f"need {p} history entries, got {len(history)}")
-    k = T.shape[0]
-    TT = h * coeffs.beta * T - 0.5 * np.eye(k)
-    rhs = h * coeffs.beta * (Bm @ Bm.T)
-    for alpha, Y_prev in zip(coeffs.alphas, history):
-        rhs = rhs + alpha * Y_prev
-    Y = LyapunovSolver(TT).solve(rhs)
-    return _psd_floor(sym_part(Y))
+    vals, vecs = np.linalg.eigh(Y)
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
 
 
 # -- grid propagation for one Krylov step ----------------------------------
@@ -374,6 +357,8 @@ class _SmallRun:
     bar_rows: np.ndarray               # (n_nodes, w, k)
     final: np.ndarray                  # (k, k)
     full: np.ndarray = None            # (n_nodes, k, k) when requested
+    bdf_basis: str = None              # "eigen" | "schur" on BDF grids
+    bdf_cond: float = None             # cond(V) of the eigenvectors
 
 
 def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full):
@@ -425,6 +410,56 @@ def exact_step_pair(T, Q, h):
     return E, sym_part(delta)
 
 
+# Above this cond(V) the eigenbasis step loses accuracy like
+# cond(V)^2 * eps, so the BDF grid runs in the real Schur basis instead.
+_EIGEN_COND_MAX = 1e3
+
+
+class _StepBasis:
+    """Basis M in which a BDF grid holds its history Yh = M^-1 Y M^-T.
+
+    `solve` maps the right-hand side R (in the basis) of
+    F Y + Y F^T = -R to Y (in the basis), F = h*beta*T - I/2.
+    """
+
+    def __init__(self, kind, cond, M, M_inv, solve):
+        self.kind = kind
+        self.cond = cond
+        self.M = M
+        self.M_inv = M_inv
+        self.solve = solve
+        if np.iscomplexobj(M):
+            # Re(W M^T) is one real product of W's interleaved (re, im)
+            # columns with the rows of Re M^T and -Im M^T
+            self._right = np.empty((2 * M.shape[0], M.shape[0]))
+            self._right[0::2] = M.real.T
+            self._right[1::2] = -M.imag.T
+        else:
+            self._right = M.T
+
+    def project(self, Y):
+        return self.M_inv @ Y @ self.M_inv.T
+
+    def lift(self, Yh):
+        """Y = Re(M Yh M^T), symmetrized."""
+        return sym_part((self.M @ Yh).view(np.float64) @ self._right)
+
+
+def _bdf_basis(T, h_beta):
+    """Step basis of a BDF grid: T's eigenvectors V when cond(V) is at most
+    _EIGEN_COND_MAX, else the real Schur vectors of F = h_beta*T - I/2."""
+    lam, V = np.linalg.eig(T)
+    cond = float(np.linalg.cond(V))
+    if cond <= _EIGEN_COND_MAX:
+        lam_F = h_beta * lam - 0.5
+        check_lyapunov_solvable(lam_F)
+        inv_pair = -1.0 / (lam_F[:, None] + lam_F[None, :])
+        return _StepBasis("eigen", cond, V, np.linalg.inv(V),
+                          lambda R: R * inv_pair)
+    lyap = LyapunovSolver(h_beta * T - 0.5 * np.eye(T.shape[0]))
+    return _StepBasis("schur", cond, lyap.U, lyap.U.T, lyap.solve_schur)
+
+
 def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full):
     k = T.shape[0]
     N = grid.n_steps
@@ -448,19 +483,28 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full):
             bar[i] = Y[k - w:, :]
             if keep_full:
                 full[i] = Y
+    if N == n_start:
+        return _SmallRun(bar_rows=bar, final=Y, full=full)
     beta, alphas = BDF_TABLE[order]
-    stepper = LyapunovSolver(h * beta * T - 0.5 * np.eye(k)) if N > n_start else None
+    basis = _bdf_basis(T, h * beta)
+    forcing = h * beta * basis.project(Q_const)
+    history = [basis.project(Y_prev) for Y_prev in history]
     for i in range(n_start + 1, N + 1):
-        rhs = h * beta * Q_const
-        for alpha, Y_prev in zip(alphas, history):
-            rhs = rhs + alpha * Y_prev
-        Y = _psd_floor(stepper.solve(rhs))
-        history.insert(0, Y)
+        rhs = forcing
+        for alpha, Yh_prev in zip(alphas, history):
+            rhs = rhs + alpha * Yh_prev
+        Yh = basis.solve(rhs)
+        Y_raw = basis.lift(Yh)
+        Y = _psd_floor(Y_raw)
+        if Y is not Y_raw:
+            Yh = basis.project(Y)
+        history.insert(0, Yh)
         del history[order:]
         bar[i] = Y[k - w:, :]
         if keep_full:
             full[i] = Y
-    return _SmallRun(bar_rows=bar, final=Y, full=full)
+    return _SmallRun(bar_rows=bar, final=Y, full=full,
+                     bdf_basis=basis.kind, bdf_cond=basis.cond)
 
 
 # -- outer Krylov loop ------------------------------------------------------
@@ -546,6 +590,8 @@ def _solve(op, B, X0, grid, config, method):
             gbar_sup=gbar_sup,
             small_final=run.final,
             elapsed=time.perf_counter() - t_start,
+            bdf_basis=run.bdf_basis,
+            bdf_cond=run.bdf_cond,
         ))
         # probe subset first, full grid to confirm
         if np.max(res[probes]) < config.tol and np.max(res) < config.tol:

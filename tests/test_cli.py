@@ -29,6 +29,7 @@ def test_solve_writes_report_and_csv(tmp_path):
     report = json.load(open(os.path.join(out, "report.json")))
     assert report["converged"] is True
     assert report["method"] == "eba_exp"
+    assert all(row["bdf_basis"] is None for row in report["iterations"])
     lines = open(os.path.join(out, "solution.csv")).read().splitlines()
     assert lines[0] == "t,residual_frobenius,rank"
     assert len(lines) == 52          # header + 51 nodes
@@ -91,6 +92,9 @@ def test_flag_overrides(tmp_path):
     assert report["solver"]["tol"] == 1e-6
     assert report["solver"]["m_max"] == 6
     assert report["problem"]["seed"] == 9
+    for row in report["iterations"]:
+        assert row["bdf_basis"] == "eigen"
+        assert 1.0 <= row["bdf_cond"] < 1e3
 
 
 def test_config_error_exit_code(tmp_path):

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from dlekrylov.dense import frob_norm, sym_part
 from dlekrylov.krylov import KrylovDecomposition
 from dlekrylov.problems import gen_convdiff, gen_random_block
-from dlekrylov.solvers import (BDF_TABLE, BDFCoefficients, PSDViolationError,
-                               SolverConfig, SymLowRank, TimeGrid, bdf_step,
-                               gram_integral, gram_integral_exact,
-                               expm_action_small, residual_norm, solve,
-                               solve_eba_bdf, solve_eba_exp, truncate_lowrank)
+from dlekrylov import solvers
+from dlekrylov.dense import LyapunovSolver
+from dlekrylov.solvers import (BDF_TABLE, PSDViolationError, SolverConfig,
+                               SymLowRank, TimeGrid, Trajectory, _psd_floor,
+                               _run_bdf_grid, exact_step_pair, gram_integral,
+                               gram_integral_exact, expm_action_small,
+                               residual_norm, solve, solve_eba_bdf,
+                               solve_eba_exp, truncate_lowrank)
 from dlekrylov.sparsela import wrap_dense, wrap_sparse
 
 
@@ -47,7 +50,7 @@ def test_bdf_table_values():
     assert beta3 == pytest.approx(6.0 / 11.0)
     assert alphas3 == pytest.approx((18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0))
     with pytest.raises(ValueError):
-        BDFCoefficients.for_order(4)
+        SolverConfig(bdf_order=4)
 
 
 # -- gram integral ------------------------------------------------------------
@@ -139,35 +142,123 @@ def test_residual_norm_equals_true_dense_residual():
     assert abs(frob_norm(R_true) - formula) <= 1e-10 * (1.0 + frob_norm(B @ B.T))
 
 
-# -- bdf step -----------------------------------------------------------------
+# -- bdf grid -----------------------------------------------------------------
 
-def test_bdf_step_scalar_implicit_euler():
+def _reference_bdf_grid(T, Bm, P0, grid, order):
+    """Every node of a BDF grid, one Bartels-Stewart solve per step in the
+    original coordinates."""
+    k, N, h = T.shape[0], grid.n_steps, grid.h
+    Q = Bm @ Bm.T
+    Y = P0 @ P0.T
+    out = [Y]
+    n_start = min(order - 1, N)
+    E, delta = exact_step_pair(T, Q, h)
+    for _ in range(n_start):
+        Y = _psd_floor(sym_part(E @ Y @ E.T + delta))
+        out.append(Y)
+    beta, alphas = BDF_TABLE[order]
+    stepper = LyapunovSolver(h * beta * T - 0.5 * np.eye(k))
+    for _ in range(n_start + 1, N + 1):
+        rhs = h * beta * Q
+        for alpha, Y_prev in zip(alphas, out[::-1]):
+            rhs = rhs + alpha * Y_prev
+        out.append(_psd_floor(stepper.solve(rhs)))
+    return np.array(out)
+
+
+def _max_rel_diff(run_full, ref):
+    return max(frob_norm(a - b) / frob_norm(b) for a, b in zip(run_full, ref))
+
+
+def test_bdf_grid_scalar_implicit_euler():
     a, b, h, y0 = -2.0, 1.5, 0.1, 0.3
-    coeffs = BDFCoefficients.for_order(1)
-    Y = bdf_step(np.array([[a]]), np.array([[b]]), [np.array([[y0]])], h, coeffs)
-    assert Y[0, 0] == pytest.approx((y0 + h * b * b) / (1.0 - 2.0 * a * h), rel=1e-13)
+    run = _run_bdf_grid(np.array([[a]]), np.array([[b]]), np.array([[np.sqrt(y0)]]),
+                        TimeGrid(0.0, h, h), 1, 1, keep_full=True)
+    assert run.final[0, 0] == pytest.approx((y0 + h * b * b) / (1.0 - 2.0 * a * h),
+                                            rel=1e-13)
 
 
-def test_bdf_step_diagonal_matches_scalar_recurrence():
+def test_bdf_grid_diagonal_matches_scalar_recurrence():
+    # one exact start-up step, then one BDF2 step, entrywise
     d = np.array([-1.0, -3.0, -0.5])
     T = np.diag(d)
     rng = np.random.default_rng(8)
     B = rng.random((3, 2))
     Q = B @ B.T
     h = 0.05
-    coeffs = BDFCoefficients.for_order(2)
-    Y1 = 0.2 * Q
     Y0 = 0.1 * Q
-    Y = bdf_step(T, B, [Y1, Y0], h, coeffs)
+    run = _run_bdf_grid(T, B, np.sqrt(0.1) * B, TimeGrid(0.0, 2 * h, h), 2, 1,
+                        keep_full=True)
     pair = d[:, None] + d[None, :]
+    Y1 = np.exp(h * pair) * Y0 + Q * np.expm1(h * pair) / pair
+    np.testing.assert_allclose(run.full[1], Y1, rtol=1e-12)
     beta, (a0, a1) = BDF_TABLE[2]
     expected = (h * beta * Q + a0 * Y1 + a1 * Y0) / (1.0 - h * beta * pair)
-    np.testing.assert_allclose(Y, expected, rtol=1e-12)
+    np.testing.assert_allclose(run.full[2], expected, rtol=1e-12)
 
 
-def test_bdf_step_requires_history():
-    with pytest.raises(ValueError):
-        bdf_step(np.eye(2), np.ones((2, 1)), [], 0.1, BDFCoefficients.for_order(1))
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n_steps", [1, 2, 40])
+def test_bdf_grid_eigen_and_schur_bases_agree(order, n_steps, monkeypatch):
+    # n_steps < order runs the start-up steps only
+    rng = np.random.default_rng(50 + order)
+    T = _stable_dense(9, 51 + order)
+    Bm = rng.standard_normal((9, 2))
+    P0 = 0.5 * rng.standard_normal((9, 2))
+    grid = TimeGrid(0.0, 0.02 * n_steps, 0.02)
+    ref = _reference_bdf_grid(T, Bm, P0, grid, order)
+    eig_run = _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=True)
+    monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
+    schur_run = _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=True)
+    if n_steps >= order:
+        assert (eig_run.bdf_basis, schur_run.bdf_basis) == ("eigen", "schur")
+        assert eig_run.bdf_cond == schur_run.bdf_cond < 1e3
+    assert _max_rel_diff(eig_run.full, schur_run.full) <= 1e-12
+    assert _max_rel_diff(eig_run.full, ref) <= 1e-12
+    np.testing.assert_array_equal(eig_run.bar_rows, eig_run.full[:, -2:, :])
+    np.testing.assert_array_equal(eig_run.final, eig_run.full[-1])
+
+
+def test_bdf_grid_psd_clip_mid_grid_reprojects_history(monkeypatch):
+    # BDF2 overshoots below zero on a stiff mode the exact start-up step has
+    # already damped; the clipped node must also replace the history
+    rng = np.random.default_rng(52)
+    k = 6
+    S = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    T = S @ np.diag([-2000.0, -1.0, -1.5, -2.0, -0.5, -3.0]) @ np.linalg.inv(S)
+    Bm = 1e-3 * rng.standard_normal((k, 1))
+    P0 = rng.standard_normal((k, 3))
+    grid = TimeGrid(0.0, 0.2, 0.01)
+    clips = []
+
+    def counting_floor(Y):
+        out = _psd_floor(Y)
+        clips.append(out is not Y)
+        return out
+
+    monkeypatch.setattr(solvers, "_psd_floor", counting_floor)
+    run = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=True)
+    assert run.bdf_basis == "eigen"
+    assert any(clips[1:-1])
+    ref = _reference_bdf_grid(T, Bm, P0, grid, 2)
+    assert _max_rel_diff(run.full, ref) <= 1e-12
+
+
+def test_bdf_grid_ill_conditioned_eigenvectors_fall_back_to_schur():
+    k = 16
+    T0 = -np.eye(k) + 0.5 * np.eye(k, k=1) + 0.1 * np.diag(np.arange(k))
+    rng = np.random.default_rng(53)
+    U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    T = U @ T0 @ U.T
+    Bm = rng.standard_normal((k, 2))
+    P0 = rng.standard_normal((k, 1))
+    grid = TimeGrid(0.0, 1.0, 0.01)
+    for order in (1, 2, 3):
+        run = _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=True)
+        assert run.bdf_basis == "schur"
+        assert run.bdf_cond > 1e3
+        ref = _reference_bdf_grid(T, Bm, P0, grid, order)
+        assert _max_rel_diff(run.full, ref) <= 1e-11
 
 
 # -- truncation ---------------------------------------------------------------
@@ -201,6 +292,35 @@ def test_truncate_psd_violation():
     V = np.eye(3)
     with pytest.raises(PSDViolationError):
         truncate_lowrank(V, np.diag([1.0, -1e-3, 0.5]), dtol=1e-8)
+
+
+def test_truncate_psd_bound_scales_with_largest_eigenvalue():
+    # the bound is max(dtol, k*eps*lambda_max) = 6.7e-4 here
+    V = np.eye(3)
+    fac = truncate_lowrank(V, np.diag([1e12, -1e-7, 1.0]), dtol=1e-12)
+    assert fac.rank == 2
+    np.testing.assert_allclose(fac.to_dense(), np.diag([1e12, 0.0, 1.0]))
+    with pytest.raises(PSDViolationError):
+        truncate_lowrank(V, np.diag([1e12, -1e-3, 1.0]), dtol=1e-12)
+
+
+def test_ranks_match_factor_width_at_dtol():
+    # an eigenvalue at dtol lands on either side of it depending on the
+    # eigensolver's rounding; the count and the factor must still agree
+    rng = np.random.default_rng(70)
+    k, dtol, n_mat = 40, 1e-12, 50
+    mats = []
+    for _ in range(n_mat):
+        U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        vals = np.concatenate([660.0 * rng.random(k - 11), [dtol], np.zeros(10)])
+        mats.append((U * vals) @ U.T)
+    grid = TimeGrid(0.0, float(n_mat - 1), 1.0)
+    traj = Trajectory(grid=grid, nodes=grid.nodes, small_solutions=np.array(mats),
+                      residuals=np.zeros(n_mat), decomposition=np.eye(k),
+                      converged=True, method="eba_exp", iterations=[], dim=k,
+                      config=SolverConfig(dtol=dtol))
+    widths = [traj.lowrank_factor(i).rank for i in range(n_mat)]
+    np.testing.assert_array_equal(traj.ranks(), widths)
 
 
 # -- end-to-end solves --------------------------------------------------------
