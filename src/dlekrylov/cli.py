@@ -7,6 +7,8 @@ reproduce byte-identical files.
 """
 
 import argparse
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -113,6 +115,7 @@ def cmd_solve(args):
     traj = solve(op, B, None, grid, config)
     t_solve = time.perf_counter() - t_start
 
+    t_start = time.perf_counter()
     ranks = traj.ranks()
     csv_path = os.path.join(out_dir, "solution.csv")
     _write_csv(csv_path, ["t", "residual_frobenius", "rank"],
@@ -137,6 +140,7 @@ def cmd_solve(args):
         "timings_s": {"build": t_build, "solve": t_solve},
         "outputs": {"csv": csv_path, "factor": factor_path},
     }
+    report["timings_s"]["output"] = time.perf_counter() - t_start
     _atomic_write(os.path.join(out_dir, "report.json"),
                   json.dumps(report, indent=2) + "\n")
     print(f"{traj.method}: m={report['final_m']} residual={traj.final_residual:.3e} "
@@ -151,33 +155,28 @@ def cmd_compare(args):
     os.makedirs(out_dir, exist_ok=True)
 
     op, B, grid = build_problem(spec)
-    cfg_exp = SolverConfig(**{**{f: getattr(config, f) for f in
-                                 SolverConfig.__dataclass_fields__},
-                              "method": "eba_exp"})
-    cfg_bdf = SolverConfig(**{**{f: getattr(config, f) for f in
-                                 SolverConfig.__dataclass_fields__},
-                              "method": "eba_bdf"})
-    traj_exp = solve(op, B, None, grid, cfg_exp)
-    traj_bdf = solve(op, B, None, grid, cfg_bdf)
+    traj_exp = solve(op, B, None, grid, dataclasses.replace(config, method="eba_exp"))
+    traj_bdf = solve(op, B, None, grid, dataclasses.replace(config, method="eba_bdf"))
 
+    # one pass over the three node streams: random access by node index
+    # would replay each trajectory once per node
     oracle_ok = spec.n <= 500
-    rows = []
     if oracle_ok:
-        A = dense_matrix(op)
-        for i, X_ref in reference_stream(A, B, None, grid):
-            X_e = traj_exp.solution_dense(i)
-            X_b = traj_bdf.solution_dense(i)
-            nref = max(frob_norm(X_ref), 1e-300)
-            rows.append((grid.nodes[i],
-                         frob_norm(X_e - X_ref) / nref,
-                         frob_norm(X_b - X_ref) / nref,
-                         X_ref[0, 0], X_e[0, 0], X_b[0, 0]))
+        refs = (X for _, X in reference_stream(dense_matrix(op), B, None, grid))
     else:
-        for i in range(grid.n_steps + 1):
-            X_e = traj_exp.solution_dense(i)
-            X_b = traj_bdf.solution_dense(i)
-            rows.append((grid.nodes[i], np.nan, np.nan,
-                         np.nan, X_e[0, 0], X_b[0, 0]))
+        refs = itertools.repeat(None)
+    rows = []
+    for t, G_e, G_b, X_ref in zip(grid.nodes, traj_exp.iter_small(),
+                                  traj_bdf.iter_small(), refs):
+        X_e = traj_exp.lift(G_e)
+        X_b = traj_bdf.lift(G_b)
+        if X_ref is None:
+            rows.append((t, np.nan, np.nan, np.nan, X_e[0, 0], X_b[0, 0]))
+            continue
+        nref = max(frob_norm(X_ref), 1e-300)
+        rows.append((t, frob_norm(X_e - X_ref) / nref,
+                     frob_norm(X_b - X_ref) / nref,
+                     X_ref[0, 0], X_e[0, 0], X_b[0, 0]))
 
     csv_path = os.path.join(out_dir, "compare.csv")
     _write_csv(csv_path,
@@ -227,9 +226,10 @@ def cmd_sweep(args):
     if axis == "m":
         values = values if values is not None else list(range(1, config.m_max + 1))
         if values:
-            run_cfg = SolverConfig(**{**{f: getattr(config, f) for f in
-                                         SolverConfig.__dataclass_fields__},
-                                      "m_max": max(values), "tol": 1e-300})
+            try:
+                run_cfg = dataclasses.replace(config, m_max=max(values), tol=1e-300)
+            except ValueError as exc:
+                raise ConfigError(f"sweep values: {exc}") from exc
             traj = solve(op, B, None, grid, run_cfg)
             X_ref = _reference_final(A, B, grid) if oracle_ok else None
             widths = traj.decomposition.widths if traj.decomposition else []
@@ -260,9 +260,7 @@ def cmd_sweep(args):
             rows.append((h, traj.final_residual, err, bound))
     else:
         for p in (values or []):
-            run_cfg = SolverConfig(**{**{f: getattr(config, f) for f in
-                                         SolverConfig.__dataclass_fields__},
-                                      "method": "eba_bdf", "bdf_order": int(p)})
+            run_cfg = dataclasses.replace(config, method="eba_bdf", bdf_order=int(p))
             traj = solve(op, B, None, grid, run_cfg)
             err = np.nan
             if oracle_ok:

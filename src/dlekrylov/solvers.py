@@ -11,8 +11,18 @@ elementwise product, and when the eigenvectors are ill-conditioned the
 real Schur basis takes over with one triangular Sylvester solve per step.
 Convergence is monitored through the coupling-block residual formula,
 which never forms the large approximation.
+
+Each Krylov step propagates its grid once, as a generator over the nodes
+that stores only the rows the residual formula reads. The trajectory of
+the last step is kept as a stream: its step data (the propagator pair, or
+the step basis, start-up pair and forcing) regenerate the projected
+solutions on demand with no new matrix exponential, eigendecomposition or
+Lyapunov setup. Walking the stream holds O(k^2) floats; materializing all
+nodes costs O(N k^2).
 """
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -76,6 +86,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.m_max < 1:
+            raise ValueError(f"m_max must be at least 1, got {self.m_max}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.bdf_order not in BDF_TABLE:
@@ -117,9 +129,20 @@ class IterationRecord:
 
 @dataclass
 class Trajectory:
+    """Projected solutions Y(t_i) on the grid nodes, X(t_i) ~= V Y(t_i) V^T.
+
+    The nodes are a stream, not a stored array: `replay()` returns a fresh
+    iterator over Y(t_0), ..., Y(t_N) that re-runs the last Krylov step's
+    grid from its step data, so walking it holds O(k^2) floats. The value
+    at tf is kept as `final_small` and read without a replay. Random access
+    to node i replays i steps; `small_solutions` materializes every node at
+    O(N k^2) memory and is meant for tests and small problems.
+    """
+
     grid: TimeGrid
     nodes: np.ndarray
-    small_solutions: np.ndarray        # (n_nodes, k, k) at the final step
+    final_small: np.ndarray            # (k, k) at tf
+    replay: object                     # () -> iterator over the n_nodes (k, k)
     residuals: np.ndarray
     decomposition: KrylovDecomposition
     converged: bool
@@ -134,24 +157,51 @@ class Trajectory:
 
     @property
     def basis_size(self):
-        return self.small_solutions.shape[1]
+        return self.final_small.shape[0]
 
-    def solution_dense(self, i=-1):
+    def iter_small(self):
+        """Y(t_0), ..., Y(t_N) in order, by one replay of the grid."""
+        return self.replay()
+
+    def small_solution(self, i=-1):
+        """Y(t_i): the final node is stored, node i < N replays i steps."""
+        n_nodes = len(self.nodes)
+        if not -n_nodes <= i < n_nodes:
+            raise IndexError(f"node {i} out of range for {n_nodes} nodes")
+        i %= n_nodes
+        if i == n_nodes - 1:
+            return self.final_small
+        return next(itertools.islice(self.iter_small(), i, None))
+
+    @property
+    def small_solutions(self):
+        """All nodes as one (n_nodes, k, k) array: O(N k^2) memory."""
+        k = self.basis_size
+        out = np.empty((len(self.nodes), k, k))
+        for i, G in enumerate(self.iter_small()):
+            out[i] = G
+        return out
+
+    def lift(self, small):
+        """V small V^T, the dense n x n matrix of a projected solution."""
         if self.decomposition is None:
             return np.zeros((self.dim, self.dim))
-        return self.decomposition.lift(self.small_solutions[i])
+        return self.decomposition.lift(small)
+
+    def solution_dense(self, i=-1):
+        return self.lift(self.small_solution(i))
 
     def lowrank_factor(self, i=-1, dtol=None):
         dtol = self.config.dtol if dtol is None else dtol
         if self.decomposition is None:
             return SymLowRank.empty(self.dim)
-        return truncate_lowrank(self.decomposition, self.small_solutions[i], dtol)
+        return truncate_lowrank(self.decomposition, self.small_solution(i), dtol)
 
     def ranks(self, dtol=None):
         """Rank of the truncated factor at every node."""
         dtol = self.config.dtol if dtol is None else dtol
         out = np.empty(len(self.nodes), dtype=int)
-        for i, G in enumerate(self.small_solutions):
+        for i, G in enumerate(self.iter_small()):
             out[i] = _truncation_rank(np.linalg.eigvalsh(sym_part(G)), dtol)
         return out
 
@@ -356,29 +406,41 @@ def _psd_floor(Y):
 class _SmallRun:
     bar_rows: np.ndarray               # (n_nodes, w, k)
     final: np.ndarray                  # (k, k)
+    replay: object                     # () -> iterator over the n_nodes (k, k)
     full: np.ndarray = None            # (n_nodes, k, k) when requested
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
 
 
-def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full):
-    k = T.shape[0]
-    N = grid.n_steps
-    h = grid.h
-    E = expm(h * T)
-    delta = _panel_increment(T, Bm, h, q)
-    G = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
-    bar = np.empty((N + 1, w, k))
-    full = np.empty((N + 1, k, k)) if keep_full else None
-    bar[0] = G[k - w:, :]
-    if keep_full:
-        full[0] = G
-    for i in range(1, N + 1):
-        G = sym_part(E @ G @ E.T + delta)
+def _collect(replay, n_nodes, k, w, keep_full, **basis_info):
+    """One pass over the nodes of `replay()`: the last w rows of every
+    node, the final node and, when asked, every node."""
+    bar = np.empty((n_nodes, w, k))
+    full = np.empty((n_nodes, k, k)) if keep_full else None
+    for i, G in enumerate(replay()):
         bar[i] = G[k - w:, :]
         if keep_full:
             full[i] = G
-    return _SmallRun(bar_rows=bar, final=G, full=full)
+    return _SmallRun(bar_rows=bar, final=G, replay=replay, full=full,
+                     **basis_info)
+
+
+def _gram_nodes(E, delta, G0, n_steps):
+    """G_0, ..., G_N of the node-to-node propagation G -> E G E^T + delta."""
+    G = G0
+    yield G
+    for _ in range(n_steps):
+        G = sym_part(E @ G @ E.T + delta)
+        yield G
+
+
+def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full):
+    k = T.shape[0]
+    E = expm(grid.h * T)
+    delta = _panel_increment(T, Bm, grid.h, q)
+    G0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
+    replay = functools.partial(_gram_nodes, E, delta, G0, grid.n_steps)
+    return _collect(replay, grid.n_steps + 1, k, w, keep_full)
 
 
 def exact_step_pair(T, Q, h):
@@ -460,36 +522,23 @@ def _bdf_basis(T, h_beta):
     return _StepBasis("schur", cond, lyap.U, lyap.U.T, lyap.solve_schur)
 
 
-def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full):
-    k = T.shape[0]
-    N = grid.n_steps
-    h = grid.h
-    Q_const = Bm @ Bm.T
-    Y = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
-    bar = np.empty((N + 1, w, k))
-    full = np.empty((N + 1, k, k)) if keep_full else None
-    bar[0] = Y[k - w:, :]
-    if keep_full:
-        full[0] = Y
+def _bdf_nodes(Y0, startup, basis, forcing, alphas, n_steps):
+    """Y_0, ..., Y_N of a BDF grid: len(alphas) - 1 start-up steps by the
+    exact pair `startup`, then BDF steps with the history held in `basis`."""
+    order = len(alphas)
+    n_start = min(order - 1, n_steps)
+    Y = Y0
+    yield Y
     history = [Y]
-    n_start = min(order - 1, N)
-    if n_start:
-        # multistep start-up values by exact propagation (a low-order
-        # bootstrap step would cap the observable global order at 2)
-        E, delta = exact_step_pair(T, Q_const, h)
-        for i in range(1, n_start + 1):
-            Y = _psd_floor(sym_part(E @ Y @ E.T + delta))
-            history.insert(0, Y)
-            bar[i] = Y[k - w:, :]
-            if keep_full:
-                full[i] = Y
-    if N == n_start:
-        return _SmallRun(bar_rows=bar, final=Y, full=full)
-    beta, alphas = BDF_TABLE[order]
-    basis = _bdf_basis(T, h * beta)
-    forcing = h * beta * basis.project(Q_const)
+    for _ in range(n_start):
+        E, delta = startup
+        Y = _psd_floor(sym_part(E @ Y @ E.T + delta))
+        history.insert(0, Y)
+        yield Y
+    if n_steps == n_start:
+        return
     history = [basis.project(Y_prev) for Y_prev in history]
-    for i in range(n_start + 1, N + 1):
+    for _ in range(n_start, n_steps):
         rhs = forcing
         for alpha, Yh_prev in zip(alphas, history):
             rhs = rhs + alpha * Yh_prev
@@ -500,11 +549,28 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full):
             Yh = basis.project(Y)
         history.insert(0, Yh)
         del history[order:]
-        bar[i] = Y[k - w:, :]
-        if keep_full:
-            full[i] = Y
-    return _SmallRun(bar_rows=bar, final=Y, full=full,
-                     bdf_basis=basis.kind, bdf_cond=basis.cond)
+        yield Y
+
+
+def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full):
+    k = T.shape[0]
+    N = grid.n_steps
+    h = grid.h
+    Q_const = Bm @ Bm.T
+    Y0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
+    beta, alphas = BDF_TABLE[order]
+    # multistep start-up values by exact propagation (a low-order
+    # bootstrap step would cap the observable global order at 2)
+    startup = exact_step_pair(T, Q_const, h) if min(order - 1, N) else None
+    basis = forcing = None
+    basis_info = {}
+    if N >= order:
+        basis = _bdf_basis(T, h * beta)
+        forcing = h * beta * basis.project(Q_const)
+        basis_info = {"bdf_basis": basis.kind, "bdf_cond": basis.cond}
+    replay = functools.partial(_bdf_nodes, Y0, startup, basis, forcing,
+                               alphas, N)
+    return _collect(replay, N + 1, k, w, keep_full, **basis_info)
 
 
 # -- outer Krylov loop ------------------------------------------------------
@@ -522,13 +588,14 @@ def as_operator(A):
 
 def _zero_trajectory(n, grid, config, method):
     nodes = grid.nodes
+    zero = np.zeros((0, 0))
     rec = IterationRecord(m=1, basis_size=0, residual_final=0.0,
                           residual_probe_max=0.0, residual_max=0.0,
                           coupling_norm=0.0, gbar_sup=0.0,
-                          small_final=np.zeros((0, 0)), elapsed=0.0)
+                          small_final=zero, elapsed=0.0)
     return Trajectory(
-        grid=grid, nodes=nodes,
-        small_solutions=np.zeros((len(nodes), 0, 0)),
+        grid=grid, nodes=nodes, final_small=zero,
+        replay=functools.partial(itertools.repeat, zero, len(nodes)),
         residuals=np.zeros(len(nodes)),
         decomposition=None, converged=True, method=method,
         iterations=[rec], dim=n, config=config,
@@ -556,15 +623,16 @@ def _solve(op, B, X0, grid, config, method):
                               rank_tol=config.rank_tol)
     probes = _probe_indices(grid.n_steps + 1, config.probe_stride)
 
-    def small_run(keep_full):
+    def small_run():
         T = dec.T
         Bm = dec.project_block(B)
         P0 = dec.project_block(Z0) if Z0.shape[1] else np.zeros((T.shape[0], 0))
         w = dec.widths[dec.m - 1]
         if method == "eba_exp":
             return _run_gram_grid(T, Bm, P0, grid, config.quadrature_order,
-                                  w, keep_full)
-        return _run_bdf_grid(T, Bm, P0, grid, config.bdf_order, w, keep_full)
+                                  w, keep_full=False)
+        return _run_bdf_grid(T, Bm, P0, grid, config.bdf_order, w,
+                             keep_full=False)
 
     iterations = []
     converged = False
@@ -577,7 +645,7 @@ def _solve(op, B, X0, grid, config, method):
             # partial rank loss narrows the block and the process keeps
             # going; a full breakdown means the subspace is invariant
             broke = exc.rank == 0
-        run = small_run(keep_full=False)
+        run = small_run()
         res = _residuals_over_nodes(dec.coupling, run.bar_rows)
         gbar_sup = float(np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows,
                                                   run.bar_rows))))
@@ -601,12 +669,12 @@ def _solve(op, B, X0, grid, config, method):
             converged = bool(np.max(res) < config.tol)
             break
 
-    final = small_run(keep_full=True)
-    residuals = _residuals_over_nodes(dec.coupling, final.bar_rows)
+    # m_max >= 1, so the loop ran and its last grid run is the final one
     return Trajectory(
-        grid=grid, nodes=grid.nodes, small_solutions=final.full,
-        residuals=residuals, decomposition=dec, converged=converged,
-        method=method, iterations=iterations, dim=n, config=config,
+        grid=grid, nodes=grid.nodes, final_small=run.final,
+        replay=run.replay, residuals=res, decomposition=dec,
+        converged=converged, method=method, iterations=iterations, dim=n,
+        config=config,
     )
 
 

@@ -30,6 +30,9 @@ def test_solve_writes_report_and_csv(tmp_path):
     assert report["converged"] is True
     assert report["method"] == "eba_exp"
     assert all(row["bdf_basis"] is None for row in report["iterations"])
+    timings = report["timings_s"]
+    assert set(timings) == {"build", "solve", "output"}
+    assert all(v >= 0.0 for v in timings.values())
     lines = open(os.path.join(out, "solution.csv")).read().splitlines()
     assert lines[0] == "t,residual_frobenius,rank"
     assert len(lines) == 52          # header + 51 nodes
@@ -103,6 +106,33 @@ def test_config_error_exit_code(tmp_path):
     cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem(),
                       solver={"not_a_field": 1})
     assert main(["solve", "--config", cfg2, "--out", str(tmp_path)]) == 2
+
+
+def test_m_max_below_one_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, problem=_base_problem(), solver={"m_max": 0})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "m_max must be at least 1" in capsys.readouterr().err
+    cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem())
+    assert main(["solve", "--config", cfg2, "--out", str(tmp_path),
+                 "--m-max", "-1"]) == 2
+    cfg3 = _write_cfg(tmp_path, name="c3.json", problem=_base_problem(),
+                      sweep={"axis": "m", "values": [0]})
+    assert main(["sweep", "--config", cfg3, "--out", str(tmp_path)]) == 2
+
+
+def test_solve_and_compare_stream_the_trajectory(tmp_path, monkeypatch):
+    from dlekrylov import solvers
+
+    def materialized(traj):
+        raise AssertionError("the whole trajectory was materialized")
+
+    monkeypatch.setattr(solvers.Trajectory, "small_solutions",
+                        property(materialized))
+    cfg = _write_cfg(tmp_path, problem=_base_problem(n0=4),
+                     solver={"m_max": 8, "tol": 1e-11},
+                     output={"write_factor": True})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
 
 
 def test_compare_small_problem(tmp_path):

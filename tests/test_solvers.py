@@ -10,8 +10,9 @@ from dlekrylov import solvers
 from dlekrylov.dense import LyapunovSolver
 from dlekrylov.solvers import (BDF_TABLE, PSDViolationError, SolverConfig,
                                SymLowRank, TimeGrid, Trajectory, _psd_floor,
-                               _run_bdf_grid, exact_step_pair, gram_integral,
-                               gram_integral_exact, expm_action_small,
+                               _run_bdf_grid, _run_gram_grid, exact_step_pair,
+                               gram_integral, gram_integral_exact,
+                               expm_action_small,
                                residual_norm, solve, solve_eba_bdf,
                                solve_eba_exp, truncate_lowrank)
 from dlekrylov.sparsela import wrap_dense, wrap_sparse
@@ -217,6 +218,8 @@ def test_bdf_grid_eigen_and_schur_bases_agree(order, n_steps, monkeypatch):
     assert _max_rel_diff(eig_run.full, ref) <= 1e-12
     np.testing.assert_array_equal(eig_run.bar_rows, eig_run.full[:, -2:, :])
     np.testing.assert_array_equal(eig_run.final, eig_run.full[-1])
+    for run in (eig_run, schur_run):
+        np.testing.assert_array_equal(list(run.replay()), run.full)
 
 
 def test_bdf_grid_psd_clip_mid_grid_reprojects_history(monkeypatch):
@@ -259,6 +262,7 @@ def test_bdf_grid_ill_conditioned_eigenvectors_fall_back_to_schur():
         assert run.bdf_cond > 1e3
         ref = _reference_bdf_grid(T, Bm, P0, grid, order)
         assert _max_rel_diff(run.full, ref) <= 1e-11
+        np.testing.assert_array_equal(list(run.replay()), run.full)
 
 
 # -- truncation ---------------------------------------------------------------
@@ -315,7 +319,8 @@ def test_ranks_match_factor_width_at_dtol():
         vals = np.concatenate([660.0 * rng.random(k - 11), [dtol], np.zeros(10)])
         mats.append((U * vals) @ U.T)
     grid = TimeGrid(0.0, float(n_mat - 1), 1.0)
-    traj = Trajectory(grid=grid, nodes=grid.nodes, small_solutions=np.array(mats),
+    traj = Trajectory(grid=grid, nodes=grid.nodes, final_small=mats[-1],
+                      replay=lambda: iter(mats),
                       residuals=np.zeros(n_mat), decomposition=np.eye(k),
                       converged=True, method="eba_exp", iterations=[], dim=k,
                       config=SolverConfig(dtol=dtol))
@@ -426,6 +431,74 @@ def test_nonzero_initial_value_exp_and_bdf():
     assert frob_norm(te.solution_dense(0) - Z0 @ Z0.T) <= 1e-10 * frob_norm(Z0 @ Z0.T)
 
 
+@pytest.mark.parametrize("method,eigen_cond_max", [
+    pytest.param("eba_exp", solvers._EIGEN_COND_MAX, id="exp"),
+    pytest.param("eba_bdf", solvers._EIGEN_COND_MAX, id="bdf-eigen"),
+    pytest.param("eba_bdf", 0.0, id="bdf-schur"),
+])
+def test_trajectory_stream_replays_last_grid_run(method, eigen_cond_max,
+                                                 monkeypatch):
+    monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", eigen_cond_max)
+    A = _stable_dense(25, 20)
+    rng = np.random.default_rng(21)
+    B = rng.random((25, 2))
+    Z0 = 0.3 * rng.standard_normal((25, 2))
+    grid = TimeGrid(0.0, 0.5, 1e-2)
+    cfg = SolverConfig(method=method, m_max=4, tol=1e-300)
+    traj = solve(A, B, SymLowRank(Z0), grid, cfg)
+    dec = traj.decomposition
+    T, Bm, P0 = dec.T, dec.project_block(B), dec.project_block(Z0)
+    w = dec.widths[dec.m - 1]
+    if method == "eba_exp":
+        run = _run_gram_grid(T, Bm, P0, grid, cfg.quadrature_order, w,
+                             keep_full=True)
+    else:
+        run = _run_bdf_grid(T, Bm, P0, grid, cfg.bdf_order, w, keep_full=True)
+        assert run.bdf_basis == traj.iterations[-1].bdf_basis
+        assert run.bdf_basis == ("schur" if eigen_cond_max == 0.0 else "eigen")
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("a replay repeated the grid's setup")
+
+    for name in ("expm", "_panel_increment", "exact_step_pair", "_bdf_basis",
+                 "LyapunovSolver"):
+        monkeypatch.setattr(solvers, name, no_setup)
+    monkeypatch.setattr(np.linalg, "eig", no_setup)
+    np.testing.assert_array_equal(list(traj.iter_small()), run.full)
+    np.testing.assert_array_equal(traj.small_solutions, run.full)
+    np.testing.assert_array_equal(traj.final_small, run.full[-1])
+    for i in (0, 7, -2, -1):
+        np.testing.assert_array_equal(traj.small_solution(i), run.full[i])
+    with pytest.raises(IndexError):
+        traj.small_solution(len(traj.nodes))
+    assert traj.basis_size == dec.inner_width
+    np.testing.assert_array_equal(
+        traj.residuals, solvers._residuals_over_nodes(dec.coupling, run.bar_rows))
+
+
+@pytest.mark.parametrize("method", ["eba_exp", "eba_bdf"])
+def test_solve_memory_does_not_grow_with_trajectory_size(method):
+    # convdiff n = 400, N = 2000, k = 40: a stored trajectory alone is
+    # (N+1) k^2 doubles, 24.4 MiB
+    import tracemalloc
+
+    op = wrap_sparse(gen_convdiff(20))
+    B = gen_random_block(400, 2, seed=7)
+    grid = TimeGrid(0.0, 2.0, 1e-3)
+    cfg = SolverConfig(method=method, m_max=10, tol=1e-300)
+    tracemalloc.start()
+    try:
+        traj = solve(op, B, None, grid, cfg)
+        traj.ranks()
+        traj.lowrank_factor(-1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = traj.basis_size
+    assert k == 40
+    assert peak < 0.5 * len(grid.nodes) * k * k * 8
+
+
 def test_convergence_failure_reported():
     A = _stable_dense(50, 22)
     rng = np.random.default_rng(23)
@@ -442,6 +515,8 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(bdf_order=5)
+    with pytest.raises(ValueError):
+        SolverConfig(m_max=0)
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones((2, 1)), None, TimeGrid(0, 1, 0.5),
               SolverConfig(method="nope"))
