@@ -97,6 +97,7 @@ def _iteration_rows(traj):
             "elapsed_s": rec.elapsed,
             "bdf_basis": rec.bdf_basis,
             "bdf_cond": rec.bdf_cond,
+            "grid": rec.grid,
         }
         for rec in traj.iterations
     ]
@@ -148,6 +149,12 @@ def cmd_solve(args):
     return 0 if traj.converged else 3
 
 
+def _first_basis_row(traj):
+    if traj.decomposition is None:
+        return np.zeros(0)
+    return traj.decomposition.inner_basis[0]
+
+
 def cmd_compare(args):
     cfg = load_config(args.config)
     spec, config = build_spec_and_config(cfg, args)
@@ -165,18 +172,21 @@ def cmd_compare(args):
         refs = (X for _, X in reference_stream(dense_matrix(op), B, None, grid))
     else:
         refs = itertools.repeat(None)
+    # x11 = v1 G v1^T with v1 the first row of the basis; a solution is
+    # lifted to n x n only to compare it with the oracle
+    v1_exp, v1_bdf = _first_basis_row(traj_exp), _first_basis_row(traj_bdf)
     rows = []
     for t, G_e, G_b, X_ref in zip(grid.nodes, traj_exp.iter_small(),
                                   traj_bdf.iter_small(), refs):
-        X_e = traj_exp.lift(G_e)
-        X_b = traj_bdf.lift(G_b)
+        x11_e = v1_exp @ G_e @ v1_exp
+        x11_b = v1_bdf @ G_b @ v1_bdf
         if X_ref is None:
-            rows.append((t, np.nan, np.nan, np.nan, X_e[0, 0], X_b[0, 0]))
+            rows.append((t, np.nan, np.nan, np.nan, x11_e, x11_b))
             continue
         nref = max(frob_norm(X_ref), 1e-300)
-        rows.append((t, frob_norm(X_e - X_ref) / nref,
-                     frob_norm(X_b - X_ref) / nref,
-                     X_ref[0, 0], X_e[0, 0], X_b[0, 0]))
+        rows.append((t, frob_norm(traj_exp.lift(G_e) - X_ref) / nref,
+                     frob_norm(traj_bdf.lift(G_b) - X_ref) / nref,
+                     X_ref[0, 0], x11_e, x11_b))
 
     csv_path = os.path.join(out_dir, "compare.csv")
     _write_csv(csv_path,
@@ -222,55 +232,41 @@ def cmd_sweep(args):
     A = dense_matrix(op) if oracle_ok else None
     mu2 = log_norm_mu2(A) if oracle_ok else None
 
+    # one solve per axis value; its row reads the last iteration, which
+    # always ran the full grid
+    try:
+        if axis == "m":
+            if values is None:
+                values = list(range(1, config.m_max + 1))
+            runs = [(m, dataclasses.replace(config, m_max=m, tol=1e-300), grid)
+                    for m in values]
+        elif axis == "h":
+            runs = [(h, config, TimeGrid(spec.t0, spec.tf, h))
+                    for h in values or []]
+        else:
+            runs = [(p, dataclasses.replace(config, method="eba_bdf",
+                                            bdf_order=int(p)), grid)
+                    for p in values or []]
+    except ValueError as exc:
+        raise ConfigError(f"sweep values: {exc}") from exc
+
+    refs = {}
     rows = []
-    if axis == "m":
-        values = values if values is not None else list(range(1, config.m_max + 1))
-        if values:
-            try:
-                run_cfg = dataclasses.replace(config, m_max=max(values), tol=1e-300)
-            except ValueError as exc:
-                raise ConfigError(f"sweep values: {exc}") from exc
-            traj = solve(op, B, None, grid, run_cfg)
-            X_ref = _reference_final(A, B, grid) if oracle_ok else None
-            widths = traj.decomposition.widths if traj.decomposition else []
-            for rec in traj.iterations:
-                if rec.m not in values:
-                    continue
-                err = np.nan
-                if oracle_ok:
-                    V = traj.decomposition.basis[:, :rec.basis_size]
-                    err = frob_norm(V @ rec.small_final @ V.T - X_ref)
-                bound = np.nan
-                if mu2 is not None and mu2 < 0:
-                    bound = error_bound_stable(mu2, rec.coupling_norm,
-                                               rec.gbar_sup, grid.t0, grid.tf)
-                rows.append((rec.m, rec.residual_final, err, bound))
-    elif axis == "h":
-        for h in (values or []):
-            g = TimeGrid(spec.t0, spec.tf, h)
-            traj = solve(op, B, None, g, config)
-            err = np.nan
-            if oracle_ok:
-                err = frob_norm(traj.solution_dense(-1) - _reference_final(A, B, g))
-            rec = traj.iterations[-1]
-            bound = np.nan
-            if mu2 is not None and mu2 < 0:
-                bound = error_bound_stable(mu2, rec.coupling_norm, rec.gbar_sup,
-                                           g.t0, g.tf)
-            rows.append((h, traj.final_residual, err, bound))
-    else:
-        for p in (values or []):
-            run_cfg = dataclasses.replace(config, method="eba_bdf", bdf_order=int(p))
-            traj = solve(op, B, None, grid, run_cfg)
-            err = np.nan
-            if oracle_ok:
-                err = frob_norm(traj.solution_dense(-1) - _reference_final(A, B, grid))
-            rec = traj.iterations[-1]
-            bound = np.nan
-            if mu2 is not None and mu2 < 0:
-                bound = error_bound_stable(mu2, rec.coupling_norm, rec.gbar_sup,
-                                           grid.t0, grid.tf)
-            rows.append((p, traj.final_residual, err, bound))
+    for value, run_cfg, g in runs:
+        traj = solve(op, B, None, g, run_cfg)
+        rec = traj.iterations[-1]
+        if axis == "m" and rec.m != value:
+            continue                   # breakdown before step m
+        err = np.nan
+        if oracle_ok:
+            if g not in refs:
+                refs[g] = _reference_final(A, B, g)
+            err = frob_norm(traj.solution_dense(-1) - refs[g])
+        bound = np.nan
+        if mu2 is not None and mu2 < 0:
+            bound = error_bound_stable(mu2, rec.coupling_norm, rec.gbar_sup,
+                                       g.t0, g.tf)
+        rows.append((value, traj.final_residual, err, bound))
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     _write_csv(csv_path, ["axis_value", "residual", "error", "bound_eq19"], rows)

@@ -12,18 +12,29 @@ real Schur basis takes over with one triangular Sylvester solve per step.
 Convergence is monitored through the coupling-block residual formula,
 which never forms the large approximation.
 
-Each Krylov step propagates its grid once, as a generator over the nodes
-that stores only the rows the residual formula reads. The trajectory of
-the last step is kept as a stream: its step data (the propagator pair, or
-the step basis, start-up pair and forcing) regenerate the projected
-solutions on demand with no new matrix exponential, eigendecomposition or
-Lyapunov setup. Walking the stream holds O(k^2) floats; materializing all
-nodes costs O(N k^2).
+A grid is propagated as a generator over the nodes that stores only the
+rows the residual formula reads. On the exponential route each Krylov
+step first runs a probe pass: the same propagator pair, composed by
+repeated squaring into a stride pair, carries the solution to the probe
+nodes only (every node of the first `probe_stride` steps, then every
+stride-th node, then tf). A probe residual at or above the tolerance
+proves the step has not converged, and the loop extends the basis with
+no full grid. Otherwise the full grid runs and decides convergence on all
+nodes, since the residual can peak between probes; the last Krylov step
+always runs it. The BDF route, a multistep method, runs the full grid at
+every step.
+
+The trajectory of the last step is kept as a stream: its step data (the
+propagator pair, or the step basis, start-up pair and forcing) regenerate
+the projected solutions on demand with no new matrix exponential,
+eigendecomposition or Lyapunov setup. Walking the stream holds O(k^2)
+floats; materializing all nodes costs O(N k^2).
 """
 
 import functools
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -81,7 +92,7 @@ class SolverConfig:
     bdf_order: int = 2
     quadrature_order: int = 4
     dtol: float = 1e-12
-    probe_stride: int = 10
+    probe_stride: int = 10             # eba-exp: node stride of the probe pass
     rank_tol: float = 1e-12
     seed: int = 0
 
@@ -92,6 +103,10 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.bdf_order not in BDF_TABLE:
             raise ValueError(f"bdf_order must be in {sorted(BDF_TABLE)}")
+        for name in ("probe_stride", "quadrature_order"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -114,6 +129,10 @@ class SymLowRank:
 
 @dataclass
 class IterationRecord:
+    """One Krylov step. A "probe" step ran only the probe pass, so its
+    `residual_final` and `small_final` come from that pass and its
+    `residual_max` and `gbar_sup`, which need every node, are None."""
+
     m: int
     basis_size: int
     residual_final: float
@@ -125,6 +144,7 @@ class IterationRecord:
     elapsed: float
     bdf_basis: str = None              # step basis of a BDF grid run
     bdf_cond: float = None             # cond(V) that chose that basis
+    grid: str = "full"                 # "probe" | "full"
 
 
 @dataclass
@@ -434,13 +454,76 @@ def _gram_nodes(E, delta, G0, n_steps):
         yield G
 
 
-def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full):
+def _compose(first, then):
+    """The propagator pair of `first` followed by `then`:
+    (E1, d1) then (E2, d2) is (E2 E1, E2 d1 E2^T + d2)."""
+    (E1, d1), (E2, d2) = first, then
+    return E2 @ E1, sym_part(E2 @ d1 @ E2.T + d2)
+
+
+def _pair_power(pair, s):
+    """The pair applied s >= 1 times in a row, by repeated squaring."""
+    out = None
+    while True:
+        if s & 1:
+            out = pair if out is None else _compose(out, pair)
+        s >>= 1
+        if not s:
+            return out
+        pair = _compose(pair, pair)
+
+
+def _probe_indices(n_nodes, stride):
+    """Probe nodes: every node of the first `stride` steps (where the fast
+    modes relax and the residual often peaks), then every stride-th node,
+    then the last node."""
+    idx = set(range(min(stride + 1, n_nodes)))
+    idx.update(range(0, n_nodes, stride))
+    idx.add(n_nodes - 1)
+    return np.array(sorted(idx))
+
+
+def _gram_probe_nodes(E, delta, G0, n_steps, stride):
+    """G at the nodes _probe_indices(n_steps + 1, stride) picks: single
+    steps up to node `stride`, then steps of the stride pair, then one
+    step of the remainder pair to node N."""
+    head = min(stride, n_steps)
+    for G in _gram_nodes(E, delta, G0, head):
+        yield G
+    n_strides, rem = divmod(n_steps - head, stride)
+    if n_strides:
+        E_s, d_s = _pair_power((E, delta), stride)
+        for _ in range(n_strides):
+            G = sym_part(E_s @ G @ E_s.T + d_s)
+            yield G
+    if rem:
+        E_r, d_r = _pair_power((E, delta), rem)
+        yield sym_part(E_r @ G @ E_r.T + d_r)
+
+
+def _gram_setup(T, Bm, P0, grid, q):
+    """Step pair (E, delta) of the exp grid and its initial value."""
     k = T.shape[0]
     E = expm(grid.h * T)
     delta = _panel_increment(T, Bm, grid.h, q)
     G0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
-    replay = functools.partial(_gram_nodes, E, delta, G0, grid.n_steps)
-    return _collect(replay, grid.n_steps + 1, k, w, keep_full)
+    return E, delta, G0
+
+
+def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full):
+    replay = functools.partial(_gram_nodes, *_gram_setup(T, Bm, P0, grid, q),
+                               grid.n_steps)
+    return _collect(replay, grid.n_steps + 1, T.shape[0], w, keep_full)
+
+
+def _probe_gram_grid(T, Bm, P0, grid, q, w, stride):
+    """The exp grid at the probe nodes only: `bar_rows` holds one row
+    block per probe node, and `final` is the value at tf."""
+    replay = functools.partial(_gram_probe_nodes,
+                               *_gram_setup(T, Bm, P0, grid, q),
+                               grid.n_steps, stride)
+    n_probes = len(_probe_indices(grid.n_steps + 1, stride))
+    return _collect(replay, n_probes, T.shape[0], w, keep_full=False)
 
 
 def exact_step_pair(T, Q, h):
@@ -602,12 +685,6 @@ def _zero_trajectory(n, grid, config, method):
     )
 
 
-def _probe_indices(n_nodes, stride):
-    idx = set(range(0, n_nodes, max(stride, 1)))
-    idx.add(n_nodes - 1)
-    return np.array(sorted(idx))
-
-
 def _solve(op, B, X0, grid, config, method):
     op = as_operator(op)
     B = np.asarray(B, dtype=float)
@@ -623,17 +700,6 @@ def _solve(op, B, X0, grid, config, method):
                               rank_tol=config.rank_tol)
     probes = _probe_indices(grid.n_steps + 1, config.probe_stride)
 
-    def small_run():
-        T = dec.T
-        Bm = dec.project_block(B)
-        P0 = dec.project_block(Z0) if Z0.shape[1] else np.zeros((T.shape[0], 0))
-        w = dec.widths[dec.m - 1]
-        if method == "eba_exp":
-            return _run_gram_grid(T, Bm, P0, grid, config.quadrature_order,
-                                  w, keep_full=False)
-        return _run_bdf_grid(T, Bm, P0, grid, config.bdf_order, w,
-                             keep_full=False)
-
     iterations = []
     converged = False
     while dec.m < config.m_max:
@@ -645,7 +711,34 @@ def _solve(op, B, X0, grid, config, method):
             # partial rank loss narrows the block and the process keeps
             # going; a full breakdown means the subspace is invariant
             broke = exc.rank == 0
-        run = small_run()
+        T = dec.T
+        Bm = dec.project_block(B)
+        P0 = dec.project_block(Z0) if Z0.shape[1] else np.zeros((T.shape[0], 0))
+        w = dec.widths[dec.m - 1]
+        if method == "eba_exp" and not broke and dec.m < config.m_max:
+            probe = _probe_gram_grid(T, Bm, P0, grid, config.quadrature_order,
+                                     w, config.probe_stride)
+            res = _residuals_over_nodes(dec.coupling, probe.bar_rows)
+            if np.max(res) >= config.tol:
+                # a probe node proves this m has not converged
+                iterations.append(IterationRecord(
+                    m=dec.m, basis_size=dec.inner_width,
+                    residual_final=float(res[-1]),
+                    residual_probe_max=float(np.max(res)),
+                    residual_max=None,
+                    coupling_norm=frob_norm(dec.coupling),
+                    gbar_sup=None,
+                    small_final=probe.final,
+                    elapsed=time.perf_counter() - t_start,
+                    grid="probe",
+                ))
+                continue
+        if method == "eba_exp":
+            run = _run_gram_grid(T, Bm, P0, grid, config.quadrature_order,
+                                 w, keep_full=False)
+        else:
+            run = _run_bdf_grid(T, Bm, P0, grid, config.bdf_order, w,
+                                keep_full=False)
         res = _residuals_over_nodes(dec.coupling, run.bar_rows)
         gbar_sup = float(np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows,
                                                   run.bar_rows))))
@@ -661,12 +754,9 @@ def _solve(op, B, X0, grid, config, method):
             bdf_basis=run.bdf_basis,
             bdf_cond=run.bdf_cond,
         ))
-        # probe subset first, full grid to confirm
-        if np.max(res[probes]) < config.tol and np.max(res) < config.tol:
-            converged = True
-            break
-        if broke:
-            converged = bool(np.max(res) < config.tol)
+        # the full grid decides: the residual can peak between probes
+        converged = bool(np.max(res) < config.tol)
+        if converged or broke:
             break
 
     # m_max >= 1, so the loop ran and its last grid run is the final one

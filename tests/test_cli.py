@@ -29,7 +29,13 @@ def test_solve_writes_report_and_csv(tmp_path):
     report = json.load(open(os.path.join(out, "report.json")))
     assert report["converged"] is True
     assert report["method"] == "eba_exp"
-    assert all(row["bdf_basis"] is None for row in report["iterations"])
+    rows = report["iterations"]
+    assert all(row["bdf_basis"] is None for row in rows)
+    # probe-only steps first; the last step ran the full grid
+    assert rows[-1]["grid"] == "full" and rows[-1]["residual_max"] < 1e-9
+    assert [row["grid"] for row in rows[:-1]] == ["probe"] * (len(rows) - 1)
+    assert len(rows) > 2
+    assert all(row["residual_max"] is None for row in rows[:-1])
     timings = report["timings_s"]
     assert set(timings) == {"build", "solve", "output"}
     assert all(v >= 0.0 for v in timings.values())
@@ -96,16 +102,24 @@ def test_flag_overrides(tmp_path):
     assert report["solver"]["m_max"] == 6
     assert report["problem"]["seed"] == 9
     for row in report["iterations"]:
+        assert row["grid"] == "full"
         assert row["bdf_basis"] == "eigen"
         assert 1.0 <= row["bdf_cond"] < 1e3
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, problem={"kind": "convdiff", "bogus": 1})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem(),
                       solver={"not_a_field": 1})
     assert main(["solve", "--config", cfg2, "--out", str(tmp_path)]) == 2
+    for field in ("probe_stride", "quadrature_order"):
+        capsys.readouterr()
+        cfg3 = _write_cfg(tmp_path, name="c3.json", problem=_base_problem(),
+                          solver={field: 0})
+        assert main(["solve", "--config", cfg3, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
 
 
 def test_m_max_below_one_is_config_error(tmp_path, capsys):
@@ -174,6 +188,67 @@ def test_sweep_over_m(tmp_path):
     assert resid[-1] < resid[0]
     err = [float(r.split(",")[2]) for r in lines[1:]]
     assert err[-1] < err[0]
+
+
+def test_sweep_over_m_bound_matches_the_full_grid_of_each_step(tmp_path):
+    # every row's eq. 19 bound needs gbar_sup over all nodes of step m
+    from dlekrylov.analysis import error_bound_stable
+    from dlekrylov.dense import log_norm_mu2
+    from dlekrylov.krylov import KrylovDecomposition
+    from dlekrylov.problems import gen_convdiff, gen_random_block
+    from dlekrylov.solvers import (TimeGrid, _residuals_over_nodes,
+                                   _run_gram_grid)
+    from dlekrylov.sparsela import wrap_sparse
+
+    prob = _base_problem(n0=6, tf=1.0, h=0.01)
+    values = [1, 2, 3, 5, 6]
+    cfg = _write_cfg(tmp_path, problem=prob, solver={"m_max": 12, "tol": 1e-9},
+                     sweep={"axis": "m", "values": values})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    rows = [[float(c) for c in r.split(",")] for r in
+            open(os.path.join(out, "sweep.csv")).read().splitlines()[1:]]
+    assert [r[0] for r in rows] == values
+
+    A = gen_convdiff(6)
+    op = wrap_sparse(A)
+    B = gen_random_block(36, 2, seed=3)
+    grid = TimeGrid(0.0, 1.0, 0.01)
+    mu2 = log_norm_mu2(A.toarray())
+    dec = KrylovDecomposition(op, B)
+    for row in rows:
+        while dec.m < row[0]:
+            dec.extend(op)
+        T = dec.T
+        run = _run_gram_grid(T, dec.project_block(B), np.zeros((T.shape[0], 0)),
+                             grid, 4, dec.widths[dec.m - 1], keep_full=False)
+        gbar_sup = np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows,
+                                            run.bar_rows)))
+        bound = error_bound_stable(mu2, np.linalg.norm(dec.coupling), gbar_sup,
+                                   grid.t0, grid.tf)
+        assert row[3] == pytest.approx(bound, rel=1e-12)
+        res = _residuals_over_nodes(dec.coupling, run.bar_rows)
+        assert row[1] == pytest.approx(res[-1], rel=1e-12)
+
+
+def test_compare_without_oracle_holds_no_dense_solution(tmp_path):
+    # heat_fem n = 2000, 11 nodes: one n x n matrix is 30.5 MiB
+    import tracemalloc
+
+    prob = {"kind": "heat_fem", "n": 2000, "s": 1, "seed": 1, "dt": 0.01,
+            "alpha": 0.05, "t0": 0.0, "tf": 0.1, "h": 0.01}
+    cfg = _write_cfg(tmp_path, problem=prob, solver={"m_max": 3, "tol": 1e-3})
+    tracemalloc.start()
+    try:
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8
+    lines = open(os.path.join(tmp_path, "compare.csv")).read().splitlines()
+    assert len(lines) == 12
+    x11 = [float(r.split(",")[4]) for r in lines[1:]]
+    assert x11[0] == 0.0 and all(v > 0.0 for v in x11[1:])
 
 
 def test_sweep_empty_values_header_only(tmp_path):

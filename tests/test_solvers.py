@@ -517,6 +517,11 @@ def test_solver_config_validation():
         SolverConfig(bdf_order=5)
     with pytest.raises(ValueError):
         SolverConfig(m_max=0)
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="probe_stride"):
+            SolverConfig(probe_stride=bad)
+        with pytest.raises(ValueError, match="quadrature_order"):
+            SolverConfig(quadrature_order=bad)
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones((2, 1)), None, TimeGrid(0, 1, 0.5),
               SolverConfig(method="nope"))
@@ -569,3 +574,92 @@ def test_exact_step_pair_singular_lyapunov_fallback():
     np.testing.assert_allclose(E, np.diag(np.exp(h * np.diag(T))), rtol=1e-13)
     ref = gram_integral(T, B, 0.0, h, q=12)
     np.testing.assert_allclose(delta, ref, rtol=1e-11, atol=1e-14)
+
+
+# -- probe-first convergence on the exp route --------------------------------
+
+
+def test_probe_indices_dense_start_then_stride():
+    np.testing.assert_array_equal(solvers._probe_indices(24, 5),
+                                  [0, 1, 2, 3, 4, 5, 10, 15, 20, 23])
+    np.testing.assert_array_equal(solvers._probe_indices(6, 8), np.arange(6))
+    np.testing.assert_array_equal(solvers._probe_indices(7, 1), np.arange(7))
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10, 50, 80])
+def test_probe_pass_matches_full_grid_at_probe_nodes(stride):
+    # N = 50: 50 mod 7 != 0, 50 mod 10 == 0, stride >= N
+    A = _stable_dense(25, 20)
+    rng = np.random.default_rng(21)
+    B = rng.random((25, 2))
+    Z0 = 0.3 * rng.standard_normal((25, 2))
+    grid = TimeGrid(0.0, 0.5, 1e-2)
+    traj = solve(A, B, SymLowRank(Z0), grid, SolverConfig(m_max=2, tol=1e-300))
+    dec = traj.decomposition
+    T, Bm, P0 = dec.T, dec.project_block(B), dec.project_block(Z0)
+    w = dec.widths[dec.m - 1]
+    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True)
+    probe = solvers._probe_gram_grid(T, Bm, P0, grid, 4, w, stride)
+    idx = solvers._probe_indices(len(grid.nodes), stride)
+    assert probe.bar_rows.shape == (len(idx), w, T.shape[0])
+    res_full = solvers._residuals_over_nodes(dec.coupling, full.bar_rows)
+    res_probe = solvers._residuals_over_nodes(dec.coupling, probe.bar_rows)
+    assert res_full[-1] > 0
+    np.testing.assert_allclose(res_probe, res_full[idx], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(probe.bar_rows, full.bar_rows[idx], rtol=1e-12,
+                               atol=1e-12 * np.abs(full.bar_rows).max())
+    np.testing.assert_allclose(probe.final, full.full[-1], rtol=1e-12,
+                               atol=1e-12 * np.abs(full.full[-1]).max())
+
+
+@pytest.mark.parametrize("variant,tol", [("extended", 1e-4), ("block", 15.0)])
+def test_probe_first_run_equals_a_full_grid_at_every_step(variant, tol,
+                                                          monkeypatch):
+    op = wrap_sparse(gen_convdiff(10))
+    B = gen_random_block(100, 2, seed=7)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    cfg = SolverConfig(krylov_variant=variant, m_max=20, tol=tol)
+    first = solve(op, B, None, grid, cfg)
+
+    def probes_pass(T, Bm, P0, grid, q, w, stride):
+        return solvers._SmallRun(bar_rows=np.zeros((1, w, T.shape[0])),
+                                 final=None, replay=None)
+
+    monkeypatch.setattr(solvers, "_probe_gram_grid", probes_pass)
+    every = solve(op, B, None, grid, cfg)
+    assert first.converged and every.converged
+    assert [r.grid for r in every.iterations] == ["full"] * len(every.iterations)
+    kinds = [r.grid for r in first.iterations]
+    assert kinds == ["probe"] * (len(kinds) - 1) + ["full"] and len(kinds) > 3
+    assert [r.m for r in first.iterations] == [r.m for r in every.iterations]
+    np.testing.assert_array_equal(first.residuals, every.residuals)
+    np.testing.assert_array_equal(list(first.iter_small()),
+                                  list(every.iter_small()))
+    for rec_p, rec_f in zip(first.iterations, every.iterations):
+        assert rec_p.residual_final == pytest.approx(rec_f.residual_final,
+                                                     rel=1e-12)
+        if rec_p.grid == "probe":
+            assert rec_p.residual_max is None and rec_p.gbar_sup is None
+            assert rec_p.residual_probe_max == pytest.approx(
+                rec_f.residual_probe_max, rel=1e-12)
+            np.testing.assert_allclose(rec_p.small_final, rec_f.small_final,
+                                       rtol=1e-12,
+                                       atol=1e-12 * np.abs(rec_f.small_final).max())
+
+
+def test_probes_below_tol_do_not_declare_convergence():
+    # at m = 6 the residual peaks at node 93, between the probes 75 and 100
+    A = _stable_dense(30, 40)
+    B = np.random.default_rng(41).random((30, 2))
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    rec = solve(A, B, None, grid, SolverConfig(m_max=6, tol=1e-300,
+                                               probe_stride=25)).iterations[-1]
+    assert rec.m == 6 and rec.grid == "full"
+    assert rec.residual_probe_max < 0.99 * rec.residual_max
+    tol = np.sqrt(rec.residual_probe_max * rec.residual_max)
+    traj = solve(A, B, None, grid, SolverConfig(m_max=10, tol=tol,
+                                                probe_stride=25))
+    at6 = next(r for r in traj.iterations if r.m == 6)
+    assert at6.grid == "full"          # the probes passed ...
+    assert at6.residual_max >= tol     # ... and the full grid overruled them
+    assert traj.iterations[-1].m > 6
