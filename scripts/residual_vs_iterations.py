@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
 """Residual norm at the final time versus the number of Arnoldi
 iterations, for both solvers on the convection-diffusion benchmark.
-Writes one CSV per method (plot-ready) and prints the per-m ratios."""
+Writes one CSV per method (plot-ready) and prints the per-m ratios.
+
+Values for m below the last step come from each solver's probe pass. On
+eba-bdf that pass runs the PSD-screened grid only over its first
+`probe_stride` steps and the unscreened recurrence after them, so a value
+there differs from a full grid run where that run clips; the last step's
+value is from the full grid."""
 
 import argparse
 import sys

@@ -13,16 +13,23 @@ Convergence is monitored through the coupling-block residual formula,
 which never forms the large approximation.
 
 A grid is propagated as a generator over the nodes that stores only the
-rows the residual formula reads. On the exponential route each Krylov
-step first runs a probe pass: the same propagator pair, composed by
-repeated squaring into a stride pair, carries the solution to the probe
-nodes only (every node of the first `probe_stride` steps, then every
-stride-th node, then tf). A probe residual at or above the tolerance
-proves the step has not converged, and the loop extends the basis with
-no full grid. Otherwise the full grid runs and decides convergence on all
-nodes, since the residual can peak between probes; the last Krylov step
-always runs it. The BDF route, a multistep method, runs the full grid at
-every step.
+rows the residual formula reads. Each Krylov step below the last first
+runs a probe pass over the probe nodes only (every node of the first
+`probe_stride` steps, then every stride-th node, then tf), and a residual
+at or above the tolerance at a node the stop rule reads proves the step
+has not converged, so the loop extends the basis with no full grid.
+Otherwise the full grid runs, from the step data the probe pass built,
+and decides convergence on all nodes, since the residual can peak between
+probes; the last Krylov step always runs it. On the exponential route
+the probe pass carries the solution by the same propagator pair, composed
+by repeated squaring into a stride pair, and the stop rule reads every
+probe. On the BDF route, a multistep method, the probe pass runs the
+screened grid's own first `probe_stride` steps, whose nodes equal the
+full grid's bitwise and alone feed the stop rule, then continues the
+recurrence unscreened in the eigenbasis, lifting rows at the probe nodes
+only; those tail values are reported, never decided on. A BDF grid in
+the Schur basis, where a step stays one triangular solve, or with no
+more than `probe_stride` steps runs full at every Krylov step.
 
 The trajectory of the last step is kept as a stream: its step data (the
 propagator pair, or the step basis, start-up pair and forcing) regenerate
@@ -37,6 +44,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -92,7 +100,7 @@ class SolverConfig:
     bdf_order: int = 2
     quadrature_order: int = 4
     dtol: float = 1e-12
-    probe_stride: int = 10             # eba-exp: node stride of the probe pass
+    probe_stride: int = 10             # node stride of the probe pass
     rank_tol: float = 1e-12
     seed: int = 0
 
@@ -130,8 +138,11 @@ class SymLowRank:
 @dataclass
 class IterationRecord:
     """One Krylov step. A "probe" step ran only the probe pass, so its
-    `residual_final` and `small_final` come from that pass and its
-    `residual_max` and `gbar_sup`, which need every node, are None."""
+    `residual_final`, `residual_probe_max` and `small_final` come from that
+    pass and its `residual_max` and `gbar_sup`, which need every node, are
+    None. On eba-bdf those probe values past node `probe_stride` come from
+    the unscreened recurrence (no `_psd_floor`), so they match a full grid
+    run only where that grid never clips."""
 
     m: int
     basis_size: int
@@ -430,6 +441,7 @@ class _SmallRun:
     full: np.ndarray = None            # (n_nodes, k, k) when requested
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
+    head: int = None                   # bar rows the stop rule reads; None: all
 
 
 def _collect(replay, n_nodes, k, w, keep_full, **basis_info):
@@ -510,18 +522,22 @@ def _gram_setup(T, Bm, P0, grid, q):
     return E, delta, G0
 
 
-def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full):
-    replay = functools.partial(_gram_nodes, *_gram_setup(T, Bm, P0, grid, q),
-                               grid.n_steps)
+def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None):
+    """The exp grid over every node; `setup` is the `_gram_setup` of the
+    same step when the caller has built it already."""
+    if setup is None:
+        setup = _gram_setup(T, Bm, P0, grid, q)
+    replay = functools.partial(_gram_nodes, *setup, grid.n_steps)
     return _collect(replay, grid.n_steps + 1, T.shape[0], w, keep_full)
 
 
-def _probe_gram_grid(T, Bm, P0, grid, q, w, stride):
+def _probe_gram_grid(T, Bm, P0, grid, q, w, stride, setup=None):
     """The exp grid at the probe nodes only: `bar_rows` holds one row
     block per probe node, and `final` is the value at tf."""
-    replay = functools.partial(_gram_probe_nodes,
-                               *_gram_setup(T, Bm, P0, grid, q),
-                               grid.n_steps, stride)
+    if setup is None:
+        setup = _gram_setup(T, Bm, P0, grid, q)
+    replay = functools.partial(_gram_probe_nodes, *setup, grid.n_steps,
+                               stride)
     n_probes = len(_probe_indices(grid.n_steps + 1, stride))
     return _collect(replay, n_probes, T.shape[0], w, keep_full=False)
 
@@ -589,6 +605,10 @@ class _StepBasis:
         """Y = Re(M Yh M^T), symmetrized."""
         return sym_part((self.M @ Yh).view(np.float64) @ self._right)
 
+    def lift_rows(self, Yh, w):
+        """The last w rows of Re(M Yh M^T), not symmetrized: O(w k^2)."""
+        return (self.M[self.M.shape[0] - w:] @ Yh).view(np.float64) @ self._right
+
 
 def _bdf_basis(T, h_beta):
     """Step basis of a BDF grid: T's eigenvectors V when cond(V) is at most
@@ -605,11 +625,47 @@ def _bdf_basis(T, h_beta):
     return _StepBasis("schur", cond, lyap.U, lyap.U.T, lyap.solve_schur)
 
 
-def _bdf_nodes(Y0, startup, basis, forcing, alphas, n_steps):
+class _BDFSetup(NamedTuple):
+    """Step data of a BDF grid, in the order `_bdf_nodes` takes them."""
+
+    Y0: np.ndarray
+    startup: tuple                     # exact pair (E, delta), or None
+    basis: _StepBasis                  # None when N < order
+    forcing: np.ndarray                # h*beta*Q in the basis
+    alphas: tuple
+    n_steps: int
+
+
+def _bdf_setup(T, Bm, P0, grid, order):
+    """Step data of the BDF grid of the projected pair (T, Bm)."""
+    k = T.shape[0]
+    N = grid.n_steps
+    h = grid.h
+    Q_const = Bm @ Bm.T
+    Y0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
+    beta, alphas = BDF_TABLE[order]
+    # multistep start-up values by exact propagation (a low-order
+    # bootstrap step would cap the observable global order at 2)
+    startup = exact_step_pair(T, Q_const, h) if min(order - 1, N) else None
+    basis = forcing = None
+    if N >= order:
+        basis = _bdf_basis(T, h * beta)
+        forcing = h * beta * basis.project(Q_const)
+    return _BDFSetup(Y0, startup, basis, forcing, alphas, N)
+
+
+def _bdf_nodes(Y0, startup, basis, forcing, alphas, n_steps, screened=None):
     """Y_0, ..., Y_N of a BDF grid: len(alphas) - 1 start-up steps by the
-    exact pair `startup`, then BDF steps with the history held in `basis`."""
+    exact pair `startup`, then BDF steps with the history held in `basis`.
+
+    With `screened` set (at least the start-up count), the BDF steps past
+    node `screened` skip the lift and the `_psd_floor` screen and yield
+    the history value Yh itself, in the basis: the unscreened recurrence,
+    continued from the screened steps' own history."""
     order = len(alphas)
     n_start = min(order - 1, n_steps)
+    if screened is None:
+        screened = n_steps
     Y = Y0
     yield Y
     history = [Y]
@@ -621,39 +677,73 @@ def _bdf_nodes(Y0, startup, basis, forcing, alphas, n_steps):
     if n_steps == n_start:
         return
     history = [basis.project(Y_prev) for Y_prev in history]
-    for _ in range(n_start, n_steps):
+    for i in range(n_start + 1, n_steps + 1):
         rhs = forcing
         for alpha, Yh_prev in zip(alphas, history):
             rhs = rhs + alpha * Yh_prev
         Yh = basis.solve(rhs)
-        Y_raw = basis.lift(Yh)
-        Y = _psd_floor(Y_raw)
-        if Y is not Y_raw:
-            Yh = basis.project(Y)
+        if i <= screened:
+            Y_raw = basis.lift(Yh)
+            Y = _psd_floor(Y_raw)
+            if Y is not Y_raw:
+                Yh = basis.project(Y)
+        else:
+            Y = Yh
         history.insert(0, Yh)
         del history[order:]
         yield Y
 
 
-def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full):
+def _basis_info(basis):
+    return {} if basis is None else {"bdf_basis": basis.kind,
+                                     "bdf_cond": basis.cond}
+
+
+def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None):
+    """The BDF grid over every node; `setup` is the `_bdf_setup` of the
+    same step when the caller has built it already."""
+    if setup is None:
+        setup = _bdf_setup(T, Bm, P0, grid, order)
+    replay = functools.partial(_bdf_nodes, *setup)
+    return _collect(replay, grid.n_steps + 1, T.shape[0], w, keep_full,
+                    **_basis_info(setup.basis))
+
+
+def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
+    """The BDF grid at the probe nodes, or None where no probe pass
+    applies: a Schur step basis, or N <= stride.
+
+    The head, nodes 0..stride, comes from the screened grid's own
+    generator (start-up pair, `_psd_floor` screen and history), so its
+    rows equal the full grid's bitwise; `head` = stride + 1 restricts the
+    stop rule to them. Past the head the recurrence runs unscreened in the
+    eigenbasis, one elementwise solve per node, and lifts only the last w
+    rows at the probe nodes and the whole matrix at tf, whose rows are
+    taken from that symmetrized lift as the full grid takes them."""
+    if setup is None:
+        setup = _bdf_setup(T, Bm, P0, grid, order)
+    basis = setup.basis
+    if basis is None or basis.kind != "eigen" or grid.n_steps <= stride:
+        return None
     k = T.shape[0]
-    N = grid.n_steps
-    h = grid.h
-    Q_const = Bm @ Bm.T
-    Y0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
-    beta, alphas = BDF_TABLE[order]
-    # multistep start-up values by exact propagation (a low-order
-    # bootstrap step would cap the observable global order at 2)
-    startup = exact_step_pair(T, Q_const, h) if min(order - 1, N) else None
-    basis = forcing = None
-    basis_info = {}
-    if N >= order:
-        basis = _bdf_basis(T, h * beta)
-        forcing = h * beta * basis.project(Q_const)
-        basis_info = {"bdf_basis": basis.kind, "bdf_cond": basis.cond}
-    replay = functools.partial(_bdf_nodes, Y0, startup, basis, forcing,
-                               alphas, N)
-    return _collect(replay, N + 1, k, w, keep_full, **basis_info)
+    # the start-up steps are always screened; with N > stride >= 1 and a
+    # basis (N >= order), node N lies past them
+    screened = max(stride, order - 1)
+    probes = _probe_indices(grid.n_steps + 1, stride)
+    bar = np.empty((len(probes), w, k))
+    j = 0
+    for i, G in enumerate(_bdf_nodes(*setup, screened=screened)):
+        if i != probes[j]:
+            continue
+        if i <= screened:
+            bar[j] = G[k - w:, :]
+        elif i < grid.n_steps:
+            bar[j] = basis.lift_rows(G, w)
+        j += 1
+    final = basis.lift(G)
+    bar[-1] = final[k - w:, :]
+    return _SmallRun(bar_rows=bar, final=final, replay=None, head=stride + 1,
+                     **_basis_info(basis))
 
 
 # -- outer Krylov loop ------------------------------------------------------
@@ -699,6 +789,16 @@ def _solve(op, B, X0, grid, config, method):
     dec = KrylovDecomposition(op, start, variant=config.krylov_variant,
                               rank_tol=config.rank_tol)
     probes = _probe_indices(grid.n_steps + 1, config.probe_stride)
+    # module globals looked up per solve, so wrappers installed on them
+    # (tests, the benchmark's tracer) see every call
+    if method == "eba_exp":
+        setup_grid, probe_grid, full_grid = (_gram_setup, _probe_gram_grid,
+                                             _run_gram_grid)
+        scheme = config.quadrature_order
+    else:
+        setup_grid, probe_grid, full_grid = (_bdf_setup, _probe_bdf_grid,
+                                             _run_bdf_grid)
+        scheme = config.bdf_order
 
     iterations = []
     converged = False
@@ -715,12 +815,15 @@ def _solve(op, B, X0, grid, config, method):
         Bm = dec.project_block(B)
         P0 = dec.project_block(Z0) if Z0.shape[1] else np.zeros((T.shape[0], 0))
         w = dec.widths[dec.m - 1]
-        if method == "eba_exp" and not broke and dec.m < config.m_max:
-            probe = _probe_gram_grid(T, Bm, P0, grid, config.quadrature_order,
-                                     w, config.probe_stride)
+        setup = setup_grid(T, Bm, P0, grid, scheme)
+        probe = None
+        if not broke and dec.m < config.m_max:
+            probe = probe_grid(T, Bm, P0, grid, scheme, w, config.probe_stride,
+                               setup=setup)
+        if probe is not None:
             res = _residuals_over_nodes(dec.coupling, probe.bar_rows)
-            if np.max(res) >= config.tol:
-                # a probe node proves this m has not converged
+            if np.max(res[:probe.head]) >= config.tol:
+                # a node the stop rule reads proves this m has not converged
                 iterations.append(IterationRecord(
                     m=dec.m, basis_size=dec.inner_width,
                     residual_final=float(res[-1]),
@@ -730,15 +833,13 @@ def _solve(op, B, X0, grid, config, method):
                     gbar_sup=None,
                     small_final=probe.final,
                     elapsed=time.perf_counter() - t_start,
+                    bdf_basis=probe.bdf_basis,
+                    bdf_cond=probe.bdf_cond,
                     grid="probe",
                 ))
                 continue
-        if method == "eba_exp":
-            run = _run_gram_grid(T, Bm, P0, grid, config.quadrature_order,
-                                 w, keep_full=False)
-        else:
-            run = _run_bdf_grid(T, Bm, P0, grid, config.bdf_order, w,
-                                keep_full=False)
+        run = full_grid(T, Bm, P0, grid, scheme, w, keep_full=False,
+                        setup=setup)
         res = _residuals_over_nodes(dec.coupling, run.bar_rows)
         gbar_sup = float(np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows,
                                                   run.bar_rows))))

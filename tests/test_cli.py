@@ -101,8 +101,11 @@ def test_flag_overrides(tmp_path):
     assert report["solver"]["tol"] == 1e-6
     assert report["solver"]["m_max"] == 6
     assert report["problem"]["seed"] == 9
-    for row in report["iterations"]:
-        assert row["grid"] == "full"
+    rows = report["iterations"]
+    # eigen-basis steps below the last run only the probe pass
+    assert [row["grid"] for row in rows] == ["probe"] * (len(rows) - 1) + ["full"]
+    assert len(rows) > 1
+    for row in rows:
         assert row["bdf_basis"] == "eigen"
         assert 1.0 <= row["bdf_cond"] < 1e3
 

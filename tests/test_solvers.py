@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,24 +224,35 @@ def test_bdf_grid_eigen_and_schur_bases_agree(order, n_steps, monkeypatch):
         np.testing.assert_array_equal(list(run.replay()), run.full)
 
 
-def test_bdf_grid_psd_clip_mid_grid_reprojects_history(monkeypatch):
-    # BDF2 overshoots below zero on a stiff mode the exact start-up step has
-    # already damped; the clipped node must also replace the history
+def _stiff_clipping_case():
+    """T, Bm, P0 and grid of a BDF2 run that `_psd_floor` clips at every
+    node from 2 on."""
     rng = np.random.default_rng(52)
     k = 6
     S = np.eye(k) + 0.3 * rng.standard_normal((k, k))
     T = S @ np.diag([-2000.0, -1.0, -1.5, -2.0, -0.5, -3.0]) @ np.linalg.inv(S)
-    Bm = 1e-3 * rng.standard_normal((k, 1))
-    P0 = rng.standard_normal((k, 3))
-    grid = TimeGrid(0.0, 0.2, 0.01)
+    return (T, 1e-3 * rng.standard_normal((k, 1)), rng.standard_normal((k, 3)),
+            TimeGrid(0.0, 0.2, 0.01))
+
+
+def _record_floor(monkeypatch):
+    """Wrap `_psd_floor`; the list gets True for each call that clipped."""
     clips = []
 
-    def counting_floor(Y):
+    def recording_floor(Y):
         out = _psd_floor(Y)
         clips.append(out is not Y)
         return out
 
-    monkeypatch.setattr(solvers, "_psd_floor", counting_floor)
+    monkeypatch.setattr(solvers, "_psd_floor", recording_floor)
+    return clips
+
+
+def test_bdf_grid_psd_clip_mid_grid_reprojects_history(monkeypatch):
+    # BDF2 overshoots below zero on a stiff mode the exact start-up step has
+    # already damped; the clipped node must also replace the history
+    T, Bm, P0, grid = _stiff_clipping_case()
+    clips = _record_floor(monkeypatch)
     run = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=True)
     assert run.bdf_basis == "eigen"
     assert any(clips[1:-1])
@@ -621,7 +634,7 @@ def test_probe_first_run_equals_a_full_grid_at_every_step(variant, tol,
     cfg = SolverConfig(krylov_variant=variant, m_max=20, tol=tol)
     first = solve(op, B, None, grid, cfg)
 
-    def probes_pass(T, Bm, P0, grid, q, w, stride):
+    def probes_pass(T, Bm, P0, grid, q, w, stride, setup=None):
         return solvers._SmallRun(bar_rows=np.zeros((1, w, T.shape[0])),
                                  final=None, replay=None)
 
@@ -663,3 +676,195 @@ def test_probes_below_tol_do_not_declare_convergence():
     assert at6.grid == "full"          # the probes passed ...
     assert at6.residual_max >= tol     # ... and the full grid overruled them
     assert traj.iterations[-1].m > 6
+
+
+# -- probe-first convergence on the BDF route --------------------------------
+
+
+def _smooth_case():
+    # a full-rank P0 keeps every node well inside the PSD cone: no clips
+    rng = np.random.default_rng(60)
+    return (_stable_dense(9, 61), rng.standard_normal((9, 2)),
+            rng.standard_normal((9, 12)), TimeGrid(0.0, 1.0, 0.02))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 4, 10])
+@pytest.mark.parametrize("case", ["smooth", "clipping"])
+def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
+                                                     monkeypatch):
+    T, Bm, P0, grid = _smooth_case() if case == "smooth" else _stiff_clipping_case()
+    w = Bm.shape[1]
+    coupling = np.random.default_rng(62).standard_normal((3, w))
+    clips = _record_floor(monkeypatch)
+    full = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True)
+    full_clips = clips[:]
+    clips.clear()
+    probe = solvers._probe_bdf_grid(T, Bm, P0, grid, order, w, stride)
+    assert probe.head == stride + 1
+    assert (probe.bdf_basis, probe.bdf_cond) == (full.bdf_basis, full.bdf_cond)
+    # the probe screens its head nodes 1..stride (and the start-up nodes)
+    # as the full grid does, and nothing past them
+    assert clips == full_clips[:max(stride, order - 1)]
+    clipping = case == "clipping" and order > 1    # BDF1 keeps Y PSD
+    assert any(full_clips) == clipping
+    if clipping and stride > 1:
+        assert any(clips)
+    head = slice(0, stride + 1)
+    np.testing.assert_array_equal(probe.bar_rows[head], full.bar_rows[head])
+    np.testing.assert_array_equal(
+        solvers._residuals_over_nodes(coupling, probe.bar_rows)[head],
+        solvers._residuals_over_nodes(coupling, full.bar_rows)[head])
+    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
+    nodes = solvers._bdf_nodes(*setup, screened=max(stride, order - 1))
+    np.testing.assert_array_equal(list(itertools.islice(nodes, stride + 1)),
+                                  full.full[head])
+    idx = solvers._probe_indices(grid.n_steps + 1, stride)
+    if case == "smooth":
+        # no clip anywhere: the unscreened tail is the full grid's recurrence
+        np.testing.assert_allclose(probe.bar_rows, full.bar_rows[idx],
+                                   rtol=1e-10, atol=1e-12 * np.abs(full.full).max())
+        # and tf's rows come from the same symmetrized lift
+        np.testing.assert_array_equal(probe.final, full.final)
+        np.testing.assert_array_equal(probe.bar_rows[-1], full.bar_rows[-1])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_bdf_probe_rows_match_a_full_run_at_the_same_m(order, monkeypatch):
+    op = wrap_sparse(gen_convdiff(10))
+    B = gen_random_block(100, 2, seed=7)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    cfg = SolverConfig(method="eba_bdf", bdf_order=order, m_max=20, tol=1e-4)
+    first = solve(op, B, None, grid, cfg)
+    monkeypatch.setattr(solvers, "_probe_bdf_grid", lambda *a, **kw: None)
+    every = solve(op, B, None, grid, cfg)
+    assert first.converged and every.converged
+    kinds = [r.grid for r in first.iterations]
+    assert kinds == ["probe"] * (len(kinds) - 1) + ["full"] and len(kinds) > 3
+    assert [r.grid for r in every.iterations] == ["full"] * len(kinds)
+    assert [r.m for r in first.iterations] == [r.m for r in every.iterations]
+    np.testing.assert_array_equal(first.residuals, every.residuals)
+    np.testing.assert_array_equal(list(first.iter_small()),
+                                  list(every.iter_small()))
+    for rec_p, rec_f in zip(first.iterations, every.iterations):
+        assert (rec_p.bdf_basis, rec_p.bdf_cond) == (rec_f.bdf_basis, rec_f.bdf_cond)
+        assert rec_p.bdf_basis == "eigen"
+        assert rec_p.residual_final == pytest.approx(rec_f.residual_final,
+                                                     rel=1e-10)
+        assert rec_p.residual_probe_max == pytest.approx(
+            rec_f.residual_probe_max, rel=1e-10)
+        np.testing.assert_allclose(rec_p.small_final, rec_f.small_final,
+                                   rtol=1e-10,
+                                   atol=1e-10 * np.abs(rec_f.small_final).max())
+        if rec_p.grid == "probe":
+            assert rec_p.residual_max is None and rec_p.gbar_sup is None
+
+
+def _bdf_dense_case():
+    A = _stable_dense(30, 40)
+    B = np.random.default_rng(41).random((30, 2))
+    return A, B, TimeGrid(0.0, 1.0, 1e-2)
+
+
+def _step_data(A, B, grid, m):
+    """T, Bm, P0, w and coupling of Krylov step m."""
+    dec = solve(A, B, None, grid, SolverConfig(method="eba_bdf", m_max=m,
+                                               tol=1e-300)).decomposition
+    T = dec.T
+    return (T, dec.project_block(B), np.zeros((T.shape[0], 0)), dec.widths[-1],
+            dec.coupling)
+
+
+def test_bdf_clip_in_the_head_keeps_head_and_decision(monkeypatch):
+    # at m = 3 node 5's screen is forced to "clip" (scale up); the head must
+    # carry the clipped value, and the stop decision must hinge on it
+    A, B, grid = _bdf_dense_case()
+    m, node, stride = 3, 5, 10
+    T, Bm, P0, w, coupling = _step_data(A, B, grid, m)
+    inputs = []
+    monkeypatch.setattr(solvers, "_psd_floor",
+                        lambda Y: inputs.append(Y.copy()) or _psd_floor(Y))
+    plain = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False)
+    target = inputs[node - 1]            # node 1 is the first screen
+    clips = []
+
+    def forced_floor(Y):
+        if Y.shape == target.shape and np.array_equal(Y, target):
+            clips.append(Y)
+            return 10.0 * Y
+        return _psd_floor(Y)
+
+    monkeypatch.setattr(solvers, "_psd_floor", forced_floor)
+    full = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False)
+    probe = solvers._probe_bdf_grid(T, Bm, P0, grid, 2, w, stride)
+    assert len(clips) == 2
+    head = slice(0, stride + 1)
+    np.testing.assert_array_equal(probe.bar_rows[head], full.bar_rows[head])
+    assert not np.array_equal(full.bar_rows[node], plain.bar_rows[node])
+    res_plain = solvers._residuals_over_nodes(coupling, plain.bar_rows)[head]
+    res_clip = solvers._residuals_over_nodes(coupling, probe.bar_rows)[head]
+    assert res_clip.max() > 1.5 * res_plain.max()
+    tol = np.sqrt(res_plain.max() * res_clip.max())
+
+    cfg = SolverConfig(method="eba_bdf", m_max=10, tol=tol, probe_stride=stride)
+    first = solve(A, B, None, grid, cfg)
+    monkeypatch.setattr(solvers, "_probe_bdf_grid", lambda *a, **kw: None)
+    every = solve(A, B, None, grid, cfg)
+    at_m = next(r for r in first.iterations if r.m == m)
+    assert at_m.grid == "probe"           # only the clipped head exceeds tol
+    assert next(r for r in every.iterations if r.m == m).residual_max >= tol
+    assert [r.m for r in first.iterations] == [r.m for r in every.iterations]
+    assert first.converged == every.converged
+    np.testing.assert_array_equal(first.residuals, every.residuals)
+    np.testing.assert_array_equal(list(first.iter_small()),
+                                  list(every.iter_small()))
+
+
+def test_bdf_head_below_tol_defers_to_the_full_grid():
+    # at m = 4 the residual stays small over the head and peaks in the tail
+    A, B, grid = _bdf_dense_case()
+    rec = solve(A, B, None, grid, SolverConfig(method="eba_bdf", m_max=4,
+                                               tol=1e-300))
+    head_max = rec.residuals[:11].max()
+    assert rec.iterations[-1].grid == "full"
+    assert head_max < 0.1 * rec.residuals.max()
+    tol = np.sqrt(head_max * rec.residuals.max())
+    traj = solve(A, B, None, grid, SolverConfig(method="eba_bdf", m_max=10,
+                                                tol=tol))
+    at4 = next(r for r in traj.iterations if r.m == 4)
+    assert at4.grid == "full"          # the head passed ...
+    assert at4.residual_max >= tol     # ... and the full grid overruled it
+    assert traj.iterations[-1].m > 4
+
+
+@pytest.mark.parametrize("why", ["schur", "short-grid"])
+def test_bdf_rows_are_full_without_an_eigen_probe(why, monkeypatch):
+    op = wrap_sparse(gen_convdiff(10))
+    B = gen_random_block(100, 2, seed=7)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    if why == "schur":
+        monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
+    stride = grid.n_steps if why == "short-grid" else 10
+    traj = solve(op, B, None, grid, SolverConfig(method="eba_bdf", m_max=20,
+                                                 tol=1e-4, probe_stride=stride))
+    assert traj.converged and len(traj.iterations) > 3
+    assert [r.grid for r in traj.iterations] == ["full"] * len(traj.iterations)
+    assert {r.bdf_basis for r in traj.iterations} == {
+        "schur" if why == "schur" else "eigen"}
+
+
+@pytest.mark.parametrize("method,setup_fn", [("eba_exp", "_panel_increment"),
+                                            ("eba_bdf", "exact_step_pair")])
+def test_step_data_is_built_once_per_krylov_step(method, setup_fn, monkeypatch):
+    # the full grid of the converging step reuses the probe pass's setup
+    op = wrap_sparse(gen_convdiff(10))
+    B = gen_random_block(100, 2, seed=7)
+    calls = []
+    inner = getattr(solvers, setup_fn)
+    monkeypatch.setattr(solvers, setup_fn,
+                        lambda *a: calls.append(1) or inner(*a))
+    traj = solve(op, B, None, TimeGrid(0.0, 1.0, 1e-2),
+                 SolverConfig(method=method, m_max=20, tol=1e-4))
+    kinds = [r.grid for r in traj.iterations]
+    assert traj.converged and kinds[-2:] == ["probe", "full"]
+    assert len(calls) == len(kinds)
