@@ -14,11 +14,10 @@ from .mmio import (MatrixMarketParseError, read_matrix_market,
                    write_matrix_market_array)
 from .problems import (ProblemSpec, build_problem, gen_convdiff, gen_heat_fem,
                        gen_random_block, heat_fem_matrices)
-from .rational import eval_rational_exp, rational_exp_coefficients
 from .solvers import (PSDViolationError, SolverConfig, SymLowRank, TimeGrid,
-                      Trajectory, expm_action_rational, expm_action_small,
-                      gram_integral, gram_integral_exact, residual_norm, solve,
-                      solve_eba_bdf, solve_eba_exp, truncate_lowrank)
+                      Trajectory, gram_integral, gram_integral_exact,
+                      residual_norm, solve, solve_eba_bdf, solve_eba_exp,
+                      truncate_lowrank)
 from .sparsela import (CapabilityError, Factorization, FactorizationError,
                        LinearOperator, operator_from_pair, sparse_apply,
                        sparse_factor, wrap_dense, wrap_sparse)

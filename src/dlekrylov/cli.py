@@ -98,6 +98,7 @@ def _iteration_rows(traj):
             "bdf_basis": rec.bdf_basis,
             "bdf_cond": rec.bdf_cond,
             "grid": rec.grid,
+            "psd_clips": rec.psd_clips,
         }
         for rec in traj.iterations
     ]

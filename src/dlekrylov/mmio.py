@@ -155,6 +155,7 @@ def write_matrix_market_array(M, path):
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for j in range(M.shape[1]):
-            for i in range(M.shape[0]):
-                fh.write(_fmt(M[i, j]) + "\n")
+        # one formatting call per column; "%.16e" prints as _fmt does
+        line = "%.16e\n" * M.shape[0]
+        for col in M.T:
+            fh.write(line % tuple(col.tolist()))

@@ -26,8 +26,12 @@ by repeated squaring into a stride pair, and the stop rule reads every
 probe. On the BDF route, a multistep method, the probe pass runs the
 screened grid's own first `probe_stride` steps, whose nodes equal the
 full grid's bitwise and alone feed the stop rule, then continues the
-recurrence unscreened in the eigenbasis, lifting rows at the probe nodes
-only; those tail values are reported, never decided on. A BDF grid in
+recurrence unscreened in the eigenbasis from the head's history. There a
+BDF step is one fixed affine map per entry, which the tail composes by
+repeated squaring into one map per gap between probe nodes and lifts rows
+at the probe nodes only; those tail values agree with the node-by-node
+recurrence at rounding level and are reported, never decided on. Each
+grid run counts the nodes its `_psd_floor` screen clipped. A BDF grid in
 the Schur basis, where a step stays one triangular solve, or with no
 more than `probe_stride` steps runs full at every Krylov step.
 
@@ -141,8 +145,11 @@ class IterationRecord:
     `residual_final`, `residual_probe_max` and `small_final` come from that
     pass and its `residual_max` and `gbar_sup`, which need every node, are
     None. On eba-bdf those probe values past node `probe_stride` come from
-    the unscreened recurrence (no `_psd_floor`), so they match a full grid
-    run only where that grid never clips."""
+    the unscreened recurrence (no `_psd_floor`), composed from probe node
+    to probe node, so they match a full grid run at rounding level, and
+    only where that grid never clips. `psd_clips` counts the clipped nodes
+    of the step's grid run; on a probe row, of its first `probe_stride`
+    nodes."""
 
     m: int
     basis_size: int
@@ -156,6 +163,7 @@ class IterationRecord:
     bdf_basis: str = None              # step basis of a BDF grid run
     bdf_cond: float = None             # cond(V) that chose that basis
     grid: str = "full"                 # "probe" | "full"
+    psd_clips: int = 0                 # `_psd_floor` clips of that grid run
 
 
 @dataclass
@@ -331,37 +339,6 @@ def gram_integral_exact(T, B, t0, t):
     return sym_part(G)
 
 
-def expm_action_small(T, B, s):
-    """e^{s T} @ B for the projected (small) pair."""
-    if s < 0:
-        raise ValueError(f"duration must be nonnegative, got {s}")
-    T = np.asarray(T, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return expm(s * T) @ B
-
-
-def expm_action_rational(T, B, s, coeffs):
-    """Partial-fraction approximation of e^{s T} @ B.
-
-    `coeffs` is (a0, poles, residues) as produced by
-    rational.rational_exp_coefficients; conjugate-closed pole sets give a
-    real result. A shift that makes (s T - pole I) singular raises.
-    """
-    a0, poles, residues = coeffs
-    T = np.asarray(T, dtype=float)
-    B = np.asarray(B, dtype=float)
-    M = s * T
-    k = M.shape[0]
-    acc = a0 * B.astype(complex)
-    eye = np.eye(k)
-    for z, c in zip(poles, residues):
-        try:
-            acc += c * np.linalg.solve(M - z * eye, B.astype(complex))
-        except np.linalg.LinAlgError as exc:
-            raise SolvabilityError(f"shift {z} makes the resolvent singular") from exc
-    return acc.real
-
-
 def residual_norm(coupling, small_sol):
     """Frobenius norm of the true residual from the coupling block.
 
@@ -442,19 +419,23 @@ class _SmallRun:
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
     head: int = None                   # bar rows the stop rule reads; None: all
+    psd_clips: int = 0                 # nodes `_psd_floor` clipped (probe: head)
 
 
-def _collect(replay, n_nodes, k, w, keep_full, **basis_info):
-    """One pass over the nodes of `replay()`: the last w rows of every
-    node, the final node and, when asked, every node."""
+def _collect(replay, steps, n_nodes, k, w, keep_full, **basis_info):
+    """One pass over `steps`, tuples (Y, clipped, ...) of the nodes
+    `replay()` regenerates: the last w rows of every node, the final node,
+    the count of clipped nodes and, when asked, every node."""
     bar = np.empty((n_nodes, w, k))
     full = np.empty((n_nodes, k, k)) if keep_full else None
-    for i, G in enumerate(replay()):
+    clips = 0
+    for i, (G, clipped, *_) in enumerate(steps):
         bar[i] = G[k - w:, :]
         if keep_full:
             full[i] = G
+        clips += clipped
     return _SmallRun(bar_rows=bar, final=G, replay=replay, full=full,
-                     **basis_info)
+                     psd_clips=clips, **basis_info)
 
 
 def _gram_nodes(E, delta, G0, n_steps):
@@ -473,16 +454,17 @@ def _compose(first, then):
     return E2 @ E1, sym_part(E2 @ d1 @ E2.T + d2)
 
 
-def _pair_power(pair, s):
-    """The pair applied s >= 1 times in a row, by repeated squaring."""
+def _pair_power(pair, s, compose):
+    """The map `pair` applied s >= 1 times in a row, by repeated squaring;
+    `compose(first, then)` composes two maps."""
     out = None
     while True:
         if s & 1:
-            out = pair if out is None else _compose(out, pair)
+            out = pair if out is None else compose(out, pair)
         s >>= 1
         if not s:
             return out
-        pair = _compose(pair, pair)
+        pair = compose(pair, pair)
 
 
 def _probe_indices(n_nodes, stride):
@@ -504,12 +486,12 @@ def _gram_probe_nodes(E, delta, G0, n_steps, stride):
         yield G
     n_strides, rem = divmod(n_steps - head, stride)
     if n_strides:
-        E_s, d_s = _pair_power((E, delta), stride)
+        E_s, d_s = _pair_power((E, delta), stride, _compose)
         for _ in range(n_strides):
             G = sym_part(E_s @ G @ E_s.T + d_s)
             yield G
     if rem:
-        E_r, d_r = _pair_power((E, delta), rem)
+        E_r, d_r = _pair_power((E, delta), rem, _compose)
         yield sym_part(E_r @ G @ E_r.T + d_r)
 
 
@@ -528,7 +510,8 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None):
     if setup is None:
         setup = _gram_setup(T, Bm, P0, grid, q)
     replay = functools.partial(_gram_nodes, *setup, grid.n_steps)
-    return _collect(replay, grid.n_steps + 1, T.shape[0], w, keep_full)
+    steps = ((G, False) for G in replay())    # the exp grid never clips
+    return _collect(replay, steps, grid.n_steps + 1, T.shape[0], w, keep_full)
 
 
 def _probe_gram_grid(T, Bm, P0, grid, q, w, stride, setup=None):
@@ -539,7 +522,8 @@ def _probe_gram_grid(T, Bm, P0, grid, q, w, stride, setup=None):
     replay = functools.partial(_gram_probe_nodes, *setup, grid.n_steps,
                                stride)
     n_probes = len(_probe_indices(grid.n_steps + 1, stride))
-    return _collect(replay, n_probes, T.shape[0], w, keep_full=False)
+    steps = ((G, False) for G in replay())
+    return _collect(replay, steps, n_probes, T.shape[0], w, keep_full=False)
 
 
 def exact_step_pair(T, Q, h):
@@ -580,15 +564,18 @@ class _StepBasis:
     """Basis M in which a BDF grid holds its history Yh = M^-1 Y M^-T.
 
     `solve` maps the right-hand side R (in the basis) of
-    F Y + Y F^T = -R to Y (in the basis), F = h*beta*T - I/2.
+    F Y + Y F^T = -R to Y (in the basis), F = h*beta*T - I/2. In the
+    eigenbasis that solve is R * `multiplier`, elementwise; in the Schur
+    basis `multiplier` is None.
     """
 
-    def __init__(self, kind, cond, M, M_inv, solve):
+    def __init__(self, kind, cond, M, M_inv, solve, multiplier=None):
         self.kind = kind
         self.cond = cond
         self.M = M
         self.M_inv = M_inv
         self.solve = solve
+        self.multiplier = multiplier
         if np.iscomplexobj(M):
             # Re(W M^T) is one real product of W's interleaved (re, im)
             # columns with the rows of Re M^T and -Im M^T
@@ -620,7 +607,7 @@ def _bdf_basis(T, h_beta):
         check_lyapunov_solvable(lam_F)
         inv_pair = -1.0 / (lam_F[:, None] + lam_F[None, :])
         return _StepBasis("eigen", cond, V, np.linalg.inv(V),
-                          lambda R: R * inv_pair)
+                          lambda R: R * inv_pair, multiplier=inv_pair)
     lyap = LyapunovSolver(h_beta * T - 0.5 * np.eye(T.shape[0]))
     return _StepBasis("schur", cond, lyap.U, lyap.U.T, lyap.solve_schur)
 
@@ -654,44 +641,79 @@ def _bdf_setup(T, Bm, P0, grid, order):
     return _BDFSetup(Y0, startup, basis, forcing, alphas, N)
 
 
-def _bdf_nodes(Y0, startup, basis, forcing, alphas, n_steps, screened=None):
-    """Y_0, ..., Y_N of a BDF grid: len(alphas) - 1 start-up steps by the
-    exact pair `startup`, then BDF steps with the history held in `basis`.
-
-    With `screened` set (at least the start-up count), the BDF steps past
-    node `screened` skip the lift and the `_psd_floor` screen and yield
-    the history value Yh itself, in the basis: the unscreened recurrence,
-    continued from the screened steps' own history."""
+def _bdf_steps(Y0, startup, basis, forcing, alphas, n_steps):
+    """(Y_i, clipped, history) for the nodes i = 0..N of a BDF grid:
+    len(alphas) - 1 start-up steps by the exact pair `startup`, then BDF
+    steps with the history held in `basis`. `clipped` tells whether
+    `_psd_floor` clipped Y_i. From node len(alphas) - 1 on, when BDF steps
+    follow, `history` is what the next step reads: the last len(alphas)
+    values in the basis, newest first, a list the generator updates in
+    place; before that node, or with no BDF step, it is None."""
     order = len(alphas)
     n_start = min(order - 1, n_steps)
-    if screened is None:
-        screened = n_steps
     Y = Y0
-    yield Y
-    history = [Y]
+    clipped = False
+    startup_history = [Y]
     for _ in range(n_start):
+        yield Y, clipped, None
         E, delta = startup
-        Y = _psd_floor(sym_part(E @ Y @ E.T + delta))
-        history.insert(0, Y)
-        yield Y
+        Y_raw = sym_part(E @ Y @ E.T + delta)
+        Y = _psd_floor(Y_raw)
+        clipped = Y is not Y_raw
+        startup_history.insert(0, Y)
     if n_steps == n_start:
+        yield Y, clipped, None
         return
-    history = [basis.project(Y_prev) for Y_prev in history]
-    for i in range(n_start + 1, n_steps + 1):
+    history = [basis.project(Y_prev) for Y_prev in startup_history]
+    yield Y, clipped, history
+    for _ in range(n_start, n_steps):
         rhs = forcing
         for alpha, Yh_prev in zip(alphas, history):
             rhs = rhs + alpha * Yh_prev
         Yh = basis.solve(rhs)
-        if i <= screened:
-            Y_raw = basis.lift(Yh)
-            Y = _psd_floor(Y_raw)
-            if Y is not Y_raw:
-                Yh = basis.project(Y)
-        else:
-            Y = Yh
+        Y_raw = basis.lift(Yh)
+        Y = _psd_floor(Y_raw)
+        clipped = Y is not Y_raw
+        if clipped:
+            Yh = basis.project(Y)
         history.insert(0, Yh)
         del history[order:]
-        yield Y
+        yield Y, clipped, history
+
+
+def _bdf_nodes(*setup):
+    """Y_0, ..., Y_N of the BDF grid of `_bdf_setup`'s step data."""
+    return (Y for Y, _, _ in _bdf_steps(*setup))
+
+
+def _bdf_step_map(multiplier, forcing, alphas):
+    """One eigenbasis BDF step as a per-entry affine map (A, b) on the
+    stacked history x = (Yh_n, ..., Yh_{n-p+1}), shape (p, k, k):
+    x -> A x + b with Yh_{n+1} = multiplier * (forcing + sum_j alpha_j
+    Yh_{n+1-j}) on top and the older values shifted down."""
+    p = len(alphas)
+    A = np.zeros((p, p) + multiplier.shape,
+                 dtype=np.result_type(multiplier, forcing))
+    for j, alpha in enumerate(alphas):
+        A[0, j] = alpha * multiplier
+    for i in range(1, p):
+        A[i, i - 1] = 1.0
+    b = np.zeros(A.shape[1:], dtype=A.dtype)
+    b[0] = forcing * multiplier
+    return A, b
+
+
+def _apply_entrywise(pair, x):
+    """A x + b for per-entry affine maps: a p x p product at every entry."""
+    A, b = pair
+    return (A * x).sum(axis=1) + b
+
+
+def _compose_entrywise(first, then):
+    """The per-entry map of `first` followed by `then`:
+    (A1, b1) then (A2, b2) is (A2 A1, A2 b1 + b2)."""
+    (A1, b1), (A2, _) = first, then
+    return np.einsum("ijab,jlab->ilab", A2, A1), _apply_entrywise(then, b1)
 
 
 def _basis_info(basis):
@@ -705,8 +727,8 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None):
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
     replay = functools.partial(_bdf_nodes, *setup)
-    return _collect(replay, grid.n_steps + 1, T.shape[0], w, keep_full,
-                    **_basis_info(setup.basis))
+    return _collect(replay, _bdf_steps(*setup), grid.n_steps + 1, T.shape[0],
+                    w, keep_full, **_basis_info(setup.basis))
 
 
 def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
@@ -716,34 +738,46 @@ def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
     The head, nodes 0..stride, comes from the screened grid's own
     generator (start-up pair, `_psd_floor` screen and history), so its
     rows equal the full grid's bitwise; `head` = stride + 1 restricts the
-    stop rule to them. Past the head the recurrence runs unscreened in the
-    eigenbasis, one elementwise solve per node, and lifts only the last w
-    rows at the probe nodes and the whole matrix at tf, whose rows are
-    taken from that symmetrized lift as the full grid takes them."""
+    stop rule to them, and `psd_clips` counts the head's clips. Past the
+    head the recurrence runs unscreened in the eigenbasis, from the head's
+    history: the BDF step is a per-entry affine map, composed by repeated
+    squaring into the gap maps between probe nodes, so the tail costs one
+    map per probe node. It lifts only the last w rows at the probe nodes
+    and the whole matrix at tf, whose rows are taken from that symmetrized
+    lift as the full grid takes them."""
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
     basis = setup.basis
-    if basis is None or basis.kind != "eigen" or grid.n_steps <= stride:
+    if basis is None or basis.multiplier is None or grid.n_steps <= stride:
         return None
     k = T.shape[0]
     # the start-up steps are always screened; with N > stride >= 1 and a
-    # basis (N >= order), node N lies past them
+    # basis (N >= order), node N lies past them and BDF steps follow
     screened = max(stride, order - 1)
     probes = _probe_indices(grid.n_steps + 1, stride)
     bar = np.empty((len(probes), w, k))
-    j = 0
-    for i, G in enumerate(_bdf_nodes(*setup, screened=screened)):
-        if i != probes[j]:
-            continue
-        if i <= screened:
-            bar[j] = G[k - w:, :]
-        elif i < grid.n_steps:
-            bar[j] = basis.lift_rows(G, w)
-        j += 1
-    final = basis.lift(G)
+    clips = j = 0
+    for i, (Y, clipped, history) in enumerate(
+            itertools.islice(_bdf_steps(*setup), screened + 1)):
+        clips += clipped
+        if i == probes[j]:
+            bar[j] = Y[k - w:, :]
+            j += 1
+    step = _bdf_step_map(basis.multiplier, setup.forcing, setup.alphas)
+    gap_maps = {}
+    x, node = np.array(history), screened
+    for j, probe_node in enumerate(probes[j:], start=j):
+        gap = probe_node - node
+        if gap not in gap_maps:
+            gap_maps[gap] = _pair_power(step, gap, _compose_entrywise)
+        x = _apply_entrywise(gap_maps[gap], x)
+        node = probe_node
+        if node < grid.n_steps:
+            bar[j] = basis.lift_rows(x[0], w)
+    final = basis.lift(x[0])
     bar[-1] = final[k - w:, :]
     return _SmallRun(bar_rows=bar, final=final, replay=None, head=stride + 1,
-                     **_basis_info(basis))
+                     psd_clips=clips, **_basis_info(basis))
 
 
 # -- outer Krylov loop ------------------------------------------------------
@@ -836,6 +870,7 @@ def _solve(op, B, X0, grid, config, method):
                     bdf_basis=probe.bdf_basis,
                     bdf_cond=probe.bdf_cond,
                     grid="probe",
+                    psd_clips=probe.psd_clips,
                 ))
                 continue
         run = full_grid(T, Bm, P0, grid, scheme, w, keep_full=False,
@@ -854,6 +889,7 @@ def _solve(op, B, X0, grid, config, method):
             elapsed=time.perf_counter() - t_start,
             bdf_basis=run.bdf_basis,
             bdf_cond=run.bdf_cond,
+            psd_clips=run.psd_clips,
         ))
         # the full grid decides: the residual can peak between probes
         converged = bool(np.max(res) < config.tol)

@@ -36,6 +36,7 @@ def test_solve_writes_report_and_csv(tmp_path):
     assert [row["grid"] for row in rows[:-1]] == ["probe"] * (len(rows) - 1)
     assert len(rows) > 2
     assert all(row["residual_max"] is None for row in rows[:-1])
+    assert all(row["psd_clips"] == 0 for row in rows)    # eba-exp never screens
     timings = report["timings_s"]
     assert set(timings) == {"build", "solve", "output"}
     assert all(v >= 0.0 for v in timings.values())
@@ -108,6 +109,23 @@ def test_flag_overrides(tmp_path):
     for row in rows:
         assert row["bdf_basis"] == "eigen"
         assert 1.0 <= row["bdf_cond"] < 1e3
+        assert isinstance(row["psd_clips"], int) and row["psd_clips"] >= 0
+
+
+def test_report_counts_psd_clips(tmp_path, monkeypatch):
+    from dlekrylov import solvers
+
+    # a screen that returns a copy counts as a clip and changes no value
+    monkeypatch.setattr(solvers, "_psd_floor", lambda Y: Y.copy())
+    cfg = _write_cfg(tmp_path, problem=_base_problem(),
+                     solver={"method": "eba_bdf", "bdf_order": 2, "m_max": 6,
+                             "tol": 1e-6, "probe_stride": 10})
+    out = str(tmp_path / "out")
+    main(["solve", "--config", cfg, "--out", out])
+    rows = json.load(open(os.path.join(out, "report.json")))["iterations"]
+    assert len(rows) > 1
+    # probe rows screen their head, nodes 1..10; the full grid all 50 nodes
+    assert [row["psd_clips"] for row in rows] == [10] * (len(rows) - 1) + [50]
 
 
 def test_config_error_exit_code(tmp_path, capsys):

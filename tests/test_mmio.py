@@ -96,3 +96,19 @@ def test_array_wrong_count_reports(tmp_path):
         fh.write("1.0\n2.0\n3.0\n")
     with pytest.raises(MatrixMarketParseError):
         read_matrix_market_array(path)
+
+
+def test_array_writer_matches_the_per_value_format(tmp_path):
+    from dlekrylov.mmio import _fmt
+
+    col = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, -1.7976931348623157e308,
+           1e300, -3.5e-310, 6.02214076e23, 1.0 / 3.0, -2.5, 1e-100]
+    M = np.array([col, col[::-1]]).T
+    path = tmp_path / "values.mtx"
+    write_matrix_market_array(M, str(path))
+    expected = ("%%MatrixMarket matrix array real general\n"
+                f"{M.shape[0]} {M.shape[1]}\n"
+                + "".join(_fmt(M[i, j]) + "\n" for j in range(M.shape[1])
+                          for i in range(M.shape[0])))
+    assert path.read_bytes() == expected.encode()
+    assert "-0.0000000000000000e+00" in expected and "4.9406564584124654e-324" in expected

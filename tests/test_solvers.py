@@ -14,7 +14,6 @@ from dlekrylov.solvers import (BDF_TABLE, PSDViolationError, SolverConfig,
                                SymLowRank, TimeGrid, Trajectory, _psd_floor,
                                _run_bdf_grid, _run_gram_grid, exact_step_pair,
                                gram_integral, gram_integral_exact,
-                               expm_action_small,
                                residual_norm, solve, solve_eba_bdf,
                                solve_eba_exp, truncate_lowrank)
 from dlekrylov.sparsela import wrap_dense, wrap_sparse
@@ -99,16 +98,6 @@ def test_gram_integral_matches_block_expm_oracle():
 def test_gram_integral_domain_error():
     with pytest.raises(ValueError):
         gram_integral(np.eye(2), np.ones((2, 1)), 1.0, 0.5)
-
-
-def test_expm_action_small():
-    B = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(expm_action_small(np.eye(3), B, 0.0), B)
-    d = np.array([-1.0, 0.5, 2.0])
-    out = expm_action_small(np.diag(d), B, 0.7)
-    np.testing.assert_allclose(out, np.exp(0.7 * d)[:, None] * B, rtol=1e-13)
-    with pytest.raises(ValueError):
-        expm_action_small(np.eye(2), np.ones((2, 1)), -0.1)
 
 
 # -- residual formula ---------------------------------------------------------
@@ -716,17 +705,105 @@ def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
         solvers._residuals_over_nodes(coupling, probe.bar_rows)[head],
         solvers._residuals_over_nodes(coupling, full.bar_rows)[head])
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
-    nodes = solvers._bdf_nodes(*setup, screened=max(stride, order - 1))
+    nodes = solvers._bdf_nodes(*setup)
     np.testing.assert_array_equal(list(itertools.islice(nodes, stride + 1)),
                                   full.full[head])
     idx = solvers._probe_indices(grid.n_steps + 1, stride)
     if case == "smooth":
-        # no clip anywhere: the unscreened tail is the full grid's recurrence
+        # no clip anywhere: the unscreened tail is the full grid's recurrence,
+        # composed into gap maps, so tf agrees at rounding level
         np.testing.assert_allclose(probe.bar_rows, full.bar_rows[idx],
                                    rtol=1e-10, atol=1e-12 * np.abs(full.full).max())
-        # and tf's rows come from the same symmetrized lift
-        np.testing.assert_array_equal(probe.final, full.final)
-        np.testing.assert_array_equal(probe.bar_rows[-1], full.bar_rows[-1])
+        np.testing.assert_allclose(probe.final, full.final, rtol=1e-12)
+        np.testing.assert_allclose(probe.bar_rows[-1], full.bar_rows[-1],
+                                   rtol=1e-12)
+
+
+def _stepwise_probe_rows(setup, w, stride):
+    """Bar rows at the probe nodes and the value at tf of the probe pass,
+    with its tail stepped one elementwise BDF step per node from the
+    screened head's history."""
+    basis, N, alphas = setup.basis, setup.n_steps, setup.alphas
+    k = basis.M.shape[0]
+    screened = max(stride, len(alphas) - 1)
+    probes = set(solvers._probe_indices(N + 1, stride).tolist())
+    rows = []
+    for i, (Y, _, history) in enumerate(solvers._bdf_steps(*setup)):
+        if i in probes:
+            rows.append(Y[k - w:, :])
+        if i == screened:
+            break
+    history = list(history)
+    for i in range(screened + 1, N + 1):
+        rhs = setup.forcing
+        for alpha, Yh_prev in zip(alphas, history):
+            rhs = rhs + alpha * Yh_prev
+        history = [rhs * basis.multiplier] + history[:-1]
+        if i in probes and i < N:
+            rows.append(basis.lift_rows(history[0], w))
+    final = basis.lift(history[0])
+    rows.append(final[k - w:, :])
+    return np.array(rows), final
+
+
+def _real_spectrum_case():
+    # a symmetric T: real eigenvalues and eigenvectors
+    rng = np.random.default_rng(63)
+    S = rng.standard_normal((9, 9))
+    return (-(S @ S.T) / 9.0 - np.eye(9), rng.standard_normal((9, 2)),
+            rng.standard_normal((9, 12)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 4, 10])
+@pytest.mark.parametrize("spectrum", ["real", "complex"])
+def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order):
+    # N = 47 is no multiple of 4 or 10; stride 1 with order 2 or 3 hands
+    # the history over at the last start-up node
+    if spectrum == "real":
+        T, Bm, P0 = _real_spectrum_case()
+    else:
+        T, Bm, P0, _ = _smooth_case()
+    grid = TimeGrid(0.0, 0.94, 0.02)
+    w = Bm.shape[1]
+    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
+    assert np.iscomplexobj(setup.basis.multiplier) == (spectrum == "complex")
+    probe = solvers._probe_bdf_grid(T, Bm, P0, grid, order, w, stride,
+                                    setup=setup)
+    rows, final = _stepwise_probe_rows(setup, w, stride)
+    assert probe.bar_rows.shape == rows.shape
+    head = slice(0, max(stride, order - 1) + 1)
+    np.testing.assert_array_equal(probe.bar_rows[head], rows[head])
+    np.testing.assert_allclose(probe.bar_rows, rows, rtol=1e-12,
+                               atol=1e-13 * np.abs(rows).max())
+    np.testing.assert_allclose(probe.final, final, rtol=1e-12,
+                               atol=1e-13 * np.abs(final).max())
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_bdf_probe_pass_steps_only_its_head(order):
+    T, Bm, P0, grid = _smooth_case()
+    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
+    calls = []
+    solve_step = setup.basis.solve
+    setup.basis.solve = lambda R: calls.append(1) or solve_step(R)
+    stride = 10
+    solvers._probe_bdf_grid(T, Bm, P0, grid, order, 2, stride, setup=setup)
+    assert len(calls) == stride - (order - 1)
+    calls.clear()
+    _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False, setup=setup)
+    assert len(calls) == grid.n_steps - (order - 1)
+
+
+def test_grid_runs_count_their_psd_clips(monkeypatch):
+    T, Bm, P0, grid = _stiff_clipping_case()
+    clips = _record_floor(monkeypatch)
+    run = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=False)
+    assert run.psd_clips == sum(clips) == grid.n_steps - 1
+    clips.clear()
+    probe = solvers._probe_bdf_grid(T, Bm, P0, grid, 2, 1, 10)
+    assert probe.psd_clips == sum(clips) == 9
+    assert _run_gram_grid(T, Bm, P0, grid, 4, 1, keep_full=False).psd_clips == 0
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -812,6 +889,8 @@ def test_bdf_clip_in_the_head_keeps_head_and_decision(monkeypatch):
     every = solve(A, B, None, grid, cfg)
     at_m = next(r for r in first.iterations if r.m == m)
     assert at_m.grid == "probe"           # only the clipped head exceeds tol
+    assert at_m.psd_clips == 1
+    assert next(r for r in every.iterations if r.m == m).psd_clips == 1
     assert next(r for r in every.iterations if r.m == m).residual_max >= tol
     assert [r.m for r in first.iterations] == [r.m for r in every.iterations]
     assert first.converged == every.converged
