@@ -15,11 +15,10 @@ from .mmio import (MatrixMarketParseError, read_matrix_market,
 from .problems import (ProblemSpec, build_problem, gen_convdiff, gen_heat_fem,
                        gen_random_block, heat_fem_matrices)
 from .solvers import (PSDViolationError, SolverConfig, SymLowRank, TimeGrid,
-                      Trajectory, gram_integral, gram_integral_exact,
-                      residual_norm, solve, solve_eba_bdf, solve_eba_exp,
-                      truncate_lowrank)
+                      Trajectory, residual_norm, solve, solve_eba_bdf,
+                      solve_eba_exp, truncate_lowrank)
 from .sparsela import (CapabilityError, Factorization, FactorizationError,
-                       LinearOperator, operator_from_pair, sparse_apply,
-                       sparse_factor, wrap_dense, wrap_sparse)
+                       LinearOperator, operator_from_pair, wrap_dense,
+                       wrap_sparse)
 
 __version__ = "0.1.0"

@@ -72,7 +72,6 @@ def build_spec_and_config(cfg, args):
         solver_cfg["bdf_order"] = args.bdf_order
     if args.seed is not None:
         spec.seed = args.seed
-        solver_cfg["seed"] = args.seed
     if args.h is not None:
         spec.h = args.h
     try:
@@ -99,6 +98,8 @@ def _iteration_rows(traj):
             "bdf_cond": rec.bdf_cond,
             "grid": rec.grid,
             "psd_clips": rec.psd_clips,
+            "step_pair": rec.step_pair,
+            "probe_nodes": rec.probe_nodes,
         }
         for rec in traj.iterations
     ]

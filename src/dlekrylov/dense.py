@@ -116,6 +116,7 @@ class LyapunovSolver:
     per call. `solve_schur` skips them for a caller that keeps its
     right-hand sides in Schur coordinates: the BDF grid does so when the
     eigenvectors of F are too ill-conditioned for its eigenbasis step.
+    `eigvals` holds the eigenvalues of F, read off S.
     """
 
     def __init__(self, F):
@@ -123,7 +124,8 @@ class LyapunovSolver:
         self.F = F
         self.n = F.shape[0]
         self.S, self.U = sla.schur(F, output="real")
-        check_lyapunov_solvable(np.linalg.eigvals(self.S) if self.n else np.array([]))
+        self.eigvals = np.linalg.eigvals(self.S) if self.n else np.array([])
+        check_lyapunov_solvable(self.eigvals)
 
     def solve(self, Q):
         """Solve F X + X F^T + Q = 0 for symmetric Q; X is symmetrized."""

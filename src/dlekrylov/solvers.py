@@ -1,8 +1,12 @@
 """Projection solvers for dX/dt = A X + X A^T + B B^T, X(t0) = Z0 Z0^T.
 
 Two routes share the same Krylov outer loop. The exponential route
-propagates the projected Gramian integral over the time grid with a
-composite Gauss-Legendre panel rule; the BDF route integrates the
+propagates the projected solution node to node by the exact one-step pair
+(E, delta) of the projected equation: E = e^{hT}, and the increment delta,
+the Gramian integral over one step, solves T delta + delta T^T =
+E Q E^T - Q (Van Loan, 1978). That identity cancels when two eigenvalues
+of T nearly sum to zero, so below a separation bound the increment comes
+from a composite Gauss-Legendre rule instead. The BDF route integrates the
 projected matrix ODE with a fixed-step backward differentiation formula.
 Each BDF step is a small algebraic Lyapunov equation with the same
 coefficient on the whole grid, so the grid runs in a basis that makes the
@@ -14,26 +18,26 @@ which never forms the large approximation.
 
 A grid is propagated as a generator over the nodes that stores only the
 rows the residual formula reads. Each Krylov step below the last first
-runs a probe pass over the probe nodes only (every node of the first
-`probe_stride` steps, then every stride-th node, then tf), and a residual
-at or above the tolerance at a node the stop rule reads proves the step
-has not converged, so the loop extends the basis with no full grid.
-Otherwise the full grid runs, from the step data the probe pass built,
-and decides convergence on all nodes, since the residual can peak between
-probes; the last Krylov step always runs it. On the exponential route
-the probe pass carries the solution by the same propagator pair, composed
-by repeated squaring into a stride pair, and the stop rule reads every
-probe. On the BDF route, a multistep method, the probe pass runs the
-screened grid's own first `probe_stride` steps, whose nodes equal the
-full grid's bitwise and alone feed the stop rule, then continues the
-recurrence unscreened in the eigenbasis from the head's history. There a
-BDF step is one fixed affine map per entry, which the tail composes by
-repeated squaring into one map per gap between probe nodes and lifts rows
-at the probe nodes only; those tail values agree with the node-by-node
-recurrence at rounding level and are reported, never decided on. Each
-grid run counts the nodes its `_psd_floor` screen clipped. A BDF grid in
-the Schur basis, where a step stays one triangular solve, or with no
-more than `probe_stride` steps runs full at every Krylov step.
+runs a probe pass over some nodes only, and a residual at or above the
+tolerance at a node the stop rule reads proves the step has not
+converged, so the loop extends the basis with no full grid. Otherwise the
+full grid runs, from the step data the probe pass built, and decides
+convergence on all nodes, since the residual can peak between probes; the
+last Krylov step always runs it. On the exponential route the stop rule
+reads every probe node (every node of the first `probe_stride` steps,
+then every stride-th node, then tf), reached by the same propagator pair
+composed by repeated squaring into a stride pair; the pass stops at the
+first probe whose residual reaches the tolerance and jumps to tf by one
+composed pair. On the BDF route, a multistep method, the probe pass runs
+the screened grid's own first `probe_stride` steps, whose nodes equal the
+full grid's bitwise and alone feed the stop rule. In the eigenbasis a BDF
+step is one fixed affine map per entry, composed by repeated squaring into
+one map that takes the head's history to tf without the PSD screen; that
+value agrees with the node-by-node recurrence at rounding level and is
+reported, never decided on. Each grid run counts the nodes its
+`_psd_floor` screen clipped. A BDF grid in the Schur basis, where a step
+stays one triangular solve, or with no more than `probe_stride` steps
+runs full at every Krylov step.
 
 The trajectory of the last step is kept as a stream: its step data (the
 propagator pair, or the step basis, start-up pair and forcing) regenerate
@@ -41,7 +45,6 @@ the projected solutions on demand with no new matrix exponential,
 eigendecomposition or Lyapunov setup. Walking the stream holds O(k^2)
 floats; materializing all nodes costs O(N k^2).
 """
-
 import functools
 import itertools
 import math
@@ -102,11 +105,10 @@ class SolverConfig:
     m_max: int = 30
     tol: float = 1e-10
     bdf_order: int = 2
-    quadrature_order: int = 4
+    quadrature_order: int = 4          # order of the fallback increment rule
     dtol: float = 1e-12
     probe_stride: int = 10             # node stride of the probe pass
     rank_tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
         if self.m_max < 1:
@@ -144,12 +146,17 @@ class IterationRecord:
     """One Krylov step. A "probe" step ran only the probe pass, so its
     `residual_final`, `residual_probe_max` and `small_final` come from that
     pass and its `residual_max` and `gbar_sup`, which need every node, are
-    None. On eba-bdf those probe values past node `probe_stride` come from
-    the unscreened recurrence (no `_psd_floor`), composed from probe node
-    to probe node, so they match a full grid run at rounding level, and
-    only where that grid never clips. `psd_clips` counts the clipped nodes
-    of the step's grid run; on a probe row, of its first `probe_stride`
-    nodes."""
+    None. `probe_nodes` counts the grid nodes the pass evaluated, and
+    `residual_probe_max` is the largest residual over them. On eba-exp the
+    pass stops at its first probe whose residual reaches `tol` and reaches
+    tf by one composed pair; on eba-bdf it evaluates the first
+    `probe_stride` steps and tf, which comes from the unscreened recurrence
+    (no `_psd_floor`) composed into one map, so it matches a full grid run
+    at rounding level, and only where that grid never clips. `step_pair`
+    is how the step's exact pair built its increment: "lyapunov" or
+    "quadrature" (on eba-bdf, the start-up pair's; None without one).
+    `psd_clips` counts the clipped nodes of the step's grid run; on a
+    probe row, of its first `probe_stride` nodes."""
 
     m: int
     basis_size: int
@@ -164,6 +171,8 @@ class IterationRecord:
     bdf_cond: float = None             # cond(V) that chose that basis
     grid: str = "full"                 # "probe" | "full"
     psd_clips: int = 0                 # `_psd_floor` clips of that grid run
+    step_pair: str = None              # "lyapunov" | "quadrature"
+    probe_nodes: int = None            # nodes a probe pass evaluated
 
 
 @dataclass
@@ -283,62 +292,6 @@ def _panel_increment(T, B, width, q):
     return sym_part(acc)
 
 
-def gram_integral(T, B, t0, t, q=4, panel_width=None):
-    """Gramian integral of the projected pair over [t0, t].
-
-    Composite Gauss-Legendre with q nodes per panel; panels are uniform
-    with width at most `panel_width` (a single panel when it is None).
-    """
-    T = np.asarray(T, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if t < t0:
-        raise ValueError(f"need t >= t0, got t={t} < t0={t0}")
-    k = T.shape[0]
-    if t == t0:
-        return np.zeros((k, k))
-    span = t - t0
-    n_panels = 1 if panel_width is None else max(1, int(np.ceil(span / panel_width - 1e-12)))
-    width = span / n_panels
-    delta = _panel_increment(T, B, width, q)
-    if n_panels == 1:
-        return delta
-    E = expm(width * T)
-    G = delta
-    for _ in range(n_panels - 1):
-        G = sym_part(E @ G @ E.T + delta)
-    return G
-
-
-def gram_integral_exact(T, B, t0, t):
-    """Quadrature-free evaluation of the Gramian integral.
-
-    Uses the algebraic identity T G + G T^T = E Q E^T - Q with
-    E = e^{(t-t0)T}, solved by Bartels-Stewart; falls back to the block
-    matrix exponential of [[T, Q], [0, -T^T]] when the Lyapunov operator
-    is singular. Used as an independent cross-check for the panel rule.
-    """
-    T = np.asarray(T, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if t < t0:
-        raise ValueError(f"need t >= t0, got t={t} < t0={t0}")
-    k = T.shape[0]
-    Q = B @ B.T
-    span = t - t0
-    try:
-        E = expm(span * T)
-        G = LyapunovSolver(T).solve(Q - E @ Q @ E.T)
-    except SolvabilityError:
-        # eigenvalue pair sums to zero: use the block-exponential form
-        # (only safe when span*||T|| is moderate)
-        blk = np.zeros((2 * k, 2 * k))
-        blk[:k, :k] = T
-        blk[:k, k:] = Q
-        blk[k:, k:] = -T.T
-        M = expm(span * blk)
-        G = M[:k, k:] @ M[:k, :k].T
-    return sym_part(G)
-
-
 def residual_norm(coupling, small_sol):
     """Frobenius norm of the true residual from the coupling block.
 
@@ -420,6 +373,7 @@ class _SmallRun:
     bdf_cond: float = None             # cond(V) of the eigenvectors
     head: int = None                   # bar rows the stop rule reads; None: all
     psd_clips: int = 0                 # nodes `_psd_floor` clipped (probe: head)
+    nodes: np.ndarray = None           # grid nodes of a probe pass's bar rows
 
 
 def _collect(replay, steps, n_nodes, k, w, keep_full, **basis_info):
@@ -477,31 +431,21 @@ def _probe_indices(n_nodes, stride):
     return np.array(sorted(idx))
 
 
-def _gram_probe_nodes(E, delta, G0, n_steps, stride):
-    """G at the nodes _probe_indices(n_steps + 1, stride) picks: single
-    steps up to node `stride`, then steps of the stride pair, then one
-    step of the remainder pair to node N."""
-    head = min(stride, n_steps)
-    for G in _gram_nodes(E, delta, G0, head):
-        yield G
-    n_strides, rem = divmod(n_steps - head, stride)
-    if n_strides:
-        E_s, d_s = _pair_power((E, delta), stride, _compose)
-        for _ in range(n_strides):
-            G = sym_part(E_s @ G @ E_s.T + d_s)
-            yield G
-    if rem:
-        E_r, d_r = _pair_power((E, delta), rem, _compose)
-        yield sym_part(E_r @ G @ E_r.T + d_r)
+class _GramSetup(NamedTuple):
+    """Step data of an exp grid."""
+
+    E: np.ndarray
+    delta: np.ndarray
+    G0: np.ndarray
+    step_pair: str                     # route of `exact_step_pair`
 
 
 def _gram_setup(T, Bm, P0, grid, q):
     """Step pair (E, delta) of the exp grid and its initial value."""
     k = T.shape[0]
-    E = expm(grid.h * T)
-    delta = _panel_increment(T, Bm, grid.h, q)
+    E, delta, route = exact_step_pair(T, Bm, grid.h, q)
     G0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
-    return E, delta, G0
+    return _GramSetup(E, delta, G0, route)
 
 
 def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None):
@@ -509,55 +453,80 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None):
     same step when the caller has built it already."""
     if setup is None:
         setup = _gram_setup(T, Bm, P0, grid, q)
-    replay = functools.partial(_gram_nodes, *setup, grid.n_steps)
+    replay = functools.partial(_gram_nodes, setup.E, setup.delta, setup.G0,
+                               grid.n_steps)
     steps = ((G, False) for G in replay())    # the exp grid never clips
     return _collect(replay, steps, grid.n_steps + 1, T.shape[0], w, keep_full)
 
 
-def _probe_gram_grid(T, Bm, P0, grid, q, w, stride, setup=None):
-    """The exp grid at the probe nodes only: `bar_rows` holds one row
-    block per probe node, and `final` is the value at tf."""
+def _probe_gram_grid(T, Bm, P0, grid, q, w, stride, setup=None, stop=None):
+    """The exp grid at the probe nodes `_probe_indices` picks, in order:
+    single steps up to node `stride`, then steps of the stride pair, then
+    one step of the remainder pair to tf.
+
+    `stop(rows)` tells whether a residual at the nodes of the bar rows
+    `rows` has reached the tolerance. It is asked after the head and after
+    each stride node; once it says so, the step has not converged, and the
+    pass reaches tf by one composed pair. `bar_rows` holds one row block
+    per node evaluated, `nodes` those nodes and `final` the value at tf."""
     if setup is None:
         setup = _gram_setup(T, Bm, P0, grid, q)
-    replay = functools.partial(_gram_probe_nodes, *setup, grid.n_steps,
-                               stride)
-    n_probes = len(_probe_indices(grid.n_steps + 1, stride))
-    steps = ((G, False) for G in replay())
-    return _collect(replay, steps, n_probes, T.shape[0], w, keep_full=False)
-
-
-def exact_step_pair(T, Q, h):
-    """(E, delta) with Y -> E Y E^T + delta the exact one-step propagator
-    of dY/dt = T Y + Y T^T + Q.
-
-    delta solves T delta + delta T^T = E Q E^T - Q, which is stable for
-    stiff T where the block-exponential construction cancels
-    catastrophically; a fine composite panel rule covers the case of a
-    singular Lyapunov operator."""
-    E = expm(h * T)
-    try:
-        delta = LyapunovSolver(T).solve(Q - E @ Q @ E.T)
-    except SolvabilityError:
-        # accumulate sub-panel contributions of int e^{sT} Q e^{sT^T} ds,
-        # sub-panels sized so the rule resolves the stiffest decay
-        n_sub = int(np.ceil(h * max(frob_norm(T), 1.0) / 2.0)) + 1
-        sigma, wts = gauss_legendre(8, 0.0, h / n_sub)
-        E_sub = expm((h / n_sub) * T)
-        node_factors = [expm(s_j * T) for s_j in sigma]
-        delta = np.zeros_like(Q)
-        left = np.eye(T.shape[0])
-        for _ in range(n_sub):
-            for w_j, Fs in zip(wts, node_factors):
-                F = left @ Fs
-                delta += w_j * (F @ Q @ F.T)
-            left = left @ E_sub
-        delta = sym_part(delta)
-    return E, sym_part(delta)
+    E, delta = setup.E, setup.delta
+    k, N = T.shape[0], grid.n_steps
+    head = list(_gram_nodes(E, delta, setup.G0, min(stride, N)))
+    rows = [G[k - w:, :] for G in head]
+    G, nodes = head[-1], list(range(len(head)))
+    failed = stop is not None and stop(np.array(rows))
+    n_strides = (N - nodes[-1]) // stride
+    if n_strides and not failed:
+        E_s, d_s = _pair_power((E, delta), stride, _compose)
+        for _ in range(n_strides):
+            G = sym_part(E_s @ G @ E_s.T + d_s)
+            rows.append(G[k - w:, :])
+            nodes.append(nodes[-1] + stride)
+            if stop is not None and stop(rows[-1][None]):
+                break
+    if nodes[-1] < N:
+        E_r, d_r = _pair_power((E, delta), N - nodes[-1], _compose)
+        G = sym_part(E_r @ G @ E_r.T + d_r)
+        rows.append(G[k - w:, :])
+        nodes.append(N)
+    return _SmallRun(bar_rows=np.array(rows), final=G, replay=None,
+                     nodes=np.array(nodes))
 
 
 # Above this cond(V) the eigenbasis step loses accuracy like
 # cond(V)^2 * eps, so the BDF grid runs in the real Schur basis instead.
 _EIGEN_COND_MAX = 1e3
+
+# Below this h * min |lam_a + lam_b| over the eigenvalues of T, the
+# increment solved from T delta + delta T^T = E Q E^T - Q loses about
+# eps / (h * min |lam_a + lam_b|) relative accuracy to cancellation, so
+# the quadrature rule builds it instead.
+_LYAP_SEP_MIN = 1e-3
+
+
+def exact_step_pair(T, B, h, q=4):
+    """(E, delta, route) with Y -> E Y E^T + delta the exact one-step
+    propagator of dY/dt = T Y + Y T^T + B B^T.
+
+    delta solves T delta + delta T^T = E Q E^T - Q, Q = B B^T, which is
+    stable for stiff T where the block-exponential construction cancels
+    catastrophically, when the eigenvalue pairs of T are separated from
+    zero by _LYAP_SEP_MIN / h; otherwise, and when the Lyapunov operator
+    is singular, the q-point panel rule `_panel_increment` builds delta.
+    `route` names the way taken: "lyapunov" or "quadrature"."""
+    E = expm(h * T)
+    try:
+        lyap = LyapunovSolver(T)
+        lam = lyap.eigvals
+        if h * np.min(np.abs(lam[:, None] + lam[None, :]),
+                      initial=np.inf) >= _LYAP_SEP_MIN:
+            Q = B @ B.T
+            return E, lyap.solve(Q - E @ Q @ E.T), "lyapunov"
+    except SolvabilityError:
+        pass                           # singular: the quadrature rule applies
+    return E, _panel_increment(T, B, h, q), "quadrature"
 
 
 class _StepBasis:
@@ -592,10 +561,6 @@ class _StepBasis:
         """Y = Re(M Yh M^T), symmetrized."""
         return sym_part((self.M @ Yh).view(np.float64) @ self._right)
 
-    def lift_rows(self, Yh, w):
-        """The last w rows of Re(M Yh M^T), not symmetrized: O(w k^2)."""
-        return (self.M[self.M.shape[0] - w:] @ Yh).view(np.float64) @ self._right
-
 
 def _bdf_basis(T, h_beta):
     """Step basis of a BDF grid: T's eigenvectors V when cond(V) is at most
@@ -616,11 +581,16 @@ class _BDFSetup(NamedTuple):
     """Step data of a BDF grid, in the order `_bdf_nodes` takes them."""
 
     Y0: np.ndarray
-    startup: tuple                     # exact pair (E, delta), or None
+    startup: tuple                     # `exact_step_pair`, or None
     basis: _StepBasis                  # None when N < order
     forcing: np.ndarray                # h*beta*Q in the basis
     alphas: tuple
     n_steps: int
+
+    @property
+    def step_pair(self):
+        """Route of the start-up pair's increment; None without one."""
+        return None if self.startup is None else self.startup[2]
 
 
 def _bdf_setup(T, Bm, P0, grid, order):
@@ -633,7 +603,7 @@ def _bdf_setup(T, Bm, P0, grid, order):
     beta, alphas = BDF_TABLE[order]
     # multistep start-up values by exact propagation (a low-order
     # bootstrap step would cap the observable global order at 2)
-    startup = exact_step_pair(T, Q_const, h) if min(order - 1, N) else None
+    startup = exact_step_pair(T, Bm, h) if min(order - 1, N) else None
     basis = forcing = None
     if N >= order:
         basis = _bdf_basis(T, h * beta)
@@ -643,7 +613,8 @@ def _bdf_setup(T, Bm, P0, grid, order):
 
 def _bdf_steps(Y0, startup, basis, forcing, alphas, n_steps):
     """(Y_i, clipped, history) for the nodes i = 0..N of a BDF grid:
-    len(alphas) - 1 start-up steps by the exact pair `startup`, then BDF
+    len(alphas) - 1 start-up steps by the exact pair of `startup`
+    (E, delta, route), then BDF
     steps with the history held in `basis`. `clipped` tells whether
     `_psd_floor` clipped Y_i. From node len(alphas) - 1 on, when BDF steps
     follow, `history` is what the next step reads: the last len(alphas)
@@ -656,7 +627,7 @@ def _bdf_steps(Y0, startup, basis, forcing, alphas, n_steps):
     startup_history = [Y]
     for _ in range(n_start):
         yield Y, clipped, None
-        E, delta = startup
+        E, delta, _ = startup
         Y_raw = sym_part(E @ Y @ E.T + delta)
         Y = _psd_floor(Y_raw)
         clipped = Y is not Y_raw
@@ -732,52 +703,41 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None):
 
 
 def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
-    """The BDF grid at the probe nodes, or None where no probe pass
-    applies: a Schur step basis, or N <= stride.
+    """The BDF grid's head and tf, or None where no probe pass applies: a
+    Schur step basis, or N <= stride.
 
     The head, nodes 0..stride, comes from the screened grid's own
     generator (start-up pair, `_psd_floor` screen and history), so its
     rows equal the full grid's bitwise; `head` = stride + 1 restricts the
-    stop rule to them, and `psd_clips` counts the head's clips. Past the
-    head the recurrence runs unscreened in the eigenbasis, from the head's
-    history: the BDF step is a per-entry affine map, composed by repeated
-    squaring into the gap maps between probe nodes, so the tail costs one
-    map per probe node. It lifts only the last w rows at the probe nodes
-    and the whole matrix at tf, whose rows are taken from that symmetrized
-    lift as the full grid takes them."""
+    stop rule to them, and `psd_clips` counts the head's clips. From the
+    head's history the recurrence runs unscreened in the eigenbasis: the
+    BDF step is a per-entry affine map, composed by repeated squaring into
+    one map to tf, whose row block is taken from the symmetrized lift
+    there as the full grid takes its rows. `nodes` lists the nodes of
+    `bar_rows`."""
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
     basis = setup.basis
     if basis is None or basis.multiplier is None or grid.n_steps <= stride:
         return None
-    k = T.shape[0]
+    k, N = T.shape[0], grid.n_steps
     # the start-up steps are always screened; with N > stride >= 1 and a
     # basis (N >= order), node N lies past them and BDF steps follow
     screened = max(stride, order - 1)
-    probes = _probe_indices(grid.n_steps + 1, stride)
-    bar = np.empty((len(probes), w, k))
-    clips = j = 0
+    bar = np.empty((screened + 2, w, k))
+    clips = 0
     for i, (Y, clipped, history) in enumerate(
             itertools.islice(_bdf_steps(*setup), screened + 1)):
         clips += clipped
-        if i == probes[j]:
-            bar[j] = Y[k - w:, :]
-            j += 1
+        bar[i] = Y[k - w:, :]
     step = _bdf_step_map(basis.multiplier, setup.forcing, setup.alphas)
-    gap_maps = {}
-    x, node = np.array(history), screened
-    for j, probe_node in enumerate(probes[j:], start=j):
-        gap = probe_node - node
-        if gap not in gap_maps:
-            gap_maps[gap] = _pair_power(step, gap, _compose_entrywise)
-        x = _apply_entrywise(gap_maps[gap], x)
-        node = probe_node
-        if node < grid.n_steps:
-            bar[j] = basis.lift_rows(x[0], w)
+    x = _apply_entrywise(_pair_power(step, N - screened, _compose_entrywise),
+                         np.array(history))
     final = basis.lift(x[0])
     bar[-1] = final[k - w:, :]
     return _SmallRun(bar_rows=bar, final=final, replay=None, head=stride + 1,
-                     psd_clips=clips, **_basis_info(basis))
+                     psd_clips=clips, nodes=np.r_[np.arange(screened + 1), N],
+                     **_basis_info(basis))
 
 
 # -- outer Krylov loop ------------------------------------------------------
@@ -823,11 +783,16 @@ def _solve(op, B, X0, grid, config, method):
     dec = KrylovDecomposition(op, start, variant=config.krylov_variant,
                               rank_tol=config.rank_tol)
     probes = _probe_indices(grid.n_steps + 1, config.probe_stride)
+
+    def stop(rows):
+        # a residual at or above tol proves this m has not converged
+        return np.max(_residuals_over_nodes(dec.coupling, rows)) >= config.tol
+
     # module globals looked up per solve, so wrappers installed on them
     # (tests, the benchmark's tracer) see every call
     if method == "eba_exp":
-        setup_grid, probe_grid, full_grid = (_gram_setup, _probe_gram_grid,
-                                             _run_gram_grid)
+        setup_grid, full_grid = _gram_setup, _run_gram_grid
+        probe_grid = functools.partial(_probe_gram_grid, stop=stop)
         scheme = config.quadrature_order
     else:
         setup_grid, probe_grid, full_grid = (_bdf_setup, _probe_bdf_grid,
@@ -857,7 +822,6 @@ def _solve(op, B, X0, grid, config, method):
         if probe is not None:
             res = _residuals_over_nodes(dec.coupling, probe.bar_rows)
             if np.max(res[:probe.head]) >= config.tol:
-                # a node the stop rule reads proves this m has not converged
                 iterations.append(IterationRecord(
                     m=dec.m, basis_size=dec.inner_width,
                     residual_final=float(res[-1]),
@@ -871,6 +835,8 @@ def _solve(op, B, X0, grid, config, method):
                     bdf_cond=probe.bdf_cond,
                     grid="probe",
                     psd_clips=probe.psd_clips,
+                    step_pair=setup.step_pair,
+                    probe_nodes=len(probe.nodes),
                 ))
                 continue
         run = full_grid(T, Bm, P0, grid, scheme, w, keep_full=False,
@@ -890,6 +856,7 @@ def _solve(op, B, X0, grid, config, method):
             bdf_basis=run.bdf_basis,
             bdf_cond=run.bdf_cond,
             psd_clips=run.psd_clips,
+            step_pair=setup.step_pair,
         ))
         # the full grid decides: the residual can peak between probes
         converged = bool(np.max(res) < config.tol)

@@ -24,16 +24,6 @@ def as_csr(A):
     return csr_matrix(np.asarray(A, dtype=float))
 
 
-def sparse_apply(A, V):
-    """Sparse times dense block."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    if A.shape[1] != V.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {V.shape}")
-    return np.asarray(A @ V)
-
-
 class Factorization:
     """LU factorization of a square sparse matrix with reusable solves."""
 
@@ -65,10 +55,6 @@ class Factorization:
         squeeze = V.ndim == 1
         X = self._lu.solve(V if not squeeze else V[:, None], trans="T")
         return X.ravel() if squeeze else X
-
-
-def sparse_factor(A):
-    return Factorization(A)
 
 
 class LinearOperator:

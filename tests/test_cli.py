@@ -37,6 +37,9 @@ def test_solve_writes_report_and_csv(tmp_path):
     assert len(rows) > 2
     assert all(row["residual_max"] is None for row in rows[:-1])
     assert all(row["psd_clips"] == 0 for row in rows)    # eba-exp never screens
+    assert all(row["step_pair"] == "lyapunov" for row in rows)
+    # each probe pass fails in its head, nodes 0..10, and jumps to tf
+    assert [row["probe_nodes"] for row in rows] == [12] * (len(rows) - 1) + [None]
     timings = report["timings_s"]
     assert set(timings) == {"build", "solve", "output"}
     assert all(v >= 0.0 for v in timings.values())
@@ -102,6 +105,7 @@ def test_flag_overrides(tmp_path):
     assert report["solver"]["tol"] == 1e-6
     assert report["solver"]["m_max"] == 6
     assert report["problem"]["seed"] == 9
+    assert "seed" not in report["solver"]
     rows = report["iterations"]
     # eigen-basis steps below the last run only the probe pass
     assert [row["grid"] for row in rows] == ["probe"] * (len(rows) - 1) + ["full"]
@@ -110,6 +114,9 @@ def test_flag_overrides(tmp_path):
         assert row["bdf_basis"] == "eigen"
         assert 1.0 <= row["bdf_cond"] < 1e3
         assert isinstance(row["psd_clips"], int) and row["psd_clips"] >= 0
+        assert row["step_pair"] is None          # BDF1 has no start-up pair
+    # a probe pass evaluates its head, nodes 0..10, and tf
+    assert [row["probe_nodes"] for row in rows] == [12] * (len(rows) - 1) + [None]
 
 
 def test_report_counts_psd_clips(tmp_path, monkeypatch):
@@ -126,6 +133,7 @@ def test_report_counts_psd_clips(tmp_path, monkeypatch):
     assert len(rows) > 1
     # probe rows screen their head, nodes 1..10; the full grid all 50 nodes
     assert [row["psd_clips"] for row in rows] == [10] * (len(rows) - 1) + [50]
+    assert all(row["step_pair"] == "lyapunov" for row in rows)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -141,6 +149,11 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["solve", "--config", cfg3, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+    # the problem section holds the seed; the solver reads none
+    cfg4 = _write_cfg(tmp_path, name="c4.json", problem=_base_problem(),
+                      solver={"seed": 1})
+    assert main(["solve", "--config", cfg4, "--out", str(tmp_path)]) == 2
+    assert "unknown fields ['seed']" in capsys.readouterr().err
 
 
 def test_m_max_below_one_is_config_error(tmp_path, capsys):

@@ -1,0 +1,53 @@
+"""Smoke runs of the experiment scripts: each runs as its own process on a
+tiny case, exits with status 0 and writes the file it names."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SCRIPTS = os.path.join(ROOT, "scripts")
+SRC = os.path.abspath(os.path.join(ROOT, "src"))
+
+
+def _run(tmp_path, script, *args):
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, script),
+                           *map(str, args)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("script,args,outputs", [
+    pytest.param("residual_vs_iterations.py",
+                 ["--n0", 6, "--m-max", 3, "--out-prefix", "out/res"],
+                 [("out/res_eba_exp.csv", "m,residual_tf"),
+                  ("out/res_eba_bdf.csv", "m,residual_tf")],
+                 id="residual_vs_iterations"),
+    pytest.param("error_bound_curves.py",
+                 ["--n0", 6, "--m-max", 3, "--out", "out"],
+                 [("out/sweep.csv", "axis_value,residual,error,bound_eq19")],
+                 id="error_bound_curves"),
+    pytest.param("compare_with_reference.py",
+                 ["--n0", 6, "--tf", 0.2, "--h", 0.01, "--out", "out"],
+                 [("out/compare.csv",
+                   "t,rel_diff_exp,rel_diff_bdf,x11_ref,x11_exp,x11_bdf")],
+                 id="compare_with_reference"),
+])
+def test_script_writes_its_csv(tmp_path, script, args, outputs):
+    proc = _run(tmp_path, script, *args)
+    assert proc.returncode == 0, proc.stderr
+    for name, header in outputs:
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header and len(lines) > 1
+
+
+def test_benchmark_tables_prints_a_row_per_method(tmp_path):
+    proc = _run(tmp_path, "benchmark_tables.py", "--sizes", 100, "--m-max", 3)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["100", "eba_exp"], ["100", "eba_bdf"]]

@@ -11,11 +11,11 @@ from dlekrylov.problems import gen_convdiff, gen_random_block
 from dlekrylov import solvers
 from dlekrylov.dense import LyapunovSolver
 from dlekrylov.solvers import (BDF_TABLE, PSDViolationError, SolverConfig,
-                               SymLowRank, TimeGrid, Trajectory, _psd_floor,
-                               _run_bdf_grid, _run_gram_grid, exact_step_pair,
-                               gram_integral, gram_integral_exact,
-                               residual_norm, solve, solve_eba_bdf,
-                               solve_eba_exp, truncate_lowrank)
+                               SymLowRank, TimeGrid, Trajectory,
+                               _panel_increment, _psd_floor, _run_bdf_grid,
+                               _run_gram_grid, exact_step_pair, residual_norm,
+                               solve, solve_eba_bdf, solve_eba_exp,
+                               truncate_lowrank)
 from dlekrylov.sparsela import wrap_dense, wrap_sparse
 
 
@@ -55,51 +55,6 @@ def test_bdf_table_values():
         SolverConfig(bdf_order=4)
 
 
-# -- gram integral ------------------------------------------------------------
-
-def test_gram_integral_zero_generator():
-    B = np.array([[1.0], [2.0]])
-    G = gram_integral(np.zeros((2, 2)), B, 0.0, 1.5, q=4)
-    np.testing.assert_allclose(G, 1.5 * B @ B.T, rtol=1e-14)
-
-
-def test_gram_integral_scalar_closed_form():
-    G = gram_integral(np.array([[-1.0]]), np.array([[1.0]]), 0.0, 1.0, q=10)
-    assert G[0, 0] == pytest.approx((1.0 - np.exp(-2.0)) / 2.0, rel=1e-13)
-
-
-def test_gram_integral_q_doubling_converged():
-    rng = np.random.default_rng(0)
-    T = _stable_dense(6, 1)
-    B = rng.standard_normal((6, 2))
-    G1 = gram_integral(T, B, 0.0, 1.0, q=12)
-    G2 = gram_integral(T, B, 0.0, 1.0, q=24)
-    assert frob_norm(G1 - G2) <= 1e-12 * max(frob_norm(G2), 1.0)
-
-
-def test_gram_integral_panels_match_single():
-    rng = np.random.default_rng(2)
-    T = _stable_dense(5, 3)
-    B = rng.standard_normal((5, 2))
-    G1 = gram_integral(T, B, 0.0, 1.0, q=16)
-    G2 = gram_integral(T, B, 0.0, 1.0, q=6, panel_width=0.05)
-    assert frob_norm(G1 - G2) <= 1e-12 * max(frob_norm(G1), 1.0)
-
-
-def test_gram_integral_matches_block_expm_oracle():
-    rng = np.random.default_rng(4)
-    T = _stable_dense(7, 5)
-    B = rng.standard_normal((7, 2))
-    G_quad = gram_integral(T, B, 0.0, 0.8, q=8, panel_width=0.05)
-    G_exact = gram_integral_exact(T, B, 0.0, 0.8)
-    assert frob_norm(G_quad - G_exact) <= 1e-12 * max(frob_norm(G_exact), 1.0)
-
-
-def test_gram_integral_domain_error():
-    with pytest.raises(ValueError):
-        gram_integral(np.eye(2), np.ones((2, 1)), 1.0, 0.5)
-
-
 # -- residual formula ---------------------------------------------------------
 
 def test_residual_norm_zero_coupling():
@@ -126,7 +81,7 @@ def test_residual_norm_equals_true_dense_residual():
     for _ in range(m):
         dec.extend(op)
     T, Bm, V = dec.T, dec.project_block(B), dec.inner_basis
-    G = gram_integral(T, Bm, 0.0, 0.9, q=10)
+    G = _panel_increment(T, Bm, 0.9, 10)     # the Gramian over [0, 0.9]
     Gdot = T @ G + G @ T.T + Bm @ Bm.T
     X = V @ G @ V.T
     R_true = V @ Gdot @ V.T - A @ X - X @ A.T - B @ B.T
@@ -144,7 +99,7 @@ def _reference_bdf_grid(T, Bm, P0, grid, order):
     Y = P0 @ P0.T
     out = [Y]
     n_start = min(order - 1, N)
-    E, delta = exact_step_pair(T, Q, h)
+    E, delta, _ = exact_step_pair(T, Bm, h)
     for _ in range(n_start):
         Y = _psd_floor(sym_part(E @ Y @ E.T + delta))
         out.append(Y)
@@ -562,20 +517,61 @@ def test_block_variant_without_inverse_action():
     assert frob_norm(traj.solution_dense(-1) - ref[-1]) <= 1e-8 * frob_norm(ref[-1])
 
 
+def _closed_form_increment(lam, U, B, h):
+    """The Gramian over one step of T = U diag(lam) U^T, U orthogonal:
+    Qt_ab (e^{h s_ab} - 1) / s_ab in U's basis, s = lam_a + lam_b, and
+    h Qt_ab where s_ab = 0."""
+    s = lam[:, None] + lam[None, :]
+    Qt = U.T @ B @ B.T @ U
+    zero = s == 0.0
+    factor = np.where(zero, h, np.expm1(h * s) / np.where(zero, 1.0, s))
+    return U @ (Qt * factor) @ U.T
+
+
 def test_exact_step_pair_singular_lyapunov_fallback():
     # eigenvalue pair sums to zero: the algebraic route is singular and
-    # the composite-rule fallback must deliver the same increment
-    from dlekrylov.solvers import exact_step_pair
-
+    # the quadrature fallback must deliver the same increment
     T = np.diag([1.0, -1.0, -2.0])
     rng = np.random.default_rng(60)
     B = rng.random((3, 2))
-    Q = B @ B.T
     h = 0.05
-    E, delta = exact_step_pair(T, Q, h)
+    E, delta, route = exact_step_pair(T, B, h)
+    assert route == "quadrature"
     np.testing.assert_allclose(E, np.diag(np.exp(h * np.diag(T))), rtol=1e-13)
-    ref = gram_integral(T, B, 0.0, h, q=12)
+    ref = _closed_form_increment(np.diag(T), np.eye(3), B, h)
     np.testing.assert_allclose(delta, ref, rtol=1e-11, atol=1e-14)
+
+
+def test_exact_step_pair_on_stiff_T_matches_the_panel_rule():
+    # ||T|| h = 50: the panel rule needs hundreds of sub-panels
+    rng = np.random.default_rng(64)
+    k, h = 10, 1e-3
+    S = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    lam = -np.geomspace(1.0, 3e4, k)
+    T = S @ np.diag(lam) @ np.linalg.inv(S)
+    assert 40 <= np.linalg.norm(T, 2) * h <= 60
+    B = rng.standard_normal((k, 2))
+    E, delta, route = exact_step_pair(T, B, h)
+    assert route == "lyapunov"
+    ref = _panel_increment(T, B, h, 12)
+    assert frob_norm(delta - ref) <= 1e-11 * frob_norm(ref)
+
+
+def test_exact_step_pair_takes_the_quadrature_route_below_the_separation():
+    # h * min |lam_a + lam_b| = 1e-9: the Lyapunov identity cancels
+    rng = np.random.default_rng(65)
+    h = 1e-3
+    lam = np.array([-5e-7, -1.0, -3.0, -10.0, -0.2])
+    U, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    T = U @ np.diag(lam) @ U.T
+    B = rng.standard_normal((5, 2))
+    ref = _closed_form_increment(lam, U, B, h)
+    E, delta, route = exact_step_pair(T, B, h)
+    assert route == "quadrature"
+    assert frob_norm(delta - ref) <= 1e-12 * frob_norm(ref)
+    Q = B @ B.T
+    bare = LyapunovSolver(T).solve(Q - E @ Q @ E.T)
+    assert frob_norm(bare - ref) > 1e-9 * frob_norm(ref)
 
 
 # -- probe-first convergence on the exp route --------------------------------
@@ -588,9 +584,9 @@ def test_probe_indices_dense_start_then_stride():
     np.testing.assert_array_equal(solvers._probe_indices(7, 1), np.arange(7))
 
 
-@pytest.mark.parametrize("stride", [1, 7, 10, 50, 80])
-def test_probe_pass_matches_full_grid_at_probe_nodes(stride):
-    # N = 50: 50 mod 7 != 0, 50 mod 10 == 0, stride >= N
+def _exp_probe_case():
+    """T, Bm, P0, grid, w and coupling of Krylov step 2 of a dense problem
+    with a nonzero initial value; N = 50."""
     A = _stable_dense(25, 20)
     rng = np.random.default_rng(21)
     B = rng.random((25, 2))
@@ -598,20 +594,53 @@ def test_probe_pass_matches_full_grid_at_probe_nodes(stride):
     grid = TimeGrid(0.0, 0.5, 1e-2)
     traj = solve(A, B, SymLowRank(Z0), grid, SolverConfig(m_max=2, tol=1e-300))
     dec = traj.decomposition
-    T, Bm, P0 = dec.T, dec.project_block(B), dec.project_block(Z0)
-    w = dec.widths[dec.m - 1]
+    return (dec.T, dec.project_block(B), dec.project_block(Z0), grid,
+            dec.widths[dec.m - 1], dec.coupling)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10, 50, 80])
+def test_probe_pass_matches_full_grid_at_probe_nodes(stride):
+    # N = 50: 50 mod 7 != 0, 50 mod 10 == 0, stride >= N
+    T, Bm, P0, grid, w, coupling = _exp_probe_case()
     full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True)
     probe = solvers._probe_gram_grid(T, Bm, P0, grid, 4, w, stride)
     idx = solvers._probe_indices(len(grid.nodes), stride)
+    np.testing.assert_array_equal(probe.nodes, idx)
     assert probe.bar_rows.shape == (len(idx), w, T.shape[0])
-    res_full = solvers._residuals_over_nodes(dec.coupling, full.bar_rows)
-    res_probe = solvers._residuals_over_nodes(dec.coupling, probe.bar_rows)
+    res_full = solvers._residuals_over_nodes(coupling, full.bar_rows)
+    res_probe = solvers._residuals_over_nodes(coupling, probe.bar_rows)
     assert res_full[-1] > 0
     np.testing.assert_allclose(res_probe, res_full[idx], rtol=1e-12, atol=0)
     np.testing.assert_allclose(probe.bar_rows, full.bar_rows[idx], rtol=1e-12,
                                atol=1e-12 * np.abs(full.bar_rows).max())
     np.testing.assert_allclose(probe.final, full.full[-1], rtol=1e-12,
                                atol=1e-12 * np.abs(full.full[-1]).max())
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 3, 6, None])
+def test_exp_probe_pass_stops_at_its_first_failing_probe(fail_at):
+    # stride 7, N = 50: the head is nodes 0..7, the stride nodes are
+    # 14, ..., 49 and tf is 50; `stop` reads the head at call 0 and the
+    # j-th stride node at call j
+    T, Bm, P0, grid, w, _ = _exp_probe_case()
+    stride, strides = 7, [14, 21, 28, 35, 42, 49]
+    asked = []
+
+    def stop(rows):
+        asked.append(len(rows))
+        return len(asked) - 1 == fail_at
+
+    probe = solvers._probe_gram_grid(T, Bm, P0, grid, 4, w, stride, stop=stop)
+    n_strides = len(strides) if fail_at is None else fail_at
+    evaluated = list(range(stride + 1)) + strides[:n_strides] + [50]
+    np.testing.assert_array_equal(probe.nodes, evaluated)
+    assert asked == [stride + 1] + [1] * n_strides
+    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True)
+    np.testing.assert_allclose(probe.bar_rows, full.bar_rows[evaluated],
+                               rtol=1e-12,
+                               atol=1e-12 * np.abs(full.bar_rows).max())
+    # the jump to tf by one composed pair equals the stepwise recurrence
+    assert frob_norm(probe.final - full.final) <= 1e-12 * frob_norm(full.final)
 
 
 @pytest.mark.parametrize("variant,tol", [("extended", 1e-4), ("block", 15.0)])
@@ -623,7 +652,7 @@ def test_probe_first_run_equals_a_full_grid_at_every_step(variant, tol,
     cfg = SolverConfig(krylov_variant=variant, m_max=20, tol=tol)
     first = solve(op, B, None, grid, cfg)
 
-    def probes_pass(T, Bm, P0, grid, q, w, stride, setup=None):
+    def probes_pass(T, Bm, P0, grid, q, w, stride, setup=None, stop=None):
         return solvers._SmallRun(bar_rows=np.zeros((1, w, T.shape[0])),
                                  final=None, replay=None)
 
@@ -708,11 +737,13 @@ def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
     nodes = solvers._bdf_nodes(*setup)
     np.testing.assert_array_equal(list(itertools.islice(nodes, stride + 1)),
                                   full.full[head])
-    idx = solvers._probe_indices(grid.n_steps + 1, stride)
+    screened = max(stride, order - 1)
+    np.testing.assert_array_equal(
+        probe.nodes, list(range(screened + 1)) + [grid.n_steps])
     if case == "smooth":
-        # no clip anywhere: the unscreened tail is the full grid's recurrence,
-        # composed into gap maps, so tf agrees at rounding level
-        np.testing.assert_allclose(probe.bar_rows, full.bar_rows[idx],
+        # no clip anywhere: the unscreened jump to tf is the full grid's
+        # recurrence composed into one map, so tf agrees at rounding level
+        np.testing.assert_allclose(probe.bar_rows, full.bar_rows[probe.nodes],
                                    rtol=1e-10, atol=1e-12 * np.abs(full.full).max())
         np.testing.assert_allclose(probe.final, full.final, rtol=1e-12)
         np.testing.assert_allclose(probe.bar_rows[-1], full.bar_rows[-1],
@@ -720,27 +751,23 @@ def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
 
 
 def _stepwise_probe_rows(setup, w, stride):
-    """Bar rows at the probe nodes and the value at tf of the probe pass,
-    with its tail stepped one elementwise BDF step per node from the
-    screened head's history."""
+    """Bar rows at the head nodes and at tf, and the value at tf, of the
+    probe pass, with its tail stepped one elementwise BDF step per node
+    from the screened head's history."""
     basis, N, alphas = setup.basis, setup.n_steps, setup.alphas
     k = basis.M.shape[0]
     screened = max(stride, len(alphas) - 1)
-    probes = set(solvers._probe_indices(N + 1, stride).tolist())
     rows = []
     for i, (Y, _, history) in enumerate(solvers._bdf_steps(*setup)):
-        if i in probes:
-            rows.append(Y[k - w:, :])
+        rows.append(Y[k - w:, :])
         if i == screened:
             break
     history = list(history)
-    for i in range(screened + 1, N + 1):
+    for _ in range(screened, N):
         rhs = setup.forcing
         for alpha, Yh_prev in zip(alphas, history):
             rhs = rhs + alpha * Yh_prev
         history = [rhs * basis.multiplier] + history[:-1]
-        if i in probes and i < N:
-            rows.append(basis.lift_rows(history[0], w))
     final = basis.lift(history[0])
     rows.append(final[k - w:, :])
     return np.array(rows), final
@@ -758,8 +785,8 @@ def _real_spectrum_case():
 @pytest.mark.parametrize("stride", [1, 4, 10])
 @pytest.mark.parametrize("spectrum", ["real", "complex"])
 def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order):
-    # N = 47 is no multiple of 4 or 10; stride 1 with order 2 or 3 hands
-    # the history over at the last start-up node
+    # the tail is one composed map from the head to tf; stride 1 with
+    # order 2 or 3 hands the history over at the last start-up node
     if spectrum == "real":
         T, Bm, P0 = _real_spectrum_case()
     else:
@@ -772,12 +799,13 @@ def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order):
                                     setup=setup)
     rows, final = _stepwise_probe_rows(setup, w, stride)
     assert probe.bar_rows.shape == rows.shape
-    head = slice(0, max(stride, order - 1) + 1)
+    screened = max(stride, order - 1)
+    np.testing.assert_array_equal(probe.nodes,
+                                  list(range(screened + 1)) + [grid.n_steps])
+    head = slice(0, screened + 1)
     np.testing.assert_array_equal(probe.bar_rows[head], rows[head])
-    np.testing.assert_allclose(probe.bar_rows, rows, rtol=1e-12,
-                               atol=1e-13 * np.abs(rows).max())
-    np.testing.assert_allclose(probe.final, final, rtol=1e-12,
-                               atol=1e-13 * np.abs(final).max())
+    assert frob_norm(probe.bar_rows[-1] - rows[-1]) <= 1e-12 * frob_norm(rows[-1])
+    assert frob_norm(probe.final - final) <= 1e-12 * frob_norm(final)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -932,7 +960,7 @@ def test_bdf_rows_are_full_without_an_eigen_probe(why, monkeypatch):
         "schur" if why == "schur" else "eigen"}
 
 
-@pytest.mark.parametrize("method,setup_fn", [("eba_exp", "_panel_increment"),
+@pytest.mark.parametrize("method,setup_fn", [("eba_exp", "exact_step_pair"),
                                             ("eba_bdf", "exact_step_pair")])
 def test_step_data_is_built_once_per_krylov_step(method, setup_fn, monkeypatch):
     # the full grid of the converging step reuses the probe pass's setup

@@ -8,28 +8,28 @@ from dlekrylov.dense import frob_norm
 from dlekrylov.problems import heat_fem_matrices
 from dlekrylov.sparsela import (CapabilityError, Factorization,
                                 FactorizationError, operator_from_pair,
-                                sparse_apply, sparse_factor, wrap_dense,
-                                wrap_sparse)
+                                wrap_dense, wrap_sparse)
 
 
 def test_sparse_apply_identity_and_zero():
     rng = np.random.default_rng(0)
     V = rng.standard_normal((6, 3))
-    np.testing.assert_array_equal(sparse_apply(csr_matrix(np.eye(6)), V), V)
+    np.testing.assert_array_equal(wrap_sparse(csr_matrix(np.eye(6))).apply(V), V)
     np.testing.assert_array_equal(
-        sparse_apply(csr_matrix((6, 6)), V), np.zeros((6, 3)))
+        wrap_sparse(csr_matrix((6, 6))).apply(V), np.zeros((6, 3)))
 
 
 def test_sparse_apply_matches_dense():
     rng = np.random.default_rng(1)
     A = csr_matrix(sparse_random(100, 100, density=0.05, random_state=7))
     V = rng.standard_normal((100, 4))
-    np.testing.assert_allclose(sparse_apply(A, V), A.toarray() @ V, rtol=1e-13)
+    np.testing.assert_allclose(wrap_sparse(A).apply(V), A.toarray() @ V,
+                               rtol=1e-13)
 
 
 def test_sparse_apply_dimension_mismatch():
     with pytest.raises(ValueError):
-        sparse_apply(csr_matrix(np.eye(4)), np.ones((5, 2)))
+        wrap_sparse(csr_matrix(np.eye(4))).apply(np.ones((5, 2)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -39,13 +39,13 @@ def test_sparse_apply_dense_agreement_property(n, seed):
     A = csr_matrix(sparse_random(n, n, density=min(1.0, 5.0 / n),
                                  random_state=seed % 2**31))
     V = rng.standard_normal((n, 2))
-    np.testing.assert_allclose(sparse_apply(A, V), A.toarray() @ V,
+    np.testing.assert_allclose(wrap_sparse(A).apply(V), A.toarray() @ V,
                                atol=1e-13 * max(1.0, frob_norm(A.toarray())))
 
 
 def test_factor_diagonal_is_division():
     d = np.array([2.0, -4.0, 0.5])
-    f = sparse_factor(csr_matrix(np.diag(d)))
+    f = Factorization(csr_matrix(np.diag(d)))
     V = np.array([[2.0], [8.0], [1.0]])
     np.testing.assert_allclose(f.solve(V), V / d[:, None], rtol=1e-14)
 
@@ -54,7 +54,7 @@ def test_factor_tridiagonal_residual():
     n = 200
     A = csr_matrix(diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                          [-1, 0, 1]))
-    f = sparse_factor(A)
+    f = Factorization(A)
     rng = np.random.default_rng(2)
     V = rng.standard_normal((n, 3))
     X = f.solve(V)
@@ -65,20 +65,20 @@ def test_factor_zero_row_names_row():
     A = np.eye(4)
     A[2, 2] = 0.0
     with pytest.raises(FactorizationError, match="row 2"):
-        sparse_factor(csr_matrix(A))
+        Factorization(csr_matrix(A))
 
 
 def test_factor_numerical_singularity():
     # structurally full but numerically singular
     A = csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(FactorizationError):
-        sparse_factor(A)
+        Factorization(A)
 
 
 def test_factor_residual_over_many_rhs():
     n = 60
     A = csr_matrix(sparse_random(n, n, density=0.2, random_state=11) + 5 * speye(n))
-    f = sparse_factor(A)
+    f = Factorization(A)
     rng = np.random.default_rng(3)
     V = rng.standard_normal((n, 100))
     X = f.solve(V)
