@@ -8,7 +8,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from dlekrylov.cli import main as cli_main
 
@@ -28,10 +27,11 @@ def main():
                     "seed": args.seed, "t0": 0.0, "tf": args.tf, "h": args.h},
         "solver": {"m_max": 30, "tol": 1e-10, "bdf_order": 2},
     }
+    # the config stays next to the outputs it produced
     os.makedirs(args.out, exist_ok=True)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+    cfg_path = os.path.join(args.out, "config.json")
+    with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
-        cfg_path = fh.name
     code = cli_main(["compare", "--config", cfg_path, "--out", args.out])
     report = json.load(open(os.path.join(args.out, "compare.json")))
     print(json.dumps(report, indent=2))

@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from dlekrylov.cli import main as cli_main
 
@@ -26,9 +25,11 @@ def main():
         "solver": {"m_max": args.m_max, "tol": 1e-10},
         "sweep": {"axis": "m", "values": list(range(1, args.m_max + 1))},
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+    # the config stays next to the outputs it produced
+    os.makedirs(args.out, exist_ok=True)
+    cfg_path = os.path.join(args.out, "config.json")
+    with open(cfg_path, "w") as fh:
         json.dump(cfg, fh)
-        cfg_path = fh.name
     code = cli_main(["sweep", "--config", cfg_path, "--out", args.out])
     print(open(os.path.join(args.out, "sweep.csv")).read())
     return code

@@ -78,7 +78,9 @@ def build_spec_and_config(cfg, args):
         config = SolverConfig(**solver_cfg)
     except TypeError as exc:
         bad = set(solver_cfg) - set(SolverConfig.__dataclass_fields__)
-        raise ConfigError(f"solver section: unknown fields {sorted(bad)}") from exc
+        if bad:
+            raise ConfigError(f"solver section: unknown fields {sorted(bad)}") from exc
+        raise ConfigError(f"solver section: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"solver section: {exc}") from exc
     return spec, config

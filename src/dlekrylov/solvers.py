@@ -9,12 +9,18 @@ of T nearly sum to zero, so below a separation bound the increment comes
 from a composite Gauss-Legendre rule instead. The BDF route integrates the
 projected matrix ODE with a fixed-step backward differentiation formula.
 Each BDF step is a small algebraic Lyapunov equation with the same
-coefficient on the whole grid, so the grid runs in a basis that makes the
-solve cheap: in the eigenbasis of the projected operator the solve is one
-elementwise product, and when the eigenvectors are ill-conditioned the
-real Schur basis takes over with one triangular Sylvester solve per step.
-Convergence is monitored through the coupling-block residual formula,
-which never forms the large approximation.
+coefficient on the whole grid, so the grid runs in a real basis that
+makes the solve cheap: in the real pair basis of the projected operator's
+eigenvectors (a conjugate pair v, conj v becomes Re v, Im v) the solve is
+one O(k^2) map, elementwise between real eigenvalues with a 2x2 coupling
+on the pairs' rows and columns, and when the eigenvectors are
+ill-conditioned the real Schur basis takes over with one triangular
+Sylvester solve per step. The PSD screen of each BDF node runs in the
+basis, on the congruent matrix, so a grid run lifts only the rows the
+residual formula reads, and the whole node only at tf, at a node the
+screen clips, or when every node is asked for. Convergence is monitored
+through the coupling-block residual formula, which never forms the large
+approximation.
 
 A grid is propagated as a generator over the nodes that stores only the
 rows the residual formula reads. Each Krylov step below the last first
@@ -30,14 +36,14 @@ composed by repeated squaring into a stride pair; the pass stops at the
 first probe whose residual reaches the tolerance and jumps to tf by one
 composed pair. On the BDF route, a multistep method, the probe pass runs
 the screened grid's own first `probe_stride` steps, whose nodes equal the
-full grid's bitwise and alone feed the stop rule. In the eigenbasis a BDF
-step is one fixed affine map per entry, composed by repeated squaring into
-one map that takes the head's history to tf without the PSD screen; that
-value agrees with the node-by-node recurrence at rounding level and is
-reported, never decided on. Each grid run counts the nodes its
-`_psd_floor` screen clipped. A BDF grid in the Schur basis, where a step
-stays one triangular solve, or with no more than `probe_stride` steps
-runs full at every Krylov step.
+full grid's bitwise and alone feed the stop rule. In the complex
+eigenbasis a BDF step is one fixed affine map per entry, composed by
+repeated squaring into one map that takes the head's history to tf
+without the PSD screen; that value agrees with the node-by-node recurrence
+at rounding level and is reported, never decided on. Each grid run counts
+the nodes its PSD screen clipped. A BDF grid in the Schur basis, where a
+step stays one triangular solve, or with no more than `probe_stride`
+steps runs full at every Krylov step.
 
 The trajectory of the last step is kept as a stream: its step data (the
 propagator pair, or the step basis, start-up pair and forcing) regenerate
@@ -111,10 +117,24 @@ class SolverConfig:
     rank_tol: float = 1e-12
 
     def __post_init__(self):
+        for name, choices in (("method", ("eba_exp", "eba_bdf")),
+                              ("krylov_variant", ("extended", "block"))):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {list(choices)}, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("m_max", "bdf_order"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
+        if not isinstance(self.tol, numbers.Real) or not self.tol > 0:
+            raise ValueError(f"tol must be a positive number, got {self.tol!r}")
+        for name in ("dtol", "rank_tol"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not value >= 0:
+                raise ValueError(f"{name} must be a non-negative number, "
+                                 f"got {value!r}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be at least 1, got {self.m_max}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if self.bdf_order not in BDF_TABLE:
             raise ValueError(f"bdf_order must be in {sorted(BDF_TABLE)}")
         for name in ("probe_stride", "quadrature_order"):
@@ -151,7 +171,7 @@ class IterationRecord:
     pass stops at its first probe whose residual reaches `tol` and reaches
     tf by one composed pair; on eba-bdf it evaluates the first
     `probe_stride` steps and tf, which comes from the unscreened recurrence
-    (no `_psd_floor`) composed into one map, so it matches a full grid run
+    (no PSD screen) composed into one map, so it matches a full grid run
     at rounding level, and only where that grid never clips. `step_pair`
     is how the step's exact pair built its increment: "lyapunov" or
     "quadrature" (on eba-bdf, the start-up pair's; None without one).
@@ -170,7 +190,7 @@ class IterationRecord:
     bdf_basis: str = None              # step basis of a BDF grid run
     bdf_cond: float = None             # cond(V) that chose that basis
     grid: str = "full"                 # "probe" | "full"
-    psd_clips: int = 0                 # `_psd_floor` clips of that grid run
+    psd_clips: int = 0                 # PSD screen clips of that grid run
     step_pair: str = None              # "lyapunov" | "quadrature"
     probe_nodes: int = None            # nodes a probe pass evaluated
 
@@ -183,8 +203,9 @@ class Trajectory:
     iterator over Y(t_0), ..., Y(t_N) that re-runs the last Krylov step's
     grid from its step data, so walking it holds O(k^2) floats. The value
     at tf is kept as `final_small` and read without a replay. Random access
-    to node i replays i steps; `small_solutions` materializes every node at
-    O(N k^2) memory and is meant for tests and small problems.
+    to node i replays i steps; `small_solutions` materializes every node
+    once, at O(N k^2) memory kept for the trajectory's life, and is meant
+    for tests and small problems.
     """
 
     grid: TimeGrid
@@ -221,13 +242,15 @@ class Trajectory:
             return self.final_small
         return next(itertools.islice(self.iter_small(), i, None))
 
-    @property
+    @functools.cached_property
     def small_solutions(self):
-        """All nodes as one (n_nodes, k, k) array: O(N k^2) memory."""
+        """All nodes as one read-only (n_nodes, k, k) array: O(N k^2)
+        memory, held by the trajectory once read; one replay builds it."""
         k = self.basis_size
         out = np.empty((len(self.nodes), k, k))
         for i, G in enumerate(self.iter_small()):
             out[i] = G
+        out.flags.writeable = False
         return out
 
     def lift(self, small):
@@ -346,18 +369,35 @@ def truncate_lowrank(basis, small_sol, dtol=1e-12):
     return SymLowRank(Z)
 
 
+def _psd_screen(Y, gram=None, gram_inv=None):
+    """Whether the Cholesky screen passes on the lift Y' = M Y M^T of Y:
+    Y' + s I positive definite, s = 1e-13 max(tr(Y') / k, 0). By
+    congruence (Sylvester's law of inertia) that is Y + s (M^T M)^-1, so
+    the screen runs on Y; `gram` is M^T M and `gram_inv` its inverse, both
+    None for M = I."""
+    k = Y.shape[0]
+    trace = np.trace(Y) if gram is None else np.vdot(gram, Y)
+    shift = 1e-13 * max(max(trace / max(k, 1), 0.0), 1e-300)
+    if gram_inv is None:
+        shifted = Y.copy()
+        shifted.flat[::k + 1] += shift
+    else:
+        shifted = shift * gram_inv
+        shifted += Y
+    return lapack.dpotrf(shifted, lower=True, overwrite_a=True, clean=False)[1] == 0
+
+
+def _psd_clip(Y):
+    """Y with its negative eigenvalues set to zero."""
+    vals, vecs = np.linalg.eigh(Y)
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+
+
 def _psd_floor(Y):
     """Clip tiny negative eigenvalues; cheap Cholesky screen first.
 
     Y itself is returned when the screen passes, so `is` tells a clip."""
-    k = Y.shape[0]
-    scale = max(np.trace(Y) / max(k, 1), 0.0)
-    shifted = Y.copy()
-    shifted.flat[::k + 1] += 1e-13 * max(scale, 1e-300)
-    if lapack.dpotrf(shifted, lower=True, overwrite_a=True, clean=False)[1] == 0:
-        return Y
-    vals, vecs = np.linalg.eigh(Y)
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    return Y if _psd_screen(Y) else _psd_clip(Y)
 
 
 # -- grid propagation for one Krylov step ----------------------------------
@@ -372,19 +412,20 @@ class _SmallRun:
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
     head: int = None                   # bar rows the stop rule reads; None: all
-    psd_clips: int = 0                 # nodes `_psd_floor` clipped (probe: head)
+    psd_clips: int = 0                 # nodes the PSD screen clipped (probe: head)
     nodes: np.ndarray = None           # grid nodes of a probe pass's bar rows
 
 
 def _collect(replay, steps, n_nodes, k, w, keep_full, **basis_info):
-    """One pass over `steps`, tuples (Y, clipped, ...) of the nodes
-    `replay()` regenerates: the last w rows of every node, the final node,
-    the count of clipped nodes and, when asked, every node."""
+    """One pass over `steps`, tuples (Y, rows, clipped, ...) of the nodes
+    `replay()` regenerates, with `rows` the last w rows of Y: the rows of
+    every node, the final node, the count of clipped nodes and, when
+    asked, every node."""
     bar = np.empty((n_nodes, w, k))
     full = np.empty((n_nodes, k, k)) if keep_full else None
     clips = 0
-    for i, (G, clipped, *_) in enumerate(steps):
-        bar[i] = G[k - w:, :]
+    for i, (G, rows, clipped, *_) in enumerate(steps):
+        bar[i] = rows
         if keep_full:
             full[i] = G
         clips += clipped
@@ -455,8 +496,10 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None):
         setup = _gram_setup(T, Bm, P0, grid, q)
     replay = functools.partial(_gram_nodes, setup.E, setup.delta, setup.G0,
                                grid.n_steps)
-    steps = ((G, False) for G in replay())    # the exp grid never clips
-    return _collect(replay, steps, grid.n_steps + 1, T.shape[0], w, keep_full)
+    k = T.shape[0]
+    # the exp grid never clips
+    steps = ((G, G[k - w:, :], False) for G in replay())
+    return _collect(replay, steps, grid.n_steps + 1, k, w, keep_full)
 
 
 def _probe_gram_grid(T, Bm, P0, grid, q, w, stride, setup=None, stop=None):
@@ -530,55 +573,157 @@ def exact_step_pair(T, B, h, q=4):
 
 
 class _StepBasis:
-    """Basis M in which a BDF grid holds its history Yh = M^-1 Y M^-T.
+    """Real basis M in which a BDF grid holds its history Yr = M^-1 Y M^-T.
 
     `solve` maps the right-hand side R (in the basis) of
-    F Y + Y F^T = -R to Y (in the basis), F = h*beta*T - I/2. In the
-    eigenbasis that solve is R * `multiplier`, elementwise; in the Schur
-    basis `multiplier` is None.
+    F Y + Y F^T = -R to Y (in the basis), F = h*beta*T - I/2: one
+    triangular Sylvester solve in the real Schur basis, one real O(k^2)
+    map in the real pair basis of the eigenvectors (`_pair_basis`).
+    `gram` = M^T M and `gram_inv`, its inverse, carry the PSD screen into
+    the basis; both are None where M is orthogonal. In the pair basis
+    `multiplier` is the same solve in the eigenbasis V = M P, where it is
+    R * multiplier elementwise, and `to_eigen` and `from_eigen` change
+    between the two coordinates; in the Schur basis `multiplier` is None.
     """
 
-    def __init__(self, kind, cond, M, M_inv, solve, multiplier=None):
+    def __init__(self, kind, cond, M, M_inv, solve, gram=None, gram_inv=None,
+                 multiplier=None, pairing=None):
         self.kind = kind
         self.cond = cond
         self.M = M
         self.M_inv = M_inv
         self.solve = solve
+        self.gram = gram
+        self.gram_inv = gram_inv
         self.multiplier = multiplier
-        if np.iscomplexobj(M):
-            # Re(W M^T) is one real product of W's interleaved (re, im)
-            # columns with the rows of Re M^T and -Im M^T
-            self._right = np.empty((2 * M.shape[0], M.shape[0]))
-            self._right[0::2] = M.real.T
-            self._right[1::2] = -M.imag.T
-        else:
-            self._right = M.T
+        self._pairing = pairing            # `_pair_congruence` data; None: P = I
 
     def project(self, Y):
         return self.M_inv @ Y @ self.M_inv.T
 
-    def lift(self, Yh):
-        """Y = Re(M Yh M^T), symmetrized."""
-        return sym_part((self.M @ Yh).view(np.float64) @ self._right)
+    def lift_rows(self, Yr, w):
+        """The last w rows of `lift(Yr)`, at O(w k^2)."""
+        k = Yr.shape[0]
+        rows = (self.M[k - w:] @ Yr) @ self.M.T
+        rows[:, k - w:] = sym_part(rows[:, k - w:])
+        return rows
+
+    def lift(self, Yr, rows=None):
+        """Y = M Yr M^T, symmetrized; `rows` = `lift_rows(Yr, w)` become
+        its last w rows and columns, so they are Y's rows bitwise."""
+        Y = sym_part(self.M @ Yr @ self.M.T)
+        if rows is not None:
+            w = rows.shape[0]
+            Y[Y.shape[0] - w:] = rows
+            Y[:, Y.shape[0] - w:] = rows.T
+        return Y
+
+    def to_eigen(self, Yr):
+        """Yh = P^-1 Yr P^-T, the coordinates in V of Yr."""
+        if self._pairing is None:
+            return Yr
+        r, _, block_inv = self._pairing
+        return _pair_congruence(Yr, r, block_inv)
+
+    def from_eigen(self, Yh):
+        """Yr = P Yh P^T, real, of the coordinates Yh in V."""
+        if self._pairing is None:
+            return Yh
+        r, block, _ = self._pairing
+        return _pair_congruence(Yh, r, block).real
+
+
+def _pair_congruence(X, r, block):
+    """P X P^T for P = I_r (+) block (+) block (+) ..., block 2x2, at O(k^2)."""
+    k = X.shape[0]
+    p = (k - r) // 2
+    out = X.astype(complex)
+    out[r:] = np.einsum("ij,pjk->pik", block,
+                        out[r:].reshape(p, 2, k)).reshape(2 * p, k)
+    out[:, r:] = np.einsum("ij,kpj->kpi", block,
+                           out[:, r:].reshape(k, p, 2)).reshape(k, 2 * p)
+    return out
+
+
+def _pair_basis(lam, V, cond, inv_pair):
+    """The eigen step basis in real coordinates.
+
+    Each conjugate pair (v, conj v) of eigenvectors in V becomes the columns
+    (Re v, Im v) of W, which lists T's real eigenvalues first and then the
+    pairs. So V = W P up to that order, with P 2x2-block-diagonal: blocks
+    [[1, 1], [i, -i]] on the pairs (P / sqrt(2) is unitary there) and 1
+    elsewhere, and cond(W) is within a factor sqrt(2) of cond(V). The
+    eigenbasis solve, inv_pair * Rh elementwise, reads in W's coordinates
+    R -> P (inv_pair * (P^-1 R P^-T)) P^T, which is real: an entry (a, b)
+    reads R at the rows of a's pair and the columns of b's pair, so it is
+    R * inv_pair between real eigenvalues and a 2x2 coupling on the rows
+    and columns of the pairs."""
+    k = len(lam)
+    first = np.flatnonzero(lam.imag > 0)   # LAPACK lists v before conj v
+    order = np.r_[np.flatnonzero(lam.imag == 0), np.c_[first, first + 1].ravel()]
+    V, inv_pair = V[:, order], inv_pair[np.ix_(order, order)]
+    r, p = k - 2 * len(first), len(first)  # r real eigenvalues, p pairs
+    W = np.array(V.real)
+    W[:, r + 1::2] = V[:, r::2].imag
+    W_inv = np.linalg.inv(W)
+    grams = {"gram": W.T @ W, "gram_inv": W_inv @ W_inv.T}
+    if not p:
+        return _StepBasis("eigen", cond, W, W_inv, lambda R: R * inv_pair,
+                          multiplier=inv_pair, **grams)
+    block = np.array([[1.0, 1.0], [1j, -1j]])
+    block_inv = np.array([[0.5, -0.5j], [0.5, 0.5j]])
+    # entry (a, b) of the solve reads R[swap^s a, swap^t b], s, t in {0, 1}
+    # and swap taking a to its pair partner, with weight C[s, t, a, b] =
+    # sum over x, y in {0, 1} of g[s, x, a] g[t, y, b]
+    # inv_pair[swap^x a, swap^y b], g[s, x, a] = P[a, swap^x a]
+    # P^-1[swap^x a, swap^s a]: on a pair's rows g[0] = (1/2, 1/2) and
+    # g[1] = (-i/2, i/2); on a real eigenvalue's row g[0] = (1, 0), g[1] = 0
+    g = np.zeros((2, 2, k), dtype=complex)
+    g[0, 0, :r] = 1.0
+    g[0, :, r:] = 0.5
+    g[1, 0, r:] = -0.5j
+    g[1, 1, r:] = 0.5j
+    ar = np.arange(k)
+    swap = (ar, np.r_[ar[:r], ar[r:].reshape(p, 2)[:, ::-1].ravel()])
+    M_xy = np.array([[inv_pair[np.ix_(swap[x], swap[y])] for y in (0, 1)]
+                     for x in (0, 1)])
+    C = np.einsum("sxa,tyb,xyab->stab", g, g, M_xy).real
+    C_rows = C[1, 0, r:].reshape(p, 2, k)
+    C_cols = C[0, 1, :, r:].reshape(k, p, 2)
+    C_both = C[1, 1, r:, r:].reshape(p, 2, p, 2)
+
+    def solve(R):
+        # the pairs' rows and columns are contiguous, so reshaped views
+        # with a reversed pair axis read R at the partners
+        out = np.multiply(R, C[0, 0], order="C")
+        rows = out[r:].reshape(p, 2, k)
+        rows += C_rows * R[r:].reshape(p, 2, k)[:, ::-1]
+        cols = out[:, r:].reshape(k, p, 2)
+        cols += C_cols * R[:, r:].reshape(k, p, 2)[:, :, ::-1]
+        both = out[r:, r:].reshape(p, 2, p, 2)
+        both += C_both * R[r:, r:].reshape(p, 2, p, 2)[:, ::-1, :, ::-1]
+        return out
+
+    return _StepBasis("eigen", cond, W, W_inv, solve, multiplier=inv_pair,
+                      pairing=(r, block, block_inv), **grams)
 
 
 def _bdf_basis(T, h_beta):
-    """Step basis of a BDF grid: T's eigenvectors V when cond(V) is at most
-    _EIGEN_COND_MAX, else the real Schur vectors of F = h_beta*T - I/2."""
+    """Step basis of a BDF grid: the real pair basis of T's eigenvectors V
+    when cond(V) is at most _EIGEN_COND_MAX, else the real Schur vectors of
+    F = h_beta*T - I/2."""
     lam, V = np.linalg.eig(T)
     cond = float(np.linalg.cond(V))
     if cond <= _EIGEN_COND_MAX:
         lam_F = h_beta * lam - 0.5
         check_lyapunov_solvable(lam_F)
-        inv_pair = -1.0 / (lam_F[:, None] + lam_F[None, :])
-        return _StepBasis("eigen", cond, V, np.linalg.inv(V),
-                          lambda R: R * inv_pair, multiplier=inv_pair)
+        return _pair_basis(lam, V, cond, -1.0 / (lam_F[:, None] + lam_F[None, :]))
     lyap = LyapunovSolver(h_beta * T - 0.5 * np.eye(T.shape[0]))
     return _StepBasis("schur", cond, lyap.U, lyap.U.T, lyap.solve_schur)
 
 
 class _BDFSetup(NamedTuple):
-    """Step data of a BDF grid, in the order `_bdf_nodes` takes them."""
+    """Step data of a BDF grid, as `_bdf_steps` reads them."""
 
     Y0: np.ndarray
     startup: tuple                     # `exact_step_pair`, or None
@@ -611,50 +756,60 @@ def _bdf_setup(T, Bm, P0, grid, order):
     return _BDFSetup(Y0, startup, basis, forcing, alphas, N)
 
 
-def _bdf_steps(Y0, startup, basis, forcing, alphas, n_steps):
-    """(Y_i, clipped, history) for the nodes i = 0..N of a BDF grid:
-    len(alphas) - 1 start-up steps by the exact pair of `startup`
-    (E, delta, route), then BDF
-    steps with the history held in `basis`. `clipped` tells whether
-    `_psd_floor` clipped Y_i. From node len(alphas) - 1 on, when BDF steps
-    follow, `history` is what the next step reads: the last len(alphas)
-    values in the basis, newest first, a list the generator updates in
-    place; before that node, or with no BDF step, it is None."""
+def _bdf_steps(setup, w, full=True):
+    """(Y_i, rows_i, clipped, history) for the nodes i = 0..N of a BDF grid
+    from its `_bdf_setup` step data: len(alphas) - 1 start-up steps by the
+    exact pair of `startup` (E, delta, route), then BDF steps with the
+    history held in `basis`. `rows_i` are the last w rows of Y_i.
+    `clipped` tells whether the PSD screen clipped Y_i: `_psd_floor` on a
+    start-up node, `_psd_screen` in the basis on a BDF node, whose failure
+    lifts the node, clips it by `_psd_clip` and projects it back. A BDF
+    node that passes lifts only its rows, and its full Y_i too when `full`
+    is set or i = N; otherwise Y_i is None. From node len(alphas) - 1 on,
+    when BDF steps follow, `history` is what the next step reads: the last
+    len(alphas) values in the basis, newest first, a list the generator
+    updates in place; before that node, or with no BDF step, it is None."""
+    Y0, startup, basis, forcing, alphas, n_steps = setup
+    k = Y0.shape[0]
     order = len(alphas)
     n_start = min(order - 1, n_steps)
     Y = Y0
     clipped = False
     startup_history = [Y]
     for _ in range(n_start):
-        yield Y, clipped, None
+        yield Y, Y[k - w:, :], clipped, None
         E, delta, _ = startup
         Y_raw = sym_part(E @ Y @ E.T + delta)
         Y = _psd_floor(Y_raw)
         clipped = Y is not Y_raw
         startup_history.insert(0, Y)
     if n_steps == n_start:
-        yield Y, clipped, None
+        yield Y, Y[k - w:, :], clipped, None
         return
     history = [basis.project(Y_prev) for Y_prev in startup_history]
-    yield Y, clipped, history
-    for _ in range(n_start, n_steps):
+    yield Y, Y[k - w:, :], clipped, history
+    for i in range(n_start + 1, n_steps + 1):
         rhs = forcing
-        for alpha, Yh_prev in zip(alphas, history):
-            rhs = rhs + alpha * Yh_prev
-        Yh = basis.solve(rhs)
-        Y_raw = basis.lift(Yh)
-        Y = _psd_floor(Y_raw)
-        clipped = Y is not Y_raw
+        for alpha, Yr_prev in zip(alphas, history):
+            rhs = rhs + alpha * Yr_prev
+        Yr = basis.solve(rhs)
+        clipped = not _psd_screen(Yr, basis.gram, basis.gram_inv)
         if clipped:
-            Yh = basis.project(Y)
-        history.insert(0, Yh)
+            Y = _psd_clip(basis.lift(Yr))
+            rows = Y[k - w:, :]
+            Yr = basis.project(Y)
+        else:
+            rows = basis.lift_rows(Yr, w)
+            Y = basis.lift(Yr, rows) if full or i == n_steps else None
+        history.insert(0, Yr)
         del history[order:]
-        yield Y, clipped, history
+        yield Y, rows, clipped, history
 
 
-def _bdf_nodes(*setup):
-    """Y_0, ..., Y_N of the BDF grid of `_bdf_setup`'s step data."""
-    return (Y for Y, _, _ in _bdf_steps(*setup))
+def _bdf_nodes(setup, w):
+    """Y_0, ..., Y_N of the BDF grid of `_bdf_setup`'s step data, each
+    with the last w rows the grid run with bar width w takes."""
+    return (Y for Y, *_ in _bdf_steps(setup, w))
 
 
 def _bdf_step_map(multiplier, forcing, alphas):
@@ -697,9 +852,10 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None):
     same step when the caller has built it already."""
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
-    replay = functools.partial(_bdf_nodes, *setup)
-    return _collect(replay, _bdf_steps(*setup), grid.n_steps + 1, T.shape[0],
-                    w, keep_full, **_basis_info(setup.basis))
+    replay = functools.partial(_bdf_nodes, setup, w)
+    return _collect(replay, _bdf_steps(setup, w, full=keep_full),
+                    grid.n_steps + 1, T.shape[0], w, keep_full,
+                    **_basis_info(setup.basis))
 
 
 def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
@@ -707,14 +863,14 @@ def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
     Schur step basis, or N <= stride.
 
     The head, nodes 0..stride, comes from the screened grid's own
-    generator (start-up pair, `_psd_floor` screen and history), so its
+    generator (start-up pair, PSD screen and history), so its
     rows equal the full grid's bitwise; `head` = stride + 1 restricts the
     stop rule to them, and `psd_clips` counts the head's clips. From the
-    head's history the recurrence runs unscreened in the eigenbasis: the
-    BDF step is a per-entry affine map, composed by repeated squaring into
-    one map to tf, whose row block is taken from the symmetrized lift
-    there as the full grid takes its rows. `nodes` lists the nodes of
-    `bar_rows`."""
+    head's history, taken once into the complex eigenbasis, the recurrence
+    runs unscreened: the BDF step is a per-entry affine map, composed by
+    repeated squaring into one map to tf, whose value is taken back to the
+    real basis and lifted as the full grid lifts tf. `nodes` lists the
+    nodes of `bar_rows`."""
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
     basis = setup.basis
@@ -726,15 +882,17 @@ def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
     screened = max(stride, order - 1)
     bar = np.empty((screened + 2, w, k))
     clips = 0
-    for i, (Y, clipped, history) in enumerate(
-            itertools.islice(_bdf_steps(*setup), screened + 1)):
+    for i, (_, rows, clipped, history) in enumerate(
+            itertools.islice(_bdf_steps(setup, w, full=False), screened + 1)):
         clips += clipped
-        bar[i] = Y[k - w:, :]
-    step = _bdf_step_map(basis.multiplier, setup.forcing, setup.alphas)
+        bar[i] = rows
+    step = _bdf_step_map(basis.multiplier, basis.to_eigen(setup.forcing),
+                         setup.alphas)
     x = _apply_entrywise(_pair_power(step, N - screened, _compose_entrywise),
-                         np.array(history))
-    final = basis.lift(x[0])
-    bar[-1] = final[k - w:, :]
+                         np.array([basis.to_eigen(Yr) for Yr in history]))
+    Y_tf = basis.from_eigen(x[0])
+    bar[-1] = basis.lift_rows(Y_tf, w)
+    final = basis.lift(Y_tf, bar[-1])
     return _SmallRun(bar_rows=bar, final=final, replay=None, head=stride + 1,
                      psd_clips=clips, nodes=np.r_[np.arange(screened + 1), N],
                      **_basis_info(basis))

@@ -122,8 +122,10 @@ def test_flag_overrides(tmp_path):
 def test_report_counts_psd_clips(tmp_path, monkeypatch):
     from dlekrylov import solvers
 
-    # a screen that returns a copy counts as a clip and changes no value
-    monkeypatch.setattr(solvers, "_psd_floor", lambda Y: Y.copy())
+    # a screen that always fails counts every screened node as a clip; a
+    # clip that returns a copy changes values at rounding level only
+    monkeypatch.setattr(solvers, "_psd_screen", lambda Y, *args: False)
+    monkeypatch.setattr(solvers, "_psd_clip", lambda Y: Y.copy())
     cfg = _write_cfg(tmp_path, problem=_base_problem(),
                      solver={"method": "eba_bdf", "bdf_order": 2, "m_max": 6,
                              "tol": 1e-6, "probe_stride": 10})
@@ -149,6 +151,16 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["solve", "--config", cfg3, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err
+    # a known field with a bad value is named with that value
+    for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
+                       ("tol", "1e-3"), ("dtol", -1e-12), ("rank_tol", -1.0)):
+        capsys.readouterr()
+        cfg5 = _write_cfg(tmp_path, name="c5.json", problem=_base_problem(),
+                          solver={field: bad})
+        assert main(["solve", "--config", cfg5, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err and repr(bad) in err
+        assert "unknown fields" not in err
     # the problem section holds the seed; the solver reads none
     cfg4 = _write_cfg(tmp_path, name="c4.json", problem=_base_problem(),
                       solver={"seed": 1})

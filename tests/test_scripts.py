@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts: each runs as its own process on a
-tiny case, exits with status 0 and writes the file it names."""
+tiny case, exits with status 0, writes the file it names and leaves no
+temporary file behind."""
 
 import os
 import subprocess
@@ -13,13 +14,19 @@ SRC = os.path.abspath(os.path.join(ROOT, "src"))
 
 
 def _run(tmp_path, script, *args):
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    """Run `script` in tmp_path with its own empty TMPDIR, and check that
+    the script leaves nothing there."""
+    tmpdir = tmp_path / "tmpdir"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir),
                PYTHONPATH=os.pathsep.join(
                    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, os.path.join(SCRIPTS, script),
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script),
                            *map(str, args)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
+    assert os.listdir(tmpdir) == [], f"{script} left temporary files"
+    return proc
 
 
 @pytest.mark.parametrize("script,args,outputs", [

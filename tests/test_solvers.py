@@ -180,15 +180,18 @@ def _stiff_clipping_case():
 
 
 def _record_floor(monkeypatch):
-    """Wrap `_psd_floor`; the list gets True for each call that clipped."""
+    """Wrap the PSD screen, which runs once per screened node (through
+    `_psd_floor` on a start-up node); the list gets True for each node
+    that clipped."""
     clips = []
+    screen = solvers._psd_screen
 
-    def recording_floor(Y):
-        out = _psd_floor(Y)
-        clips.append(out is not Y)
-        return out
+    def recording_screen(Y, *args):
+        passed = screen(Y, *args)
+        clips.append(not passed)
+        return passed
 
-    monkeypatch.setattr(solvers, "_psd_floor", recording_floor)
+    monkeypatch.setattr(solvers, "_psd_screen", recording_screen)
     return clips
 
 
@@ -220,6 +223,121 @@ def test_bdf_grid_ill_conditioned_eigenvectors_fall_back_to_schur():
         ref = _reference_bdf_grid(T, Bm, P0, grid, order)
         assert _max_rel_diff(run.full, ref) <= 1e-11
         np.testing.assert_array_equal(list(run.replay()), run.full)
+
+
+def _spectrum_case(spectrum):
+    """A stable T whose eigenvalues are all real, all in conjugate pairs,
+    or both."""
+    rng = np.random.default_rng(70)
+    if spectrum == "real":
+        return _real_spectrum_case()[0]
+    if spectrum == "mixed":
+        return _stable_dense(9, 61)
+    S = np.eye(8) + 0.3 * rng.standard_normal((8, 8))
+    D = np.zeros((8, 8))
+    for j, (a, b) in enumerate([(-1.0, 2.0), (-3.0, 0.5), (-0.5, 4.0), (-2.0, 1.0)]):
+        D[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[a, b], [-b, a]]
+    return S @ D @ np.linalg.inv(S)
+
+
+@pytest.mark.parametrize("spectrum,pairs", [("real", 0), ("pairs", 4),
+                                            ("mixed", None)])
+def test_pair_basis_solve_matches_the_complex_eigenbasis_solve(spectrum, pairs):
+    from scipy.linalg import solve_continuous_lyapunov
+
+    T = _spectrum_case(spectrum)
+    k = T.shape[0]
+    n_pairs = int(np.sum(np.linalg.eigvals(T).imag > 0))
+    assert (n_pairs == pairs) if pairs is not None else (0 < 2 * n_pairs < k)
+    h_beta = 0.02
+    basis = solvers._bdf_basis(T, h_beta)
+    assert basis.kind == "eigen" and not np.iscomplexobj(basis.M)
+    rng = np.random.default_rng(71)
+    R = rng.standard_normal((k, k))
+    R = R + R.T
+    out = basis.solve(R)
+    assert not np.iscomplexobj(out)
+    # the same solve in the complex eigenbasis, one elementwise product
+    Yh = basis.multiplier * basis.to_eigen(R)
+    assert frob_norm(out - basis.from_eigen(Yh)) <= 1e-14 * frob_norm(out)
+    # and in the original coordinates, by Bartels-Stewart
+    F = h_beta * T - 0.5 * np.eye(k)
+    M = basis.M
+    ref = solve_continuous_lyapunov(F, -(M @ R @ M.T))
+    assert frob_norm(M @ out @ M.T - ref) <= 1e-14 * frob_norm(ref)
+    assert frob_norm(basis.from_eigen(basis.to_eigen(R)) - R) <= 1e-14 * frob_norm(R)
+    # M^-1 T M is block-diagonal: the real eigenvalues, then a 2x2 block
+    # per conjugate pair
+    r = k - 2 * n_pairs
+    blocks = np.eye(k, dtype=bool)
+    for j in range(r, k, 2):
+        blocks[j:j + 2, j:j + 2] = True
+    D = basis.M_inv @ T @ M
+    assert np.abs(D[~blocks]).max() <= 1e-12 * np.abs(T).max()
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("axis", [0, 3])
+def test_psd_screen_in_a_basis_decides_as_on_the_lifted_matrix(axis, c):
+    # a diagonal Y with one eigenvalue -c s, s the screen's shift, and a
+    # diagonal basis of powers of two: every product is exact, so the
+    # screen in the basis must pass exactly when the lifted one does
+    k = 4
+    vals = np.ones(k)
+    shift = 1e-13 * np.sum(vals) / k
+    vals[axis] = -c * shift
+    Y = np.diag(vals)
+    M = np.diag([4.0, 4.0, 0.25, 0.25])
+    M_inv = np.diag(1.0 / np.diag(M))
+    Yr = M_inv @ Y @ M_inv.T
+    lifted = solvers._psd_screen(Y)
+    assert lifted == (c < 1.0)
+    assert solvers._psd_screen(Yr, M.T @ M, M_inv @ M_inv.T) == lifted
+    # a general basis, with margins far above rounding
+    rng = np.random.default_rng(72)
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    M = Q @ np.diag([3.0, 1.0, 0.5, 0.3]) @ Q.T
+    M_inv = np.linalg.inv(M)
+    for c_far in (1e-2, 1e2):
+        vals[axis] = -c_far * shift
+        Y = Q @ np.diag(vals) @ Q.T
+        Yr = M_inv @ Y @ M_inv.T
+        assert solvers._psd_screen(Yr, M.T @ M, M_inv @ M_inv.T) == (c_far < 1.0)
+
+
+def test_bdf_grid_lifts_full_matrices_only_at_tf_and_clipped_nodes(monkeypatch):
+    # the deciding run lifts rows only; a full lift is made at tf and at
+    # each node whose screen fails, and a keep_full run lifts every node
+    T, Bm, P0, grid = _smooth_case()
+    w, N = Bm.shape[1], grid.n_steps
+    screen = solvers._psd_screen
+    calls = []
+
+    def failing_screen(Y, *args):
+        calls.append(1)
+        # BDF nodes 5 and 20 (node 1 is the start-up screen)
+        return screen(Y, *args) and len(calls) not in (5, 20)
+
+    monkeypatch.setattr(solvers, "_psd_screen", failing_screen)
+    for keep_full in (False, True):
+        calls.clear()
+        setup = solvers._bdf_setup(T, Bm, P0, grid, 2)
+        lifts = []
+        lift = setup.basis.lift
+        setup.basis.lift = lambda Yr, rows=None: lifts.append(1) or lift(Yr, rows)
+        run = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=keep_full,
+                            setup=setup)
+        assert run.psd_clips == 2
+        assert len(lifts) == (N - 1 if keep_full else 1 + run.psd_clips)
+    # in the stiff case every node from 2 on clips, tf included
+    T, Bm, P0, grid = _stiff_clipping_case()
+    monkeypatch.setattr(solvers, "_psd_screen", screen)
+    setup = solvers._bdf_setup(T, Bm, P0, grid, 2)
+    lifts = []
+    lift = setup.basis.lift
+    setup.basis.lift = lambda Yr, rows=None: lifts.append(1) or lift(Yr, rows)
+    run = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=False, setup=setup)
+    assert len(lifts) == run.psd_clips == grid.n_steps - 1
 
 
 # -- truncation ---------------------------------------------------------------
@@ -433,6 +551,21 @@ def test_trajectory_stream_replays_last_grid_run(method, eigen_cond_max,
         traj.residuals, solvers._residuals_over_nodes(dec.coupling, run.bar_rows))
 
 
+def test_small_solutions_are_materialized_once_and_read_only(monkeypatch):
+    A = _stable_dense(12, 24)
+    B = np.random.default_rng(25).random((12, 1))
+    traj = solve_eba_bdf(A, B, None, TimeGrid(0.0, 0.2, 1e-2),
+                         SolverConfig(method="eba_bdf", m_max=3, tol=1e-300))
+    replays = []
+    replay = traj.replay
+    monkeypatch.setattr(traj, "replay", lambda: replays.append(1) or replay())
+    first = traj.small_solutions
+    assert traj.small_solutions is first and len(replays) == 1
+    np.testing.assert_array_equal(first, list(replay()))
+    with pytest.raises(ValueError):
+        first[0, 0, 0] = 1.0
+
+
 @pytest.mark.parametrize("method", ["eba_exp", "eba_bdf"])
 def test_solve_memory_does_not_grow_with_trajectory_size(method):
     # convdiff n = 400, N = 2000, k = 40: a stored trajectory alone is
@@ -482,6 +615,13 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones((2, 1)), None, TimeGrid(0, 1, 0.5),
               SolverConfig(method="nope"))
+    for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
+                       ("tol", "1e-3"), ("tol", float("nan")),
+                       ("dtol", -1e-12), ("rank_tol", -1.0), ("dtol", "0"),
+                       ("m_max", "10"), ("bdf_order", 2.0)):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: bad})
+    assert SolverConfig(dtol=0.0, rank_tol=0).dtol == 0.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -734,7 +874,7 @@ def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
         solvers._residuals_over_nodes(coupling, probe.bar_rows)[head],
         solvers._residuals_over_nodes(coupling, full.bar_rows)[head])
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
-    nodes = solvers._bdf_nodes(*setup)
+    nodes = solvers._bdf_nodes(setup, w)
     np.testing.assert_array_equal(list(itertools.islice(nodes, stride + 1)),
                                   full.full[head])
     screened = max(stride, order - 1)
@@ -758,17 +898,19 @@ def _stepwise_probe_rows(setup, w, stride):
     k = basis.M.shape[0]
     screened = max(stride, len(alphas) - 1)
     rows = []
-    for i, (Y, _, history) in enumerate(solvers._bdf_steps(*setup)):
+    for i, (Y, _, _, history) in enumerate(solvers._bdf_steps(setup, w)):
         rows.append(Y[k - w:, :])
         if i == screened:
             break
-    history = list(history)
+    # in the eigenbasis, where the step is elementwise
+    history = [basis.to_eigen(Yh) for Yh in history]
+    forcing = basis.to_eigen(setup.forcing)
     for _ in range(screened, N):
-        rhs = setup.forcing
+        rhs = forcing
         for alpha, Yh_prev in zip(alphas, history):
             rhs = rhs + alpha * Yh_prev
         history = [rhs * basis.multiplier] + history[:-1]
-    final = basis.lift(history[0])
+    final = basis.lift(basis.from_eigen(history[0]))
     rows.append(final[k - w:, :])
     return np.array(rows), final
 
@@ -887,19 +1029,26 @@ def test_bdf_clip_in_the_head_keeps_head_and_decision(monkeypatch):
     m, node, stride = 3, 5, 10
     T, Bm, P0, w, coupling = _step_data(A, B, grid, m)
     inputs = []
-    monkeypatch.setattr(solvers, "_psd_floor",
-                        lambda Y: inputs.append(Y.copy()) or _psd_floor(Y))
+    screen, clip = solvers._psd_screen, solvers._psd_clip
+    monkeypatch.setattr(solvers, "_psd_screen",
+                        lambda Y, *a: inputs.append(Y.copy()) or screen(Y, *a))
     plain = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False)
     target = inputs[node - 1]            # node 1 is the first screen
-    clips = []
+    clips, pending = [], []
 
-    def forced_floor(Y):
+    def forced_screen(Y, *args):
         if Y.shape == target.shape and np.array_equal(Y, target):
             clips.append(Y)
-            return 10.0 * Y
-        return _psd_floor(Y)
+            pending.append(True)
+            return False
+        return screen(Y, *args)
 
-    monkeypatch.setattr(solvers, "_psd_floor", forced_floor)
+    def forced_clip(Y):
+        # the forced node scales up; any other clip stays a clip
+        return 10.0 * Y if pending and pending.pop() else clip(Y)
+
+    monkeypatch.setattr(solvers, "_psd_screen", forced_screen)
+    monkeypatch.setattr(solvers, "_psd_clip", forced_clip)
     full = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False)
     probe = solvers._probe_bdf_grid(T, Bm, P0, grid, 2, w, stride)
     assert len(clips) == 2
