@@ -2,14 +2,17 @@
 
 Both variants produce an orthonormal block basis, the projection of the
 operator onto it, and the coupling block that drives the cheap residual
-formula of the solvers. Blocks are orthogonalized by block modified
-Gram-Schmidt with one reorthogonalization pass.
+formula of the solvers. They share one step: the block variant is the
+extended variant with no inverse part. Each candidate block is
+orthogonalized by block classical Gram-Schmidt run twice (Giraud, Langou,
+Rozloznik & van den Eshof, Numer. Math. 101, 2005), and the projected
+matrix is the explicit projection V^T (A V_inner), grown by its new row
+and column blocks each step (Simoncini, SIAM J. Sci. Comput. 29, 2007).
 """
 
 import numpy as np
 
 from .dense import frob_norm, qr_thin
-from .sparsela import CapabilityError
 
 
 class KrylovBreakdown(Exception):
@@ -25,14 +28,23 @@ class KrylovBreakdown(Exception):
         self.width = width
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
 class KrylovDecomposition:
     """Growing Arnoldi decomposition A @ V_m = V_{m+1} @ T_bar.
 
     `m` counts completed projection steps: after `extend` has run m times
     the inner basis spans m blocks and the trailing block V_{m+1} carries
-    the coupling. For the extended variant each block is built from a
-    forward half A @ V and an inverse half A^{-1} @ V, and the projected
-    matrix is formed by explicit projection onto the basis.
+    the coupling. A block of the extended variant has a forward part,
+    continued by A, and an inverse part, continued by A^{-1}; a block of
+    the block variant is all forward part. For both variants T_bar is the
+    explicit projection V^T (A V_inner).
+
+    The basis, A V_inner and T_bar are each one read-only array, replaced
+    by a grown copy on every `extend`; the properties return views of them.
     """
 
     def __init__(self, op, start_block, variant="extended", rank_tol=1e-12):
@@ -41,6 +53,7 @@ class KrylovDecomposition:
         self.variant = variant
         self.rank_tol = rank_tol
         self.breakdown_rank = None
+        self.m = 0
 
         B = np.asarray(start_block, dtype=float)
         if B.ndim == 1:
@@ -48,39 +61,32 @@ class KrylovDecomposition:
         self.n = B.shape[0]
 
         if variant == "extended":
-            cand = np.hstack([B, op.apply_inverse(B)])
-        else:
-            cand = B
-        Q, labels = self._orthonormal_block(cand, frob_norm(cand), None)
-        if Q.shape[1] == 0:
+            B = np.hstack([B, op.apply_inverse(B)])
+        V = self._orthonormal_block(B, frob_norm(B))
+        if V.shape[1] == 0:
             raise ValueError("start block has rank 0")
-        self._blocks = [Q]
-        self._labels = [labels]
-        self._av = []            # cached A @ block, extended variant only
-        self._n_inner = 0
-        self._tbar = np.zeros((Q.shape[1], 0))
+        self._widths = [V.shape[1]]
+        self._V = _frozen(V)
+        self._AV = _frozen(np.zeros((self.n, 0)))
+        self._tbar = _frozen(np.zeros((V.shape[1], 0)))
 
-    # -- assembled views ---------------------------------------------------
-
-    @property
-    def m(self):
-        return self._n_inner
+    # -- views of the state --------------------------------------------------
 
     @property
     def widths(self):
-        return [blk.shape[1] for blk in self._blocks]
+        return list(self._widths)
 
     @property
     def basis(self):
-        return np.hstack(self._blocks)
+        return self._V
 
     @property
     def inner_width(self):
-        return sum(self.widths[: self._n_inner])
+        return self._AV.shape[1]
 
     @property
     def inner_basis(self):
-        return np.hstack(self._blocks[: self._n_inner])
+        return self._V[:, :self.inner_width]
 
     @property
     def T_bar(self):
@@ -95,126 +101,57 @@ class KrylovDecomposition:
     def coupling(self):
         """Sub-diagonal block T_{m+1,m}; zero rows after a full breakdown."""
         k = self.inner_width
-        w_last = self.widths[self._n_inner - 1] if self._n_inner else 0
+        w_last = self._widths[self.m - 1] if self.m else 0
         return self._tbar[k:, k - w_last:k]
 
     # -- construction ------------------------------------------------------
 
-    def _orthonormal_block(self, cand, scale_norm, prior_labels):
-        """QR of a candidate block with rank detection against scale_norm.
-
-        Returns the orthonormal block (possibly narrower than the
-        candidate) and the forward/inverse column labeling for the
-        extended variant.
-        """
-        thresh = self.rank_tol * scale_norm
-        Q, R, _ = qr_thin(cand, rank_tol=0.0)
-        keep = np.abs(np.diag(R)) > thresh
-        if keep.all():
-            rank = cand.shape[1]
-            out = Q
-        else:
-            U, s, _ = np.linalg.svd(cand, full_matrices=False)
-            rank = int(np.sum(s > thresh))
-            out = U[:, :rank]
-        if rank == cand.shape[1] and prior_labels is not None:
-            labels = prior_labels
-        else:
-            # deflation loses the forward/inverse column split; rebalance
-            labels = ((rank + 1) // 2, rank // 2)
-        return out, labels
-
-    def _orthogonalize(self, W):
-        """Two-pass block MGS against all existing blocks; returns the
-        remainder and the accumulated coefficients per block."""
-        coeffs = [np.zeros((blk.shape[1], W.shape[1])) for blk in self._blocks]
-        for _ in range(2):
-            for i, blk in enumerate(self._blocks):
-                c = blk.T @ W
-                coeffs[i] += c
-                W = W - blk @ c
-        return W, coeffs
+    def _orthonormal_block(self, cand, scale_norm):
+        """Orthonormal basis of a candidate block, its rank detected against
+        rank_tol * scale_norm: QR, then SVD when QR shows a deficiency or
+        the block is wider than tall."""
+        thresh = self.rank_tol * max(scale_norm, 1e-300)
+        if cand.shape[0] >= cand.shape[1]:
+            Q, R, _ = qr_thin(cand, rank_tol=0.0)
+            if np.all(np.abs(np.diag(R)) > thresh):
+                return Q
+        U, s, _ = np.linalg.svd(cand, full_matrices=False)
+        return U[:, :int(np.sum(s > thresh))]
 
     def extend(self, op):
         """Append one block. Raises KrylovBreakdown on rank loss; the
         state is updated (at reduced width) before the signal is raised."""
         if self.breakdown_rank == 0:
             raise KrylovBreakdown(0, 0)
-        if self.variant == "extended":
-            self._extend_extended(op)
-        else:
-            self._extend_block(op)
-
-    def _extend_block(self, op):
-        newest = self._blocks[-1]
-        width = newest.shape[1]
-        cand = op.apply(newest)
-        cand_norm = frob_norm(cand)
-        W, coeffs = self._orthogonalize(cand.copy())
-
-        thresh = self.rank_tol * max(cand_norm, 1e-300)
-        Q, R, _ = qr_thin(W, rank_tol=0.0)
-        keep = np.abs(np.diag(R)) > thresh
-        if keep.all():
-            rank, Vnew, C = width, Q, R
-        else:
-            U, s, Vt = np.linalg.svd(W, full_matrices=False)
-            rank = int(np.sum(s > thresh))
-            Vnew = U[:, :rank]
-            C = s[:rank, None] * Vt[:rank, :]
-
-        self._append(Vnew if rank else None, np.vstack(coeffs), C[:rank])
-        if rank < width:
-            self.breakdown_rank = rank
-            raise KrylovBreakdown(rank, width)
-
-    def _extend_extended(self, op):
-        newest = self._blocks[-1]
-        wf, wi = self._labels[-1]
-        if not op.has_inverse:
-            raise CapabilityError("extended Arnoldi needs an inverse action")
+        V, k, k_in = self._V, self._V.shape[1], self.inner_width
+        width = self._widths[-1]
+        # a rank-deficient block loses its forward/inverse split, so the
+        # extended variant keeps the split balanced at every width
+        n_inv = width // 2 if self.variant == "extended" else 0
+        newest = V[:, k - width:]
         a_newest = op.apply(newest)
-        cand_parts = []
-        if wf:
-            cand_parts.append(a_newest[:, :wf])
-        if wi:
-            cand_parts.append(op.apply_inverse(newest[:, wf:]))
-        cand = np.hstack(cand_parts)
-        cand_norm = frob_norm(cand)
-        width = cand.shape[1]
-
-        W, _ = self._orthogonalize(cand.copy())
-        Vnew, labels = self._orthonormal_block(W, max(cand_norm, 1e-300),
-                                               (wf, wi))
+        cand = a_newest[:, :width - n_inv]
+        if n_inv:
+            cand = np.hstack([cand, op.apply_inverse(newest[:, width - n_inv:])])
+        W = cand
+        for _ in range(2):
+            W = W - V @ (V.T @ W)
+        Vnew = self._orthonormal_block(W, frob_norm(cand))
         rank = Vnew.shape[1]
 
-        self._av.append(a_newest)
+        self._V = _frozen(np.hstack([V, Vnew]))
+        tbar = np.empty((k + rank, k_in + width))
+        tbar[:k, :k_in] = self._tbar
+        tbar[k:, :k_in] = Vnew.T @ self._AV
+        tbar[:, k_in:] = self._V.T @ a_newest
+        self._tbar = _frozen(tbar)
+        self._AV = _frozen(np.hstack([self._AV, a_newest]))
         if rank:
-            self._blocks.append(Vnew)
-            self._labels.append(labels)
-        self._n_inner += 1
-        # explicit projection: T_bar = V^T (A V_inner)
-        AV = np.hstack(self._av)
-        self._tbar = self.basis.T @ AV
+            self._widths.append(rank)
+        self.m += 1
         if rank < width:
             self.breakdown_rank = rank
             raise KrylovBreakdown(rank, width)
-
-    def _append(self, Vnew, coeff_col, coupling_rows):
-        """Grow T_bar by one column block (and one row block if a new
-        basis block exists). Used by the block variant."""
-        rows_k, cols_k = self._tbar.shape
-        w_new = 0 if Vnew is None else Vnew.shape[1]
-        d_c = coeff_col.shape[1]
-        tbar = np.zeros((rows_k + w_new, cols_k + d_c))
-        tbar[:rows_k, :cols_k] = self._tbar
-        tbar[:rows_k, cols_k:] = coeff_col
-        if w_new:
-            tbar[rows_k:, cols_k:] = coupling_rows
-            self._blocks.append(Vnew)
-            self._labels.append((w_new, 0))
-        self._tbar = tbar
-        self._n_inner += 1
 
     # -- projections used by the solvers ------------------------------------
 

@@ -6,7 +6,8 @@ from dlekrylov.dense import frob_norm, spec_norm_2
 from dlekrylov.krylov import (KrylovBreakdown, KrylovDecomposition,
                               arnoldi_relation_residual)
 from dlekrylov.problems import gen_convdiff, gen_random_block
-from dlekrylov.sparsela import CapabilityError, wrap_dense, wrap_sparse
+from dlekrylov.sparsela import (CapabilityError, LinearOperator, wrap_dense,
+                                wrap_sparse)
 
 
 def _extend_times(dec, op, m):
@@ -93,11 +94,26 @@ def test_block_nesting():
         np.testing.assert_array_equal(b[:, : a.shape[1]], a)
 
 
-def test_block_partial_deflation_then_continue():
+def _partial_deflation_case():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((30, 30))
     b = rng.standard_normal((30, 1))
-    B = np.hstack([b, A @ b])        # second column becomes dependent
+    return A, np.hstack([b, A @ b])  # second column becomes dependent
+
+
+def _invariant_subspace_case():
+    # B spans an invariant subspace of a block-diagonal A
+    rng = np.random.default_rng(4)
+    A = np.zeros((12, 12))
+    A[:4, :4] = rng.standard_normal((4, 4))
+    A[4:, 4:] = rng.standard_normal((8, 8))
+    B = np.zeros((12, 2))
+    B[:4, :] = rng.standard_normal((4, 2))
+    return A, B
+
+
+def test_block_partial_deflation_then_continue():
+    A, B = _partial_deflation_case()
     op = wrap_dense(A)
     dec = KrylovDecomposition(op, B, variant="block")
     with pytest.raises(KrylovBreakdown) as exc:
@@ -110,14 +126,7 @@ def test_block_partial_deflation_then_continue():
 
 
 def test_full_breakdown_invariant_subspace():
-    # B spans an invariant subspace of a block-diagonal A
-    rng = np.random.default_rng(4)
-    blk = rng.standard_normal((4, 4))
-    A = np.zeros((12, 12))
-    A[:4, :4] = blk
-    A[4:, 4:] = rng.standard_normal((8, 8))
-    B = np.zeros((12, 2))
-    B[:4, :] = rng.standard_normal((4, 2))
+    A, B = _invariant_subspace_case()
     op = wrap_dense(A)
     dec = KrylovDecomposition(op, B, variant="block")
     caught = None
@@ -206,3 +215,89 @@ def test_unknown_variant_rejected():
 def test_zero_start_block_rejected():
     with pytest.raises(ValueError):
         KrylovDecomposition(wrap_dense(np.eye(3)), np.zeros((3, 1)), variant="block")
+
+
+# -- both variants -----------------------------------------------------------
+
+def _grow_checking_T_bar(A, B, variant, rank_tol=1e-12):
+    """Extend up to the full breakdown, checking after every step that the
+    grown T_bar equals basis^T A inner_basis. Returns the breakdown ranks
+    and the largest norm, relative to T_bar's, of a new block's rows
+    against the older blocks."""
+    op = wrap_dense(A)
+    dec = KrylovDecomposition(op, B, variant=variant, rank_tol=rank_tol)
+    ranks, below = [], 0.0
+    while dec.breakdown_rank != 0:
+        k, k_in = dec.basis.shape[1], dec.inner_width
+        try:
+            dec.extend(op)
+        except KrylovBreakdown as exc:
+            ranks.append(exc.rank)
+        ref = dec.basis.T @ A @ dec.inner_basis
+        assert frob_norm(dec.T_bar - ref) <= 1e-12 * frob_norm(ref)
+        below = max(below, frob_norm(dec.T_bar[k:, :k_in]) / frob_norm(ref))
+        assert dec.m <= A.shape[0]
+    return ranks, below
+
+
+@pytest.mark.parametrize("variant", ["block", "extended"])
+@pytest.mark.parametrize("case", [_partial_deflation_case, _invariant_subspace_case],
+                         ids=["partial-deflation", "invariant-subspace"])
+def test_T_bar_is_the_explicit_projection_after_every_step(variant, case):
+    ranks, _ = _grow_checking_T_bar(*case(), variant)
+    if case is _partial_deflation_case:
+        assert ranks[0] > 0
+    assert ranks[-1] == 0
+
+
+@pytest.mark.parametrize("variant", ["block", "extended"])
+def test_state_is_read_only(variant):
+    A = gen_convdiff(6)
+    op = wrap_sparse(A)
+    dec = _extend_times(KrylovDecomposition(op, gen_random_block(36, 2, seed=3),
+                                            variant=variant), op, 2)
+    for view in (dec.basis, dec.inner_basis, dec.T_bar, dec.T, dec.coupling):
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+    V, T_bar = dec.basis, dec.T_bar
+    dec.extend(op)
+    np.testing.assert_array_equal(dec.basis[:, :V.shape[1]], V)
+    np.testing.assert_array_equal(dec.T_bar[:T_bar.shape[0], :T_bar.shape[1]],
+                                  T_bar)
+
+
+@pytest.mark.parametrize("variant", ["block", "extended"])
+def test_one_operator_action_per_extend(variant):
+    # one apply on the newest block, and one apply_inverse on its inverse
+    # columns on the extended variant only
+    base = wrap_sparse(gen_convdiff(6))
+    calls = []
+    op = LinearOperator(
+        base.dim,
+        forward=lambda V: calls.append(("apply", V.copy())) or base.apply(V),
+        inverse=lambda V: calls.append(("inverse", V.copy())) or base.apply_inverse(V))
+    B = gen_random_block(36, 2, seed=4)
+    dec = KrylovDecomposition(op, B, variant=variant)
+    assert [kind for kind, _ in calls] == (["inverse"] if variant == "extended" else [])
+    for _ in range(3):
+        width = dec.widths[-1]
+        newest = dec.basis[:, -width:]
+        n_inv = width // 2 if variant == "extended" else 0
+        calls.clear()
+        dec.extend(op)
+        assert [kind for kind, _ in calls] == ["apply"] + ["inverse"] * (n_inv > 0)
+        np.testing.assert_array_equal(calls[0][1], newest)
+        if n_inv:
+            np.testing.assert_array_equal(calls[1][1], newest[:, width - n_inv:])
+
+
+def test_T_bar_keeps_the_older_rows_after_a_coarse_deflation():
+    # a rank_tol that drops a direction well above rounding level leaves
+    # A V_inner outside the block Hessenberg pattern, so the rows of a new
+    # block against the older blocks are not zero and must be kept
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((20, 20)) + 5.0 * np.eye(20)
+    b, g, h = (rng.standard_normal((20, 1)) for _ in range(3))
+    B = np.hstack([b, A @ b + 1e-8 * g, h])
+    _, below = _grow_checking_T_bar(A, B, "extended", rank_tol=2e-9)
+    assert below > 1e-10

@@ -486,6 +486,24 @@ def test_breakdown_finalizes_with_small_residual():
     assert traj.residuals.max() <= 1e-8 * frob_norm(B @ B.T)
 
 
+@pytest.mark.parametrize("variant,s", [("block", 4), ("extended", 2)])
+def test_wide_start_block_breaks_down_and_matches_reference(variant, s):
+    # a start block wider than the space deflates to rank n at set-up, so
+    # the first extend reports a full breakdown
+    from dlekrylov.analysis import dense_reference_integral
+
+    A = np.diag([-1.0, -2.0, -3.0])
+    B = np.random.default_rng(0).random((3, s))
+    grid = TimeGrid(0.0, 1.0, 0.1)
+    traj = solve_eba_exp(A, B, None, grid, SolverConfig(krylov_variant=variant))
+    assert traj.converged
+    assert traj.decomposition.breakdown_rank == 0
+    assert traj.basis_size == 3
+    ref = dense_reference_integral(A, B, None, grid, q=8)
+    for i in range(grid.n_steps + 1):
+        assert frob_norm(traj.solution_dense(i) - ref[i]) <= 1e-10 * frob_norm(ref[-1])
+
+
 def test_nonzero_initial_value_exp_and_bdf():
     from dlekrylov.analysis import dense_reference_integral
 
