@@ -6,7 +6,7 @@ Writes one CSV per method (plot-ready) and prints the per-m ratios.
 Values for m below the last step come from each solver's probe pass,
 which reaches tf by one composed step once its decision is made, so they
 agree with a full grid run at rounding level. On eba-bdf that pass runs
-the PSD-screened grid only over its first `probe_stride` steps and the
+the PSD-screened grid only over its first `_PROBE_STRIDE` (10) steps and the
 unscreened recurrence from there to tf, so a value there also differs
 from a full grid run where that run clips. The last step's value is from
 the full grid."""

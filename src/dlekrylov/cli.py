@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import numbers
 import os
 import sys
 import time
@@ -22,7 +23,8 @@ from .dense import frob_norm, log_norm_mu2
 from .mmio import write_matrix_market, write_matrix_market_array
 from .problems import (ProblemSpec, build_problem, dense_matrix, gen_convdiff,
                        gen_random_block, heat_fem_matrices)
-from .solvers import SolverConfig, TimeGrid, solve
+from .solvers import (SolverConfig, TimeGrid, full_grid_run, krylov_steps,
+                      solve)
 
 
 def _fmt(x):
@@ -59,6 +61,11 @@ def load_config(path):
 def build_spec_and_config(cfg, args):
     try:
         spec = ProblemSpec.from_dict(cfg.get("problem", {}))
+        if args.seed is not None:
+            spec.seed = args.seed
+        if args.h is not None:
+            spec.h = args.h
+        spec.grid                      # raises on a grid h does not divide
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"problem section: {exc}") from exc
     solver_cfg = dict(cfg.get("solver", {}))
@@ -70,10 +77,6 @@ def build_spec_and_config(cfg, args):
         solver_cfg["tol"] = args.tol
     if args.bdf_order is not None:
         solver_cfg["bdf_order"] = args.bdf_order
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.h is not None:
-        spec.h = args.h
     try:
         config = SolverConfig(**solver_cfg)
     except TypeError as exc:
@@ -227,50 +230,63 @@ def cmd_sweep(args):
     os.makedirs(out_dir, exist_ok=True)
     sweep = cfg.get("sweep", {})
     axis = sweep.get("axis", "m")
-    values = sweep.get("values")
     if axis not in ("m", "h", "p"):
         raise ConfigError(f"sweep axis must be m, h or p, got {axis!r}")
+    values = sweep.get("values")
+    if values is None:
+        values = list(range(1, config.m_max + 1)) if axis == "m" else []
+    kind = numbers.Real if axis == "h" else numbers.Integral
+    if not isinstance(values, list) or not all(
+            isinstance(v, kind) and not isinstance(v, bool)
+            and (axis != "m" or v >= 1) for v in values):
+        need = {"m": "integers >= 1", "h": "numbers", "p": "integers"}[axis]
+        raise ConfigError(f"sweep values on axis {axis} must be a list of {need}, got {values!r}")
 
     op, B, grid = build_problem(spec)
     oracle_ok = spec.n <= 500
     A = dense_matrix(op) if oracle_ok else None
     mu2 = log_norm_mu2(A) if oracle_ok else None
-
-    # one solve per axis value; its row reads the last iteration, which
-    # always ran the full grid
-    try:
-        if axis == "m":
-            if values is None:
-                values = list(range(1, config.m_max + 1))
-            runs = [(m, dataclasses.replace(config, m_max=m, tol=1e-300), grid)
-                    for m in values]
-        elif axis == "h":
-            runs = [(h, config, TimeGrid(spec.t0, spec.tf, h))
-                    for h in values or []]
-        else:
-            runs = [(p, dataclasses.replace(config, method="eba_bdf",
-                                            bdf_order=int(p)), grid)
-                    for p in values or []]
-    except ValueError as exc:
-        raise ConfigError(f"sweep values: {exc}") from exc
-
     refs = {}
-    rows = []
-    for value, run_cfg, g in runs:
-        traj = solve(op, B, None, g, run_cfg)
-        rec = traj.iterations[-1]
-        if axis == "m" and rec.m != value:
-            continue                   # breakdown before step m
+
+    def row(value, g, rec, lift):
+        # rec is the record of a full grid run on the grid g
         err = np.nan
         if oracle_ok:
             if g not in refs:
                 refs[g] = _reference_final(A, B, g)
-            err = frob_norm(traj.solution_dense(-1) - refs[g])
+            err = frob_norm(lift(rec.small_final) - refs[g])
         bound = np.nan
         if mu2 is not None and mu2 < 0:
             bound = error_bound_stable(mu2, rec.coupling_norm, rec.gbar_sup,
                                        g.t0, g.tf)
-        rows.append((value, traj.final_residual, err, bound))
+        return (value, rec.residual_final, err, bound)
+
+    if axis == "m":
+        # one walk over the Krylov steps up to the largest m, with the full
+        # grid at the listed m only; an m past a full breakdown has no row
+        by_m = {}
+        walk = dataclasses.replace(config, m_max=max(values, default=1))
+        steps = krylov_steps(op, B, np.zeros((op.dim, 0)), grid, walk) if values else ()
+        for step in steps:
+            if step.m in values:
+                by_m[step.m] = row(step.m, grid, full_grid_run(step, grid, walk)[2],
+                                   step.decomposition.lift)
+        rows = [by_m[m] for m in values if m in by_m]
+    else:
+        # one solve per value, whose grid or BDF order differs; its row
+        # reads the last iteration, which always ran the full grid
+        try:
+            runs = ([(h, config, TimeGrid(spec.t0, spec.tf, h)) for h in values]
+                    if axis == "h" else
+                    [(p, dataclasses.replace(config, method="eba_bdf",
+                                             bdf_order=p), grid)
+                     for p in values])
+        except ValueError as exc:
+            raise ConfigError(f"sweep values: {exc}") from exc
+        rows = []
+        for value, run_cfg, g in runs:
+            traj = solve(op, B, None, g, run_cfg)
+            rows.append(row(value, g, traj.iterations[-1], traj.lift))
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     _write_csv(csv_path, ["axis_value", "residual", "error", "bound_eq19"], rows)

@@ -43,8 +43,9 @@ class KrylovDecomposition:
     the block variant is all forward part. For both variants T_bar is the
     explicit projection V^T (A V_inner).
 
-    The basis, A V_inner and T_bar are each one read-only array, replaced
-    by a grown copy on every `extend`; the properties return views of them.
+    The basis, A V_inner, T_bar and the block widths are each replaced by a
+    grown copy on every `extend`, never written into; the properties return
+    views of them, so a view or a shallow copy keeps its step's values.
     """
 
     def __init__(self, op, start_block, variant="extended", rank_tol=1e-12):
@@ -147,7 +148,7 @@ class KrylovDecomposition:
         self._tbar = _frozen(tbar)
         self._AV = _frozen(np.hstack([self._AV, a_newest]))
         if rank:
-            self._widths.append(rank)
+            self._widths = self._widths + [rank]
         self.m += 1
         if rank < width:
             self.breakdown_rank = rank

@@ -1,62 +1,47 @@
 """Projection solvers for dX/dt = A X + X A^T + B B^T, X(t0) = Z0 Z0^T.
 
-Two routes share the same Krylov outer loop. The exponential route
-propagates the projected solution node to node by the exact one-step pair
-(E, delta) of the projected equation: E = e^{hT}, and the increment delta,
-the Gramian integral over one step, solves T delta + delta T^T =
-E Q E^T - Q (Van Loan, 1978). That identity cancels when two eigenvalues
-of T nearly sum to zero, so below a separation bound the increment comes
-from a composite Gauss-Legendre rule instead. The BDF route integrates the
-projected matrix ODE with a fixed-step backward differentiation formula.
-Each BDF step is a small algebraic Lyapunov equation with the same
-coefficient on the whole grid, so the grid runs in a real basis that
-makes the solve cheap: in the real pair basis of the projected operator's
-eigenvectors (a conjugate pair v, conj v becomes Re v, Im v) the solve is
-one O(k^2) map, elementwise between real eigenvalues with a 2x2 coupling
-on the pairs' rows and columns, and when the eigenvectors are
-ill-conditioned the real Schur basis takes over with one triangular
-Sylvester solve per step. The PSD screen of each BDF node runs in the
-basis, on the congruent matrix, so a grid run lifts only the rows the
-residual formula reads, and the whole node only at tf, at a node the
-screen clips, or when every node is asked for. Convergence is monitored
-through the coupling-block residual formula, which never forms the large
+One generator, `krylov_steps`, walks the Krylov steps: one `extend` each,
+with the projected data and the route's step data, and no convergence
+decision. `solve` consumes it with the stop rule below; the m sweep of
+the command line walks it once and runs the full grid at the listed m.
+
+Two routes propagate the projected solution over the time grid. The
+exponential route steps node to node by the exact one-step pair (E,
+delta): E = e^{hT}, and the increment delta, the Gramian integral over
+one step, solves T delta + delta T^T = E Q E^T - Q (Van Loan, 1978). That
+identity cancels when two eigenvalues of T nearly sum to zero, so below a
+separation bound a composite Gauss-Legendre rule builds the increment.
+The BDF route integrates the projected matrix ODE with a fixed-step
+backward differentiation formula. Each BDF step is a small algebraic
+Lyapunov equation with one coefficient on the whole grid, solved in a
+real basis: in the real pair basis of the projected operator's
+eigenvectors (a conjugate pair v, conj v becomes Re v, Im v) it is one
+O(k^2) map, and when the eigenvectors are ill-conditioned the real Schur
+basis takes over with one triangular Sylvester solve. A BDF grid run
+lifts only the rows the residual formula reads, and the whole node only
+at tf, at a node the PSD screen clips, or when every node is asked for.
+The residual comes from the coupling block, never from the large
 approximation.
 
-A grid is propagated as a generator over the nodes that stores only the
-rows the residual formula reads. Each Krylov step below the last first
-runs a probe pass over some nodes only, and a residual at or above the
+Each Krylov step below the last first runs a probe pass over some nodes
+only (`_probe_gram_grid`, `_probe_bdf_grid`): a residual at or above the
 tolerance at a node the stop rule reads proves the step has not
-converged, so the loop extends the basis with no full grid. Otherwise the
-full grid runs, from the step data the probe pass built, and decides
-convergence on all nodes, since the residual can peak between probes; the
-last Krylov step always runs it. On the exponential route the stop rule
-reads every probe node (every node of the first `probe_stride` steps,
-then every stride-th node, then tf), reached by the same propagator pair
-composed by repeated squaring into a stride pair; the pass stops at the
-first probe whose residual reaches the tolerance and jumps to tf by one
-composed pair. On the BDF route, a multistep method, the probe pass runs
-the screened grid's own first `probe_stride` steps, whose nodes equal the
-full grid's bitwise and alone feed the stop rule. In the complex
-eigenbasis a BDF step is one fixed affine map per entry, composed by
-repeated squaring into one map that takes the head's history to tf
-without the PSD screen; that value agrees with the node-by-node recurrence
-at rounding level and is reported, never decided on. Each grid run counts
-the nodes its PSD screen clipped. A BDF grid in the Schur basis, where a
-step stays one triangular solve, or with no more than `probe_stride`
-steps runs full at every Krylov step.
+converged, and the walk moves on with no full grid. Otherwise the full
+grid runs from the same step data and decides, since the residual can
+peak between probes; the last step always runs it. A BDF grid in the
+Schur basis, or with no more than `_PROBE_STRIDE` steps, runs full.
 
-The trajectory of the last step is kept as a stream: its step data (the
-propagator pair, or the step basis, start-up pair and forcing) regenerate
+The trajectory of the last step is a stream: its step data regenerate
 the projected solutions on demand with no new matrix exponential,
-eigendecomposition or Lyapunov setup. Walking the stream holds O(k^2)
-floats; materializing all nodes costs O(N k^2).
+eigendecomposition or Lyapunov setup, holding O(k^2) floats.
 """
+import copy
 import functools
 import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +57,11 @@ BDF_TABLE = {
     2: (2.0 / 3.0, (4.0 / 3.0, -1.0 / 3.0)),
     3: (6.0 / 11.0, (18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0)),
 }
+
+# Point count of the Gauss-Legendre fallback rule of the exp route's step
+# pair, and the node stride of the probe pass; both are read at call time.
+_QUADRATURE_ORDER = 4
+_PROBE_STRIDE = 10
 
 
 class PSDViolationError(ValueError):
@@ -111,9 +101,7 @@ class SolverConfig:
     m_max: int = 30
     tol: float = 1e-10
     bdf_order: int = 2
-    quadrature_order: int = 4          # order of the fallback increment rule
     dtol: float = 1e-12
-    probe_stride: int = 10             # node stride of the probe pass
     rank_tol: float = 1e-12
 
     def __post_init__(self):
@@ -137,10 +125,6 @@ class SolverConfig:
             raise ValueError(f"m_max must be at least 1, got {self.m_max}")
         if self.bdf_order not in BDF_TABLE:
             raise ValueError(f"bdf_order must be in {sorted(BDF_TABLE)}")
-        for name in ("probe_stride", "quadrature_order"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -170,13 +154,13 @@ class IterationRecord:
     `residual_probe_max` is the largest residual over them. On eba-exp the
     pass stops at its first probe whose residual reaches `tol` and reaches
     tf by one composed pair; on eba-bdf it evaluates the first
-    `probe_stride` steps and tf, which comes from the unscreened recurrence
+    `_PROBE_STRIDE` steps and tf, which comes from the unscreened recurrence
     (no PSD screen) composed into one map, so it matches a full grid run
     at rounding level, and only where that grid never clips. `step_pair`
     is how the step's exact pair built its increment: "lyapunov" or
     "quadrature" (on eba-bdf, the start-up pair's; None without one).
     `psd_clips` counts the clipped nodes of the step's grid run; on a
-    probe row, of its first `probe_stride` nodes."""
+    probe row, of its first `_PROBE_STRIDE` nodes."""
 
     m: int
     basis_size: int
@@ -911,140 +895,158 @@ def as_operator(A):
     return wrap_dense(np.asarray(A, dtype=float))
 
 
-def _zero_trajectory(n, grid, config, method):
-    nodes = grid.nodes
-    zero = np.zeros((0, 0))
+def _zero_trajectory(n, grid, config):
+    zero, n_nodes = np.zeros((0, 0)), grid.n_steps + 1
     rec = IterationRecord(m=1, basis_size=0, residual_final=0.0,
                           residual_probe_max=0.0, residual_max=0.0,
                           coupling_norm=0.0, gbar_sup=0.0,
                           small_final=zero, elapsed=0.0)
     return Trajectory(
-        grid=grid, nodes=nodes, final_small=zero,
-        replay=functools.partial(itertools.repeat, zero, len(nodes)),
-        residuals=np.zeros(len(nodes)),
-        decomposition=None, converged=True, method=method,
-        iterations=[rec], dim=n, config=config,
-    )
+        grid=grid, nodes=grid.nodes, final_small=zero,
+        replay=functools.partial(itertools.repeat, zero, n_nodes),
+        residuals=np.zeros(n_nodes), decomposition=None, converged=True,
+        method=config.method, iterations=[rec], dim=n, config=config)
 
 
-def _solve(op, B, X0, grid, config, method):
-    op = as_operator(op)
+def _route(config):
+    """(step data, probe pass, full grid, scheme order) of `config.method`,
+    read from the module globals per call so wrappers on them see each call."""
+    if config.method == "eba_exp":
+        return _gram_setup, _probe_gram_grid, _run_gram_grid, _QUADRATURE_ORDER
+    if config.method == "eba_bdf":
+        return _bdf_setup, _probe_bdf_grid, _run_bdf_grid, config.bdf_order
+    raise ValueError(f"unknown method {config.method!r}")
+
+
+class KrylovStep(NamedTuple):
+    """Krylov step m: the projected data and the route's step data. Its
+    `coupling`, `inner_basis` and `decomposition` (a shallow copy) hold step
+    m's arrays, which later `extend` calls replace but never write into."""
+
+    m: int
+    basis_size: int
+    T: np.ndarray
+    Bm: np.ndarray
+    P0: np.ndarray
+    w: int                             # width of the newest inner block
+    setup: tuple                       # `_gram_setup` or `_bdf_setup`
+    broke: bool                        # full breakdown: the last step
+    coupling: np.ndarray
+    inner_basis: np.ndarray
+    decomposition: KrylovDecomposition
+    started: float                     # perf_counter() before the extend
+
+
+def krylov_steps(op, B, Z0, grid, config):
+    """The Krylov steps of the projection of (op, B, Z0), one per `extend`,
+    up to `config.m_max` or a full breakdown; none when B and Z0 are zero.
+    It makes no convergence decision."""
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
-    n = op.dim
-    Z0 = X0.Z if X0 is not None else np.zeros((n, 0))
     if frob_norm(B) == 0.0 and Z0.shape[1] == 0:
-        return _zero_trajectory(n, grid, config, method)
-
+        return
+    setup_grid, _, _, scheme = _route(config)
     start = np.hstack([B, Z0]) if Z0.shape[1] else B
     dec = KrylovDecomposition(op, start, variant=config.krylov_variant,
                               rank_tol=config.rank_tol)
-    probes = _probe_indices(grid.n_steps + 1, config.probe_stride)
-
-    def stop(rows):
-        # a residual at or above tol proves this m has not converged
-        return np.max(_residuals_over_nodes(dec.coupling, rows)) >= config.tol
-
-    # module globals looked up per solve, so wrappers installed on them
-    # (tests, the benchmark's tracer) see every call
-    if method == "eba_exp":
-        setup_grid, full_grid = _gram_setup, _run_gram_grid
-        probe_grid = functools.partial(_probe_gram_grid, stop=stop)
-        scheme = config.quadrature_order
-    else:
-        setup_grid, probe_grid, full_grid = (_bdf_setup, _probe_bdf_grid,
-                                             _run_bdf_grid)
-        scheme = config.bdf_order
-
-    iterations = []
-    converged = False
-    while dec.m < config.m_max:
-        t_start = time.perf_counter()
-        broke = False
+    broke = False
+    while dec.m < config.m_max and not broke:
+        started = time.perf_counter()
         try:
             dec.extend(op)
         except KrylovBreakdown as exc:
             # partial rank loss narrows the block and the process keeps
             # going; a full breakdown means the subspace is invariant
             broke = exc.rank == 0
-        T = dec.T
-        Bm = dec.project_block(B)
-        P0 = dec.project_block(Z0) if Z0.shape[1] else np.zeros((T.shape[0], 0))
-        w = dec.widths[dec.m - 1]
-        setup = setup_grid(T, Bm, P0, grid, scheme)
+        T, Bm, P0 = dec.T, dec.project_block(B), dec.project_block(Z0)
+        yield KrylovStep(dec.m, dec.inner_width, T, Bm, P0,
+                         dec.widths[dec.m - 1], setup_grid(T, Bm, P0, grid, scheme),
+                         broke, dec.coupling, dec.inner_basis, copy.copy(dec),
+                         started)
+
+
+def _record(step, run, res, **fields):
+    """The IterationRecord of the grid run `run` of `step`, with residuals
+    `res` at the nodes of its bar rows."""
+    return IterationRecord(
+        m=step.m, basis_size=step.basis_size, residual_final=float(res[-1]),
+        coupling_norm=frob_norm(step.coupling), small_final=run.final,
+        elapsed=time.perf_counter() - step.started, bdf_basis=run.bdf_basis,
+        bdf_cond=run.bdf_cond, psd_clips=run.psd_clips,
+        step_pair=step.setup.step_pair, **fields)
+
+
+def full_grid_run(step, grid, config):
+    """(run, residuals, record) of the full grid of a Krylov step: the
+    grid run over every node, the residual at each and its record."""
+    _, _, full_grid, scheme = _route(config)
+    run = full_grid(step.T, step.Bm, step.P0, grid, scheme, step.w,
+                    keep_full=False, setup=step.setup)
+    res = _residuals_over_nodes(step.coupling, run.bar_rows)
+    probes = _probe_indices(grid.n_steps + 1, _PROBE_STRIDE)
+    gbar_sup = np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows, run.bar_rows)))
+    return run, res, _record(step, run, res,
+                             residual_probe_max=float(np.max(res[probes])),
+                             residual_max=float(np.max(res)),
+                             gbar_sup=float(gbar_sup))
+
+
+def _solve(op, B, X0, grid, config):
+    op = as_operator(op)
+    Z0 = X0.Z if X0 is not None else np.zeros((op.dim, 0))
+    _, probe_grid, _, scheme = _route(config)
+    if config.method == "eba_exp":
+        def stop(rows):
+            # a residual at or above tol proves this step has not converged
+            return np.max(_residuals_over_nodes(step.coupling, rows)) >= config.tol
+
+        probe_grid = functools.partial(probe_grid, stop=stop)
+
+    iterations = []
+    converged = False
+    for step in krylov_steps(op, B, Z0, grid, config):
         probe = None
-        if not broke and dec.m < config.m_max:
-            probe = probe_grid(T, Bm, P0, grid, scheme, w, config.probe_stride,
-                               setup=setup)
+        if not step.broke and step.m < config.m_max:
+            probe = probe_grid(step.T, step.Bm, step.P0, grid, scheme, step.w,
+                               _PROBE_STRIDE, setup=step.setup)
         if probe is not None:
-            res = _residuals_over_nodes(dec.coupling, probe.bar_rows)
-            if np.max(res[:probe.head]) >= config.tol:
-                iterations.append(IterationRecord(
-                    m=dec.m, basis_size=dec.inner_width,
-                    residual_final=float(res[-1]),
-                    residual_probe_max=float(np.max(res)),
-                    residual_max=None,
-                    coupling_norm=frob_norm(dec.coupling),
-                    gbar_sup=None,
-                    small_final=probe.final,
-                    elapsed=time.perf_counter() - t_start,
-                    bdf_basis=probe.bdf_basis,
-                    bdf_cond=probe.bdf_cond,
-                    grid="probe",
-                    psd_clips=probe.psd_clips,
-                    step_pair=setup.step_pair,
-                    probe_nodes=len(probe.nodes),
-                ))
+            res_probe = _residuals_over_nodes(step.coupling, probe.bar_rows)
+            if np.max(res_probe[:probe.head]) >= config.tol:
+                iterations.append(_record(
+                    step, probe, res_probe, grid="probe",
+                    residual_probe_max=float(np.max(res_probe)),
+                    residual_max=None, gbar_sup=None,
+                    probe_nodes=len(probe.nodes)))
                 continue
-        run = full_grid(T, Bm, P0, grid, scheme, w, keep_full=False,
-                        setup=setup)
-        res = _residuals_over_nodes(dec.coupling, run.bar_rows)
-        gbar_sup = float(np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows,
-                                                  run.bar_rows))))
-        iterations.append(IterationRecord(
-            m=dec.m, basis_size=dec.inner_width,
-            residual_final=float(res[-1]),
-            residual_probe_max=float(np.max(res[probes])),
-            residual_max=float(np.max(res)),
-            coupling_norm=frob_norm(dec.coupling),
-            gbar_sup=gbar_sup,
-            small_final=run.final,
-            elapsed=time.perf_counter() - t_start,
-            bdf_basis=run.bdf_basis,
-            bdf_cond=run.bdf_cond,
-            psd_clips=run.psd_clips,
-            step_pair=setup.step_pair,
-        ))
+        run, res, rec = full_grid_run(step, grid, config)
+        iterations.append(rec)
         # the full grid decides: the residual can peak between probes
         converged = bool(np.max(res) < config.tol)
-        if converged or broke:
+        if converged:
             break
 
-    # m_max >= 1, so the loop ran and its last grid run is the final one
+    if not iterations:
+        return _zero_trajectory(op.dim, grid, config)
+    # the last step (converged, at m_max or broken down) ran the full grid
     return Trajectory(
         grid=grid, nodes=grid.nodes, final_small=run.final,
-        replay=run.replay, residuals=res, decomposition=dec,
-        converged=converged, method=method, iterations=iterations, dim=n,
-        config=config,
+        replay=run.replay, residuals=res, decomposition=step.decomposition,
+        converged=converged, method=config.method, iterations=iterations,
+        dim=op.dim, config=config,
     )
 
 
 def solve_eba_exp(op, B, X0, grid, config=None):
     """Arnoldi projection + exponential quadrature of the projected Gramian."""
-    config = config or SolverConfig(method="eba_exp")
-    return _solve(op, B, X0, grid, config, "eba_exp")
+    return _solve(op, B, X0, grid, replace(config or SolverConfig(), method="eba_exp"))
 
 
 def solve_eba_bdf(op, B, X0, grid, config=None):
     """Arnoldi projection + fixed-step BDF on the projected matrix ODE."""
-    config = config or SolverConfig(method="eba_bdf")
-    return _solve(op, B, X0, grid, config, "eba_bdf")
+    return _solve(op, B, X0, grid, replace(config or SolverConfig(), method="eba_bdf"))
 
 
 def solve(op, B, X0, grid, config):
-    if config.method == "eba_exp":
-        return solve_eba_exp(op, B, X0, grid, config)
-    if config.method == "eba_bdf":
-        return solve_eba_bdf(op, B, X0, grid, config)
-    raise ValueError(f"unknown method {config.method!r}")
+    """The route `config.method` names."""
+    return _solve(op, B, X0, grid, config)

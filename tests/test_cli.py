@@ -128,7 +128,7 @@ def test_report_counts_psd_clips(tmp_path, monkeypatch):
     monkeypatch.setattr(solvers, "_psd_clip", lambda Y: Y.copy())
     cfg = _write_cfg(tmp_path, problem=_base_problem(),
                      solver={"method": "eba_bdf", "bdf_order": 2, "m_max": 6,
-                             "tol": 1e-6, "probe_stride": 10})
+                             "tol": 1e-6})
     out = str(tmp_path / "out")
     main(["solve", "--config", cfg, "--out", out])
     rows = json.load(open(os.path.join(out, "report.json")))["iterations"]
@@ -144,13 +144,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem(),
                       solver={"not_a_field": 1})
     assert main(["solve", "--config", cfg2, "--out", str(tmp_path)]) == 2
+    # the probe stride and the quadrature order are module constants
     for field in ("probe_stride", "quadrature_order"):
         capsys.readouterr()
         cfg3 = _write_cfg(tmp_path, name="c3.json", problem=_base_problem(),
                           solver={field: 0})
         assert main(["solve", "--config", cfg3, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and field in err
+        assert "config error" in err and f"unknown fields ['{field}']" in err
     # a known field with a bad value is named with that value
     for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
                        ("tol", "1e-3"), ("dtol", -1e-12), ("rank_tol", -1.0)):
@@ -178,6 +179,35 @@ def test_m_max_below_one_is_config_error(tmp_path, capsys):
     cfg3 = _write_cfg(tmp_path, name="c3.json", problem=_base_problem(),
                       sweep={"axis": "m", "values": [0]})
     assert main(["sweep", "--config", cfg3, "--out", str(tmp_path)]) == 2
+
+
+def test_grid_that_h_does_not_divide_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, problem=_base_problem(tf=1.0, h=0.3),
+                     sweep={"axis": "m", "values": [1]})
+    for command in ("solve", "compare", "sweep"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: problem section:" in err and "h=0.3" in err
+    cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem(tf=1.0))
+    assert main(["solve", "--config", cfg2, "--out", str(tmp_path),
+                 "--h", "0.3"]) == 2
+    assert "config error: problem section:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis,values", [
+    pytest.param(axis, values, id=f"{axis}-{why}") for axis, values, why in (
+        ("m", 5, "not-a-list"), ("m", [2.5], "float"), ("m", [True], "bool"),
+        ("m", [0, 2], "zero"), ("m", ["3"], "str"), ("p", [2.5], "float"),
+        ("p", [True], "bool"), ("p", "2", "not-a-list"), ("h", ["0.1"], "str"),
+        ("h", [False], "bool"))
+])
+def test_sweep_values_are_config_errors(tmp_path, capsys, axis, values):
+    cfg = _write_cfg(tmp_path, problem=_base_problem(),
+                     sweep={"axis": axis, "values": values})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert "config error: sweep values" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "sweep.csv"))
 
 
 def test_solve_and_compare_stream_the_trajectory(tmp_path, monkeypatch):
@@ -275,6 +305,82 @@ def test_sweep_over_m_bound_matches_the_full_grid_of_each_step(tmp_path):
         assert row[3] == pytest.approx(bound, rel=1e-12)
         res = _residuals_over_nodes(dec.coupling, run.bar_rows)
         assert row[1] == pytest.approx(res[-1], rel=1e-12)
+
+
+def _sweep_csv_by_one_solve_per_m(path, problem, solver, values):
+    """sweep.csv as one solve per listed m writes it: m_max = m, no stop
+    by tolerance, and no row where the solve broke down before step m."""
+    from dlekrylov.analysis import error_bound_stable
+    from dlekrylov.cli import _reference_final, _write_csv
+    from dlekrylov.dense import frob_norm, log_norm_mu2
+    from dlekrylov.problems import ProblemSpec, build_problem, dense_matrix
+    from dlekrylov.solvers import SolverConfig, solve
+
+    op, B, grid = build_problem(ProblemSpec.from_dict(problem))
+    A = dense_matrix(op)
+    mu2 = log_norm_mu2(A)
+    assert mu2 < 0
+    ref = _reference_final(A, B, grid)
+    rows = []
+    for m in values:
+        traj = solve(op, B, None, grid,
+                     SolverConfig(**dict(solver, m_max=m, tol=1e-300)))
+        rec = traj.iterations[-1]
+        if rec.m != m:
+            continue
+        rows.append((m, traj.final_residual,
+                     frob_norm(traj.solution_dense(-1) - ref),
+                     error_bound_stable(mu2, rec.coupling_norm, rec.gbar_sup,
+                                        grid.t0, grid.tf)))
+    _write_csv(path, ["axis_value", "residual", "error", "bound_eq19"], rows)
+
+
+@pytest.mark.parametrize("method,n0,values,n_rows", [
+    pytest.param("eba_exp", 5, [4, 1, 3, 3, 2], 5, id="exp"),
+    pytest.param("eba_bdf", 5, [3, 1, 4, 3], 4, id="bdf"),
+    # n = 9: step 3 spans the whole space, so m = 4 and 5 have no row
+    pytest.param("eba_exp", 3, [4, 2, 5, 3, 1], 3, id="breakdown"),
+])
+def test_sweep_over_m_equals_one_solve_per_m(tmp_path, method, n0, values,
+                                             n_rows):
+    problem = _base_problem(n0=n0, tf=0.3)
+    solver = {"method": method, "m_max": 2, "tol": 1e-9}
+    cfg = _write_cfg(tmp_path, problem=problem, solver=solver,
+                     sweep={"axis": "m", "values": values})
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    expected = str(tmp_path / "expected.csv")
+    _sweep_csv_by_one_solve_per_m(expected, problem, solver, values)
+    got = open(os.path.join(out, "sweep.csv"), "rb").read()
+    assert got == open(expected, "rb").read()
+    assert len(got.splitlines()) == 1 + n_rows
+
+
+def test_sweep_over_m_walks_one_basis(tmp_path, monkeypatch):
+    from dlekrylov import krylov, solvers
+
+    calls = {"extend": 0, "probe": 0, "full": 0}
+
+    def counted(owner, name, key):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(krylov.KrylovDecomposition, "extend", "extend")
+    for name in ("_probe_gram_grid", "_probe_bdf_grid"):
+        counted(solvers, name, "probe")
+    for name in ("_run_gram_grid", "_run_bdf_grid"):
+        counted(solvers, name, "full")
+    cfg = _write_cfg(tmp_path, problem=_base_problem(tf=0.3),
+                     solver={"m_max": 3, "tol": 1e-9},
+                     sweep={"axis": "m", "values": [6, 2, 4, 2]})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    # one extend per step up to the largest m, a full grid per distinct m
+    assert calls == {"extend": 6, "probe": 0, "full": 3}
 
 
 def test_compare_without_oracle_holds_no_dense_solution(tmp_path):

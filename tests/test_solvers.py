@@ -414,13 +414,14 @@ def test_zero_b_gives_zero_trajectory():
     np.testing.assert_array_equal(traj.solution_dense(-1), np.zeros((2, 2)))
 
 
-def test_exp_solver_diagonal_closed_form():
+def test_exp_solver_diagonal_closed_form(monkeypatch):
+    monkeypatch.setattr(solvers, "_QUADRATURE_ORDER", 6)
     lam = -np.arange(1.0, 11.0)
     A = np.diag(lam)
     rng = np.random.default_rng(12)
     B = rng.random((10, 1))
     grid = TimeGrid(0.0, 1.0, 1e-3)
-    cfg = SolverConfig(m_max=10, tol=1e-13, quadrature_order=6)
+    cfg = SolverConfig(m_max=10, tol=1e-13)
     traj = solve_eba_exp(A, B, None, grid, cfg)
     pair = lam[:, None] + lam[None, :]
     X_ref = (B @ B.T) * (1.0 - np.exp(pair * 1.0)) / (-pair)
@@ -543,7 +544,7 @@ def test_trajectory_stream_replays_last_grid_run(method, eigen_cond_max,
     T, Bm, P0 = dec.T, dec.project_block(B), dec.project_block(Z0)
     w = dec.widths[dec.m - 1]
     if method == "eba_exp":
-        run = _run_gram_grid(T, Bm, P0, grid, cfg.quadrature_order, w,
+        run = _run_gram_grid(T, Bm, P0, grid, solvers._QUADRATURE_ORDER, w,
                              keep_full=True)
     else:
         run = _run_bdf_grid(T, Bm, P0, grid, cfg.bdf_order, w, keep_full=True)
@@ -625,11 +626,10 @@ def test_solver_config_validation():
         SolverConfig(bdf_order=5)
     with pytest.raises(ValueError):
         SolverConfig(m_max=0)
-    for bad in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="probe_stride"):
-            SolverConfig(probe_stride=bad)
-        with pytest.raises(ValueError, match="quadrature_order"):
-            SolverConfig(quadrature_order=bad)
+    # the probe stride and the quadrature order are module constants
+    for field in ("probe_stride", "quadrature_order"):
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: 10})
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones((2, 1)), None, TimeGrid(0, 1, 0.5),
               SolverConfig(method="nope"))
@@ -836,18 +836,18 @@ def test_probe_first_run_equals_a_full_grid_at_every_step(variant, tol,
                                        atol=1e-12 * np.abs(rec_f.small_final).max())
 
 
-def test_probes_below_tol_do_not_declare_convergence():
+def test_probes_below_tol_do_not_declare_convergence(monkeypatch):
     # at m = 6 the residual peaks at node 93, between the probes 75 and 100
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", 25)
     A = _stable_dense(30, 40)
     B = np.random.default_rng(41).random((30, 2))
     grid = TimeGrid(0.0, 1.0, 1e-2)
-    rec = solve(A, B, None, grid, SolverConfig(m_max=6, tol=1e-300,
-                                               probe_stride=25)).iterations[-1]
+    rec = solve(A, B, None, grid,
+                SolverConfig(m_max=6, tol=1e-300)).iterations[-1]
     assert rec.m == 6 and rec.grid == "full"
     assert rec.residual_probe_max < 0.99 * rec.residual_max
     tol = np.sqrt(rec.residual_probe_max * rec.residual_max)
-    traj = solve(A, B, None, grid, SolverConfig(m_max=10, tol=tol,
-                                                probe_stride=25))
+    traj = solve(A, B, None, grid, SolverConfig(m_max=10, tol=tol))
     at6 = next(r for r in traj.iterations if r.m == 6)
     assert at6.grid == "full"          # the probes passed ...
     assert at6.residual_max >= tol     # ... and the full grid overruled them
@@ -1078,7 +1078,8 @@ def test_bdf_clip_in_the_head_keeps_head_and_decision(monkeypatch):
     assert res_clip.max() > 1.5 * res_plain.max()
     tol = np.sqrt(res_plain.max() * res_clip.max())
 
-    cfg = SolverConfig(method="eba_bdf", m_max=10, tol=tol, probe_stride=stride)
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
+    cfg = SolverConfig(method="eba_bdf", m_max=10, tol=tol)
     first = solve(A, B, None, grid, cfg)
     monkeypatch.setattr(solvers, "_probe_bdf_grid", lambda *a, **kw: None)
     every = solve(A, B, None, grid, cfg)
@@ -1119,8 +1120,9 @@ def test_bdf_rows_are_full_without_an_eigen_probe(why, monkeypatch):
     if why == "schur":
         monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
     stride = grid.n_steps if why == "short-grid" else 10
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
     traj = solve(op, B, None, grid, SolverConfig(method="eba_bdf", m_max=20,
-                                                 tol=1e-4, probe_stride=stride))
+                                                 tol=1e-4))
     assert traj.converged and len(traj.iterations) > 3
     assert [r.grid for r in traj.iterations] == ["full"] * len(traj.iterations)
     assert {r.bdf_basis for r in traj.iterations} == {
@@ -1142,3 +1144,47 @@ def test_step_data_is_built_once_per_krylov_step(method, setup_fn, monkeypatch):
     kinds = [r.grid for r in traj.iterations]
     assert traj.converged and kinds[-2:] == ["probe", "full"]
     assert len(calls) == len(kinds)
+
+
+# -- the Krylov-step walk ------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["eba_exp", "eba_bdf"])
+def test_krylov_steps_keep_their_arrays_after_the_walk(method):
+    op = wrap_sparse(gen_convdiff(6))
+    B = gen_random_block(36, 2, seed=3)
+    grid = TimeGrid(0.0, 0.5, 1e-2)
+    cfg = SolverConfig(method=method, m_max=5)
+    steps = list(solvers.krylov_steps(op, B, np.zeros((36, 0)), grid, cfg))
+    assert [step.m for step in steps] == [1, 2, 3, 4, 5]
+    # read after the walk has finished: each step still holds its own m
+    for step in steps:
+        dec = solve(op, B, None, grid, SolverConfig(method=method, m_max=step.m,
+                                                    tol=1e-300)).decomposition
+        assert step.basis_size == dec.inner_width and not step.broke
+        np.testing.assert_array_equal(step.T, dec.T)
+        np.testing.assert_array_equal(step.coupling, dec.coupling)
+        np.testing.assert_array_equal(step.inner_basis, dec.inner_basis)
+        np.testing.assert_array_equal(step.decomposition.coupling, dec.coupling)
+        assert step.decomposition.widths == dec.widths
+
+
+def test_trajectory_method_is_the_config_method():
+    A = _stable_dense(12, 24)
+    B = np.random.default_rng(25).random((12, 1))
+    grid = TimeGrid(0.0, 0.2, 1e-2)
+    for given_method in ("eba_exp", "eba_bdf"):
+        cfg = SolverConfig(method=given_method, m_max=2)
+        for entry, method in ((solve_eba_exp, "eba_exp"),
+                              (solve_eba_bdf, "eba_bdf"),
+                              (solve, given_method)):
+            for rhs in (B, np.zeros_like(B)):
+                traj = entry(A, rhs, None, grid, cfg)
+                assert traj.method == traj.config.method == method
+                # the route that ran is the one named: only BDF has a basis
+                if rhs is B:
+                    assert ((traj.iterations[-1].bdf_basis is None)
+                            == (method == "eba_exp"))
+        assert cfg.method == given_method
+    assert solve_eba_bdf(A, B, None, grid).method == "eba_bdf"
+    assert solve_eba_exp(A, B, None, grid).config.method == "eba_exp"
