@@ -125,6 +125,7 @@ def cmd_solve(args):
 
     t_start = time.perf_counter()
     ranks = traj.ranks()
+    t_ranks = time.perf_counter() - t_start
     csv_path = os.path.join(out_dir, "solution.csv")
     _write_csv(csv_path, ["t", "residual_frobenius", "rank"],
                [(t, r, int(k)) for t, r, k in zip(traj.nodes, traj.residuals, ranks)])
@@ -145,7 +146,7 @@ def cmd_solve(args):
         "final_residual": traj.final_residual,
         "final_rank": int(ranks[-1]),
         "iterations": _iteration_rows(traj),
-        "timings_s": {"build": t_build, "solve": t_solve},
+        "timings_s": {"build": t_build, "solve": t_solve, "ranks": t_ranks},
         "outputs": {"csv": csv_path, "factor": factor_path},
     }
     report["timings_s"]["output"] = time.perf_counter() - t_start

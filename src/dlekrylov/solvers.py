@@ -33,7 +33,8 @@ Schur basis, or with no more than `_PROBE_STRIDE` steps, runs full.
 
 The trajectory of the last step is a stream: its step data regenerate
 the projected solutions on demand with no new matrix exponential,
-eigendecomposition or Lyapunov setup, holding O(k^2) floats.
+eigendecomposition or Lyapunov setup, holding O(k^2) floats, and a BDF
+replay clips the nodes the deciding run clipped with no new PSD screen.
 """
 import copy
 import functools
@@ -185,11 +186,16 @@ class Trajectory:
 
     The nodes are a stream, not a stored array: `replay()` returns a fresh
     iterator over Y(t_0), ..., Y(t_N) that re-runs the last Krylov step's
-    grid from its step data, so walking it holds O(k^2) floats. The value
-    at tf is kept as `final_small` and read without a replay. Random access
-    to node i replays i steps; `small_solutions` materializes every node
-    once, at O(N k^2) memory kept for the trajectory's life, and is meant
-    for tests and small problems.
+    grid from its step data, so walking it holds O(k^2) floats. A replay
+    clips the nodes the deciding grid run's PSD screen clipped and screens
+    none: its inputs are that run's bitwise, so its decisions are too.
+    `replay_coords()` walks the same nodes in the coordinates the grid
+    holds them in, as pairs (Y, gram_inv) with the node congruent to Y
+    (see `_count_above`); None means `replay()`'s nodes with gram_inv None.
+    The value at tf is kept as `final_small` and read without a replay.
+    Random access to node i replays i steps; `small_solutions` materializes
+    every node once, at O(N k^2) memory kept for the trajectory's life, and
+    is meant for tests and small problems.
     """
 
     grid: TimeGrid
@@ -203,6 +209,7 @@ class Trajectory:
     iterations: list
     dim: int
     config: SolverConfig
+    replay_coords: object = None       # () -> iterator over (Y, gram_inv)
 
     @property
     def final_residual(self):
@@ -253,11 +260,24 @@ class Trajectory:
         return truncate_lowrank(self.decomposition, self.small_solution(i), dtol)
 
     def ranks(self, dtol=None):
-        """Rank of the truncated factor at every node."""
+        """Count of the eigenvalues above dtol at every node, the width of
+        the truncated factor there.
+
+        The last entry counts `final_small` as `truncate_lowrank` does, so
+        it is the width of `lowrank_factor(-1, dtol)`. The other nodes are
+        counted by inertia on one walk of `replay_coords()`, in the grid's
+        own coordinates: no eigendecomposition, no lift of a basis node and
+        no PSD screen. Where a node's eigenvalue lies within rounding of
+        dtol, its count and the width of `lowrank_factor(i, dtol)`, which
+        counts the lifted node, can differ by one."""
         dtol = self.config.dtol if dtol is None else dtol
-        out = np.empty(len(self.nodes), dtype=int)
-        for i, G in enumerate(self.iter_small()):
-            out[i] = _truncation_rank(np.linalg.eigvalsh(sym_part(G)), dtol)
+        n_nodes = len(self.nodes)
+        walk = (self.replay_coords() if self.replay_coords is not None
+                else ((G, None) for G in self.replay()))
+        out = np.empty(n_nodes, dtype=int)
+        for i, (Y, gram_inv) in enumerate(itertools.islice(walk, n_nodes - 1)):
+            out[i] = _count_above(Y, dtol, gram_inv)
+        out[-1] = _count_above(self.final_small, dtol)
         return out
 
 
@@ -321,23 +341,58 @@ def _residuals_over_nodes(coupling, bar_rows):
     return np.sqrt(2.0) * np.sqrt(np.einsum("nik,nik->n", prod, prod))
 
 
-def _truncation_rank(vals, dtol):
-    """Count of the eigenvalues `vals` (from eigvalsh) above dtol.
+@functools.lru_cache(maxsize=None)
+def _sytrf_lwork(k):
+    """Workspace of the blocked `dsytrf` at order k."""
+    return int(lapack.dsytrf_lwork(k, lower=True)[0])
 
-    Trajectory.ranks and truncate_lowrank both count this way, so a
-    reported rank is the width of the factor: eigh and eigvalsh differ at
-    rounding level, which flips the count of an eigenvalue near dtol.
-    """
-    return int(np.sum(vals > dtol))
+
+def _count_above(Y, tau, gram_inv=None):
+    """Count of the eigenvalues of M Y M^T above tau, M = I when `gram_inv`
+    is None, else `gram_inv` = (M^T M)^-1; Y is symmetric and only its
+    lower triangle is read.
+
+    By congruence (Sylvester's law of inertia) M Y M^T - tau I and
+    Y - tau gram_inv have as many positive eigenvalues, and so does the
+    block-diagonal D of the Bunch-Kaufman factorization L D L^T of the
+    latter (`dsytrf`): a 1x1 pivot counts when positive, a 2x2 pivot by
+    its determinant and trace. About a quarter of the flops of an
+    eigvalsh."""
+    k = Y.shape[0]
+    if k == 0:
+        return 0
+    if gram_inv is None:
+        shifted = Y.copy()
+        shifted.flat[::k + 1] -= tau
+    else:
+        shifted = -tau * gram_inv
+        shifted += Y
+    ldu, ipiv, _ = lapack.dsytrf(shifted, lower=True, lwork=_sytrf_lwork(k),
+                                 overwrite_a=True)
+    d = ldu.diagonal()
+    count = np.count_nonzero(d[ipiv > 0] > 0)
+    # both rows of a 2x2 pivot hold the same negative ipiv entry and the
+    # pivots do not overlap, so every other such row starts a pivot
+    start = np.flatnonzero(ipiv < 0)[::2]
+    if start.size:
+        a, c = d[start], d[start + 1]
+        det = a * c - ldu[start + 1, start] ** 2
+        # det < 0: one positive eigenvalue and one negative; else both
+        # have the trace's sign, or one of them is zero where det = 0
+        count += (np.count_nonzero(det < 0)
+                  + int(np.dot(a + c > 0, 1 + np.sign(det))))
+    return int(count)
 
 
 def truncate_lowrank(basis, small_sol, dtol=1e-12):
     """Eigen-truncate a projected PSD solution and lift it through the basis.
 
-    Eigenvalues at most dtol are dropped. An eigenvalue below
-    -max(dtol, k*eps*lambda_max) violates positive semidefiniteness and
-    raises; smaller negative ones are rounding in the eigensolver and are
-    dropped like the rest.
+    The factor keeps the eigenvalues above dtol, as many as `_count_above`
+    counts, so its width is the rank `Trajectory.ranks` reports at tf; an
+    eigenvalue the count keeps but the eigensolver rounds to at most zero
+    gives a zero column. An eigenvalue below -max(dtol, k*eps*lambda_max)
+    violates positive semidefiniteness and raises; smaller negative ones
+    are rounding in the eigensolver and are dropped like the rest.
     """
     V = basis.inner_basis if isinstance(basis, KrylovDecomposition) else np.asarray(basis)
     vals = np.linalg.eigvalsh(sym_part(small_sol))
@@ -347,9 +402,9 @@ def truncate_lowrank(basis, small_sol, dtol=1e-12):
             raise PSDViolationError(
                 f"projected solution has eigenvalue {vals[0]:.3e} < {-floor:.3e}"
             )
-    r = _truncation_rank(vals, dtol)
+    r = _count_above(small_sol, dtol)
     eig = sym_eig(small_sol)
-    Z = V @ (eig.vectors[:, :r] * np.sqrt(vals[::-1][:r]))
+    Z = V @ (eig.vectors[:, :r] * np.sqrt(np.maximum(vals[::-1][:r], 0.0)))
     return SymLowRank(Z)
 
 
@@ -377,13 +432,6 @@ def _psd_clip(Y):
     return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
 
 
-def _psd_floor(Y):
-    """Clip tiny negative eigenvalues; cheap Cholesky screen first.
-
-    Y itself is returned when the screen passes, so `is` tells a clip."""
-    return Y if _psd_screen(Y) else _psd_clip(Y)
-
-
 # -- grid propagation for one Krylov step ----------------------------------
 
 
@@ -396,25 +444,31 @@ class _SmallRun:
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
     head: int = None                   # bar rows the stop rule reads; None: all
-    psd_clips: int = 0                 # nodes the PSD screen clipped (probe: head)
+    clipped: tuple = ()                # nodes the PSD screen clipped (probe: head)
     nodes: np.ndarray = None           # grid nodes of a probe pass's bar rows
+    replay_coords: object = None       # `Trajectory.replay_coords`
+
+    @property
+    def psd_clips(self):
+        return len(self.clipped)
 
 
-def _collect(replay, steps, n_nodes, k, w, keep_full, **basis_info):
-    """One pass over `steps`, tuples (Y, rows, clipped, ...) of the nodes
-    `replay()` regenerates, with `rows` the last w rows of Y: the rows of
-    every node, the final node, the count of clipped nodes and, when
-    asked, every node."""
+def _collect(steps, n_nodes, k, w, keep_full, **basis_info):
+    """One pass over `steps`, tuples (Y, rows, clipped, ...) of the nodes,
+    with `rows` the last w rows of Y: the rows of every node, the final
+    node, the clipped nodes and, when asked, every node. The caller sets
+    the replays."""
     bar = np.empty((n_nodes, w, k))
     full = np.empty((n_nodes, k, k)) if keep_full else None
-    clips = 0
-    for i, (G, rows, clipped, *_) in enumerate(steps):
+    clipped = []
+    for i, (G, rows, clip, *_) in enumerate(steps):
         bar[i] = rows
         if keep_full:
             full[i] = G
-        clips += clipped
-    return _SmallRun(bar_rows=bar, final=G, replay=replay, full=full,
-                     psd_clips=clips, **basis_info)
+        if clip:
+            clipped.append(i)
+    return _SmallRun(bar_rows=bar, final=G, replay=None, full=full,
+                     clipped=tuple(clipped), **basis_info)
 
 
 def _gram_nodes(E, delta, G0, n_steps):
@@ -483,7 +537,8 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None):
     k = T.shape[0]
     # the exp grid never clips
     steps = ((G, G[k - w:, :], False) for G in replay())
-    return _collect(replay, steps, grid.n_steps + 1, k, w, keep_full)
+    return replace(_collect(steps, grid.n_steps + 1, k, w, keep_full),
+                   replay=replay)
 
 
 def _probe_gram_grid(T, Bm, P0, grid, q, w, stride, setup=None, stop=None):
@@ -740,32 +795,41 @@ def _bdf_setup(T, Bm, P0, grid, order):
     return _BDFSetup(Y0, startup, basis, forcing, alphas, N)
 
 
-def _bdf_steps(setup, w, full=True):
+def _bdf_steps(setup, w, full=True, clips=None):
     """(Y_i, rows_i, clipped, history) for the nodes i = 0..N of a BDF grid
     from its `_bdf_setup` step data: len(alphas) - 1 start-up steps by the
     exact pair of `startup` (E, delta, route), then BDF steps with the
     history held in `basis`. `rows_i` are the last w rows of Y_i.
-    `clipped` tells whether the PSD screen clipped Y_i: `_psd_floor` on a
-    start-up node, `_psd_screen` in the basis on a BDF node, whose failure
-    lifts the node, clips it by `_psd_clip` and projects it back. A BDF
-    node that passes lifts only its rows, and its full Y_i too when `full`
-    is set or i = N; otherwise Y_i is None. From node len(alphas) - 1 on,
-    when BDF steps follow, `history` is what the next step reads: the last
-    len(alphas) values in the basis, newest first, a list the generator
-    updates in place; before that node, or with no BDF step, it is None."""
+    `clipped` tells whether the PSD screen clipped Y_i, clipping it by
+    `_psd_clip`: `_psd_screen` runs on a start-up node as it is and on a
+    BDF node in the basis, whose failure lifts the node, clips it and
+    projects it back. `clips`, when given, is the set of the nodes a
+    screened pass over the same step data clipped: those nodes clip and
+    no node is screened, which decides as that pass did, since the inputs
+    are bitwise the same. A BDF node that is not clipped lifts only its
+    rows, and its full Y_i too when `full` is set or i = N; otherwise Y_i
+    is None. From node len(alphas) - 1 on, when BDF steps follow,
+    `history` is what the next step reads: the last len(alphas) values in
+    the basis, newest first, a list the generator updates in place; before
+    that node, or with no BDF step, it is None."""
     Y0, startup, basis, forcing, alphas, n_steps = setup
     k = Y0.shape[0]
     order = len(alphas)
     n_start = min(order - 1, n_steps)
+
+    def clip_at(i, Y, *grams):
+        return not _psd_screen(Y, *grams) if clips is None else i in clips
+
     Y = Y0
     clipped = False
     startup_history = [Y]
-    for _ in range(n_start):
+    for i in range(1, n_start + 1):
         yield Y, Y[k - w:, :], clipped, None
         E, delta, _ = startup
-        Y_raw = sym_part(E @ Y @ E.T + delta)
-        Y = _psd_floor(Y_raw)
-        clipped = Y is not Y_raw
+        Y = sym_part(E @ Y @ E.T + delta)
+        clipped = clip_at(i, Y)
+        if clipped:
+            Y = _psd_clip(Y)
         startup_history.insert(0, Y)
     if n_steps == n_start:
         yield Y, Y[k - w:, :], clipped, None
@@ -777,7 +841,7 @@ def _bdf_steps(setup, w, full=True):
         for alpha, Yr_prev in zip(alphas, history):
             rhs = rhs + alpha * Yr_prev
         Yr = basis.solve(rhs)
-        clipped = not _psd_screen(Yr, basis.gram, basis.gram_inv)
+        clipped = clip_at(i, Yr, basis.gram, basis.gram_inv)
         if clipped:
             Y = _psd_clip(basis.lift(Yr))
             rows = Y[k - w:, :]
@@ -790,10 +854,22 @@ def _bdf_steps(setup, w, full=True):
         yield Y, rows, clipped, history
 
 
-def _bdf_nodes(setup, w):
+def _bdf_nodes(setup, w, clips=None):
     """Y_0, ..., Y_N of the BDF grid of `_bdf_setup`'s step data, each
-    with the last w rows the grid run with bar width w takes."""
-    return (Y for Y, *_ in _bdf_steps(setup, w))
+    with the last w rows the grid run with bar width w takes; `clips` as
+    in `_bdf_steps`."""
+    return (Y for Y, *_ in _bdf_steps(setup, w, clips=clips))
+
+
+def _bdf_coords(setup, clips):
+    """(Y_i, gram_inv) for the nodes of the BDF grid of `_bdf_setup`'s
+    step data, as `Trajectory.replay_coords` walks them: a node the grid
+    holds lifted (start-up, clipped, tf) as it is with gram_inv None, any
+    other as its basis value with the basis's `gram_inv`. It lifts no
+    basis node and reads no rows; `clips` as in `_bdf_steps`."""
+    gram_inv = None if setup.basis is None else setup.basis.gram_inv
+    for Y, _, _, history in _bdf_steps(setup, 0, full=False, clips=clips):
+        yield (Y, None) if Y is not None else (history[0], gram_inv)
 
 
 def _bdf_step_map(multiplier, forcing, alphas):
@@ -836,10 +912,11 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None):
     same step when the caller has built it already."""
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
-    replay = functools.partial(_bdf_nodes, setup, w)
-    return _collect(replay, _bdf_steps(setup, w, full=keep_full),
-                    grid.n_steps + 1, T.shape[0], w, keep_full,
-                    **_basis_info(setup.basis))
+    run = _collect(_bdf_steps(setup, w, full=keep_full), grid.n_steps + 1,
+                   T.shape[0], w, keep_full, **_basis_info(setup.basis))
+    clips = frozenset(run.clipped)
+    return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
+                   replay_coords=functools.partial(_bdf_coords, setup, clips))
 
 
 def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
@@ -865,10 +942,11 @@ def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
     # basis (N >= order), node N lies past them and BDF steps follow
     screened = max(stride, order - 1)
     bar = np.empty((screened + 2, w, k))
-    clips = 0
+    clips = []
     for i, (_, rows, clipped, history) in enumerate(
             itertools.islice(_bdf_steps(setup, w, full=False), screened + 1)):
-        clips += clipped
+        if clipped:
+            clips.append(i)
         bar[i] = rows
     step = _bdf_step_map(basis.multiplier, basis.to_eigen(setup.forcing),
                          setup.alphas)
@@ -878,7 +956,7 @@ def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
     bar[-1] = basis.lift_rows(Y_tf, w)
     final = basis.lift(Y_tf, bar[-1])
     return _SmallRun(bar_rows=bar, final=final, replay=None, head=stride + 1,
-                     psd_clips=clips, nodes=np.r_[np.arange(screened + 1), N],
+                     clipped=tuple(clips), nodes=np.r_[np.arange(screened + 1), N],
                      **_basis_info(basis))
 
 
@@ -1033,7 +1111,7 @@ def _solve(op, B, X0, grid, config):
         grid=grid, nodes=grid.nodes, final_small=run.final,
         replay=run.replay, residuals=res, decomposition=step.decomposition,
         converged=converged, method=config.method, iterations=iterations,
-        dim=op.dim, config=config,
+        dim=op.dim, config=config, replay_coords=run.replay_coords,
     )
 
 

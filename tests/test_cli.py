@@ -41,8 +41,9 @@ def test_solve_writes_report_and_csv(tmp_path):
     # each probe pass fails in its head, nodes 0..10, and jumps to tf
     assert [row["probe_nodes"] for row in rows] == [12] * (len(rows) - 1) + [None]
     timings = report["timings_s"]
-    assert set(timings) == {"build", "solve", "output"}
+    assert set(timings) == {"build", "solve", "ranks", "output"}
     assert all(v >= 0.0 for v in timings.values())
+    assert timings["ranks"] <= timings["output"]      # output is the total
     lines = open(os.path.join(out, "solution.csv")).read().splitlines()
     assert lines[0] == "t,residual_frobenius,rank"
     assert len(lines) == 52          # header + 51 nodes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from dlekrylov.dense import frob_norm, sym_part
 from dlekrylov.krylov import KrylovDecomposition
@@ -12,7 +13,7 @@ from dlekrylov import solvers
 from dlekrylov.dense import LyapunovSolver
 from dlekrylov.solvers import (BDF_TABLE, PSDViolationError, SolverConfig,
                                SymLowRank, TimeGrid, Trajectory,
-                               _panel_increment, _psd_floor, _run_bdf_grid,
+                               _panel_increment, _run_bdf_grid,
                                _run_gram_grid, exact_step_pair, residual_norm,
                                solve, solve_eba_bdf, solve_eba_exp,
                                truncate_lowrank)
@@ -90,6 +91,12 @@ def test_residual_norm_equals_true_dense_residual():
 
 
 # -- bdf grid -----------------------------------------------------------------
+
+def _psd_floor(Y):
+    """Y, or Y with its negative eigenvalues set to zero where the PSD
+    screen fails."""
+    return Y if solvers._psd_screen(Y) else solvers._psd_clip(Y)
+
 
 def _reference_bdf_grid(T, Bm, P0, grid, order):
     """Every node of a BDF grid, one Bartels-Stewart solve per step in the
@@ -169,7 +176,7 @@ def test_bdf_grid_eigen_and_schur_bases_agree(order, n_steps, monkeypatch):
 
 
 def _stiff_clipping_case():
-    """T, Bm, P0 and grid of a BDF2 run that `_psd_floor` clips at every
+    """T, Bm, P0 and grid of a BDF2 run that the PSD screen clips at every
     node from 2 on."""
     rng = np.random.default_rng(52)
     k = 6
@@ -180,9 +187,8 @@ def _stiff_clipping_case():
 
 
 def _record_floor(monkeypatch):
-    """Wrap the PSD screen, which runs once per screened node (through
-    `_psd_floor` on a start-up node); the list gets True for each node
-    that clipped."""
+    """Wrap the PSD screen, which runs once per screened node; the list
+    gets True for each node that clipped."""
     clips = []
     screen = solvers._psd_screen
 
@@ -403,6 +409,145 @@ def test_ranks_match_factor_width_at_dtol():
     np.testing.assert_array_equal(traj.ranks(), widths)
 
 
+def _spectrum_away_from(rng, k, kind, tau, margin_factor):
+    """Eigenvalues of a PSD or an indefinite k x k matrix over 14 decades,
+    a third of them zero, each at least margin_factor * k * eps * lambda_max
+    away from tau; the margin is returned too."""
+    vals = 10.0 ** rng.uniform(-14, 0, k)
+    if kind == "indefinite":
+        vals *= rng.choice([-1.0, 1.0], k)
+    vals[rng.random(k) < 0.3] = 0.0
+    lam_max = np.abs(vals).max() if vals.any() else 1.0
+    margin = margin_factor * k * np.finfo(float).eps * lam_max
+    near = np.abs(vals - tau) < margin
+    vals[near] = tau + np.where(vals[near] >= tau, 2.0, -2.0) * margin
+    return vals
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 40])
+@pytest.mark.parametrize("kind", ["psd", "indefinite"])
+@pytest.mark.parametrize("cond", [None, 1.0, 30.0, 1e3])
+def test_count_above_matches_eigvalsh(k, kind, cond):
+    # cond None: Y itself; else Y = W Yr W^T with cond(W) = cond, counted as
+    # Yr - tau gram_inv. The factorization's backward error reaches the
+    # lifted matrix amplified by up to cond(W)^2, so the spectrum keeps
+    # 1e3 k eps lambda_max cond(W)^2 away from tau
+    rng = np.random.default_rng(80 + k)
+    two_by_two = 0
+    for trial in range(40):
+        scale = 10.0 ** rng.uniform(-3, 12)
+        tau = float(rng.choice([0.0, 1e-12, 1e-6 * scale, 0.1 * scale]))
+        vals = scale * _spectrum_away_from(rng, k, kind, tau / scale,
+                                           1e3 * (cond or 1.0) ** 2)
+        U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        Y = sym_part((U * vals) @ U.T)
+        want = int(np.sum(np.linalg.eigvalsh(Y) > tau)) if k else 0
+        assert want == np.sum(vals > tau)
+        if cond is None:
+            got = solvers._count_above(Y, tau)
+        else:
+            Q1, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            Q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            W = (Q1 * np.geomspace(1.0, cond, k)) @ Q2
+            W_inv = np.linalg.inv(W)
+            got = solvers._count_above(W_inv @ Y @ W_inv.T, tau, W_inv @ W_inv.T)
+        assert got == want, (trial, tau, vals)
+        if k and cond is None:
+            ipiv = lapack.dsytrf(Y - tau * np.eye(k), lower=True)[1]
+            two_by_two += np.any(ipiv < 0)
+    if kind == "indefinite" and k >= 8 and cond is None:
+        assert two_by_two                # the 2x2 pivots were exercised
+
+
+def test_truncated_factor_is_finite_where_the_count_passes_eigvalsh():
+    # lambda_max = 1e12 puts the eigensolver's rounding (about 1e-3) far
+    # above dtol: the count can keep an eigenvalue eigvalsh gives as <= 0
+    rng = np.random.default_rng(81)
+    k, dtol, n_mat = 30, 1e-12, 40
+    mats = []
+    for _ in range(n_mat):
+        U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        vals = np.concatenate([[1e12], 10.0 ** rng.uniform(-2, 11, 9),
+                               dtol * (1.0 + 0.5 * rng.standard_normal(k - 10))])
+        mats.append(sym_part((U * vals) @ U.T))
+    grid = TimeGrid(0.0, float(n_mat - 1), 1.0)
+    traj = Trajectory(grid=grid, nodes=grid.nodes, final_small=mats[-1],
+                      replay=lambda: iter(mats), residuals=np.zeros(n_mat),
+                      decomposition=np.eye(k), converged=True, method="eba_exp",
+                      iterations=[], dim=k, config=SolverConfig(dtol=dtol))
+    ranks = traj.ranks()
+    past_eigvalsh = 0
+    for i, G in enumerate(mats):
+        factor = traj.lowrank_factor(i)
+        assert np.isfinite(factor.Z).all()
+        assert factor.rank == ranks[i]
+        past_eigvalsh += np.any(np.linalg.eigvalsh(G)[::-1][:ranks[i]] <= 0.0)
+    assert past_eigvalsh                 # the guard was needed
+    assert traj.lowrank_factor(-1).rank == ranks[-1]
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_bdf_ranks_count_in_the_basis_with_no_eigensolve_lift_or_screen(monkeypatch):
+    op = wrap_sparse(gen_convdiff(10))
+    B = gen_random_block(100, 2, seed=7)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    traj = solve(op, B, None, grid, SolverConfig(method="eba_bdf", m_max=8,
+                                                  tol=1e-300))
+    assert traj.iterations[-1].bdf_basis == "eigen"
+    assert traj.iterations[-1].psd_clips == 0
+    old = [int(np.sum(np.linalg.eigvalsh(sym_part(G)) > traj.config.dtol))
+           for G in traj.iter_small()]
+    calls = {}
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                        (solvers._StepBasis, "lift"), (solvers, "_psd_screen")):
+        _count_calls(monkeypatch, owner, name, calls)
+    ranks = traj.ranks()
+    assert calls == {}
+    np.testing.assert_array_equal(ranks, old)
+    assert ranks[-1] == traj.lowrank_factor(-1).rank
+
+
+def test_replays_clip_the_nodes_the_deciding_run_clipped(monkeypatch):
+    # a screen that always fails, as in the CLI's clip-count test: the
+    # deciding run clips every screened node, and a replay clips them
+    # again with no screen, bitwise as a screened replay does
+    monkeypatch.setattr(solvers, "_psd_screen", lambda Y, *args: False)
+    monkeypatch.setattr(solvers, "_psd_clip", lambda Y: Y.copy())
+    op = wrap_sparse(gen_convdiff(5))
+    B = gen_random_block(25, 2, seed=3)
+    grid = TimeGrid(0.0, 0.5, 0.01)
+    cfg = SolverConfig(method="eba_bdf", bdf_order=2, m_max=6, tol=1e-6)
+    traj = solve(op, B, None, grid, cfg)
+    assert traj.iterations[-1].psd_clips == grid.n_steps
+    dec = traj.decomposition
+    setup = solvers._bdf_setup(dec.T, dec.project_block(B),
+                               np.zeros((dec.T.shape[0], 0)), grid, 2)
+    screened = list(solvers._bdf_nodes(setup, dec.widths[dec.m - 1]))
+    calls = {}
+    _count_calls(monkeypatch, solvers, "_psd_screen", calls)
+    np.testing.assert_array_equal(list(traj.iter_small()), screened)
+    traj.ranks()
+    assert calls == {}
+    # a real clip: the stiff case clips every node from 2 on
+    monkeypatch.undo()
+    T, Bm, P0, grid = _stiff_clipping_case()
+    run = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=True)
+    assert run.clipped == tuple(range(2, grid.n_steps + 1))
+    calls = {}
+    _count_calls(monkeypatch, solvers, "_psd_screen", calls)
+    np.testing.assert_array_equal(list(run.replay()), run.full)
+    assert calls == {}
+
+
 # -- end-to-end solves --------------------------------------------------------
 
 def test_zero_b_gives_zero_trajectory():
@@ -412,6 +557,8 @@ def test_zero_b_gives_zero_trajectory():
     assert traj.iterations[0].m == 1
     np.testing.assert_array_equal(traj.residuals, np.zeros(11))
     np.testing.assert_array_equal(traj.solution_dense(-1), np.zeros((2, 2)))
+    np.testing.assert_array_equal(traj.ranks(), np.zeros(11))
+    assert traj.lowrank_factor(-1).rank == 0
 
 
 def test_exp_solver_diagonal_closed_form(monkeypatch):
@@ -568,6 +715,7 @@ def test_trajectory_stream_replays_last_grid_run(method, eigen_cond_max,
     assert traj.basis_size == dec.inner_width
     np.testing.assert_array_equal(
         traj.residuals, solvers._residuals_over_nodes(dec.coupling, run.bar_rows))
+    assert traj.ranks()[-1] == traj.lowrank_factor(-1).rank
 
 
 def test_small_solutions_are_materialized_once_and_read_only(monkeypatch):
