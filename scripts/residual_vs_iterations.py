@@ -3,22 +3,21 @@
 iterations, for both solvers on the convection-diffusion benchmark.
 Writes one CSV per method (plot-ready) and prints the per-m ratios.
 
-Values for m below the last step come from each solver's probe pass,
-which reaches tf by one composed step once its decision is made, so they
-agree with a full grid run at rounding level. On eba-bdf that pass runs
-the PSD-screened grid only over its first `_PROBE_STRIDE` (10) steps and the
-unscreened recurrence from there to tf, so a value there also differs
-from a full grid run where that run clips. The last step's value is from
-the full grid."""
+Each method walks one Krylov basis up to `--m-max`, with no tolerance
+stop, and runs the full grid at every m, as `dlekrylov sweep` does on its
+`m` axis: each value is the residual at tf of the grid over every node of
+step m."""
 
 import argparse
+import os
 import sys
 import time
 
 import numpy as np
 
 from dlekrylov import (SolverConfig, TimeGrid, gen_convdiff, gen_random_block,
-                       solve_eba_bdf, solve_eba_exp, wrap_sparse)
+                       wrap_sparse)
+from dlekrylov.solvers import full_grid_run, krylov_steps
 
 
 def main():
@@ -37,17 +36,14 @@ def main():
     grid = TimeGrid(0.0, 2.0, args.h)
 
     curves = {}
-    for name, solver, extra in (("eba_exp", solve_eba_exp, {}),
-                                ("eba_bdf", solve_eba_bdf, {"bdf_order": 2})):
+    for name in ("eba_exp", "eba_bdf"):
+        config = SolverConfig(method=name, m_max=args.m_max, bdf_order=2)
         t0 = time.perf_counter()
-        traj = solver(op, B, None, grid,
-                      SolverConfig(m_max=args.m_max, tol=1e-300, **extra))
+        rows = [(step.m, full_grid_run(step, grid, config)[2].residual_final)
+                for step in krylov_steps(op, B, np.zeros((n, 0)), grid, config)]
         elapsed = time.perf_counter() - t0
-        rows = [(r.m, r.residual_final) for r in traj.iterations]
         curves[name] = dict(rows)
         path = f"{args.out_prefix}_{name}.csv"
-        import os
-
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write("m,residual_tf\n")

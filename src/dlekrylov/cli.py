@@ -95,7 +95,6 @@ def _iteration_rows(traj):
             "m": rec.m,
             "basis_size": rec.basis_size,
             "residual_final": rec.residual_final,
-            "residual_probe_max": rec.residual_probe_max,
             "residual_max": rec.residual_max,
             "coupling_norm": rec.coupling_norm,
             "elapsed_s": rec.elapsed,
@@ -184,8 +183,8 @@ def cmd_compare(args):
     # lifted to n x n only to compare it with the oracle
     v1_exp, v1_bdf = _first_basis_row(traj_exp), _first_basis_row(traj_bdf)
     rows = []
-    for t, G_e, G_b, X_ref in zip(grid.nodes, traj_exp.iter_small(),
-                                  traj_bdf.iter_small(), refs):
+    for t, G_e, G_b, X_ref in zip(grid.nodes, traj_exp.replay(),
+                                  traj_bdf.replay(), refs):
         x11_e = v1_exp @ G_e @ v1_exp
         x11_b = v1_bdf @ G_b @ v1_bdf
         if X_ref is None:

@@ -23,13 +23,16 @@ at tf, at a node the PSD screen clips, or when every node is asked for.
 The residual comes from the coupling block, never from the large
 approximation.
 
-Each Krylov step below the last first runs a probe pass over some nodes
-only (`_probe_gram_grid`, `_probe_bdf_grid`): a residual at or above the
-tolerance at a node the stop rule reads proves the step has not
-converged, and the walk moves on with no full grid. Otherwise the full
-grid runs from the same step data and decides, since the residual can
-peak between probes; the last step always runs it. A BDF grid in the
-Schur basis, or with no more than `_PROBE_STRIDE` steps, runs full.
+Each Krylov step walks its grid once. Below the last step the walk
+carries a stop test: every `_PROBE_STRIDE` nodes it reads the residuals of
+the nodes it has just walked, and a residual at or above the tolerance
+proves the step has not converged, so the walk ends there and the loop
+moves on. The value at tf it reports is then reached by one composed map:
+the step pair raised to the remaining steps on the exp route, the BDF
+step as a per-entry map in the complex eigenbasis, unscreened, on the BDF
+route (in the Schur basis the walk goes on to tf unchecked). A walk that
+reaches tf has visited every node and decides; the last step's walk
+carries no stop test.
 
 The trajectory of the last step is a stream: its step data regenerate
 the projected solutions on demand with no new matrix exponential,
@@ -60,7 +63,8 @@ BDF_TABLE = {
 }
 
 # Point count of the Gauss-Legendre fallback rule of the exp route's step
-# pair, and the node stride of the probe pass; both are read at call time.
+# pair, and the node count of a batch the stop test of a grid walk reads;
+# both are read at call time.
 _QUADRATURE_ORDER = 4
 _PROBE_STRIDE = 10
 
@@ -111,15 +115,18 @@ class SolverConfig:
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {list(choices)}, "
                                  f"got {getattr(self, name)!r}")
+        # bool is an Integral, and JSON true would read as 1
         for name in ("m_max", "bdf_order"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, "
-                                 f"got {getattr(self, name)!r}")
-        if not isinstance(self.tol, numbers.Real) or not self.tol > 0:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if (not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool)
+                or not self.tol > 0):
             raise ValueError(f"tol must be a positive number, got {self.tol!r}")
         for name in ("dtol", "rank_tol"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not value >= 0:
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not value >= 0):
                 raise ValueError(f"{name} must be a non-negative number, "
                                  f"got {value!r}")
         if self.m_max < 1:
@@ -148,25 +155,22 @@ class SymLowRank:
 
 @dataclass
 class IterationRecord:
-    """One Krylov step. A "probe" step ran only the probe pass, so its
-    `residual_final`, `residual_probe_max` and `small_final` come from that
-    pass and its `residual_max` and `gbar_sup`, which need every node, are
-    None. `probe_nodes` counts the grid nodes the pass evaluated, and
-    `residual_probe_max` is the largest residual over them. On eba-exp the
-    pass stops at its first probe whose residual reaches `tol` and reaches
-    tf by one composed pair; on eba-bdf it evaluates the first
-    `_PROBE_STRIDE` steps and tf, which comes from the unscreened recurrence
-    (no PSD screen) composed into one map, so it matches a full grid run
-    at rounding level, and only where that grid never clips. `step_pair`
-    is how the step's exact pair built its increment: "lyapunov" or
-    "quadrature" (on eba-bdf, the start-up pair's; None without one).
-    `psd_clips` counts the clipped nodes of the step's grid run; on a
-    probe row, of its first `_PROBE_STRIDE` nodes."""
+    """One Krylov step. A "probe" step's grid walk ended before tf, at the
+    first batch of `_PROBE_STRIDE` nodes holding a residual at or above
+    `tol`: `probe_nodes` counts the nodes it walked, `residual_max` is the
+    largest residual over them, and `gbar_sup`, which needs every node, is
+    None. Its `residual_final` and `small_final` are at tf, reached from
+    the last node walked by one composed map; on eba-bdf in the eigen
+    basis that map is the unscreened recurrence, so it matches the full
+    grid at rounding level, and only where that grid never clips. A "full"
+    step walked every node. `step_pair` is how the step's exact pair built
+    its increment: "lyapunov" or "quadrature" (on eba-bdf, the start-up
+    pair's; None without one). `psd_clips` counts the clipped nodes among
+    the nodes the walk recorded."""
 
     m: int
     basis_size: int
     residual_final: float
-    residual_probe_max: float
     residual_max: float
     coupling_norm: float
     gbar_sup: float
@@ -177,7 +181,7 @@ class IterationRecord:
     grid: str = "full"                 # "probe" | "full"
     psd_clips: int = 0                 # PSD screen clips of that grid run
     step_pair: str = None              # "lyapunov" | "quadrature"
-    probe_nodes: int = None            # nodes a probe pass evaluated
+    probe_nodes: int = None            # nodes a stopped walk visited
 
 
 @dataclass
@@ -219,10 +223,6 @@ class Trajectory:
     def basis_size(self):
         return self.final_small.shape[0]
 
-    def iter_small(self):
-        """Y(t_0), ..., Y(t_N) in order, by one replay of the grid."""
-        return self.replay()
-
     def small_solution(self, i=-1):
         """Y(t_i): the final node is stored, node i < N replays i steps."""
         n_nodes = len(self.nodes)
@@ -231,7 +231,7 @@ class Trajectory:
         i %= n_nodes
         if i == n_nodes - 1:
             return self.final_small
-        return next(itertools.islice(self.iter_small(), i, None))
+        return next(itertools.islice(self.replay(), i, None))
 
     @functools.cached_property
     def small_solutions(self):
@@ -239,7 +239,7 @@ class Trajectory:
         memory, held by the trajectory once read; one replay builds it."""
         k = self.basis_size
         out = np.empty((len(self.nodes), k, k))
-        for i, G in enumerate(self.iter_small()):
+        for i, G in enumerate(self.replay()):
             out[i] = G
         out.flags.writeable = False
         return out
@@ -437,15 +437,13 @@ def _psd_clip(Y):
 
 @dataclass
 class _SmallRun:
-    bar_rows: np.ndarray               # (n_nodes, w, k)
+    bar_rows: np.ndarray               # (nodes walked, w, k)
     final: np.ndarray                  # (k, k)
     replay: object                     # () -> iterator over the n_nodes (k, k)
     full: np.ndarray = None            # (n_nodes, k, k) when requested
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
-    head: int = None                   # bar rows the stop rule reads; None: all
-    clipped: tuple = ()                # nodes the PSD screen clipped (probe: head)
-    nodes: np.ndarray = None           # grid nodes of a probe pass's bar rows
+    clipped: tuple = ()                # nodes the PSD screen clipped
     replay_coords: object = None       # `Trajectory.replay_coords`
 
     @property
@@ -453,20 +451,41 @@ class _SmallRun:
         return len(self.clipped)
 
 
-def _collect(steps, n_nodes, k, w, keep_full, **basis_info):
+def _collect(steps, n_nodes, k, w, keep_full, stop=None, jump=None,
+             **basis_info):
     """One pass over `steps`, tuples (Y, rows, clipped, ...) of the nodes,
-    with `rows` the last w rows of Y: the rows of every node, the final
-    node, the clipped nodes and, when asked, every node. The caller sets
-    the replays."""
-    bar = np.empty((n_nodes, w, k))
+    with `rows` the last w rows of Y: the rows of every node walked, the
+    final node, the clipped nodes and, when asked, every node. The caller
+    sets the replays.
+
+    `stop(rows)`, when given, tells whether a residual at the nodes of the
+    bar rows `rows` reaches the tolerance. It reads each batch of
+    `_PROBE_STRIDE` nodes that ends before the last node; once it says so
+    the walk ends after that batch: `bar_rows` (and `full`) hold the nodes
+    walked, and `final` is `jump(node, s)`, the value at tf reached from
+    the tuple `node` of the last node walked, s steps before tf."""
+    stride = _PROBE_STRIDE
+    # a walk that may stop holds one batch until its first batch passes:
+    # most stop there, and a full-grid buffer per step raises peak memory
+    bar = np.empty((n_nodes if stop is None else min(stride, n_nodes), w, k))
     full = np.empty((n_nodes, k, k)) if keep_full else None
     clipped = []
-    for i, (G, rows, clip, *_) in enumerate(steps):
+    for i, node in enumerate(steps):
+        G, rows, clip = node[:3]
+        if i == len(bar):
+            bar = np.concatenate([bar, np.empty((n_nodes - i, w, k))])
         bar[i] = rows
         if keep_full:
             full[i] = G
         if clip:
             clipped.append(i)
+        walked = i + 1
+        if (stop is not None and walked % stride == 0 and walked < n_nodes
+                and stop(bar[walked - stride:walked])):
+            return _SmallRun(bar_rows=bar[:walked],
+                             final=jump(node, n_nodes - walked), replay=None,
+                             full=None if full is None else full[:walked],
+                             clipped=tuple(clipped), **basis_info)
     return _SmallRun(bar_rows=bar, final=G, replay=None, full=full,
                      clipped=tuple(clipped), **basis_info)
 
@@ -500,16 +519,6 @@ def _pair_power(pair, s, compose):
         pair = compose(pair, pair)
 
 
-def _probe_indices(n_nodes, stride):
-    """Probe nodes: every node of the first `stride` steps (where the fast
-    modes relax and the residual often peaks), then every stride-th node,
-    then the last node."""
-    idx = set(range(min(stride + 1, n_nodes)))
-    idx.update(range(0, n_nodes, stride))
-    idx.add(n_nodes - 1)
-    return np.array(sorted(idx))
-
-
 class _GramSetup(NamedTuple):
     """Step data of an exp grid."""
 
@@ -527,54 +536,25 @@ def _gram_setup(T, Bm, P0, grid, q):
     return _GramSetup(E, delta, G0, route)
 
 
-def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None):
-    """The exp grid over every node; `setup` is the `_gram_setup` of the
-    same step when the caller has built it already."""
+def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None, stop=None):
+    """The exp grid over every node, or up to the batch `stop` ends it at,
+    from where one composed pair reaches tf (see `_collect`); `setup` is
+    the `_gram_setup` of the same step when the caller has built it
+    already."""
     if setup is None:
         setup = _gram_setup(T, Bm, P0, grid, q)
     replay = functools.partial(_gram_nodes, setup.E, setup.delta, setup.G0,
                                grid.n_steps)
     k = T.shape[0]
+
+    def jump(node, s):
+        E_s, d_s = _pair_power((setup.E, setup.delta), s, _compose)
+        return sym_part(E_s @ node[0] @ E_s.T + d_s)
+
     # the exp grid never clips
     steps = ((G, G[k - w:, :], False) for G in replay())
-    return replace(_collect(steps, grid.n_steps + 1, k, w, keep_full),
-                   replay=replay)
-
-
-def _probe_gram_grid(T, Bm, P0, grid, q, w, stride, setup=None, stop=None):
-    """The exp grid at the probe nodes `_probe_indices` picks, in order:
-    single steps up to node `stride`, then steps of the stride pair, then
-    one step of the remainder pair to tf.
-
-    `stop(rows)` tells whether a residual at the nodes of the bar rows
-    `rows` has reached the tolerance. It is asked after the head and after
-    each stride node; once it says so, the step has not converged, and the
-    pass reaches tf by one composed pair. `bar_rows` holds one row block
-    per node evaluated, `nodes` those nodes and `final` the value at tf."""
-    if setup is None:
-        setup = _gram_setup(T, Bm, P0, grid, q)
-    E, delta = setup.E, setup.delta
-    k, N = T.shape[0], grid.n_steps
-    head = list(_gram_nodes(E, delta, setup.G0, min(stride, N)))
-    rows = [G[k - w:, :] for G in head]
-    G, nodes = head[-1], list(range(len(head)))
-    failed = stop is not None and stop(np.array(rows))
-    n_strides = (N - nodes[-1]) // stride
-    if n_strides and not failed:
-        E_s, d_s = _pair_power((E, delta), stride, _compose)
-        for _ in range(n_strides):
-            G = sym_part(E_s @ G @ E_s.T + d_s)
-            rows.append(G[k - w:, :])
-            nodes.append(nodes[-1] + stride)
-            if stop is not None and stop(rows[-1][None]):
-                break
-    if nodes[-1] < N:
-        E_r, d_r = _pair_power((E, delta), N - nodes[-1], _compose)
-        G = sym_part(E_r @ G @ E_r.T + d_r)
-        rows.append(G[k - w:, :])
-        nodes.append(N)
-    return _SmallRun(bar_rows=np.array(rows), final=G, replay=None,
-                     nodes=np.array(nodes))
+    return replace(_collect(steps, grid.n_steps + 1, k, w, keep_full, stop,
+                            jump), replay=replay)
 
 
 # Above this cond(V) the eigenbasis step loses accuracy like
@@ -902,62 +882,48 @@ def _compose_entrywise(first, then):
     return np.einsum("ijab,jlab->ilab", A2, A1), _apply_entrywise(then, b1)
 
 
+def _bdf_jump(setup, steps):
+    """`_collect`'s jump to tf for a BDF walk over the generator `steps`.
+
+    In the eigen basis, from the history of the last node walked, the
+    recurrence runs unscreened: the BDF step is a per-entry affine map in
+    the complex eigenbasis, composed by repeated squaring into one map to
+    tf, whose value is taken back to the real basis and lifted. In the
+    Schur basis, or within the start-up steps, the walk goes on to tf."""
+    basis = setup.basis
+
+    def jump(node, s):
+        history = node[3]
+        if history is None or basis.multiplier is None:
+            for Y, *_ in steps:
+                pass
+            return Y
+        step = _bdf_step_map(basis.multiplier, basis.to_eigen(setup.forcing),
+                             setup.alphas)
+        x = _apply_entrywise(_pair_power(step, s, _compose_entrywise),
+                             np.array([basis.to_eigen(Yr) for Yr in history]))
+        return basis.lift(basis.from_eigen(x[0]))
+
+    return jump
+
+
 def _basis_info(basis):
     return {} if basis is None else {"bdf_basis": basis.kind,
                                      "bdf_cond": basis.cond}
 
 
-def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None):
-    """The BDF grid over every node; `setup` is the `_bdf_setup` of the
-    same step when the caller has built it already."""
+def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None, stop=None):
+    """The BDF grid over every node, or up to the batch `stop` ends it at,
+    from where `_bdf_jump` reaches tf (see `_collect`); `setup` is the
+    `_bdf_setup` of the same step when the caller has built it already."""
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
-    run = _collect(_bdf_steps(setup, w, full=keep_full), grid.n_steps + 1,
-                   T.shape[0], w, keep_full, **_basis_info(setup.basis))
+    steps = _bdf_steps(setup, w, full=keep_full)
+    run = _collect(steps, grid.n_steps + 1, T.shape[0], w, keep_full, stop,
+                   _bdf_jump(setup, steps), **_basis_info(setup.basis))
     clips = frozenset(run.clipped)
     return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
                    replay_coords=functools.partial(_bdf_coords, setup, clips))
-
-
-def _probe_bdf_grid(T, Bm, P0, grid, order, w, stride, setup=None):
-    """The BDF grid's head and tf, or None where no probe pass applies: a
-    Schur step basis, or N <= stride.
-
-    The head, nodes 0..stride, comes from the screened grid's own
-    generator (start-up pair, PSD screen and history), so its
-    rows equal the full grid's bitwise; `head` = stride + 1 restricts the
-    stop rule to them, and `psd_clips` counts the head's clips. From the
-    head's history, taken once into the complex eigenbasis, the recurrence
-    runs unscreened: the BDF step is a per-entry affine map, composed by
-    repeated squaring into one map to tf, whose value is taken back to the
-    real basis and lifted as the full grid lifts tf. `nodes` lists the
-    nodes of `bar_rows`."""
-    if setup is None:
-        setup = _bdf_setup(T, Bm, P0, grid, order)
-    basis = setup.basis
-    if basis is None or basis.multiplier is None or grid.n_steps <= stride:
-        return None
-    k, N = T.shape[0], grid.n_steps
-    # the start-up steps are always screened; with N > stride >= 1 and a
-    # basis (N >= order), node N lies past them and BDF steps follow
-    screened = max(stride, order - 1)
-    bar = np.empty((screened + 2, w, k))
-    clips = []
-    for i, (_, rows, clipped, history) in enumerate(
-            itertools.islice(_bdf_steps(setup, w, full=False), screened + 1)):
-        if clipped:
-            clips.append(i)
-        bar[i] = rows
-    step = _bdf_step_map(basis.multiplier, basis.to_eigen(setup.forcing),
-                         setup.alphas)
-    x = _apply_entrywise(_pair_power(step, N - screened, _compose_entrywise),
-                         np.array([basis.to_eigen(Yr) for Yr in history]))
-    Y_tf = basis.from_eigen(x[0])
-    bar[-1] = basis.lift_rows(Y_tf, w)
-    final = basis.lift(Y_tf, bar[-1])
-    return _SmallRun(bar_rows=bar, final=final, replay=None, head=stride + 1,
-                     clipped=tuple(clips), nodes=np.r_[np.arange(screened + 1), N],
-                     **_basis_info(basis))
 
 
 # -- outer Krylov loop ------------------------------------------------------
@@ -976,8 +942,7 @@ def as_operator(A):
 def _zero_trajectory(n, grid, config):
     zero, n_nodes = np.zeros((0, 0)), grid.n_steps + 1
     rec = IterationRecord(m=1, basis_size=0, residual_final=0.0,
-                          residual_probe_max=0.0, residual_max=0.0,
-                          coupling_norm=0.0, gbar_sup=0.0,
+                          residual_max=0.0, coupling_norm=0.0, gbar_sup=0.0,
                           small_final=zero, elapsed=0.0)
     return Trajectory(
         grid=grid, nodes=grid.nodes, final_small=zero,
@@ -987,12 +952,12 @@ def _zero_trajectory(n, grid, config):
 
 
 def _route(config):
-    """(step data, probe pass, full grid, scheme order) of `config.method`,
-    read from the module globals per call so wrappers on them see each call."""
+    """(step data, grid run, scheme order) of `config.method`, read from
+    the module globals per call so wrappers on them see each call."""
     if config.method == "eba_exp":
-        return _gram_setup, _probe_gram_grid, _run_gram_grid, _QUADRATURE_ORDER
+        return _gram_setup, _run_gram_grid, _QUADRATURE_ORDER
     if config.method == "eba_bdf":
-        return _bdf_setup, _probe_bdf_grid, _run_bdf_grid, config.bdf_order
+        return _bdf_setup, _run_bdf_grid, config.bdf_order
     raise ValueError(f"unknown method {config.method!r}")
 
 
@@ -1024,7 +989,7 @@ def krylov_steps(op, B, Z0, grid, config):
         B = B[:, None]
     if frob_norm(B) == 0.0 and Z0.shape[1] == 0:
         return
-    setup_grid, _, _, scheme = _route(config)
+    setup_grid, _, scheme = _route(config)
     start = np.hstack([B, Z0]) if Z0.shape[1] else B
     dec = KrylovDecomposition(op, start, variant=config.krylov_variant,
                               rank_tol=config.rank_tol)
@@ -1044,69 +1009,54 @@ def krylov_steps(op, B, Z0, grid, config):
                          started)
 
 
-def _record(step, run, res, **fields):
-    """The IterationRecord of the grid run `run` of `step`, with residuals
-    `res` at the nodes of its bar rows."""
-    return IterationRecord(
-        m=step.m, basis_size=step.basis_size, residual_final=float(res[-1]),
+def full_grid_run(step, grid, config, stop=None):
+    """(run, residuals, record) of the grid walk of a Krylov step: the run
+    over every node, or up to the batch `stop` ends it at (see `_collect`),
+    the residual at each node it walked, and its record, a "probe" row when
+    the walk ended before tf."""
+    _, grid_run, scheme = _route(config)
+    run = grid_run(step.T, step.Bm, step.P0, grid, scheme, step.w,
+                   keep_full=False, setup=step.setup, stop=stop)
+    res = _residuals_over_nodes(step.coupling, run.bar_rows)
+    if len(res) <= grid.n_steps:
+        fields = {"grid": "probe",
+                  "residual_final": float(residual_norm(step.coupling,
+                                                        run.final)),
+                  "gbar_sup": None, "probe_nodes": len(res)}
+    else:
+        gbar_sup = np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows,
+                                            run.bar_rows)))
+        fields = {"residual_final": float(res[-1]), "gbar_sup": float(gbar_sup)}
+    return run, res, IterationRecord(
+        m=step.m, basis_size=step.basis_size, residual_max=float(np.max(res)),
         coupling_norm=frob_norm(step.coupling), small_final=run.final,
         elapsed=time.perf_counter() - step.started, bdf_basis=run.bdf_basis,
         bdf_cond=run.bdf_cond, psd_clips=run.psd_clips,
         step_pair=step.setup.step_pair, **fields)
 
 
-def full_grid_run(step, grid, config):
-    """(run, residuals, record) of the full grid of a Krylov step: the
-    grid run over every node, the residual at each and its record."""
-    _, _, full_grid, scheme = _route(config)
-    run = full_grid(step.T, step.Bm, step.P0, grid, scheme, step.w,
-                    keep_full=False, setup=step.setup)
-    res = _residuals_over_nodes(step.coupling, run.bar_rows)
-    probes = _probe_indices(grid.n_steps + 1, _PROBE_STRIDE)
-    gbar_sup = np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows, run.bar_rows)))
-    return run, res, _record(step, run, res,
-                             residual_probe_max=float(np.max(res[probes])),
-                             residual_max=float(np.max(res)),
-                             gbar_sup=float(gbar_sup))
-
-
 def _solve(op, B, X0, grid, config):
     op = as_operator(op)
     Z0 = X0.Z if X0 is not None else np.zeros((op.dim, 0))
-    _, probe_grid, _, scheme = _route(config)
-    if config.method == "eba_exp":
-        def stop(rows):
-            # a residual at or above tol proves this step has not converged
-            return np.max(_residuals_over_nodes(step.coupling, rows)) >= config.tol
 
-        probe_grid = functools.partial(probe_grid, stop=stop)
+    def stop(rows):
+        # a residual at or above tol proves this step has not converged
+        return np.max(_residuals_over_nodes(step.coupling, rows)) >= config.tol
 
     iterations = []
     converged = False
     for step in krylov_steps(op, B, Z0, grid, config):
-        probe = None
-        if not step.broke and step.m < config.m_max:
-            probe = probe_grid(step.T, step.Bm, step.P0, grid, scheme, step.w,
-                               _PROBE_STRIDE, setup=step.setup)
-        if probe is not None:
-            res_probe = _residuals_over_nodes(step.coupling, probe.bar_rows)
-            if np.max(res_probe[:probe.head]) >= config.tol:
-                iterations.append(_record(
-                    step, probe, res_probe, grid="probe",
-                    residual_probe_max=float(np.max(res_probe)),
-                    residual_max=None, gbar_sup=None,
-                    probe_nodes=len(probe.nodes)))
-                continue
-        run, res, rec = full_grid_run(step, grid, config)
+        last = step.broke or step.m >= config.m_max
+        run, res, rec = full_grid_run(step, grid, config, None if last else stop)
         iterations.append(rec)
-        # the full grid decides: the residual can peak between probes
-        converged = bool(np.max(res) < config.tol)
+        # a walk that reached tf read every node
+        converged = rec.grid == "full" and bool(np.max(res) < config.tol)
         if converged:
             break
 
     if not iterations:
         return _zero_trajectory(op.dim, grid, config)
-    # the last step (converged, at m_max or broken down) ran the full grid
+    # the last step (converged, at m_max or broken down) walked every node
     return Trajectory(
         grid=grid, nodes=grid.nodes, final_small=run.final,
         replay=run.replay, residuals=res, decomposition=step.decomposition,

@@ -31,15 +31,19 @@ def test_solve_writes_report_and_csv(tmp_path):
     assert report["method"] == "eba_exp"
     rows = report["iterations"]
     assert all(row["bdf_basis"] is None for row in rows)
-    # probe-only steps first; the last step ran the full grid
+    # stopped walks first; the last step walked every node
     assert rows[-1]["grid"] == "full" and rows[-1]["residual_max"] < 1e-9
     assert [row["grid"] for row in rows[:-1]] == ["probe"] * (len(rows) - 1)
     assert len(rows) > 2
-    assert all(row["residual_max"] is None for row in rows[:-1])
+    for row in rows[:-1]:
+        # the largest residual over the nodes walked; the one at tf is
+        # reached by a composed step pair
+        assert row["residual_max"] >= 1e-9 and row["residual_final"] > 0
+        assert "residual_probe_max" not in row
     assert all(row["psd_clips"] == 0 for row in rows)    # eba-exp never screens
     assert all(row["step_pair"] == "lyapunov" for row in rows)
-    # each probe pass fails in its head, nodes 0..10, and jumps to tf
-    assert [row["probe_nodes"] for row in rows] == [12] * (len(rows) - 1) + [None]
+    # each stopped walk reaches tol in its first batch, nodes 0..9
+    assert [row["probe_nodes"] for row in rows] == [10] * (len(rows) - 1) + [None]
     timings = report["timings_s"]
     assert set(timings) == {"build", "solve", "ranks", "output"}
     assert all(v >= 0.0 for v in timings.values())
@@ -108,7 +112,7 @@ def test_flag_overrides(tmp_path):
     assert report["problem"]["seed"] == 9
     assert "seed" not in report["solver"]
     rows = report["iterations"]
-    # eigen-basis steps below the last run only the probe pass
+    # the walks of the steps below the last stop early
     assert [row["grid"] for row in rows] == ["probe"] * (len(rows) - 1) + ["full"]
     assert len(rows) > 1
     for row in rows:
@@ -116,8 +120,8 @@ def test_flag_overrides(tmp_path):
         assert 1.0 <= row["bdf_cond"] < 1e3
         assert isinstance(row["psd_clips"], int) and row["psd_clips"] >= 0
         assert row["step_pair"] is None          # BDF1 has no start-up pair
-    # a probe pass evaluates its head, nodes 0..10, and tf
-    assert [row["probe_nodes"] for row in rows] == [12] * (len(rows) - 1) + [None]
+    # a stopped walk ends after its first batch, nodes 0..9
+    assert [row["probe_nodes"] for row in rows] == [10] * (len(rows) - 1) + [None]
 
 
 def test_report_counts_psd_clips(tmp_path, monkeypatch):
@@ -134,8 +138,9 @@ def test_report_counts_psd_clips(tmp_path, monkeypatch):
     main(["solve", "--config", cfg, "--out", out])
     rows = json.load(open(os.path.join(out, "report.json")))["iterations"]
     assert len(rows) > 1
-    # probe rows screen their head, nodes 1..10; the full grid all 50 nodes
-    assert [row["psd_clips"] for row in rows] == [10] * (len(rows) - 1) + [50]
+    # a stopped walk screens nodes 1..9 of its first batch; the full grid
+    # all 50 nodes
+    assert [row["psd_clips"] for row in rows] == [9] * (len(rows) - 1) + [50]
     assert all(row["step_pair"] == "lyapunov" for row in rows)
 
 
@@ -145,7 +150,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem(),
                       solver={"not_a_field": 1})
     assert main(["solve", "--config", cfg2, "--out", str(tmp_path)]) == 2
-    # the probe stride and the quadrature order are module constants
+    # the stop test's batch and the quadrature order are module constants
     for field in ("probe_stride", "quadrature_order"):
         capsys.readouterr()
         cfg3 = _write_cfg(tmp_path, name="c3.json", problem=_base_problem(),
@@ -154,8 +159,11 @@ def test_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and f"unknown fields ['{field}']" in err
     # a known field with a bad value is named with that value
+    # JSON true and false are not numbers, though bool is an int
     for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
-                       ("tol", "1e-3"), ("dtol", -1e-12), ("rank_tol", -1.0)):
+                       ("tol", "1e-3"), ("dtol", -1e-12), ("rank_tol", -1.0),
+                       ("m_max", True), ("bdf_order", True), ("tol", True),
+                       ("dtol", False), ("rank_tol", True)):
         capsys.readouterr()
         cfg5 = _write_cfg(tmp_path, name="c5.json", problem=_base_problem(),
                           solver={field: bad})
@@ -360,7 +368,7 @@ def test_sweep_over_m_equals_one_solve_per_m(tmp_path, method, n0, values,
 def test_sweep_over_m_walks_one_basis(tmp_path, monkeypatch):
     from dlekrylov import krylov, solvers
 
-    calls = {"extend": 0, "probe": 0, "full": 0}
+    calls = {"extend": 0, "full": 0}
 
     def counted(owner, name, key):
         inner = getattr(owner, name)
@@ -372,8 +380,6 @@ def test_sweep_over_m_walks_one_basis(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(krylov.KrylovDecomposition, "extend", "extend")
-    for name in ("_probe_gram_grid", "_probe_bdf_grid"):
-        counted(solvers, name, "probe")
     for name in ("_run_gram_grid", "_run_bdf_grid"):
         counted(solvers, name, "full")
     cfg = _write_cfg(tmp_path, problem=_base_problem(tf=0.3),
@@ -381,7 +387,7 @@ def test_sweep_over_m_walks_one_basis(tmp_path, monkeypatch):
                      sweep={"axis": "m", "values": [6, 2, 4, 2]})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
     # one extend per step up to the largest m, a full grid per distinct m
-    assert calls == {"extend": 6, "probe": 0, "full": 3}
+    assert calls == {"extend": 6, "full": 3}
 
 
 def test_compare_without_oracle_holds_no_dense_solution(tmp_path):

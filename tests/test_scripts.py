@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -29,28 +30,50 @@ def _run(tmp_path, script, *args):
     return proc
 
 
-@pytest.mark.parametrize("script,args,outputs", [
+def _residuals_are_full_grid_values(tmp_path):
+    """Each value of residual_vs_iterations.py's CSVs (--n0 6 --m-max 3 and
+    the script's defaults) is the residual at tf of step m's full grid."""
+    from dlekrylov import SolverConfig, TimeGrid, gen_convdiff, gen_random_block
+    from dlekrylov.solvers import full_grid_run, krylov_steps
+    from dlekrylov.sparsela import wrap_sparse
+
+    op = wrap_sparse(gen_convdiff(6))
+    B = gen_random_block(36, 2, seed=7)
+    grid = TimeGrid(0.0, 2.0, 1e-3)
+    for method in ("eba_exp", "eba_bdf"):
+        config = SolverConfig(method=method, m_max=3, bdf_order=2)
+        expected = [(step.m, full_grid_run(step, grid, config)[2].residual_final)
+                    for step in krylov_steps(op, B, np.zeros((36, 0)), grid, config)]
+        lines = (tmp_path / f"out/res_{method}.csv").read_text().splitlines()
+        got = [(int(m), float(r)) for m, r in (line.split(",") for line in lines[1:])]
+        assert got == expected and [m for m, _ in got] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("script,args,outputs,check", [
     pytest.param("residual_vs_iterations.py",
                  ["--n0", 6, "--m-max", 3, "--out-prefix", "out/res"],
                  [("out/res_eba_exp.csv", "m,residual_tf"),
                   ("out/res_eba_bdf.csv", "m,residual_tf")],
+                 _residuals_are_full_grid_values,
                  id="residual_vs_iterations"),
     pytest.param("error_bound_curves.py",
                  ["--n0", 6, "--m-max", 3, "--out", "out"],
                  [("out/sweep.csv", "axis_value,residual,error,bound_eq19")],
-                 id="error_bound_curves"),
+                 None, id="error_bound_curves"),
     pytest.param("compare_with_reference.py",
                  ["--n0", 6, "--tf", 0.2, "--h", 0.01, "--out", "out"],
                  [("out/compare.csv",
                    "t,rel_diff_exp,rel_diff_bdf,x11_ref,x11_exp,x11_bdf")],
-                 id="compare_with_reference"),
+                 None, id="compare_with_reference"),
 ])
-def test_script_writes_its_csv(tmp_path, script, args, outputs):
+def test_script_writes_its_csv(tmp_path, script, args, outputs, check):
     proc = _run(tmp_path, script, *args)
     assert proc.returncode == 0, proc.stderr
     for name, header in outputs:
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header and len(lines) > 1
+    if check is not None:
+        check(tmp_path)
 
 
 def test_benchmark_tables_prints_a_row_per_method(tmp_path):

@@ -505,7 +505,7 @@ def test_bdf_ranks_count_in_the_basis_with_no_eigensolve_lift_or_screen(monkeypa
     assert traj.iterations[-1].bdf_basis == "eigen"
     assert traj.iterations[-1].psd_clips == 0
     old = [int(np.sum(np.linalg.eigvalsh(sym_part(G)) > traj.config.dtol))
-           for G in traj.iter_small()]
+           for G in traj.replay()]
     calls = {}
     for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
                         (solvers._StepBasis, "lift"), (solvers, "_psd_screen")):
@@ -534,7 +534,7 @@ def test_replays_clip_the_nodes_the_deciding_run_clipped(monkeypatch):
     screened = list(solvers._bdf_nodes(setup, dec.widths[dec.m - 1]))
     calls = {}
     _count_calls(monkeypatch, solvers, "_psd_screen", calls)
-    np.testing.assert_array_equal(list(traj.iter_small()), screened)
+    np.testing.assert_array_equal(list(traj.replay()), screened)
     traj.ranks()
     assert calls == {}
     # a real clip: the stiff case clips every node from 2 on
@@ -705,7 +705,7 @@ def test_trajectory_stream_replays_last_grid_run(method, eigen_cond_max,
                  "LyapunovSolver"):
         monkeypatch.setattr(solvers, name, no_setup)
     monkeypatch.setattr(np.linalg, "eig", no_setup)
-    np.testing.assert_array_equal(list(traj.iter_small()), run.full)
+    np.testing.assert_array_equal(list(traj.replay()), run.full)
     np.testing.assert_array_equal(traj.small_solutions, run.full)
     np.testing.assert_array_equal(traj.final_small, run.full[-1])
     for i in (0, 7, -2, -1):
@@ -774,7 +774,7 @@ def test_solver_config_validation():
         SolverConfig(bdf_order=5)
     with pytest.raises(ValueError):
         SolverConfig(m_max=0)
-    # the probe stride and the quadrature order are module constants
+    # the stop test's batch and the quadrature order are module constants
     for field in ("probe_stride", "quadrature_order"):
         with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: 10})
@@ -784,7 +784,10 @@ def test_solver_config_validation():
     for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
                        ("tol", "1e-3"), ("tol", float("nan")),
                        ("dtol", -1e-12), ("rank_tol", -1.0), ("dtol", "0"),
-                       ("m_max", "10"), ("bdf_order", 2.0)):
+                       ("m_max", "10"), ("bdf_order", 2.0),
+                       # bool is an int, but JSON true is no number
+                       ("m_max", True), ("bdf_order", True), ("tol", True),
+                       ("dtol", False), ("rank_tol", True)):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: bad})
     assert SolverConfig(dtol=0.0, rank_tol=0).dtol == 0.0
@@ -880,14 +883,60 @@ def test_exact_step_pair_takes_the_quadrature_route_below_the_separation():
     assert frob_norm(bare - ref) > 1e-9 * frob_norm(ref)
 
 
-# -- probe-first convergence on the exp route --------------------------------
+# -- one grid walk per Krylov step ----------------------------------------------
 
 
-def test_probe_indices_dense_start_then_stride():
-    np.testing.assert_array_equal(solvers._probe_indices(24, 5),
-                                  [0, 1, 2, 3, 4, 5, 10, 15, 20, 23])
-    np.testing.assert_array_equal(solvers._probe_indices(6, 8), np.arange(6))
-    np.testing.assert_array_equal(solvers._probe_indices(7, 1), np.arange(7))
+def _walk_by_full_grids(op, B, X0, grid, config):
+    """The reference loop: `full_grid_run` with no stop test at every
+    Krylov step, up to the first step whose residual is below tol at every
+    node. Returns [(m, residuals, run)] per step and `converged`."""
+    Z0 = np.zeros((B.shape[0], 0)) if X0 is None else X0.Z
+    steps = []
+    for step in solvers.krylov_steps(solvers.as_operator(op), B, Z0, grid,
+                                     config):
+        run, res, _ = solvers.full_grid_run(step, grid, config)
+        steps.append((step.m, res, run))
+        if np.max(res) < config.tol:
+            return steps, True
+    return steps, False
+
+
+def _assert_one_walk_per_step(op, B, X0, grid, config):
+    """`solve` against the reference loop: the same m sequence and
+    `converged`, the last step's residuals and final node bitwise, and each
+    "probe" row ended after the batch of `_PROBE_STRIDE` nodes that holds
+    its step's first residual at or above tol; its value at tf, reached by
+    a composed map, matches the full grid's where that grid never clips.
+    Returns both."""
+    traj = solve(op, B, X0, grid, config)
+    steps, converged = _walk_by_full_grids(op, B, X0, grid, config)
+    assert [r.m for r in traj.iterations] == [m for m, *_ in steps]
+    assert traj.converged == converged
+    np.testing.assert_array_equal(traj.residuals, steps[-1][1])
+    np.testing.assert_array_equal(traj.final_small, steps[-1][2].final)
+    stride = solvers._PROBE_STRIDE
+    for rec, (_, res, run) in zip(traj.iterations, steps):
+        reached = res >= config.tol
+        # the nodes of the batches that end before tf
+        checked = stride * ((len(res) - 1) // stride)
+        if rec.grid == "probe":
+            walked = stride * (int(np.argmax(reached)) // stride + 1)
+            assert reached.any() and walked <= checked
+            assert rec.probe_nodes == walked
+            assert rec.residual_max == np.max(res[:walked]) >= config.tol
+            assert rec.gbar_sup is None
+            if not run.clipped:
+                assert rec.residual_final == pytest.approx(res[-1], rel=1e-10)
+                np.testing.assert_allclose(
+                    rec.small_final, run.final, rtol=1e-10,
+                    atol=1e-10 * np.abs(run.final).max())
+        else:
+            # the last step, or no batch before tf reached tol
+            assert rec is traj.iterations[-1] or not reached[:checked].any()
+            assert rec.probe_nodes is None
+            assert rec.residual_max == np.max(res)
+            assert rec.residual_final == res[-1]
+    return traj, steps
 
 
 def _exp_probe_case():
@@ -904,105 +953,105 @@ def _exp_probe_case():
             dec.widths[dec.m - 1], dec.coupling)
 
 
+def _count_yields(monkeypatch, name):
+    """Wrap the node generator `solvers.<name>`; the list gets one entry
+    per call, the count of the nodes that call yielded."""
+    counts = []
+    inner = getattr(solvers, name)
+
+    def counted(*args, **kwargs):
+        counts.append(0)
+        for node in inner(*args, **kwargs):
+            counts[-1] += 1
+            yield node
+
+    monkeypatch.setattr(solvers, name, counted)
+    return counts
+
+
 @pytest.mark.parametrize("stride", [1, 7, 10, 50, 80])
-def test_probe_pass_matches_full_grid_at_probe_nodes(stride):
-    # N = 50: 50 mod 7 != 0, 50 mod 10 == 0, stride >= N
+def test_probe_pass_matches_full_grid_at_probe_nodes(stride, monkeypatch):
+    # a walk its stop test ends at the first batch holds the full grid's
+    # nodes bitwise; N = 50, so a batch of 80 nodes never ends before tf
     T, Bm, P0, grid, w, coupling = _exp_probe_case()
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
     full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True)
-    probe = solvers._probe_gram_grid(T, Bm, P0, grid, 4, w, stride)
-    idx = solvers._probe_indices(len(grid.nodes), stride)
-    np.testing.assert_array_equal(probe.nodes, idx)
-    assert probe.bar_rows.shape == (len(idx), w, T.shape[0])
-    res_full = solvers._residuals_over_nodes(coupling, full.bar_rows)
-    res_probe = solvers._residuals_over_nodes(coupling, probe.bar_rows)
-    assert res_full[-1] > 0
-    np.testing.assert_allclose(res_probe, res_full[idx], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(probe.bar_rows, full.bar_rows[idx], rtol=1e-12,
-                               atol=1e-12 * np.abs(full.bar_rows).max())
-    np.testing.assert_allclose(probe.final, full.full[-1], rtol=1e-12,
-                               atol=1e-12 * np.abs(full.full[-1]).max())
+    stopped = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True,
+                             stop=lambda rows: True)
+    walked = stride if stride < len(grid.nodes) else len(grid.nodes)
+    assert stopped.bar_rows.shape == (walked, w, T.shape[0])
+    np.testing.assert_array_equal(stopped.bar_rows, full.bar_rows[:walked])
+    np.testing.assert_array_equal(stopped.full, full.full[:walked])
+    np.testing.assert_array_equal(
+        solvers._residuals_over_nodes(coupling, stopped.bar_rows),
+        solvers._residuals_over_nodes(coupling, full.bar_rows)[:walked])
+    # from the last node walked, one composed pair reaches tf
+    np.testing.assert_allclose(stopped.final, full.final, rtol=1e-12,
+                               atol=1e-12 * np.abs(full.final).max())
 
 
 @pytest.mark.parametrize("fail_at", [0, 1, 3, 6, None])
-def test_exp_probe_pass_stops_at_its_first_failing_probe(fail_at):
-    # stride 7, N = 50: the head is nodes 0..7, the stride nodes are
-    # 14, ..., 49 and tf is 50; `stop` reads the head at call 0 and the
-    # j-th stride node at call j
+def test_exp_probe_pass_stops_at_its_first_failing_probe(fail_at, monkeypatch):
+    # batches of 7 with N = 50: the stop test reads nodes 0..6 at call 0,
+    # ..., nodes 42..48 at call 6; nodes 49 and 50 end no batch before tf
     T, Bm, P0, grid, w, _ = _exp_probe_case()
-    stride, strides = 7, [14, 21, 28, 35, 42, 49]
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", 7)
+    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False)
+    yields = _count_yields(monkeypatch, "_gram_nodes")
     asked = []
 
     def stop(rows):
         asked.append(len(rows))
         return len(asked) - 1 == fail_at
 
-    probe = solvers._probe_gram_grid(T, Bm, P0, grid, 4, w, stride, stop=stop)
-    n_strides = len(strides) if fail_at is None else fail_at
-    evaluated = list(range(stride + 1)) + strides[:n_strides] + [50]
-    np.testing.assert_array_equal(probe.nodes, evaluated)
-    assert asked == [stride + 1] + [1] * n_strides
-    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True)
-    np.testing.assert_allclose(probe.bar_rows, full.bar_rows[evaluated],
-                               rtol=1e-12,
-                               atol=1e-12 * np.abs(full.bar_rows).max())
-    # the jump to tf by one composed pair equals the stepwise recurrence
-    assert frob_norm(probe.final - full.final) <= 1e-12 * frob_norm(full.final)
+    run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False, stop=stop)
+    n_asked = 7 if fail_at is None else fail_at + 1
+    walked = 51 if fail_at is None else 7 * n_asked
+    assert asked == [7] * n_asked
+    # no node past the batch that stopped the walk is stepped
+    assert yields == [walked]
+    np.testing.assert_array_equal(run.bar_rows, full.bar_rows[:walked])
+    if fail_at is None:
+        np.testing.assert_array_equal(run.final, full.final)
+        np.testing.assert_array_equal(list(run.replay()), list(full.replay()))
+    else:
+        # the jump to tf by one composed pair equals the stepwise recurrence
+        assert frob_norm(run.final - full.final) <= 1e-12 * frob_norm(full.final)
 
 
 @pytest.mark.parametrize("variant,tol", [("extended", 1e-4), ("block", 15.0)])
-def test_probe_first_run_equals_a_full_grid_at_every_step(variant, tol,
-                                                          monkeypatch):
+def test_probe_first_run_equals_a_full_grid_at_every_step(variant, tol):
     op = wrap_sparse(gen_convdiff(10))
     B = gen_random_block(100, 2, seed=7)
     grid = TimeGrid(0.0, 1.0, 1e-2)
     cfg = SolverConfig(krylov_variant=variant, m_max=20, tol=tol)
-    first = solve(op, B, None, grid, cfg)
-
-    def probes_pass(T, Bm, P0, grid, q, w, stride, setup=None, stop=None):
-        return solvers._SmallRun(bar_rows=np.zeros((1, w, T.shape[0])),
-                                 final=None, replay=None)
-
-    monkeypatch.setattr(solvers, "_probe_gram_grid", probes_pass)
-    every = solve(op, B, None, grid, cfg)
-    assert first.converged and every.converged
-    assert [r.grid for r in every.iterations] == ["full"] * len(every.iterations)
-    kinds = [r.grid for r in first.iterations]
+    traj, _ = _assert_one_walk_per_step(op, B, None, grid, cfg)
+    assert traj.converged
+    kinds = [r.grid for r in traj.iterations]
     assert kinds == ["probe"] * (len(kinds) - 1) + ["full"] and len(kinds) > 3
-    assert [r.m for r in first.iterations] == [r.m for r in every.iterations]
-    np.testing.assert_array_equal(first.residuals, every.residuals)
-    np.testing.assert_array_equal(list(first.iter_small()),
-                                  list(every.iter_small()))
-    for rec_p, rec_f in zip(first.iterations, every.iterations):
-        assert rec_p.residual_final == pytest.approx(rec_f.residual_final,
-                                                     rel=1e-12)
-        if rec_p.grid == "probe":
-            assert rec_p.residual_max is None and rec_p.gbar_sup is None
-            assert rec_p.residual_probe_max == pytest.approx(
-                rec_f.residual_probe_max, rel=1e-12)
-            np.testing.assert_allclose(rec_p.small_final, rec_f.small_final,
-                                       rtol=1e-12,
-                                       atol=1e-12 * np.abs(rec_f.small_final).max())
 
 
 def test_probes_below_tol_do_not_declare_convergence(monkeypatch):
-    # at m = 6 the residual peaks at node 93, between the probes 75 and 100
+    # at m = 6 the residual first reaches tol at node 90 and peaks at node
+    # 93, between the nodes 75 and 100 of batches of 25: a test that read
+    # only the first batch and every 25th node would pass there
     monkeypatch.setattr(solvers, "_PROBE_STRIDE", 25)
     A = _stable_dense(30, 40)
     B = np.random.default_rng(41).random((30, 2))
     grid = TimeGrid(0.0, 1.0, 1e-2)
-    rec = solve(A, B, None, grid,
-                SolverConfig(m_max=6, tol=1e-300)).iterations[-1]
-    assert rec.m == 6 and rec.grid == "full"
-    assert rec.residual_probe_max < 0.99 * rec.residual_max
-    tol = np.sqrt(rec.residual_probe_max * rec.residual_max)
-    traj = solve(A, B, None, grid, SolverConfig(m_max=10, tol=tol))
+    traj = solve(A, B, None, grid, SolverConfig(m_max=6, tol=1e-300))
+    assert traj.iterations[-1].grid == "full"
+    res = traj.residuals
+    sparse = np.r_[np.arange(26), 50, 75, 100]
+    tol = np.sqrt(np.max(res[sparse]) * np.max(res))
+    assert np.max(res[sparse]) < tol <= np.max(res)
+    assert 75 < int(np.argmax(res >= tol)) < 100
+    traj, _ = _assert_one_walk_per_step(A, B, None, grid,
+                                        SolverConfig(m_max=10, tol=tol))
     at6 = next(r for r in traj.iterations if r.m == 6)
-    assert at6.grid == "full"          # the probes passed ...
-    assert at6.residual_max >= tol     # ... and the full grid overruled them
+    assert at6.grid == "probe"          # the walk read the nodes in between
+    assert at6.probe_nodes == 100 and at6.residual_max >= tol
     assert traj.iterations[-1].m > 6
-
-
-# -- probe-first convergence on the BDF route --------------------------------
 
 
 def _smooth_case():
@@ -1017,68 +1066,38 @@ def _smooth_case():
 @pytest.mark.parametrize("case", ["smooth", "clipping"])
 def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
                                                      monkeypatch):
+    # a BDF walk its stop test ends at the first batch holds the screened
+    # full grid's nodes bitwise; past the start-up steps it screens no node
+    # after that batch, and inside them it goes on to tf as the full grid
     T, Bm, P0, grid = _smooth_case() if case == "smooth" else _stiff_clipping_case()
     w = Bm.shape[1]
-    coupling = np.random.default_rng(62).standard_normal((3, w))
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
     clips = _record_floor(monkeypatch)
     full = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True)
     full_clips = clips[:]
     clips.clear()
-    probe = solvers._probe_bdf_grid(T, Bm, P0, grid, order, w, stride)
-    assert probe.head == stride + 1
-    assert (probe.bdf_basis, probe.bdf_cond) == (full.bdf_basis, full.bdf_cond)
-    # the probe screens its head nodes 1..stride (and the start-up nodes)
-    # as the full grid does, and nothing past them
-    assert clips == full_clips[:max(stride, order - 1)]
+    stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=False,
+                            stop=lambda rows: True)
+    assert (stopped.bdf_basis, stopped.bdf_cond) == (full.bdf_basis, full.bdf_cond)
+    goes_on = stride < order             # node stride - 1 is a start-up node
+    # nodes 1..stride-1 are screened, as the full grid screens them
+    assert clips == (full_clips if goes_on else full_clips[:stride - 1])
+    assert stopped.psd_clips == sum(full_clips[:stride - 1])
     clipping = case == "clipping" and order > 1    # BDF1 keeps Y PSD
     assert any(full_clips) == clipping
-    if clipping and stride > 1:
+    if clipping and stride > 2:
         assert any(clips)
-    head = slice(0, stride + 1)
-    np.testing.assert_array_equal(probe.bar_rows[head], full.bar_rows[head])
-    np.testing.assert_array_equal(
-        solvers._residuals_over_nodes(coupling, probe.bar_rows)[head],
-        solvers._residuals_over_nodes(coupling, full.bar_rows)[head])
-    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
-    nodes = solvers._bdf_nodes(setup, w)
-    np.testing.assert_array_equal(list(itertools.islice(nodes, stride + 1)),
-                                  full.full[head])
-    screened = max(stride, order - 1)
-    np.testing.assert_array_equal(
-        probe.nodes, list(range(screened + 1)) + [grid.n_steps])
-    if case == "smooth":
+    np.testing.assert_array_equal(stopped.bar_rows, full.bar_rows[:stride])
+    if goes_on:
+        np.testing.assert_array_equal(stopped.final, full.final)
+    elif case == "smooth":
         # no clip anywhere: the unscreened jump to tf is the full grid's
         # recurrence composed into one map, so tf agrees at rounding level
-        np.testing.assert_allclose(probe.bar_rows, full.bar_rows[probe.nodes],
-                                   rtol=1e-10, atol=1e-12 * np.abs(full.full).max())
-        np.testing.assert_allclose(probe.final, full.final, rtol=1e-12)
-        np.testing.assert_allclose(probe.bar_rows[-1], full.bar_rows[-1],
-                                   rtol=1e-12)
-
-
-def _stepwise_probe_rows(setup, w, stride):
-    """Bar rows at the head nodes and at tf, and the value at tf, of the
-    probe pass, with its tail stepped one elementwise BDF step per node
-    from the screened head's history."""
-    basis, N, alphas = setup.basis, setup.n_steps, setup.alphas
-    k = basis.M.shape[0]
-    screened = max(stride, len(alphas) - 1)
-    rows = []
-    for i, (Y, _, _, history) in enumerate(solvers._bdf_steps(setup, w)):
-        rows.append(Y[k - w:, :])
-        if i == screened:
-            break
-    # in the eigenbasis, where the step is elementwise
-    history = [basis.to_eigen(Yh) for Yh in history]
-    forcing = basis.to_eigen(setup.forcing)
-    for _ in range(screened, N):
-        rhs = forcing
-        for alpha, Yh_prev in zip(alphas, history):
-            rhs = rhs + alpha * Yh_prev
-        history = [rhs * basis.multiplier] + history[:-1]
-    final = basis.lift(basis.from_eigen(history[0]))
-    rows.append(final[k - w:, :])
-    return np.array(rows), final
+        np.testing.assert_allclose(stopped.final, full.final, rtol=1e-12)
+    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
+    nodes = solvers._bdf_nodes(setup, w)
+    np.testing.assert_array_equal(list(itertools.islice(nodes, stride)),
+                                  full.full[:stride])
 
 
 def _real_spectrum_case():
@@ -1089,46 +1108,84 @@ def _real_spectrum_case():
             rng.standard_normal((9, 12)))
 
 
+def _stepwise_tail(setup, w, last):
+    """The value at tf of a walk stopped at node `last`, with its tail
+    stepped one elementwise BDF step per node, unscreened, from the
+    screened walk's history at that node."""
+    basis, N, alphas = setup.basis, setup.n_steps, setup.alphas
+    for i, (_, _, _, history) in enumerate(solvers._bdf_steps(setup, w)):
+        if i == last:
+            break
+    # in the eigenbasis, where the step is elementwise
+    history = [basis.to_eigen(Yh) for Yh in history]
+    forcing = basis.to_eigen(setup.forcing)
+    for _ in range(last, N):
+        rhs = forcing
+        for alpha, Yh_prev in zip(alphas, history):
+            rhs = rhs + alpha * Yh_prev
+        history = [rhs * basis.multiplier] + history[:-1]
+    return basis.lift(basis.from_eigen(history[0]))
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("stride", [1, 4, 10])
 @pytest.mark.parametrize("spectrum", ["real", "complex"])
-def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order):
-    # the tail is one composed map from the head to tf; stride 1 with
-    # order 2 or 3 hands the history over at the last start-up node
+def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
+                                                     monkeypatch):
+    # a walk stopped after its first batch reaches tf by one composed map;
+    # stride 1 with order 2 or 3 stops inside the start-up steps, where
+    # the walk goes on to tf instead
     if spectrum == "real":
         T, Bm, P0 = _real_spectrum_case()
     else:
         T, Bm, P0, _ = _smooth_case()
     grid = TimeGrid(0.0, 0.94, 0.02)
     w = Bm.shape[1]
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
     assert np.iscomplexobj(setup.basis.multiplier) == (spectrum == "complex")
-    probe = solvers._probe_bdf_grid(T, Bm, P0, grid, order, w, stride,
-                                    setup=setup)
-    rows, final = _stepwise_probe_rows(setup, w, stride)
-    assert probe.bar_rows.shape == rows.shape
-    screened = max(stride, order - 1)
-    np.testing.assert_array_equal(probe.nodes,
-                                  list(range(screened + 1)) + [grid.n_steps])
-    head = slice(0, screened + 1)
-    np.testing.assert_array_equal(probe.bar_rows[head], rows[head])
-    assert frob_norm(probe.bar_rows[-1] - rows[-1]) <= 1e-12 * frob_norm(rows[-1])
-    assert frob_norm(probe.final - final) <= 1e-12 * frob_norm(final)
+    plain = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=False,
+                          setup=setup)
+    stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=False,
+                            setup=setup, stop=lambda rows: True)
+    np.testing.assert_array_equal(stopped.bar_rows, plain.bar_rows[:stride])
+    if stride < order:
+        np.testing.assert_array_equal(stopped.final, plain.final)
+    else:
+        final = _stepwise_tail(setup, w, stride - 1)
+        assert frob_norm(stopped.final - final) <= 1e-12 * frob_norm(final)
+    # a stop test that reads every batch and never fires changes nothing
+    asked = []
+    checked = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=False,
+                            setup=setup,
+                            stop=lambda rows: asked.append(len(rows)) or False)
+    # 48 nodes: each batch that ends before node 47 is read once
+    assert asked == [stride] * (47 // stride)
+    np.testing.assert_array_equal(checked.bar_rows, plain.bar_rows)
+    np.testing.assert_array_equal(checked.final, plain.final)
+    assert checked.clipped == plain.clipped
+    np.testing.assert_array_equal(list(checked.replay()), list(plain.replay()))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_bdf_probe_pass_steps_only_its_head(order):
+def test_bdf_probe_pass_steps_only_its_head(order, monkeypatch):
+    # a walk stopped after its first batch, nodes 0..9, takes the BDF
+    # steps of nodes order..9 only
     T, Bm, P0, grid = _smooth_case()
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
     calls = []
     solve_step = setup.basis.solve
     setup.basis.solve = lambda R: calls.append(1) or solve_step(R)
-    stride = 10
-    solvers._probe_bdf_grid(T, Bm, P0, grid, order, 2, stride, setup=setup)
-    assert len(calls) == stride - (order - 1)
+    yields = _count_yields(monkeypatch, "_bdf_steps")
+    stride = solvers._PROBE_STRIDE
+    run = _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False,
+                        setup=setup, stop=lambda rows: True)
+    assert len(run.bar_rows) == stride and yields == [stride]
+    assert len(calls) == stride - order
     calls.clear()
     _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False, setup=setup)
     assert len(calls) == grid.n_steps - (order - 1)
+    assert yields == [stride, grid.n_steps + 1]
 
 
 def test_grid_runs_count_their_psd_clips(monkeypatch):
@@ -1137,40 +1194,25 @@ def test_grid_runs_count_their_psd_clips(monkeypatch):
     run = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=False)
     assert run.psd_clips == sum(clips) == grid.n_steps - 1
     clips.clear()
-    probe = solvers._probe_bdf_grid(T, Bm, P0, grid, 2, 1, 10)
-    assert probe.psd_clips == sum(clips) == 9
+    # a walk stopped after nodes 0..9 counts the clips of nodes 2..9
+    stopped = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=False,
+                            stop=lambda rows: True)
+    assert stopped.psd_clips == sum(clips) == 8
+    assert stopped.clipped == tuple(range(2, 10))
     assert _run_gram_grid(T, Bm, P0, grid, 4, 1, keep_full=False).psd_clips == 0
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_bdf_probe_rows_match_a_full_run_at_the_same_m(order, monkeypatch):
+def test_bdf_probe_rows_match_a_full_run_at_the_same_m(order):
     op = wrap_sparse(gen_convdiff(10))
     B = gen_random_block(100, 2, seed=7)
     grid = TimeGrid(0.0, 1.0, 1e-2)
     cfg = SolverConfig(method="eba_bdf", bdf_order=order, m_max=20, tol=1e-4)
-    first = solve(op, B, None, grid, cfg)
-    monkeypatch.setattr(solvers, "_probe_bdf_grid", lambda *a, **kw: None)
-    every = solve(op, B, None, grid, cfg)
-    assert first.converged and every.converged
-    kinds = [r.grid for r in first.iterations]
+    traj, _ = _assert_one_walk_per_step(op, B, None, grid, cfg)
+    assert traj.converged
+    kinds = [r.grid for r in traj.iterations]
     assert kinds == ["probe"] * (len(kinds) - 1) + ["full"] and len(kinds) > 3
-    assert [r.grid for r in every.iterations] == ["full"] * len(kinds)
-    assert [r.m for r in first.iterations] == [r.m for r in every.iterations]
-    np.testing.assert_array_equal(first.residuals, every.residuals)
-    np.testing.assert_array_equal(list(first.iter_small()),
-                                  list(every.iter_small()))
-    for rec_p, rec_f in zip(first.iterations, every.iterations):
-        assert (rec_p.bdf_basis, rec_p.bdf_cond) == (rec_f.bdf_basis, rec_f.bdf_cond)
-        assert rec_p.bdf_basis == "eigen"
-        assert rec_p.residual_final == pytest.approx(rec_f.residual_final,
-                                                     rel=1e-10)
-        assert rec_p.residual_probe_max == pytest.approx(
-            rec_f.residual_probe_max, rel=1e-10)
-        np.testing.assert_allclose(rec_p.small_final, rec_f.small_final,
-                                   rtol=1e-10,
-                                   atol=1e-10 * np.abs(rec_f.small_final).max())
-        if rec_p.grid == "probe":
-            assert rec_p.residual_max is None and rec_p.gbar_sup is None
+    assert {r.bdf_basis for r in traj.iterations} == {"eigen"}
 
 
 def _bdf_dense_case():
@@ -1189,10 +1231,10 @@ def _step_data(A, B, grid, m):
 
 
 def test_bdf_clip_in_the_head_keeps_head_and_decision(monkeypatch):
-    # at m = 3 node 5's screen is forced to "clip" (scale up); the head must
-    # carry the clipped value, and the stop decision must hinge on it
+    # at m = 3 node 5's screen is forced to "clip" (scale up); the first
+    # batch must carry the clipped value, and the stop must hinge on it
     A, B, grid = _bdf_dense_case()
-    m, node, stride = 3, 5, 10
+    m, node, stride = 3, 5, solvers._PROBE_STRIDE
     T, Bm, P0, w, coupling = _step_data(A, B, grid, m)
     inputs = []
     screen, clip = solvers._psd_screen, solvers._psd_clip
@@ -1216,71 +1258,135 @@ def test_bdf_clip_in_the_head_keeps_head_and_decision(monkeypatch):
     monkeypatch.setattr(solvers, "_psd_screen", forced_screen)
     monkeypatch.setattr(solvers, "_psd_clip", forced_clip)
     full = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False)
-    probe = solvers._probe_bdf_grid(T, Bm, P0, grid, 2, w, stride)
+    stopped = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False,
+                            stop=lambda rows: True)
     assert len(clips) == 2
-    head = slice(0, stride + 1)
-    np.testing.assert_array_equal(probe.bar_rows[head], full.bar_rows[head])
+    head = slice(0, stride)
+    np.testing.assert_array_equal(stopped.bar_rows, full.bar_rows[head])
     assert not np.array_equal(full.bar_rows[node], plain.bar_rows[node])
     res_plain = solvers._residuals_over_nodes(coupling, plain.bar_rows)[head]
-    res_clip = solvers._residuals_over_nodes(coupling, probe.bar_rows)[head]
+    res_clip = solvers._residuals_over_nodes(coupling, stopped.bar_rows)
     assert res_clip.max() > 1.5 * res_plain.max()
     tol = np.sqrt(res_plain.max() * res_clip.max())
 
-    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
     cfg = SolverConfig(method="eba_bdf", m_max=10, tol=tol)
-    first = solve(A, B, None, grid, cfg)
-    monkeypatch.setattr(solvers, "_probe_bdf_grid", lambda *a, **kw: None)
-    every = solve(A, B, None, grid, cfg)
-    at_m = next(r for r in first.iterations if r.m == m)
-    assert at_m.grid == "probe"           # only the clipped head exceeds tol
-    assert at_m.psd_clips == 1
-    assert next(r for r in every.iterations if r.m == m).psd_clips == 1
-    assert next(r for r in every.iterations if r.m == m).residual_max >= tol
-    assert [r.m for r in first.iterations] == [r.m for r in every.iterations]
-    assert first.converged == every.converged
-    np.testing.assert_array_equal(first.residuals, every.residuals)
-    np.testing.assert_array_equal(list(first.iter_small()),
-                                  list(every.iter_small()))
+    traj, _ = _assert_one_walk_per_step(A, B, None, grid, cfg)
+    at_m = next(r for r in traj.iterations if r.m == m)
+    assert at_m.grid == "probe"           # only the clipped node reaches tol
+    assert at_m.probe_nodes == stride and at_m.psd_clips == 1
 
 
 def test_bdf_head_below_tol_defers_to_the_full_grid():
-    # at m = 4 the residual stays small over the head and peaks in the tail
+    # at m = 4 the residual stays small over the first batch and peaks
+    # later: the walk goes on to the batch that first reaches tol
     A, B, grid = _bdf_dense_case()
+    stride = solvers._PROBE_STRIDE
     rec = solve(A, B, None, grid, SolverConfig(method="eba_bdf", m_max=4,
                                                tol=1e-300))
-    head_max = rec.residuals[:11].max()
+    head_max = rec.residuals[:stride].max()
     assert rec.iterations[-1].grid == "full"
     assert head_max < 0.1 * rec.residuals.max()
     tol = np.sqrt(head_max * rec.residuals.max())
-    traj = solve(A, B, None, grid, SolverConfig(method="eba_bdf", m_max=10,
-                                                tol=tol))
+    traj, _ = _assert_one_walk_per_step(
+        A, B, None, grid, SolverConfig(method="eba_bdf", m_max=10, tol=tol))
     at4 = next(r for r in traj.iterations if r.m == 4)
-    assert at4.grid == "full"          # the head passed ...
-    assert at4.residual_max >= tol     # ... and the full grid overruled it
+    assert at4.grid == "probe" and at4.probe_nodes > stride
+    assert at4.residual_max >= tol
     assert traj.iterations[-1].m > 4
 
 
 @pytest.mark.parametrize("why", ["schur", "short-grid"])
 def test_bdf_rows_are_full_without_an_eigen_probe(why, monkeypatch):
+    # a grid of at most `_PROBE_STRIDE` nodes has no batch that ends
+    # before tf, so no walk stops, in either step basis
     op = wrap_sparse(gen_convdiff(10))
     B = gen_random_block(100, 2, seed=7)
-    grid = TimeGrid(0.0, 1.0, 1e-2)
+    grid = TimeGrid(0.0, 0.09, 1e-2)
+    assert len(grid.nodes) == solvers._PROBE_STRIDE
     if why == "schur":
         monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
-    stride = grid.n_steps if why == "short-grid" else 10
-    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
-    traj = solve(op, B, None, grid, SolverConfig(method="eba_bdf", m_max=20,
-                                                 tol=1e-4))
+    traj, _ = _assert_one_walk_per_step(
+        op, B, None, grid, SolverConfig(method="eba_bdf", m_max=20, tol=1e-7))
     assert traj.converged and len(traj.iterations) > 3
     assert [r.grid for r in traj.iterations] == ["full"] * len(traj.iterations)
     assert {r.bdf_basis for r in traj.iterations} == {
         "schur" if why == "schur" else "eigen"}
 
 
+def _stiff_clipping_solve():
+    """op, B, X0 and grid of a solve whose projected BDF2 grids clip: the
+    stiff clipping case's T as the operator, its Bm and one column of P0,
+    on the block variant (three steps, the last a full breakdown)."""
+    T, Bm, P0, grid = _stiff_clipping_case()
+    return T, Bm, SymLowRank(P0[:, :1]), grid
+
+
+@pytest.mark.parametrize("case", [
+    "bdf-schur", "stiff-clipping", "exp-initial-value", "bdf-m-max",
+    "exp-one-batch", "bdf-one-batch", "exp-short-grid"])
+def test_one_walk_per_step_equals_a_full_grid_at_every_step(case, monkeypatch):
+    op = wrap_sparse(gen_convdiff(10))
+    B = gen_random_block(100, 2, seed=7)
+    X0, grid, variant = None, TimeGrid(0.0, 1.0, 1e-2), "extended"
+    method = "eba_exp" if case.startswith("exp") else "eba_bdf"
+    m_max, tol = 20, 1e-4
+    if case == "bdf-schur":
+        monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
+    elif case == "stiff-clipping":
+        op, B, X0, grid = _stiff_clipping_solve()
+        variant, tol = "block", 1.0
+    elif case == "exp-initial-value":
+        op = _stable_dense(25, 20)
+        rng = np.random.default_rng(21)
+        B, X0 = rng.random((25, 2)), SymLowRank(0.3 * rng.standard_normal((25, 2)))
+        grid, m_max, tol = TimeGrid(0.0, 0.5, 1e-2), 3, 1e-300
+    elif case == "bdf-m-max":
+        m_max, tol = 4, 1e-300
+    elif case.endswith("one-batch"):
+        # N = stride: one batch, nodes 0..N-1, ends before tf
+        grid, tol = TimeGrid(0.0, 0.1, 1e-2), 1e-7
+    else:
+        grid, tol = TimeGrid(0.0, 0.05, 1e-2), 1e-7
+    cfg = SolverConfig(method=method, krylov_variant=variant, m_max=m_max,
+                       tol=tol)
+    traj, _ = _assert_one_walk_per_step(op, B, X0, grid, cfg)
+    kinds = [r.grid for r in traj.iterations]
+    if case == "exp-short-grid":
+        assert kinds == ["full"] * len(kinds)
+    else:
+        assert kinds == ["probe"] * (len(kinds) - 1) + ["full"]
+    # the last step at m_max, unconverged, still walks every node
+    assert traj.converged == (tol > 1e-300)
+    if case == "bdf-schur":
+        assert {r.bdf_basis for r in traj.iterations} == {"schur"}
+    if case == "stiff-clipping":
+        assert [r.psd_clips > 0 for r in traj.iterations] == [True] * 3
+
+
+@pytest.mark.parametrize("method,generator", [("eba_exp", "_gram_nodes"),
+                                              ("eba_bdf", "_bdf_steps")])
+def test_each_krylov_step_walks_its_grid_once(method, generator, monkeypatch):
+    op = wrap_sparse(gen_convdiff(10))
+    B = gen_random_block(100, 2, seed=7)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    walks = []
+    run_grid = "_run_gram_grid" if method == "eba_exp" else "_run_bdf_grid"
+    inner = getattr(solvers, run_grid)
+    monkeypatch.setattr(solvers, run_grid,
+                        lambda *a, **kw: walks.append(1) or inner(*a, **kw))
+    yields = _count_yields(monkeypatch, generator)
+    traj = solve(op, B, None, grid, SolverConfig(method=method, m_max=20,
+                                                 tol=1e-4))
+    assert traj.converged and len(traj.iterations) > 3
+    assert len(walks) == len(yields) == len(traj.iterations)
+    # a stopped walk steps no node past its stopping batch
+    assert yields == [r.probe_nodes or len(grid.nodes) for r in traj.iterations]
+
+
 @pytest.mark.parametrize("method,setup_fn", [("eba_exp", "exact_step_pair"),
                                             ("eba_bdf", "exact_step_pair")])
 def test_step_data_is_built_once_per_krylov_step(method, setup_fn, monkeypatch):
-    # the full grid of the converging step reuses the probe pass's setup
+    # every step's walk reuses the step data `krylov_steps` built
     op = wrap_sparse(gen_convdiff(10))
     B = gen_random_block(100, 2, seed=7)
     calls = []
