@@ -59,12 +59,13 @@ def load_config(path):
 
 
 def build_spec_and_config(cfg, args):
+    problem = dict(cfg.get("problem", {}))
+    if args.seed is not None:
+        problem["seed"] = args.seed
+    if args.h is not None:
+        problem["h"] = args.h
     try:
-        spec = ProblemSpec.from_dict(cfg.get("problem", {}))
-        if args.seed is not None:
-            spec.seed = args.seed
-        if args.h is not None:
-            spec.h = args.h
+        spec = ProblemSpec.from_dict(problem)
         spec.grid                      # raises on a grid h does not divide
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"problem section: {exc}") from exc

@@ -8,6 +8,11 @@ orthogonalized by block classical Gram-Schmidt run twice (Giraud, Langou,
 Rozloznik & van den Eshof, Numer. Math. 101, 2005), and the projected
 matrix is the explicit projection V^T (A V_inner), grown by its new row
 and column blocks each step (Simoncini, SIAM J. Sci. Comput. 29, 2007).
+The new column block is V^T (A V_newest), from the operator action the
+next candidate needs anyway; the new row block is (A^T V_new)^T V_inner,
+from one transpose action on the new block, so no n-sized array but the
+basis itself outlives a step. The basis grows in place, in one buffer
+whose capacity doubles when it fills.
 """
 
 import numpy as np
@@ -41,11 +46,18 @@ class KrylovDecomposition:
     the coupling. A block of the extended variant has a forward part,
     continued by A, and an inverse part, continued by A^{-1}; a block of
     the block variant is all forward part. For both variants T_bar is the
-    explicit projection V^T (A V_inner).
+    explicit projection V^T (A V_inner). The process needs the operator's
+    forward and transpose actions, and the extended variant its inverse
+    action too; a missing one raises `CapabilityError` before the state
+    changes.
 
-    The basis, A V_inner, T_bar and the block widths are each replaced by a
-    grown copy on every `extend`, never written into; the properties return
-    views of them, so a view or a shallow copy keeps its step's values.
+    The basis lives in one column-major (n, capacity) buffer. `extend`
+    writes a new block into the columns past the basis, and when they run
+    out it copies the basis into a buffer of twice the capacity; it never
+    writes a column that an earlier `basis` view covers. T_bar and the
+    block widths are replaced by a grown copy on every `extend`. The
+    properties return read-only views, so a view or a shallow copy keeps
+    its step's values.
     """
 
     def __init__(self, op, start_block, variant="extended", rank_tol=1e-12):
@@ -67,8 +79,12 @@ class KrylovDecomposition:
         if V.shape[1] == 0:
             raise ValueError("start block has rank 0")
         self._widths = [V.shape[1]]
-        self._V = _frozen(V)
-        self._AV = _frozen(np.zeros((self.n, 0)))
+        self._buf = np.array(V, order="F")
+        # columns of `_buf` some decomposition has written: a shallow copy
+        # shares the buffer and must not write over the original's blocks
+        self._filled = [V.shape[1]]
+        self._V = _frozen(self._buf[:, :V.shape[1]])
+        self._k_in = 0
         self._tbar = _frozen(np.zeros((V.shape[1], 0)))
 
     # -- views of the state --------------------------------------------------
@@ -83,11 +99,11 @@ class KrylovDecomposition:
 
     @property
     def inner_width(self):
-        return self._AV.shape[1]
+        return self._k_in
 
     @property
     def inner_basis(self):
-        return self._V[:, :self.inner_width]
+        return self._V[:, :self._k_in]
 
     @property
     def T_bar(self):
@@ -95,13 +111,13 @@ class KrylovDecomposition:
 
     @property
     def T(self):
-        k = self.inner_width
+        k = self._k_in
         return self._tbar[:k, :k]
 
     @property
     def coupling(self):
         """Sub-diagonal block T_{m+1,m}; zero rows after a full breakdown."""
-        k = self.inner_width
+        k = self._k_in
         w_last = self._widths[self.m - 1] if self.m else 0
         return self._tbar[k:, k - w_last:k]
 
@@ -119,12 +135,27 @@ class KrylovDecomposition:
         U, s, _ = np.linalg.svd(cand, full_matrices=False)
         return U[:, :int(np.sum(s > thresh))]
 
+    def _append(self, Vnew):
+        """Write Vnew into the columns past the basis, in a buffer of twice
+        the capacity when they run out or another decomposition has
+        written them."""
+        k, rank = self._V.shape[1], Vnew.shape[1]
+        if k + rank > self._buf.shape[1] or self._filled[0] != k:
+            grown = np.empty((self.n, max(2 * self._buf.shape[1], k + rank)),
+                             order="F")
+            grown[:, :k] = self._V
+            self._buf, self._filled = grown, [k]
+        self._buf[:, k:k + rank] = Vnew
+        self._filled[0] = k + rank
+        self._V = _frozen(self._buf[:, :k + rank])
+
     def extend(self, op):
         """Append one block. Raises KrylovBreakdown on rank loss; the
         state is updated (at reduced width) before the signal is raised."""
         if self.breakdown_rank == 0:
             raise KrylovBreakdown(0, 0)
-        V, k, k_in = self._V, self._V.shape[1], self.inner_width
+        V, k_in = self._V, self._k_in
+        k = V.shape[1]
         width = self._widths[-1]
         # a rank-deficient block loses its forward/inverse split, so the
         # extended variant keeps the split balanced at every width
@@ -139,14 +170,16 @@ class KrylovDecomposition:
             W = W - V @ (V.T @ W)
         Vnew = self._orthonormal_block(W, frob_norm(cand))
         rank = Vnew.shape[1]
+        # V_new^T A V_inner, the rows of the new block against the inner basis
+        rows_new = op.apply_transpose(Vnew).T @ V[:, :k_in]
 
-        self._V = _frozen(np.hstack([V, Vnew]))
+        self._append(Vnew)
         tbar = np.empty((k + rank, k_in + width))
         tbar[:k, :k_in] = self._tbar
-        tbar[k:, :k_in] = Vnew.T @ self._AV
+        tbar[k:, :k_in] = rows_new
         tbar[:, k_in:] = self._V.T @ a_newest
         self._tbar = _frozen(tbar)
-        self._AV = _frozen(np.hstack([self._AV, a_newest]))
+        self._k_in = k_in + width
         if rank:
             self._widths = self._widths + [rank]
         self.m += 1

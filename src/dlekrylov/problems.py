@@ -6,6 +6,8 @@ discretization of one-dimensional heat flow (mass/stiffness tridiagonals).
 External problems come in through Matrix Market files.
 """
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,10 +35,31 @@ class ProblemSpec:
     zero_b: bool = False
 
     def __post_init__(self):
+        if self.kind not in ("convdiff", "heat_fem", "external"):
+            raise ValueError("kind must be one of ['convdiff', 'heat_fem', "
+                             f"'external'], got {self.kind!r}")
+        # bool is an Integral, and JSON true would read as 1
+        for name in ("n0", "n", "s", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        least = {"s": 1, "seed": 0}
+        if self.kind == "convdiff":
+            least["n0"] = 2
+        elif self.kind == "heat_fem":
+            least["n"] = 2
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, "
+                                 f"got {getattr(self, name)}")
+        for name in ("dt", "alpha"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not 0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite number, "
+                                 f"got {value!r}")
         if self.kind == "convdiff":
             self.n = self.n0 * self.n0
-        if self.s < 1:
-            raise ValueError("s must be at least 1")
 
     @property
     def grid(self):

@@ -23,14 +23,17 @@ at tf, at a node the PSD screen clips, or when every node is asked for.
 The residual comes from the coupling block, never from the large
 approximation.
 
-Each Krylov step walks its grid once. Below the last step the walk
-carries a stop test: every `_PROBE_STRIDE` nodes it reads the residuals of
-the nodes it has just walked, and a residual at or above the tolerance
-proves the step has not converged, so the walk ends there and the loop
-moves on. The value at tf it reports is then reached by one composed map:
-the step pair raised to the remaining steps on the exp route, the BDF
-step as a per-entry map in the complex eigenbasis, unscreened, on the BDF
-route (in the Schur basis the walk goes on to tf unchecked). A walk that
+Each Krylov step walks its grid once. The walk holds the bar rows (the
+last w rows of a node, all the residual formula reads) of one batch of
+`_PROBE_STRIDE` nodes at a time, and reduces each batch to its residuals
+and its largest row norm as it fills: a walk keeps one residual per node.
+Below the last step the walk carries a stop test: it reads the residuals
+of each batch, and a residual at or above the tolerance proves the step
+has not converged, so the walk ends there and the loop moves on. The
+value at tf it reports is then reached by one composed map: the step
+pair raised to the remaining steps on the exp route, the BDF step as a
+per-entry map in the complex eigenbasis, unscreened, on the BDF route
+(in the Schur basis the walk goes on to tf unchecked). A walk that
 reaches tf has visited every node and decides; the last step's walk
 carries no stop test.
 
@@ -82,11 +85,19 @@ class TimeGrid:
     h: float
 
     def __post_init__(self):
+        for name in ("t0", "tf", "h"):
+            value = getattr(self, name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.h <= 0:
             raise ValueError(f"step must be positive, got {self.h}")
         if self.tf <= self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
         steps = (self.tf - self.t0) / self.h
+        if not math.isfinite(steps) or round(steps) < 1:
+            raise ValueError(f"h={self.h} gives no finite, nonzero number of "
+                             f"steps over [{self.t0}, {self.tf}]")
         if abs(steps - round(steps)) > 1e-8 * max(steps, 1.0):
             raise ValueError(f"({self.tf} - {self.t0}) is not a multiple of h={self.h}")
 
@@ -437,10 +448,16 @@ def _psd_clip(Y):
 
 @dataclass
 class _SmallRun:
-    bar_rows: np.ndarray               # (nodes walked, w, k)
+    """A grid walk reduced to what its caller reads: the residual at each
+    node walked, the largest bar-row norm over them, the value at tf and,
+    when asked, every node walked, with its bar rows as a view."""
+
+    residuals: np.ndarray              # (nodes walked,)
+    gbar_sup: float                    # max over them of ||Y[k-w:, :]||_F
     final: np.ndarray                  # (k, k)
     replay: object                     # () -> iterator over the n_nodes (k, k)
-    full: np.ndarray = None            # (n_nodes, k, k) when requested
+    full: np.ndarray = None            # (nodes walked, k, k) when requested
+    bar_rows: np.ndarray = None        # view full[:, k-w:, :] when requested
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
     clipped: tuple = ()                # nodes the PSD screen clipped
@@ -451,42 +468,53 @@ class _SmallRun:
         return len(self.clipped)
 
 
-def _collect(steps, n_nodes, k, w, keep_full, stop=None, jump=None,
-             **basis_info):
+def _collect(steps, n_nodes, k, w, keep_full, coupling=None, stop=None,
+             jump=None, **basis_info):
     """One pass over `steps`, tuples (Y, rows, clipped, ...) of the nodes,
-    with `rows` the last w rows of Y: the rows of every node walked, the
-    final node, the clipped nodes and, when asked, every node. The caller
-    sets the replays.
+    with `rows` the last w rows of Y, reduced batch by batch: the rows of
+    each batch of `_PROBE_STRIDE` nodes go into one reused buffer, from
+    which `_residuals_over_nodes` takes their residuals with `coupling`
+    (None: no coupling block, every residual 0) and a running max takes
+    their norms. The run keeps those residuals, the final node, the clipped
+    nodes and, when `keep_full` is set, every node. The caller sets the
+    replays.
 
-    `stop(rows)`, when given, tells whether a residual at the nodes of the
-    bar rows `rows` reaches the tolerance. It reads each batch of
-    `_PROBE_STRIDE` nodes that ends before the last node; once it says so
-    the walk ends after that batch: `bar_rows` (and `full`) hold the nodes
-    walked, and `final` is `jump(node, s)`, the value at tf reached from
-    the tuple `node` of the last node walked, s steps before tf."""
+    `stop(res)`, when given, tells whether the residuals `res` of a batch
+    reach the tolerance. It reads each batch that ends before the last
+    node; once it says so the walk ends after that batch: the run holds
+    the nodes walked, and `final` is `jump(node, s)`, the value at tf
+    reached from the tuple `node` of the last node walked, s steps before
+    tf."""
     stride = _PROBE_STRIDE
-    # a walk that may stop holds one batch until its first batch passes:
-    # most stop there, and a full-grid buffer per step raises peak memory
-    bar = np.empty((n_nodes if stop is None else min(stride, n_nodes), w, k))
+    if coupling is None:
+        coupling = np.zeros((0, w))
+    batch = np.empty((min(stride, n_nodes), w, k))
+    res = np.empty(n_nodes)
+    sup = 0.0
     full = np.empty((n_nodes, k, k)) if keep_full else None
     clipped = []
     for i, node in enumerate(steps):
         G, rows, clip = node[:3]
-        if i == len(bar):
-            bar = np.concatenate([bar, np.empty((n_nodes - i, w, k))])
-        bar[i] = rows
+        batch[i % stride] = rows
         if keep_full:
             full[i] = G
         if clip:
             clipped.append(i)
         walked = i + 1
-        if (stop is not None and walked % stride == 0 and walked < n_nodes
-                and stop(bar[walked - stride:walked])):
-            return _SmallRun(bar_rows=bar[:walked],
-                             final=jump(node, n_nodes - walked), replay=None,
-                             full=None if full is None else full[:walked],
-                             clipped=tuple(clipped), **basis_info)
-    return _SmallRun(bar_rows=bar, final=G, replay=None, full=full,
+        if walked % stride and walked < n_nodes:
+            continue
+        first = (walked - 1) // stride * stride
+        done = batch[:walked - first]
+        res[first:walked] = _residuals_over_nodes(coupling, done)
+        sup = max(sup, float(np.max(np.einsum("nik,nik->n", done, done))))
+        if stop is not None and walked < n_nodes and stop(res[first:walked]):
+            G = jump(node, n_nodes - walked)
+            break
+    if keep_full:
+        full = full[:walked]
+    return _SmallRun(residuals=res[:walked], gbar_sup=math.sqrt(sup), final=G,
+                     replay=None, full=full,
+                     bar_rows=None if full is None else full[:, k - w:, :],
                      clipped=tuple(clipped), **basis_info)
 
 
@@ -536,11 +564,12 @@ def _gram_setup(T, Bm, P0, grid, q):
     return _GramSetup(E, delta, G0, route)
 
 
-def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None, stop=None):
+def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None,
+                   coupling=None, stop=None):
     """The exp grid over every node, or up to the batch `stop` ends it at,
-    from where one composed pair reaches tf (see `_collect`); `setup` is
-    the `_gram_setup` of the same step when the caller has built it
-    already."""
+    from where one composed pair reaches tf, with the residuals from
+    `coupling` (see `_collect`); `setup` is the `_gram_setup` of the same
+    step when the caller has built it already."""
     if setup is None:
         setup = _gram_setup(T, Bm, P0, grid, q)
     replay = functools.partial(_gram_nodes, setup.E, setup.delta, setup.G0,
@@ -553,8 +582,8 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None, stop=None):
 
     # the exp grid never clips
     steps = ((G, G[k - w:, :], False) for G in replay())
-    return replace(_collect(steps, grid.n_steps + 1, k, w, keep_full, stop,
-                            jump), replay=replay)
+    return replace(_collect(steps, grid.n_steps + 1, k, w, keep_full, coupling,
+                            stop, jump), replay=replay)
 
 
 # Above this cond(V) the eigenbasis step loses accuracy like
@@ -912,15 +941,17 @@ def _basis_info(basis):
                                      "bdf_cond": basis.cond}
 
 
-def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None, stop=None):
+def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None,
+                  coupling=None, stop=None):
     """The BDF grid over every node, or up to the batch `stop` ends it at,
-    from where `_bdf_jump` reaches tf (see `_collect`); `setup` is the
-    `_bdf_setup` of the same step when the caller has built it already."""
+    from where `_bdf_jump` reaches tf, with the residuals from `coupling`
+    (see `_collect`); `setup` is the `_bdf_setup` of the same step when
+    the caller has built it already."""
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
     steps = _bdf_steps(setup, w, full=keep_full)
-    run = _collect(steps, grid.n_steps + 1, T.shape[0], w, keep_full, stop,
-                   _bdf_jump(setup, steps), **_basis_info(setup.basis))
+    run = _collect(steps, grid.n_steps + 1, T.shape[0], w, keep_full, coupling,
+                   stop, _bdf_jump(setup, steps), **_basis_info(setup.basis))
     clips = frozenset(run.clipped)
     return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
                    replay_coords=functools.partial(_bdf_coords, setup, clips))
@@ -964,7 +995,8 @@ def _route(config):
 class KrylovStep(NamedTuple):
     """Krylov step m: the projected data and the route's step data. Its
     `coupling`, `inner_basis` and `decomposition` (a shallow copy) hold step
-    m's arrays, which later `extend` calls replace but never write into."""
+    m's arrays: later `extend` calls replace T_bar, and write basis columns
+    only past the ones these views cover."""
 
     m: int
     basis_size: int
@@ -1012,21 +1044,21 @@ def krylov_steps(op, B, Z0, grid, config):
 def full_grid_run(step, grid, config, stop=None):
     """(run, residuals, record) of the grid walk of a Krylov step: the run
     over every node, or up to the batch `stop` ends it at (see `_collect`),
-    the residual at each node it walked, and its record, a "probe" row when
-    the walk ended before tf."""
+    reduced batch by batch to the residual at each node it walked, and its
+    record, a "probe" row when the walk ended before tf. `stop(res)` reads
+    the residuals of a batch."""
     _, grid_run, scheme = _route(config)
     run = grid_run(step.T, step.Bm, step.P0, grid, scheme, step.w,
-                   keep_full=False, setup=step.setup, stop=stop)
-    res = _residuals_over_nodes(step.coupling, run.bar_rows)
+                   keep_full=False, setup=step.setup, coupling=step.coupling,
+                   stop=stop)
+    res = run.residuals
     if len(res) <= grid.n_steps:
         fields = {"grid": "probe",
                   "residual_final": float(residual_norm(step.coupling,
                                                         run.final)),
                   "gbar_sup": None, "probe_nodes": len(res)}
     else:
-        gbar_sup = np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows,
-                                            run.bar_rows)))
-        fields = {"residual_final": float(res[-1]), "gbar_sup": float(gbar_sup)}
+        fields = {"residual_final": float(res[-1]), "gbar_sup": run.gbar_sup}
     return run, res, IterationRecord(
         m=step.m, basis_size=step.basis_size, residual_max=float(np.max(res)),
         coupling_norm=frob_norm(step.coupling), small_final=run.final,
@@ -1039,9 +1071,9 @@ def _solve(op, B, X0, grid, config):
     op = as_operator(op)
     Z0 = X0.Z if X0 is not None else np.zeros((op.dim, 0))
 
-    def stop(rows):
+    def stop(res):
         # a residual at or above tol proves this step has not converged
-        return np.max(_residuals_over_nodes(step.coupling, rows)) >= config.tol
+        return np.max(res) >= config.tol
 
     iterations = []
     converged = False

@@ -58,11 +58,14 @@ class Factorization:
 
 
 class LinearOperator:
-    """Square operator exposing block actions A @ V and optionally A^{-1} @ V.
+    """Square operator exposing block actions A @ V and optionally A^{-1} @ V
+    and A^T @ V.
 
     `forward` and the optional `inverse`/`transpose` callables take and
-    return (n, k) arrays. Use the `wrap` / `operator_from_pair` helpers
-    rather than constructing this directly.
+    return (n, k) arrays. The Krylov processes need the forward and
+    transpose actions, and the extended variant also needs the inverse;
+    every helper here provides all three. Use the `wrap` /
+    `operator_from_pair` helpers rather than constructing this directly.
     """
 
     def __init__(self, dim, forward, inverse=None, transpose=None):

@@ -171,6 +171,29 @@ def test_config_error_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and field in err and repr(bad) in err
         assert "unknown fields" not in err
+    # a bad problem field or time grid is named too, not passed on to the
+    # generators; -1e400 reads as -inf
+    for field, bad in (("n0", 2.5), ("n0", 0), ("n0", True), ("s", True),
+                       ("seed", -1), ("h", 1e9), ("t0", -1e400), ("h", "0.01")):
+        capsys.readouterr()
+        cfg6 = _write_cfg(tmp_path, name="c6.json",
+                          problem=_base_problem(**{field: bad}))
+        assert main(["solve", "--config", cfg6, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: problem section" in err and field in err
+    for field, bad in (("dt", -1), ("alpha", 0)):
+        capsys.readouterr()
+        cfg7 = _write_cfg(tmp_path, name="c7.json",
+                          problem={"kind": "heat_fem", "n": 8, field: bad})
+        assert main(["solve", "--config", cfg7, "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+    cfg8 = _write_cfg(tmp_path, name="c8.json", problem=_base_problem())
+    for flags in (["--seed", "-1"], ["--h", "1e9"]):
+        assert main(["solve", "--config", cfg8, "--out", str(tmp_path),
+                     *flags]) == 2
+    cfg9 = _write_cfg(tmp_path, name="c9.json", problem=_base_problem(),
+                      sweep={"axis": "h", "values": [0.01, 1e9]})
+    assert main(["sweep", "--config", cfg9, "--out", str(tmp_path)]) == 2
     # the problem section holds the seed; the solver reads none
     cfg4 = _write_cfg(tmp_path, name="c4.json", problem=_base_problem(),
                       solver={"seed": 1})
@@ -306,7 +329,7 @@ def test_sweep_over_m_bound_matches_the_full_grid_of_each_step(tmp_path):
             dec.extend(op)
         T = dec.T
         run = _run_gram_grid(T, dec.project_block(B), np.zeros((T.shape[0], 0)),
-                             grid, 4, dec.widths[dec.m - 1], keep_full=False)
+                             grid, 4, dec.widths[dec.m - 1], keep_full=True)
         gbar_sup = np.max(np.sqrt(np.einsum("nik,nik->n", run.bar_rows,
                                             run.bar_rows)))
         bound = error_bound_stable(mu2, np.linalg.norm(dec.coupling), gbar_sup,

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -268,14 +270,17 @@ def test_state_is_read_only(variant):
 
 @pytest.mark.parametrize("variant", ["block", "extended"])
 def test_one_operator_action_per_extend(variant):
-    # one apply on the newest block, and one apply_inverse on its inverse
-    # columns on the extended variant only
+    # one apply on the newest block, one apply_inverse on its inverse
+    # columns on the extended variant only, and one apply_transpose on the
+    # new block
     base = wrap_sparse(gen_convdiff(6))
     calls = []
     op = LinearOperator(
         base.dim,
         forward=lambda V: calls.append(("apply", V.copy())) or base.apply(V),
-        inverse=lambda V: calls.append(("inverse", V.copy())) or base.apply_inverse(V))
+        inverse=lambda V: calls.append(("inverse", V.copy())) or base.apply_inverse(V),
+        transpose=lambda V: (calls.append(("transpose", V.copy()))
+                             or base.apply_transpose(V)))
     B = gen_random_block(36, 2, seed=4)
     dec = KrylovDecomposition(op, B, variant=variant)
     assert [kind for kind, _ in calls] == (["inverse"] if variant == "extended" else [])
@@ -285,10 +290,65 @@ def test_one_operator_action_per_extend(variant):
         n_inv = width // 2 if variant == "extended" else 0
         calls.clear()
         dec.extend(op)
-        assert [kind for kind, _ in calls] == ["apply"] + ["inverse"] * (n_inv > 0)
+        assert [kind for kind, _ in calls] == (["apply"] + ["inverse"] * (n_inv > 0)
+                                               + ["transpose"])
         np.testing.assert_array_equal(calls[0][1], newest)
         if n_inv:
             np.testing.assert_array_equal(calls[1][1], newest[:, width - n_inv:])
+        np.testing.assert_array_equal(calls[-1][1], dec.basis[:, -dec.widths[-1]:])
+
+
+@pytest.mark.parametrize("variant", ["block", "extended"])
+def test_extend_needs_the_transpose_action(variant):
+    # the first extend raises before it changes the state
+    base = wrap_sparse(gen_convdiff(6))
+    op = LinearOperator(base.dim, forward=base.apply, inverse=base.apply_inverse)
+    dec = KrylovDecomposition(op, gen_random_block(36, 2, seed=4), variant=variant)
+    V = dec.basis
+    with pytest.raises(CapabilityError, match="transpose"):
+        dec.extend(op)
+    assert dec.m == 0 and dec.inner_width == 0 and dec.basis is V
+    dec.extend(base)
+    assert dec.m == 1
+
+
+@pytest.mark.parametrize("variant", ["block", "extended"])
+def test_earlier_steps_keep_their_state_across_a_regrowth(variant):
+    # the basis buffer starts at the start block's width and doubles: every
+    # step's views and shallow copy keep their values, read-only, across
+    # the regrowths and the in-place writes past them
+    op = wrap_sparse(gen_convdiff(8))
+    dec = KrylovDecomposition(op, gen_random_block(64, 2, seed=5), variant=variant)
+    snapshots = []
+    capacities = [dec._buf.shape[1]]
+    for _ in range(9):
+        dec.extend(op)
+        if dec._buf.shape[1] != capacities[-1]:
+            capacities.append(dec._buf.shape[1])
+        state = copy.copy(dec)
+        views = (state.basis, state.inner_basis, state.T_bar, state.coupling)
+        snapshots.append((state, views, [a.copy() for a in views]))
+    assert len(capacities) >= 3
+    assert all(b >= 2 * a for a, b in zip(capacities, capacities[1:]))
+    for state, views, values in snapshots:
+        now = (state.basis, state.inner_basis, state.T_bar, state.coupling)
+        for view, current, value in zip(views, now, values):
+            np.testing.assert_array_equal(view, value)
+            np.testing.assert_array_equal(current, value)
+            for a in (view, current):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
+    # a shallow copy extended by another operator writes no column of the
+    # original's, also where the buffer they share has room past the copy
+    state, _, (V, *_) = snapshots[3]
+    assert state._buf is snapshots[4][0]._buf
+    other = wrap_sparse(gen_convdiff(8).T)
+    state.extend(other)
+    assert not np.allclose(state.basis, snapshots[4][2][0])
+    np.testing.assert_array_equal(state.basis[:, :V.shape[1]], V)
+    for later, _, (V_later, *_) in snapshots[4:]:
+        np.testing.assert_array_equal(later.basis, V_later)
+    np.testing.assert_array_equal(dec.basis[:, :V_later.shape[1]], V_later)
 
 
 def test_T_bar_keeps_the_older_rows_after_a_coarse_deflation():

@@ -142,6 +142,25 @@ def test_spec_rejects_unknown_fields():
         ProblemSpec.from_dict({"kind": "convdiff", "bogus": 1})
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("n0", 2.5), ("n0", 0), ("n0", 1), ("n0", True), ("s", True), ("s", 0),
+    ("s", "2"), ("seed", -1), ("seed", 1.0), ("n", 2.0),
+    ("dt", -1), ("dt", 0.0), ("dt", np.inf), ("dt", True), ("alpha", np.nan),
+    ("alpha", "0.05"), ("kind", "convection")])
+def test_spec_rejects_bad_fields(field, bad):
+    kind = "heat_fem" if field in ("n", "dt", "alpha") else "convdiff"
+    with pytest.raises(ValueError, match=field):
+        ProblemSpec.from_dict({"kind": kind, field: bad})
+
+
+def test_spec_checks_the_size_of_its_own_kind():
+    # n0 sizes only convdiff, n only heat_fem
+    assert ProblemSpec(kind="heat_fem", n0=0, n=2).n == 2
+    assert ProblemSpec(kind="convdiff", n0=2, n=1).n == 4
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        ProblemSpec(kind="heat_fem", n=1)
+
+
 def test_spec_roundtrip():
     spec = ProblemSpec(kind="heat_fem", n=30, s=2, seed=9, dt=0.02, alpha=0.1,
                        t0=0.0, tf=1.0, h=0.01)

@@ -42,6 +42,14 @@ def test_grid_validation():
         TimeGrid(1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, 0.3)
+    # a step that never reaches tf, non-finite ends or steps, and a span
+    # that overflows are errors, not a one-node grid or an OverflowError
+    for bad in ((0.0, 1.0, 1e9), (0.0, 1.0, 3.0), (0.0, 1.0, np.inf),
+                (0.0, 1.0, np.nan), (-np.inf, 1.0, 0.1), (0.0, np.inf, 0.1),
+                (-1e308, 1e308, 1.0), (0.0, 1.0, True), (0.0, "1", 0.1)):
+        with pytest.raises(ValueError):
+            TimeGrid(*bad)
+    assert TimeGrid(0.0, 1.0, 1.0).n_steps == 1
 
 
 def test_bdf_table_values():
@@ -756,6 +764,29 @@ def test_solve_memory_does_not_grow_with_trajectory_size(method):
     assert peak < 0.5 * len(grid.nodes) * k * k * 8
 
 
+def test_grid_walk_memory_does_not_grow_with_its_bar_rows():
+    # N = 20,000 nodes at w = 4, k = 20: the bar rows alone are N w k
+    # doubles, 12.8 MB; the walk keeps one batch of them and N residuals
+    import tracemalloc
+
+    op = wrap_sparse(gen_convdiff(6))
+    grid = TimeGrid(0.0, 2.0, 1e-4)
+    cfg = SolverConfig(m_max=5, tol=1e-300)
+    *_, step = solvers.krylov_steps(op, gen_random_block(36, 2, seed=7),
+                                    np.zeros((36, 0)), grid, cfg)
+    w, k, n_nodes = step.w, step.basis_size, len(grid.nodes)
+    assert (w, k, n_nodes) == (4, 20, 20001)
+    tracemalloc.start()
+    try:
+        run, res, rec = solvers.full_grid_run(step, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.grid == "full" and len(res) == n_nodes
+    assert peak < 8 * (2 * n_nodes + 50 * solvers._PROBE_STRIDE * w * k)
+    assert peak < 0.05 * n_nodes * w * k * 8
+
+
 def test_convergence_failure_reported():
     A = _stable_dense(50, 22)
     rng = np.random.default_rng(23)
@@ -975,13 +1006,15 @@ def test_probe_pass_matches_full_grid_at_probe_nodes(stride, monkeypatch):
     # nodes bitwise; N = 50, so a batch of 80 nodes never ends before tf
     T, Bm, P0, grid, w, coupling = _exp_probe_case()
     monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
-    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True)
+    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True,
+                          coupling=coupling)
     stopped = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True,
-                             stop=lambda rows: True)
+                             coupling=coupling, stop=lambda res: True)
     walked = stride if stride < len(grid.nodes) else len(grid.nodes)
     assert stopped.bar_rows.shape == (walked, w, T.shape[0])
     np.testing.assert_array_equal(stopped.bar_rows, full.bar_rows[:walked])
     np.testing.assert_array_equal(stopped.full, full.full[:walked])
+    np.testing.assert_array_equal(stopped.residuals, full.residuals[:walked])
     np.testing.assert_array_equal(
         solvers._residuals_over_nodes(coupling, stopped.bar_rows),
         solvers._residuals_over_nodes(coupling, full.bar_rows)[:walked])
@@ -994,23 +1027,28 @@ def test_probe_pass_matches_full_grid_at_probe_nodes(stride, monkeypatch):
 def test_exp_probe_pass_stops_at_its_first_failing_probe(fail_at, monkeypatch):
     # batches of 7 with N = 50: the stop test reads nodes 0..6 at call 0,
     # ..., nodes 42..48 at call 6; nodes 49 and 50 end no batch before tf
-    T, Bm, P0, grid, w, _ = _exp_probe_case()
+    T, Bm, P0, grid, w, coupling = _exp_probe_case()
     monkeypatch.setattr(solvers, "_PROBE_STRIDE", 7)
-    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False)
+    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False,
+                          coupling=coupling)
     yields = _count_yields(monkeypatch, "_gram_nodes")
     asked = []
 
-    def stop(rows):
-        asked.append(len(rows))
+    def stop(res):
+        asked.append(res.copy())
         return len(asked) - 1 == fail_at
 
-    run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False, stop=stop)
+    run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False,
+                         coupling=coupling, stop=stop)
     n_asked = 7 if fail_at is None else fail_at + 1
     walked = 51 if fail_at is None else 7 * n_asked
-    assert asked == [7] * n_asked
+    # each call reads the residuals of its batch
+    assert [len(res) for res in asked] == [7] * n_asked
+    np.testing.assert_array_equal(np.concatenate(asked),
+                                  full.residuals[:7 * n_asked])
     # no node past the batch that stopped the walk is stepped
     assert yields == [walked]
-    np.testing.assert_array_equal(run.bar_rows, full.bar_rows[:walked])
+    np.testing.assert_array_equal(run.residuals, full.residuals[:walked])
     if fail_at is None:
         np.testing.assert_array_equal(run.final, full.final)
         np.testing.assert_array_equal(list(run.replay()), list(full.replay()))
@@ -1076,8 +1114,8 @@ def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
     full = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True)
     full_clips = clips[:]
     clips.clear()
-    stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=False,
-                            stop=lambda rows: True)
+    stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
+                            stop=lambda res: True)
     assert (stopped.bdf_basis, stopped.bdf_cond) == (full.bdf_basis, full.bdf_cond)
     goes_on = stride < order             # node stride - 1 is a start-up node
     # nodes 1..stride-1 are screened, as the full grid screens them
@@ -1144,10 +1182,10 @@ def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
     monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
     assert np.iscomplexobj(setup.basis.multiplier) == (spectrum == "complex")
-    plain = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=False,
+    plain = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
                           setup=setup)
-    stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=False,
-                            setup=setup, stop=lambda rows: True)
+    stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
+                            setup=setup, stop=lambda res: True)
     np.testing.assert_array_equal(stopped.bar_rows, plain.bar_rows[:stride])
     if stride < order:
         np.testing.assert_array_equal(stopped.final, plain.final)
@@ -1156,9 +1194,9 @@ def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
         assert frob_norm(stopped.final - final) <= 1e-12 * frob_norm(final)
     # a stop test that reads every batch and never fires changes nothing
     asked = []
-    checked = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=False,
+    checked = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
                             setup=setup,
-                            stop=lambda rows: asked.append(len(rows)) or False)
+                            stop=lambda res: asked.append(len(res)) or False)
     # 48 nodes: each batch that ends before node 47 is read once
     assert asked == [stride] * (47 // stride)
     np.testing.assert_array_equal(checked.bar_rows, plain.bar_rows)
@@ -1179,8 +1217,8 @@ def test_bdf_probe_pass_steps_only_its_head(order, monkeypatch):
     yields = _count_yields(monkeypatch, "_bdf_steps")
     stride = solvers._PROBE_STRIDE
     run = _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False,
-                        setup=setup, stop=lambda rows: True)
-    assert len(run.bar_rows) == stride and yields == [stride]
+                        setup=setup, stop=lambda res: True)
+    assert len(run.residuals) == stride and yields == [stride]
     assert len(calls) == stride - order
     calls.clear()
     _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False, setup=setup)
@@ -1196,7 +1234,7 @@ def test_grid_runs_count_their_psd_clips(monkeypatch):
     clips.clear()
     # a walk stopped after nodes 0..9 counts the clips of nodes 2..9
     stopped = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=False,
-                            stop=lambda rows: True)
+                            stop=lambda res: True)
     assert stopped.psd_clips == sum(clips) == 8
     assert stopped.clipped == tuple(range(2, 10))
     assert _run_gram_grid(T, Bm, P0, grid, 4, 1, keep_full=False).psd_clips == 0
@@ -1240,7 +1278,8 @@ def test_bdf_clip_in_the_head_keeps_head_and_decision(monkeypatch):
     screen, clip = solvers._psd_screen, solvers._psd_clip
     monkeypatch.setattr(solvers, "_psd_screen",
                         lambda Y, *a: inputs.append(Y.copy()) or screen(Y, *a))
-    plain = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False)
+    plain = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=True,
+                          coupling=coupling)
     target = inputs[node - 1]            # node 1 is the first screen
     clips, pending = [], []
 
@@ -1257,15 +1296,17 @@ def test_bdf_clip_in_the_head_keeps_head_and_decision(monkeypatch):
 
     monkeypatch.setattr(solvers, "_psd_screen", forced_screen)
     monkeypatch.setattr(solvers, "_psd_clip", forced_clip)
-    full = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False)
-    stopped = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=False,
-                            stop=lambda rows: True)
+    full = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=True)
+    stopped = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=True,
+                            coupling=coupling, stop=lambda res: True)
     assert len(clips) == 2
     head = slice(0, stride)
     np.testing.assert_array_equal(stopped.bar_rows, full.bar_rows[head])
     assert not np.array_equal(full.bar_rows[node], plain.bar_rows[node])
-    res_plain = solvers._residuals_over_nodes(coupling, plain.bar_rows)[head]
-    res_clip = solvers._residuals_over_nodes(coupling, stopped.bar_rows)
+    res_plain = plain.residuals[head]
+    res_clip = stopped.residuals
+    np.testing.assert_array_equal(
+        res_clip, solvers._residuals_over_nodes(coupling, stopped.bar_rows))
     assert res_clip.max() > 1.5 * res_plain.max()
     tol = np.sqrt(res_plain.max() * res_clip.max())
 
