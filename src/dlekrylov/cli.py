@@ -20,9 +20,10 @@ import numpy as np
 from .analysis import (SizeGuardError, StabilityError, error_bound_stable,
                        reference_stream)
 from .dense import frob_norm, log_norm_mu2
-from .mmio import write_matrix_market, write_matrix_market_array
-from .problems import (ProblemSpec, build_problem, dense_matrix, gen_convdiff,
-                       gen_random_block, heat_fem_matrices)
+from .mmio import (MatrixMarketParseError, write_matrix_market,
+                   write_matrix_market_array)
+from .problems import (InputError, ProblemSpec, build_problem, dense_matrix,
+                       gen_convdiff, gen_random_block, heat_fem_matrices)
 from .solvers import (SolverConfig, TimeGrid, full_grid_run, krylov_steps,
                       solve)
 
@@ -122,6 +123,7 @@ def cmd_solve(args):
     t_start = time.perf_counter()
     traj = solve(op, B, None, grid, config)
     t_solve = time.perf_counter() - t_start
+    del op, B                   # the LU factor is not needed past the solve
 
     t_start = time.perf_counter()
     ranks = traj.ranks()
@@ -131,11 +133,14 @@ def cmd_solve(args):
                [(t, r, int(k)) for t, r, k in zip(traj.nodes, traj.residuals, ranks)])
 
     factor_path = None
+    t_write = 0.0
     if cfg.get("output", {}).get("write_factor", False):
         factor = traj.lowrank_factor(-1)
         factor_path = os.path.join(out_dir, "factor_tf.mtx")
+        t_write = time.perf_counter()
         write_matrix_market_array(factor.Z, factor_path + ".tmp")
         os.replace(factor_path + ".tmp", factor_path)
+        t_write = time.perf_counter() - t_write
 
     report = {
         "problem": spec.to_dict(),
@@ -146,7 +151,8 @@ def cmd_solve(args):
         "final_residual": traj.final_residual,
         "final_rank": int(ranks[-1]),
         "iterations": _iteration_rows(traj),
-        "timings_s": {"build": t_build, "solve": t_solve, "ranks": t_ranks},
+        "timings_s": {"build": t_build, "solve": t_solve, "ranks": t_ranks,
+                      "write": t_write},
         "outputs": {"csv": csv_path, "factor": factor_path},
     }
     report["timings_s"]["output"] = time.perf_counter() - t_start
@@ -354,7 +360,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SizeGuardError, StabilityError) as exc:
+    except (SizeGuardError, StabilityError, MatrixMarketParseError,
+            InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

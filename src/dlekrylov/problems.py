@@ -158,6 +158,10 @@ def gen_heat_fem(n, dt, alpha):
     return op, build_b
 
 
+class InputError(ValueError):
+    """An input file of an external problem cannot be read."""
+
+
 def build_problem(spec):
     """Materialize (operator, B, grid) for a ProblemSpec."""
     if spec.kind == "convdiff":
@@ -169,14 +173,17 @@ def build_problem(spec):
         F = gen_random_block(spec.n, spec.s, spec.seed)
         B = build_b(F)
     elif spec.kind == "external":
-        A = read_matrix_market(spec.a_path)
+        try:
+            A = read_matrix_market(spec.a_path)
+            if not spec.b_path:
+                B = gen_random_block(A.shape[0], spec.s, spec.seed)
+            elif _is_array_file(spec.b_path):
+                B = read_matrix_market_array(spec.b_path)
+            else:
+                B = read_matrix_market(spec.b_path).toarray()
+        except OSError as exc:
+            raise InputError(f"cannot read an input file: {exc}") from exc
         op = wrap_sparse(A)
-        if not spec.b_path:
-            B = gen_random_block(A.shape[0], spec.s, spec.seed)
-        elif _is_array_file(spec.b_path):
-            B = read_matrix_market_array(spec.b_path)
-        else:
-            B = read_matrix_market(spec.b_path).toarray()
         spec.n = A.shape[0]
     else:
         raise ValueError(f"unknown problem kind {spec.kind!r}")
@@ -186,9 +193,9 @@ def build_problem(spec):
 
 
 def _is_array_file(path):
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         header = fh.readline().split()
-    return len(header) >= 3 and header[2].lower() == "array"
+    return len(header) >= 3 and header[2].lower() == b"array"
 
 
 def dense_matrix(op_or_sparse, n=None):

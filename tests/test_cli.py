@@ -45,9 +45,10 @@ def test_solve_writes_report_and_csv(tmp_path):
     # each stopped walk reaches tol in its first batch, nodes 0..9
     assert [row["probe_nodes"] for row in rows] == [10] * (len(rows) - 1) + [None]
     timings = report["timings_s"]
-    assert set(timings) == {"build", "solve", "ranks", "output"}
+    assert set(timings) == {"build", "solve", "ranks", "write", "output"}
     assert all(v >= 0.0 for v in timings.values())
     assert timings["ranks"] <= timings["output"]      # output is the total
+    assert timings["write"] <= timings["output"]
     lines = open(os.path.join(out, "solution.csv")).read().splitlines()
     assert lines[0] == "t,residual_frobenius,rank"
     assert len(lines) == 52          # header + 51 nodes
@@ -96,6 +97,41 @@ def test_solve_writes_factor(tmp_path):
     Z = read_matrix_market_array(os.path.join(out, "factor_tf.mtx"))
     assert Z.shape[0] == 25
     assert Z.shape[1] >= 1
+
+
+def test_solve_frees_the_operator_before_writing_the_factor(tmp_path, monkeypatch):
+    import gc
+    import weakref
+
+    from dlekrylov import cli
+
+    refs, alive = [], []
+    build = cli.build_problem
+
+    def build_problem(spec):
+        op, B, grid = build(spec)
+        refs.append(weakref.ref(op))
+        return op, B, grid
+
+    write = cli.write_matrix_market_array
+
+    def write_factor(M, path):
+        gc.collect()
+        alive.append(refs[0]() is not None)
+        write(M, path)
+
+    monkeypatch.setattr(cli, "build_problem", build_problem)
+    monkeypatch.setattr(cli, "write_matrix_market_array", write_factor)
+    for method in ("eba-exp", "eba-bdf"):
+        refs.clear()
+        cfg = _write_cfg(tmp_path, problem=_base_problem(),
+                         solver={"m_max": 10, "tol": 1e-8},
+                         output={"write_factor": True})
+        out = str(tmp_path / method)
+        assert main(["solve", "--config", cfg, "--out", out, "--method", method]) == 0
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert 0.0 < report["timings_s"]["write"] <= report["timings_s"]["output"]
+    assert alive == [False, False]
 
 
 def test_flag_overrides(tmp_path):
@@ -476,6 +512,24 @@ def test_gen_problem_heat(tmp_path):
     assert main(["gen-problem", "--config", cfg, "--out", out]) == 0
     for f in ("M.mtx", "K.mtx", "F.mtx", "problem.json"):
         assert os.path.exists(os.path.join(out, f))
+
+
+@pytest.mark.parametrize("a_bytes, where", [
+    (None, "No such file"),
+    (b"%%MatrixMarket matrix coordinate real general\n3 3 -1\n", "A.mtx:2:"),
+    (b"%%MatrixMarket matrix coordinate real general\n3 3 1\n4 1 1.0\n", "A.mtx:3:"),
+    (b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \xff\n", "A.mtx:3:"),
+])
+def test_solve_reports_a_bad_external_input(tmp_path, capsys, a_bytes, where):
+    a_path = tmp_path / "A.mtx"
+    if a_bytes is not None:
+        a_path.write_bytes(a_bytes)
+    cfg = _write_cfg(tmp_path, problem={"kind": "external", "a_path": str(a_path),
+                                        "tf": 0.1, "h": 0.01})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert "Traceback" not in err
 
 
 def test_gen_problem_external_rejected(tmp_path):

@@ -1,8 +1,11 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix, random as sparse_random
 
-from dlekrylov.mmio import (MatrixMarketParseError, read_matrix_market,
+from dlekrylov.mmio import (MatrixMarketParseError, _fmt, read_matrix_market,
                             read_matrix_market_array, write_matrix_market,
                             write_matrix_market_array)
 
@@ -99,8 +102,6 @@ def test_array_wrong_count_reports(tmp_path):
 
 
 def test_array_writer_matches_the_per_value_format(tmp_path):
-    from dlekrylov.mmio import _fmt
-
     col = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, -1.7976931348623157e308,
            1e300, -3.5e-310, 6.02214076e23, 1.0 / 3.0, -2.5, 1e-100]
     M = np.array([col, col[::-1]]).T
@@ -112,3 +113,118 @@ def test_array_writer_matches_the_per_value_format(tmp_path):
                           for i in range(M.shape[0])))
     assert path.read_bytes() == expected.encode()
     assert "-0.0000000000000000e+00" in expected and "4.9406564584124654e-324" in expected
+
+
+@pytest.mark.parametrize("reader, header, size", [
+    (read_matrix_market_array, "array", "3 x"),
+    (read_matrix_market_array, "array", "-1 2"),
+    (read_matrix_market, "coordinate", "2 2 -1"),
+    (read_matrix_market, "coordinate", "-2 2 0"),
+])
+def test_bad_size_line_reports_line(tmp_path, reader, header, size):
+    path = str(tmp_path / "size.mtx")
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix {header} real general\n% a comment\n")
+        fh.write(f"{size}\n")
+    with pytest.raises(MatrixMarketParseError) as exc:
+        reader(path)
+    assert exc.value.lineno == 3
+    assert str(exc.value).startswith(f"{path}:3: ") and repr(size) in str(exc.value)
+
+
+def _lines_of(values):
+    """The array writer's value lines for a 1-D array, as bytes."""
+    from dlekrylov.mmio import _write_values
+
+    buf = io.BytesIO()
+    _write_values(buf, np.asarray(values, dtype=float)[None, :])
+    return buf.getvalue()
+
+
+def _reference_lines(values):
+    return "".join(_fmt(x) + "\n" for x in values).encode()
+
+
+@pytest.fixture
+def fallback_count(monkeypatch):
+    """Counts the values the array writer hands to Python's formatter."""
+    from dlekrylov import mmio
+
+    calls = []
+    fmt = mmio._fmt
+    monkeypatch.setattr(mmio, "_fmt", lambda x: calls.append(x) or fmt(x))
+    return calls
+
+
+def test_array_format_on_random_bit_patterns(fallback_count):
+    # every exponent, sign, subnormal, inf and nan; 2^20 values
+    rng = np.random.default_rng(15)
+    bits = rng.integers(0, 2 ** 64, size=2 ** 20, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    assert _lines_of(values) == _reference_lines(values.tolist())
+    # magnitudes outside [1e-260, 1e260] and nan go through Python
+    assert 0.1 * values.size < len(fallback_count) < 0.2 * values.size
+
+
+def _named_values():
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    values = [0.0, -0.0, tiny, 2.225073858507201e-308, 2.2250738585072014e-308,
+              huge, -huge, np.inf, -np.inf, np.nan, 1e-260, 1e260]
+    for q in range(-300, 301):
+        p = float(f"1e{q}")
+        values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    # exact ties at the 17th digit (the 18th significant digit a 5 and
+    # nothing after it): 1 + 2^-17 = 1.00000762939453125
+    values += [1.0 + 2.0 ** -17, 1.0 + 3 * 2.0 ** -17, 2.0 ** 60, 2.0 ** 61 + 2 ** 9]
+    # near ties: the 18th significant digit a 5 followed by more digits
+    values += [float(f"1.2345678901234567{d}e{q}") for d in ("5", "51", "49999")
+               for q in (-200, -5, 0, 7, 150)]
+    # values that round up to 10^17 at 17 digits: 9.99999999999999999e-1 .. ;
+    # the largest double below each of 1, 10 and 1e22
+    values += [0.99999999999999999, 9.999999999999999999, np.nextafter(1.0, 0.0),
+               np.nextafter(10.0, 0.0), np.nextafter(1e22, 0.0), 99999999999999999.0]
+    return values
+
+
+def test_array_format_on_named_values(fallback_count):
+    values = _named_values()
+    values = values + [-x for x in values]
+    assert _lines_of(values) == _reference_lines(values)
+    assert b"1.0000076293945312e+00\n" in _lines_of([1.0 + 2.0 ** -17])
+    assert len(fallback_count) > 0
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_array_format_with_log10_one_off(monkeypatch, fallback_count, shift):
+    # an exponent estimate one off puts the scaled value outside
+    # [1e16, 1e17): every such line is Python's
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    values = np.random.default_rng(5).standard_normal(3000) * 10.0 ** np.arange(-150, 150, 0.1)
+    assert _lines_of(values) == _reference_lines(values.tolist())
+    assert len(fallback_count) == values.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_array_format_property(values):
+    assert _lines_of(values) == _reference_lines(values)
+
+
+def test_array_writer_chunks_and_empty_shapes(tmp_path):
+    from dlekrylov import mmio
+
+    rng = np.random.default_rng(2)
+    # columns longer than a chunk, split unevenly; a fallback value at a
+    # chunk boundary and at the start of a column
+    M = rng.standard_normal((mmio._CHUNK + 3, 3)) * 10.0 ** rng.integers(-12, 12, (1, 3))
+    M[0, 1] = 0.0
+    M[-1, 0] = np.nan
+    M[mmio._CHUNK // 2, 2] = -np.inf
+    for shape_matrix in (M, np.zeros((0, 2)), np.zeros((4, 0))):
+        path = tmp_path / "m.mtx"
+        write_matrix_market_array(shape_matrix, str(path))
+        rows, cols = shape_matrix.shape
+        expected = (f"%%MatrixMarket matrix array real general\n{rows} {cols}\n"
+                    .encode() + _reference_lines(shape_matrix.T.ravel().tolist()))
+        assert path.read_bytes() == expected
