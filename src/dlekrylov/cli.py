@@ -52,11 +52,30 @@ class ConfigError(ValueError):
 
 
 def load_config(path):
+    """The configuration object of the JSON file `path`: its sections are
+    objects among problem, solver, output and sweep, and output holds at
+    most `write_factor`, a bool; anything else is a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: the configuration must be a JSON object, "
+                          f"got {type(cfg).__name__}")
+    for name, section in cfg.items():
+        if name not in ("problem", "solver", "output", "sweep"):
+            raise ConfigError(f"unknown section {name!r}; the sections are "
+                              "problem, solver, output and sweep")
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} section must be an object, got {section!r}")
+    for field, value in cfg.get("output", {}).items():
+        if field != "write_factor":
+            raise ConfigError(f"output section: unknown field {field!r}")
+        if not isinstance(value, bool):
+            raise ConfigError(f"output section: write_factor must be true or "
+                              f"false, got {value!r}")
+    return cfg
 
 
 def build_spec_and_config(cfg, args):

@@ -17,9 +17,12 @@ Lyapunov equation with one coefficient on the whole grid, solved in a
 real basis: in the real pair basis of the projected operator's
 eigenvectors (a conjugate pair v, conj v becomes Re v, Im v) it is one
 O(k^2) map, and when the eigenvectors are ill-conditioned the real Schur
-basis takes over with one triangular Sylvester solve. A BDF grid run
-lifts only the rows the residual formula reads, and the whole node only
-at tf, at a node the PSD screen clips, or when every node is asked for.
+basis takes over with one triangular Sylvester solve. Every node after t0
+lives in that basis, the exact start-up steps too: elementwise in the
+eigenbasis, or the exponential route's pair moved into the Schur basis.
+A BDF grid run lifts only the rows the residual formula reads, and the
+whole node only at tf, at a node the PSD screen clips, or when every
+node is asked for.
 The residual comes from the coupling block, never from the large
 approximation.
 
@@ -174,10 +177,10 @@ class IterationRecord:
     the last node walked by one composed map; on eba-bdf in the eigen
     basis that map is the unscreened recurrence, so it matches the full
     grid at rounding level, and only where that grid never clips. A "full"
-    step walked every node. `step_pair` is how the step's exact pair built
-    its increment: "lyapunov" or "quadrature" (on eba-bdf, the start-up
-    pair's; None without one). `psd_clips` counts the clipped nodes among
-    the nodes the walk recorded."""
+    step walked every node. `step_pair` is how the step's exact step built
+    its increment: "lyapunov" or "quadrature", or "eigen" for an eba-bdf
+    start-up in the eigenbasis (None for BDF1). `psd_clips` counts the
+    clipped nodes among the nodes the walk recorded."""
 
     m: int
     basis_size: int
@@ -191,7 +194,7 @@ class IterationRecord:
     bdf_cond: float = None             # cond(V) that chose that basis
     grid: str = "full"                 # "probe" | "full"
     psd_clips: int = 0                 # PSD screen clips of that grid run
-    step_pair: str = None              # "lyapunov" | "quadrature"
+    step_pair: str = None              # "lyapunov" | "quadrature" | "eigen"
     probe_nodes: int = None            # nodes a stopped walk visited
 
 
@@ -621,7 +624,8 @@ def exact_step_pair(T, B, h, q=4):
 
 
 class _StepBasis:
-    """Real basis M in which a BDF grid holds its history Yr = M^-1 Y M^-T.
+    """Real basis M in which a BDF grid holds every node after t0 as
+    Yr = M^-1 Y M^-T.
 
     `solve` maps the right-hand side R (in the basis) of
     F Y + Y F^T = -R to Y (in the basis), F = h*beta*T - I/2: one
@@ -629,13 +633,12 @@ class _StepBasis:
     map in the real pair basis of the eigenvectors (`_pair_basis`).
     `gram` = M^T M and `gram_inv`, its inverse, carry the PSD screen into
     the basis; both are None where M is orthogonal. In the pair basis
-    `multiplier` is the same solve in the eigenbasis V = M P, where it is
-    R * multiplier elementwise, and `to_eigen` and `from_eigen` change
-    between the two coordinates; in the Schur basis `multiplier` is None.
-    """
+    `lam` are T's eigenvalues in the order of the eigenbasis V = M P, and
+    `multiplier` is the solve in V: R * multiplier elementwise. Both are
+    None in the Schur basis."""
 
-    def __init__(self, kind, cond, M, M_inv, solve, gram=None, gram_inv=None,
-                 multiplier=None, pairing=None):
+    def __init__(self, kind, cond, M, M_inv, solve=None, gram=None,
+                 gram_inv=None, multiplier=None, lam=None, pairing=None):
         self.kind = kind
         self.cond = cond
         self.M = M
@@ -644,6 +647,7 @@ class _StepBasis:
         self.gram = gram
         self.gram_inv = gram_inv
         self.multiplier = multiplier
+        self.lam = lam
         self._pairing = pairing            # `_pair_congruence` data; None: P = I
 
     def project(self, Y):
@@ -680,6 +684,50 @@ class _StepBasis:
         r, block, _ = self._pairing
         return _pair_congruence(Yh, r, block).real
 
+    def entrywise(self, mult):
+        """The real map Yr -> from_eigen(mult * to_eigen(Yr)), mult a
+        function of lam_a + lam_b, at O(k^2): an entry (a, b) reads Yr at
+        the rows of a's pair and the columns of b's pair, so it is
+        Yr * mult between real eigenvalues and a 2x2 coupling on pairs."""
+        k = len(self.lam)
+        if self._pairing is None:
+            return lambda R: R * mult
+        r = self._pairing[0]
+        p = (k - r) // 2
+        # entry (a, b) reads R[swap^s a, swap^t b], s, t in {0, 1} and swap
+        # taking a to its pair partner, with weight C[s, t, a, b] = sum over
+        # x, y in {0, 1} of g[s, x, a] g[t, y, b] mult[swap^x a, swap^y b],
+        # g[s, x, a] = P[a, swap^x a] P^-1[swap^x a, swap^s a]: on a pair's
+        # rows g[0] = (1/2, 1/2) and g[1] = (-i/2, i/2); on a real
+        # eigenvalue's row g[0] = (1, 0), g[1] = 0
+        g = np.zeros((2, 2, k), dtype=complex)
+        g[0, 0, :r] = 1.0
+        g[0, :, r:] = 0.5
+        g[1, 0, r:] = -0.5j
+        g[1, 1, r:] = 0.5j
+        ar = np.arange(k)
+        swap = (ar, np.r_[ar[:r], ar[r:].reshape(p, 2)[:, ::-1].ravel()])
+        M_xy = np.array([[mult[np.ix_(swap[x], swap[y])] for y in (0, 1)]
+                         for x in (0, 1)])
+        C = np.einsum("sxa,tyb,xyab->stab", g, g, M_xy).real
+        C_rows = C[1, 0, r:].reshape(p, 2, k)
+        C_cols = C[0, 1, :, r:].reshape(k, p, 2)
+        C_both = C[1, 1, r:, r:].reshape(p, 2, p, 2)
+
+        def apply(R):
+            # the pairs' rows and columns are contiguous, so reshaped
+            # views with a reversed pair axis read R at the partners
+            out = np.multiply(R, C[0, 0], order="C")
+            rows = out[r:].reshape(p, 2, k)
+            rows += C_rows * R[r:].reshape(p, 2, k)[:, ::-1]
+            cols = out[:, r:].reshape(k, p, 2)
+            cols += C_cols * R[:, r:].reshape(k, p, 2)[:, :, ::-1]
+            both = out[r:, r:].reshape(p, 2, p, 2)
+            both += C_both * R[r:, r:].reshape(p, 2, p, 2)[:, ::-1, :, ::-1]
+            return out
+
+        return apply
+
 
 def _pair_congruence(X, r, block):
     """P X P^T for P = I_r (+) block (+) block (+) ..., block 2x2, at O(k^2)."""
@@ -693,7 +741,7 @@ def _pair_congruence(X, r, block):
     return out
 
 
-def _pair_basis(lam, V, cond, inv_pair):
+def _pair_basis(lam, V, cond, h_beta):
     """The eigen step basis in real coordinates.
 
     Each conjugate pair (v, conj v) of eigenvectors in V becomes the columns
@@ -701,59 +749,27 @@ def _pair_basis(lam, V, cond, inv_pair):
     pairs. So V = W P up to that order, with P 2x2-block-diagonal: blocks
     [[1, 1], [i, -i]] on the pairs (P / sqrt(2) is unitary there) and 1
     elsewhere, and cond(W) is within a factor sqrt(2) of cond(V). The
-    eigenbasis solve, inv_pair * Rh elementwise, reads in W's coordinates
-    R -> P (inv_pair * (P^-1 R P^-T)) P^T, which is real: an entry (a, b)
-    reads R at the rows of a's pair and the columns of b's pair, so it is
-    R * inv_pair between real eigenvalues and a 2x2 coupling on the rows
-    and columns of the pairs."""
+    eigenbasis solve is Rh * inv_pair elementwise, inv_pair_ab =
+    -1 / (lam_F_a + lam_F_b) over the eigenvalues lam_F = h_beta*lam - 1/2
+    of F, and `entrywise` reads it in W's coordinates."""
     k = len(lam)
     first = np.flatnonzero(lam.imag > 0)   # LAPACK lists v before conj v
     order = np.r_[np.flatnonzero(lam.imag == 0), np.c_[first, first + 1].ravel()]
-    V, inv_pair = V[:, order], inv_pair[np.ix_(order, order)]
-    r, p = k - 2 * len(first), len(first)  # r real eigenvalues, p pairs
+    lam, V = lam[order], V[:, order]
+    r = k - 2 * len(first)                 # r real eigenvalues, then pairs
     W = np.array(V.real)
     W[:, r + 1::2] = V[:, r::2].imag
     W_inv = np.linalg.inv(W)
-    grams = {"gram": W.T @ W, "gram_inv": W_inv @ W_inv.T}
-    if not p:
-        return _StepBasis("eigen", cond, W, W_inv, lambda R: R * inv_pair,
-                          multiplier=inv_pair, **grams)
-    block = np.array([[1.0, 1.0], [1j, -1j]])
-    block_inv = np.array([[0.5, -0.5j], [0.5, 0.5j]])
-    # entry (a, b) of the solve reads R[swap^s a, swap^t b], s, t in {0, 1}
-    # and swap taking a to its pair partner, with weight C[s, t, a, b] =
-    # sum over x, y in {0, 1} of g[s, x, a] g[t, y, b]
-    # inv_pair[swap^x a, swap^y b], g[s, x, a] = P[a, swap^x a]
-    # P^-1[swap^x a, swap^s a]: on a pair's rows g[0] = (1/2, 1/2) and
-    # g[1] = (-i/2, i/2); on a real eigenvalue's row g[0] = (1, 0), g[1] = 0
-    g = np.zeros((2, 2, k), dtype=complex)
-    g[0, 0, :r] = 1.0
-    g[0, :, r:] = 0.5
-    g[1, 0, r:] = -0.5j
-    g[1, 1, r:] = 0.5j
-    ar = np.arange(k)
-    swap = (ar, np.r_[ar[:r], ar[r:].reshape(p, 2)[:, ::-1].ravel()])
-    M_xy = np.array([[inv_pair[np.ix_(swap[x], swap[y])] for y in (0, 1)]
-                     for x in (0, 1)])
-    C = np.einsum("sxa,tyb,xyab->stab", g, g, M_xy).real
-    C_rows = C[1, 0, r:].reshape(p, 2, k)
-    C_cols = C[0, 1, :, r:].reshape(k, p, 2)
-    C_both = C[1, 1, r:, r:].reshape(p, 2, p, 2)
-
-    def solve(R):
-        # the pairs' rows and columns are contiguous, so reshaped views
-        # with a reversed pair axis read R at the partners
-        out = np.multiply(R, C[0, 0], order="C")
-        rows = out[r:].reshape(p, 2, k)
-        rows += C_rows * R[r:].reshape(p, 2, k)[:, ::-1]
-        cols = out[:, r:].reshape(k, p, 2)
-        cols += C_cols * R[:, r:].reshape(k, p, 2)[:, :, ::-1]
-        both = out[r:, r:].reshape(p, 2, p, 2)
-        both += C_both * R[r:, r:].reshape(p, 2, p, 2)[:, ::-1, :, ::-1]
-        return out
-
-    return _StepBasis("eigen", cond, W, W_inv, solve, multiplier=inv_pair,
-                      pairing=(r, block, block_inv), **grams)
+    lam_F = h_beta * lam - 0.5
+    check_lyapunov_solvable(lam_F)
+    inv_pair = -1.0 / (lam_F[:, None] + lam_F[None, :])
+    pairing = None if r == k else (r, np.array([[1.0, 1.0], [1j, -1j]]),
+                                   np.array([[0.5, -0.5j], [0.5, 0.5j]]))
+    basis = _StepBasis("eigen", cond, W, W_inv, gram=W.T @ W,
+                       gram_inv=W_inv @ W_inv.T, multiplier=inv_pair, lam=lam,
+                       pairing=pairing)
+    basis.solve = basis.entrywise(inv_pair)
+    return basis
 
 
 def _bdf_basis(T, h_beta):
@@ -763,101 +779,88 @@ def _bdf_basis(T, h_beta):
     lam, V = np.linalg.eig(T)
     cond = float(np.linalg.cond(V))
     if cond <= _EIGEN_COND_MAX:
-        lam_F = h_beta * lam - 0.5
-        check_lyapunov_solvable(lam_F)
-        return _pair_basis(lam, V, cond, -1.0 / (lam_F[:, None] + lam_F[None, :]))
+        return _pair_basis(lam, V, cond, h_beta)
     lyap = LyapunovSolver(h_beta * T - 0.5 * np.eye(T.shape[0]))
     return _StepBasis("schur", cond, lyap.U, lyap.U.T, lyap.solve_schur)
+
+
+def _startup_step(T, Bm, h, basis, Q):
+    """(step, route): the exact step Yr -> Yr(t + h) of
+    dY/dt = T Y + Y T^T + Bm Bm^T on basis values, Q = Bm Bm^T in the
+    basis. In V it is Yh -> e^{hS} * Yh + Qh * expm1(hS)/S elementwise,
+    S_ab = lam_a + lam_b (h where S = 0), route "eigen"; in the Schur
+    basis U, `exact_step_pair`'s (E, delta) as (U^T E U, U^T delta U)."""
+    if basis.lam is None:
+        E, delta, route = exact_step_pair(T, Bm, h, _QUADRATURE_ORDER)
+        E, delta = basis.M_inv @ E @ basis.M, basis.project(delta)
+        return (lambda Yr: sym_part(E @ Yr @ E.T + delta)), route
+    S = basis.lam[:, None] + basis.lam[None, :]
+    phi = np.divide(np.expm1(h * S), S, out=np.full_like(S, h), where=S != 0)
+    propagate = basis.entrywise(np.exp(h * S))
+    increment = basis.from_eigen(basis.to_eigen(Q) * phi)
+    return (lambda Yr: propagate(Yr) + increment), "eigen"
 
 
 class _BDFSetup(NamedTuple):
     """Step data of a BDF grid, as `_bdf_steps` reads them."""
 
     Y0: np.ndarray
-    startup: tuple                     # `exact_step_pair`, or None
-    basis: _StepBasis                  # None when N < order
+    startup: object                    # `_startup_step`'s map; None for BDF1
+    step_pair: str                     # its route; None for BDF1
+    basis: _StepBasis
     forcing: np.ndarray                # h*beta*Q in the basis
     alphas: tuple
     n_steps: int
 
-    @property
-    def step_pair(self):
-        """Route of the start-up pair's increment; None without one."""
-        return None if self.startup is None else self.startup[2]
-
 
 def _bdf_setup(T, Bm, P0, grid, order):
     """Step data of the BDF grid of the projected pair (T, Bm)."""
-    k = T.shape[0]
-    N = grid.n_steps
-    h = grid.h
-    Q_const = Bm @ Bm.T
-    Y0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
+    Y0 = P0 @ P0.T                     # zero when P0 has no column
     beta, alphas = BDF_TABLE[order]
+    basis = _bdf_basis(T, grid.h * beta)
+    Q = basis.project(Bm @ Bm.T)
     # multistep start-up values by exact propagation (a low-order
     # bootstrap step would cap the observable global order at 2)
-    startup = exact_step_pair(T, Bm, h) if min(order - 1, N) else None
-    basis = forcing = None
-    if N >= order:
-        basis = _bdf_basis(T, h * beta)
-        forcing = h * beta * basis.project(Q_const)
-    return _BDFSetup(Y0, startup, basis, forcing, alphas, N)
+    startup, route = (_startup_step(T, Bm, grid.h, basis, Q) if order > 1
+                      else (None, None))
+    return _BDFSetup(Y0, startup, route, basis, grid.h * beta * Q, alphas,
+                     grid.n_steps)
 
 
 def _bdf_steps(setup, w, full=True, clips=None):
     """(Y_i, rows_i, clipped, history) for the nodes i = 0..N of a BDF grid
-    from its `_bdf_setup` step data: len(alphas) - 1 start-up steps by the
-    exact pair of `startup` (E, delta, route), then BDF steps with the
-    history held in `basis`. `rows_i` are the last w rows of Y_i.
-    `clipped` tells whether the PSD screen clipped Y_i, clipping it by
-    `_psd_clip`: `_psd_screen` runs on a start-up node as it is and on a
-    BDF node in the basis, whose failure lifts the node, clips it and
-    projects it back. `clips`, when given, is the set of the nodes a
-    screened pass over the same step data clipped: those nodes clip and
-    no node is screened, which decides as that pass did, since the inputs
-    are bitwise the same. A BDF node that is not clipped lifts only its
-    rows, and its full Y_i too when `full` is set or i = N; otherwise Y_i
-    is None. From node len(alphas) - 1 on, when BDF steps follow,
-    `history` is what the next step reads: the last len(alphas) values in
-    the basis, newest first, a list the generator updates in place; before
-    that node, or with no BDF step, it is None."""
-    Y0, startup, basis, forcing, alphas, n_steps = setup
-    k = Y0.shape[0]
-    order = len(alphas)
-    n_start = min(order - 1, n_steps)
-
-    def clip_at(i, Y, *grams):
-        return not _psd_screen(Y, *grams) if clips is None else i in clips
-
-    Y = Y0
-    clipped = False
-    startup_history = [Y]
-    for i in range(1, n_start + 1):
-        yield Y, Y[k - w:, :], clipped, None
-        E, delta, _ = startup
-        Y = sym_part(E @ Y @ E.T + delta)
-        clipped = clip_at(i, Y)
-        if clipped:
-            Y = _psd_clip(Y)
-        startup_history.insert(0, Y)
-    if n_steps == n_start:
-        yield Y, Y[k - w:, :], clipped, None
-        return
-    history = [basis.project(Y_prev) for Y_prev in startup_history]
-    yield Y, Y[k - w:, :], clipped, history
-    for i in range(n_start + 1, n_steps + 1):
-        rhs = forcing
-        for alpha, Yr_prev in zip(alphas, history):
-            rhs = rhs + alpha * Yr_prev
-        Yr = basis.solve(rhs)
-        clipped = clip_at(i, Yr, basis.gram, basis.gram_inv)
+    from its `_bdf_setup` step data: Y0, then values in `basis`, by the
+    `startup` map up to node len(alphas) - 1 and BDF steps after it.
+    `rows_i` are the last w rows of Y_i. `clipped` tells whether the PSD
+    screen, run in the basis, failed: the node is lifted, clipped by
+    `_psd_clip` and projected back. `clips`, when given, is the set of the
+    nodes a screened pass over the same step data clipped: those nodes
+    clip and no node is screened, which decides as that pass did, since
+    the inputs are bitwise the same. A node after Y0 that is not clipped
+    lifts only its rows, and its full Y_i too when `full` is set or i = N;
+    otherwise Y_i is None. `history` is the last len(alphas) values in the
+    basis (fewer in the start-up), newest first, updated in place."""
+    Y0, basis, alphas = setup.Y0, setup.basis, setup.alphas
+    k, order = Y0.shape[0], len(alphas)
+    history = [basis.project(Y0)]
+    yield Y0, Y0[k - w:, :], False, history
+    for i in range(1, setup.n_steps + 1):
+        if i < order:
+            Yr = setup.startup(history[0])
+        else:
+            rhs = setup.forcing
+            for alpha, Yr_prev in zip(alphas, history):
+                rhs = rhs + alpha * Yr_prev
+            Yr = basis.solve(rhs)
+        clipped = (i in clips if clips is not None
+                   else not _psd_screen(Yr, basis.gram, basis.gram_inv))
         if clipped:
             Y = _psd_clip(basis.lift(Yr))
             rows = Y[k - w:, :]
             Yr = basis.project(Y)
         else:
             rows = basis.lift_rows(Yr, w)
-            Y = basis.lift(Yr, rows) if full or i == n_steps else None
+            Y = basis.lift(Yr, rows) if full or i == setup.n_steps else None
         history.insert(0, Yr)
         del history[order:]
         yield Y, rows, clipped, history
@@ -873,10 +876,10 @@ def _bdf_nodes(setup, w, clips=None):
 def _bdf_coords(setup, clips):
     """(Y_i, gram_inv) for the nodes of the BDF grid of `_bdf_setup`'s
     step data, as `Trajectory.replay_coords` walks them: a node the grid
-    holds lifted (start-up, clipped, tf) as it is with gram_inv None, any
-    other as its basis value with the basis's `gram_inv`. It lifts no
-    basis node and reads no rows; `clips` as in `_bdf_steps`."""
-    gram_inv = None if setup.basis is None else setup.basis.gram_inv
+    holds lifted (Y0, clipped, tf) as it is with gram_inv None, any other
+    as its basis value with the basis's `gram_inv`. It lifts no basis node
+    and reads no rows; `clips` as in `_bdf_steps`."""
+    gram_inv = setup.basis.gram_inv
     for Y, _, _, history in _bdf_steps(setup, 0, full=False, clips=clips):
         yield (Y, None) if Y is not None else (history[0], gram_inv)
 
@@ -923,7 +926,7 @@ def _bdf_jump(setup, steps):
 
     def jump(node, s):
         history = node[3]
-        if history is None or basis.multiplier is None:
+        if basis.multiplier is None or len(history) < len(setup.alphas):
             for Y, *_ in steps:
                 pass
             return Y
@@ -936,11 +939,6 @@ def _bdf_jump(setup, steps):
     return jump
 
 
-def _basis_info(basis):
-    return {} if basis is None else {"bdf_basis": basis.kind,
-                                     "bdf_cond": basis.cond}
-
-
 def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None,
                   coupling=None, stop=None):
     """The BDF grid over every node, or up to the batch `stop` ends it at,
@@ -951,7 +949,8 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None,
         setup = _bdf_setup(T, Bm, P0, grid, order)
     steps = _bdf_steps(setup, w, full=keep_full)
     run = _collect(steps, grid.n_steps + 1, T.shape[0], w, keep_full, coupling,
-                   stop, _bdf_jump(setup, steps), **_basis_info(setup.basis))
+                   stop, _bdf_jump(setup, steps), bdf_basis=setup.basis.kind,
+                   bdf_cond=setup.basis.cond)
     clips = frozenset(run.clipped)
     return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
                    replay_coords=functools.partial(_bdf_coords, setup, clips))

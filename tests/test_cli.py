@@ -177,7 +177,8 @@ def test_report_counts_psd_clips(tmp_path, monkeypatch):
     # a stopped walk screens nodes 1..9 of its first batch; the full grid
     # all 50 nodes
     assert [row["psd_clips"] for row in rows] == [9] * (len(rows) - 1) + [50]
-    assert all(row["step_pair"] == "lyapunov" for row in rows)
+    # the start-up step comes from the step basis's eigendecomposition
+    assert all(row["step_pair"] == "eigen" for row in rows)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -235,6 +236,32 @@ def test_config_error_exit_code(tmp_path, capsys):
                       solver={"seed": 1})
     assert main(["solve", "--config", cfg4, "--out", str(tmp_path)]) == 2
     assert "unknown fields ['seed']" in capsys.readouterr().err
+    # the file is one object of known sections, each an object, and output
+    # holds only write_factor, a bool: a misspelled section or field must
+    # not run the defaults, nor a non-object section end in a traceback
+    out = tmp_path / "bad-sections"
+    for sections, name in (
+            ({"solvr": {"method": "eba_bdf"}}, "'solvr'"),
+            ({"output": {"write_facto": True}}, "'write_facto'"),
+            ({"output": ["write_factor"]}, "output"),
+            ({"output": {"write_factor": 1}}, "write_factor"),
+            ({"output": {"write_factor": "yes"}}, "write_factor"),
+            ({"solver": ["eba_bdf"]}, "solver"),
+            ({"problem": None}, "problem"),
+            ({"sweep": "m"}, "sweep")):
+        capsys.readouterr()
+        cfg10 = _write_cfg(tmp_path, name="c10.json",
+                           **{"problem": _base_problem(), **sections})
+        for command in ("solve", "sweep"):
+            assert main([command, "--config", cfg10, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and name in err
+    for text in ("[]", '"solve"', "1"):
+        (tmp_path / "c11.json").write_text(text)
+        assert main(["solve", "--config", str(tmp_path / "c11.json"),
+                     "--out", str(out)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_m_max_below_one_is_config_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 from dlekrylov.dense import frob_norm, spec_norm_2
 from dlekrylov.krylov import (KrylovBreakdown, KrylovDecomposition,
                               arnoldi_relation_residual)
-from dlekrylov.problems import gen_convdiff, gen_random_block
+from dlekrylov.problems import gen_convdiff, gen_heat_fem, gen_random_block
 from dlekrylov.sparsela import (CapabilityError, LinearOperator, wrap_dense,
                                 wrap_sparse)
 
@@ -361,3 +361,19 @@ def test_T_bar_keeps_the_older_rows_after_a_coarse_deflation():
     B = np.hstack([b, A @ b + 1e-8 * g, h])
     _, below = _grow_checking_T_bar(A, B, "extended", rank_tol=2e-9)
     assert below > 1e-10
+
+
+@pytest.mark.parametrize("problem", ["convdiff", "heat_fem"])
+def test_extended_basis_stays_orthonormal_at_n_6400(problem):
+    # loss of orthogonality of the 19-step extended basis, trailing block
+    # included (k = 80), on both problem families at n = 6400: about 5e-15
+    # with two block CGS passes per extend; fewer passes must keep it
+    B = gen_random_block(6400, 2, seed=7)
+    if problem == "convdiff":
+        op = wrap_sparse(gen_convdiff(80))
+    else:
+        op, build_b = gen_heat_fem(6400, 0.01, 0.05)
+        B = build_b(B)
+    V = _extend_times(KrylovDecomposition(op, B), op, 19).basis
+    assert V.shape[1] == 80
+    assert frob_norm(np.eye(80) - V.T @ V) <= 1e-13

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -290,6 +290,57 @@ def test_pair_basis_solve_matches_the_complex_eigenbasis_solve(spectrum, pairs):
     assert np.abs(D[~blocks]).max() <= 1e-12 * np.abs(T).max()
 
 
+def _startup_case(seed, k, spectrum):
+    """T, Bm and P0 of one start-up step. T = S D S^-1 has eigenvalues of
+    real part in [-5, -0.1], real or in conjugate pairs (and one real when
+    k is odd); the "zero-sum" T is triangular with eigenvalues 0, 0.5, -0.5
+    and -1, which LAPACK returns exactly."""
+    rng = np.random.default_rng(seed)
+    if spectrum == "zero-sum":
+        T = np.diag([0.0, 0.5, -0.5, -1.0]) + np.triu(0.3 * rng.standard_normal((4, 4)), 1)
+    else:
+        D = np.diag(-rng.uniform(0.1, 5.0, k))
+        if spectrum == "complex":
+            for j in range(0, k - 1, 2):
+                D[j + 1, j + 1] = D[j, j]
+                D[j, j + 1] = rng.uniform(0.1, 5.0)
+                D[j + 1, j] = -D[j, j + 1]
+        S = np.eye(k) + 0.5 * rng.standard_normal((k, k))
+        T = S @ D @ np.linalg.inv(S)
+    k = T.shape[0]
+    return T, rng.standard_normal((k, 2)), rng.standard_normal((k, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=7),
+       st.sampled_from(["real", "complex"]), st.floats(min_value=1e-3, max_value=0.2))
+@example(0, 4, "zero-sum", 0.05)
+def test_eigen_startup_step_matches_the_exact_pair_and_the_quadrature(seed, k, spectrum, h):
+    # the start-up step from the step basis's eigendecomposition, against
+    # the exp route's pair and the q = 8 quadrature of the exact solution;
+    # the eigen route loses accuracy like cond(V)^2 eps (cond(V) <= 1e3)
+    from dlekrylov.analysis import dense_reference_integral
+
+    T, Bm, P0 = _startup_case(seed, k, spectrum)
+    grid = TimeGrid(0.0, h, h)
+    setup = solvers._bdf_setup(T, Bm, P0, grid, 2)
+    basis = setup.basis
+    assume(basis.kind == "eigen")
+    assert setup.step_pair == "eigen" and basis.cond <= solvers._EIGEN_COND_MAX
+    S = basis.lam[:, None] + basis.lam[None, :]
+    assert np.any(S == 0) == (spectrum == "zero-sum")
+    if spectrum == "complex":
+        assert np.any(S.imag != 0)
+    Y1 = basis.lift(setup.startup(basis.project(setup.Y0)))
+    E, delta, route = exact_step_pair(T, Bm, h)
+    if spectrum == "zero-sum":
+        assert route == "quadrature"          # a singular Lyapunov operator
+    tol = 100 * basis.cond ** 2 * np.finfo(float).eps
+    for ref in (sym_part(E @ setup.Y0 @ E.T + delta),
+                dense_reference_integral(T, Bm, SymLowRank(P0), grid, q=8)[1]):
+        assert frob_norm(Y1 - ref) <= tol * frob_norm(ref)
+
+
 @pytest.mark.parametrize("c", [0.5, 2.0])
 @pytest.mark.parametrize("axis", [0, 3])
 def test_psd_screen_in_a_basis_decides_as_on_the_lifted_matrix(axis, c):
@@ -322,6 +373,7 @@ def test_psd_screen_in_a_basis_decides_as_on_the_lifted_matrix(axis, c):
 def test_bdf_grid_lifts_full_matrices_only_at_tf_and_clipped_nodes(monkeypatch):
     # the deciding run lifts rows only; a full lift is made at tf and at
     # each node whose screen fails, and a keep_full run lifts every node
+    # after Y0, the start-up node included
     T, Bm, P0, grid = _smooth_case()
     w, N = Bm.shape[1], grid.n_steps
     screen = solvers._psd_screen
@@ -329,7 +381,7 @@ def test_bdf_grid_lifts_full_matrices_only_at_tf_and_clipped_nodes(monkeypatch):
 
     def failing_screen(Y, *args):
         calls.append(1)
-        # BDF nodes 5 and 20 (node 1 is the start-up screen)
+        # nodes 5 and 20 (node 1, the start-up node, is screened too)
         return screen(Y, *args) and len(calls) not in (5, 20)
 
     monkeypatch.setattr(solvers, "_psd_screen", failing_screen)
@@ -342,7 +394,7 @@ def test_bdf_grid_lifts_full_matrices_only_at_tf_and_clipped_nodes(monkeypatch):
         run = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=keep_full,
                             setup=setup)
         assert run.psd_clips == 2
-        assert len(lifts) == (N - 1 if keep_full else 1 + run.psd_clips)
+        assert len(lifts) == (N if keep_full else 1 + run.psd_clips)
     # in the stiff case every node from 2 on clips, tf included
     T, Bm, P0, grid = _stiff_clipping_case()
     monkeypatch.setattr(solvers, "_psd_screen", screen)
@@ -1425,7 +1477,7 @@ def test_each_krylov_step_walks_its_grid_once(method, generator, monkeypatch):
 
 
 @pytest.mark.parametrize("method,setup_fn", [("eba_exp", "exact_step_pair"),
-                                            ("eba_bdf", "exact_step_pair")])
+                                            ("eba_bdf", "_bdf_basis")])
 def test_step_data_is_built_once_per_krylov_step(method, setup_fn, monkeypatch):
     # every step's walk reuses the step data `krylov_steps` built
     op = wrap_sparse(gen_convdiff(10))
@@ -1439,6 +1491,37 @@ def test_step_data_is_built_once_per_krylov_step(method, setup_fn, monkeypatch):
     kinds = [r.grid for r in traj.iterations]
     assert traj.converged and kinds[-2:] == ["probe", "full"]
     assert len(calls) == len(kinds)
+
+
+@pytest.mark.parametrize("basis", ["eigen", "schur"])
+def test_eigen_route_bdf_decomposes_T_once_per_krylov_step(basis, monkeypatch):
+    # on the eigen route one eig serves the BDF solve and the start-up step;
+    # the Schur fallback still takes its start-up pair from exact_step_pair,
+    # at the exp route's quadrature order
+    if basis == "schur":
+        monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
+    monkeypatch.setattr(solvers, "_QUADRATURE_ORDER", 6)
+    op = wrap_sparse(gen_convdiff(10))
+    B = gen_random_block(100, 2, seed=7)
+    calls, orders = {}, []
+    for owner, name in ((np.linalg, "eig"), (solvers, "expm"),
+                        (solvers, "LyapunovSolver"), (solvers, "exact_step_pair")):
+        _count_calls(monkeypatch, owner, name, calls)
+    step_pair = solvers.exact_step_pair
+    monkeypatch.setattr(solvers, "exact_step_pair",
+                        lambda T, B, h, q: orders.append(q) or step_pair(T, B, h, q))
+    traj = solve(op, B, None, TimeGrid(0.0, 1.0, 1e-2),
+                 SolverConfig(method="eba_bdf", m_max=20, tol=1e-4))
+    steps = len(traj.iterations)
+    assert traj.converged and steps > 3
+    assert {r.bdf_basis for r in traj.iterations} == {basis}
+    if basis == "eigen":
+        assert calls == {"eig": steps}
+        assert {r.step_pair for r in traj.iterations} == {"eigen"}
+    else:
+        assert calls["eig"] == calls["exact_step_pair"] == steps
+        assert orders == [6] * steps
+        assert {r.step_pair for r in traj.iterations} == {"lyapunov"}
 
 
 # -- the Krylov-step walk ------------------------------------------------------
