@@ -40,7 +40,7 @@ def main():
         config = SolverConfig(method=name, m_max=args.m_max, bdf_order=2)
         t0 = time.perf_counter()
         rows = [(step.m, full_grid_run(step, grid, config)[2].residual_final)
-                for step in krylov_steps(op, B, np.zeros((n, 0)), grid, config)]
+                for step in krylov_steps(op, B, np.zeros((n, 0)), config)]
         elapsed = time.perf_counter() - t0
         curves[name] = dict(rows)
         path = f"{args.out_prefix}_{name}.csv"

@@ -292,7 +292,7 @@ def cmd_sweep(args):
         # grid at the listed m only; an m past a full breakdown has no row
         by_m = {}
         walk = dataclasses.replace(config, m_max=max(values, default=1))
-        steps = krylov_steps(op, B, np.zeros((op.dim, 0)), grid, walk) if values else ()
+        steps = krylov_steps(op, B, np.zeros((op.dim, 0)), walk) if values else ()
         for step in steps:
             if step.m in values:
                 by_m[step.m] = row(step.m, grid, full_grid_run(step, grid, walk)[2],

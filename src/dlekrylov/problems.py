@@ -159,7 +159,7 @@ def gen_heat_fem(n, dt, alpha):
 
 
 class InputError(ValueError):
-    """An input file of an external problem cannot be read."""
+    """An external input file cannot be read, or its shape does not fit."""
 
 
 def build_problem(spec):
@@ -183,6 +183,12 @@ def build_problem(spec):
                 B = read_matrix_market(spec.b_path).toarray()
         except OSError as exc:
             raise InputError(f"cannot read an input file: {exc}") from exc
+        if A.shape[0] != A.shape[1]:
+            raise InputError(f"{spec.a_path}: matrix must be square, "
+                             f"got {A.shape}")
+        if B.shape[0] != A.shape[0]:
+            raise InputError(f"{spec.b_path}: block of shape {B.shape} does not "
+                             f"match the {A.shape} matrix of {spec.a_path}")
         op = wrap_sparse(A)
         spec.n = A.shape[0]
     else:

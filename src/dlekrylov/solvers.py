@@ -1,9 +1,10 @@
 """Projection solvers for dX/dt = A X + X A^T + B B^T, X(t0) = Z0 Z0^T.
 
 One generator, `krylov_steps`, walks the Krylov steps: one `extend` each,
-with the projected data and the route's step data, and no convergence
-decision. `solve` consumes it with the stop rule below; the m sweep of
-the command line walks it once and runs the full grid at the listed m.
+with the projected data, and no convergence decision; each grid walk
+builds its own step data. `solve` consumes it with the stop rule below;
+the m sweep of the command line walks it once and runs the full grid at
+the listed m.
 
 Two routes propagate the projected solution over the time grid. The
 exponential route steps node to node by the exact one-step pair (E,
@@ -69,10 +70,12 @@ BDF_TABLE = {
 }
 
 # Point count of the Gauss-Legendre fallback rule of the exp route's step
-# pair, and the node count of a batch the stop test of a grid walk reads;
-# both are read at call time.
+# pair, the node count of a batch the stop test of a grid walk reads, and
+# the threshold above which an eigenvalue of a projected solution counts
+# toward its rank and its truncated factor; all are read at call time.
 _QUADRATURE_ORDER = 4
 _PROBE_STRIDE = 10
+_RANK_THRESHOLD = 1e-12
 
 
 class PSDViolationError(ValueError):
@@ -120,8 +123,6 @@ class SolverConfig:
     m_max: int = 30
     tol: float = 1e-10
     bdf_order: int = 2
-    dtol: float = 1e-12
-    rank_tol: float = 1e-12
 
     def __post_init__(self):
         for name, choices in (("method", ("eba_exp", "eba_bdf")),
@@ -137,12 +138,6 @@ class SolverConfig:
         if (not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool)
                 or not self.tol > 0):
             raise ValueError(f"tol must be a positive number, got {self.tol!r}")
-        for name in ("dtol", "rank_tol"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not value >= 0):
-                raise ValueError(f"{name} must be a non-negative number, "
-                                 f"got {value!r}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be at least 1, got {self.m_max}")
         if self.bdf_order not in BDF_TABLE:
@@ -267,31 +262,30 @@ class Trajectory:
     def solution_dense(self, i=-1):
         return self.lift(self.small_solution(i))
 
-    def lowrank_factor(self, i=-1, dtol=None):
-        dtol = self.config.dtol if dtol is None else dtol
+    def lowrank_factor(self, i=-1):
         if self.decomposition is None:
             return SymLowRank.empty(self.dim)
-        return truncate_lowrank(self.decomposition, self.small_solution(i), dtol)
+        return truncate_lowrank(self.decomposition, self.small_solution(i))
 
-    def ranks(self, dtol=None):
-        """Count of the eigenvalues above dtol at every node, the width of
-        the truncated factor there.
+    def ranks(self):
+        """Count of the eigenvalues above `_RANK_THRESHOLD` at every node,
+        the width of the truncated factor there.
 
         The last entry counts `final_small` as `truncate_lowrank` does, so
-        it is the width of `lowrank_factor(-1, dtol)`. The other nodes are
+        it is the width of `lowrank_factor(-1)`. The other nodes are
         counted by inertia on one walk of `replay_coords()`, in the grid's
         own coordinates: no eigendecomposition, no lift of a basis node and
         no PSD screen. Where a node's eigenvalue lies within rounding of
-        dtol, its count and the width of `lowrank_factor(i, dtol)`, which
-        counts the lifted node, can differ by one."""
-        dtol = self.config.dtol if dtol is None else dtol
+        the threshold, its count and the width of `lowrank_factor(i)`,
+        which counts the lifted node, can differ by one."""
+        tau = _RANK_THRESHOLD
         n_nodes = len(self.nodes)
         walk = (self.replay_coords() if self.replay_coords is not None
                 else ((G, None) for G in self.replay()))
         out = np.empty(n_nodes, dtype=int)
         for i, (Y, gram_inv) in enumerate(itertools.islice(walk, n_nodes - 1)):
-            out[i] = _count_above(Y, dtol, gram_inv)
-        out[-1] = _count_above(self.final_small, dtol)
+            out[i] = _count_above(Y, tau, gram_inv)
+        out[-1] = _count_above(self.final_small, tau)
         return out
 
 
@@ -398,16 +392,17 @@ def _count_above(Y, tau, gram_inv=None):
     return int(count)
 
 
-def truncate_lowrank(basis, small_sol, dtol=1e-12):
+def truncate_lowrank(basis, small_sol, dtol=None):
     """Eigen-truncate a projected PSD solution and lift it through the basis.
 
-    The factor keeps the eigenvalues above dtol, as many as `_count_above`
-    counts, so its width is the rank `Trajectory.ranks` reports at tf; an
-    eigenvalue the count keeps but the eigensolver rounds to at most zero
-    gives a zero column. An eigenvalue below -max(dtol, k*eps*lambda_max)
-    violates positive semidefiniteness and raises; smaller negative ones
-    are rounding in the eigensolver and are dropped like the rest.
+    The factor keeps the eigenvalues above dtol (None: `_RANK_THRESHOLD`),
+    as many as `_count_above` counts, so its width is the rank `ranks`
+    reports at tf; an eigenvalue the count keeps but the eigensolver rounds
+    to at most zero gives a zero column. An eigenvalue below
+    -max(dtol, k*eps*lambda_max) violates positive semidefiniteness and
+    raises; smaller negative ones are rounding and are dropped like the rest.
     """
+    dtol = _RANK_THRESHOLD if dtol is None else dtol
     V = basis.inner_basis if isinstance(basis, KrylovDecomposition) else np.asarray(basis)
     vals = np.linalg.eigvalsh(sym_part(small_sol))
     if vals.size:
@@ -465,6 +460,7 @@ class _SmallRun:
     bdf_cond: float = None             # cond(V) of the eigenvectors
     clipped: tuple = ()                # nodes the PSD screen clipped
     replay_coords: object = None       # `Trajectory.replay_coords`
+    step_pair: str = None              # `IterationRecord.step_pair`
 
     @property
     def psd_clips(self):
@@ -472,15 +468,15 @@ class _SmallRun:
 
 
 def _collect(steps, n_nodes, k, w, keep_full, coupling=None, stop=None,
-             jump=None, **basis_info):
+             jump=None, **fields):
     """One pass over `steps`, tuples (Y, rows, clipped, ...) of the nodes,
     with `rows` the last w rows of Y, reduced batch by batch: the rows of
     each batch of `_PROBE_STRIDE` nodes go into one reused buffer, from
     which `_residuals_over_nodes` takes their residuals with `coupling`
     (None: no coupling block, every residual 0) and a running max takes
     their norms. The run keeps those residuals, the final node, the clipped
-    nodes and, when `keep_full` is set, every node. The caller sets the
-    replays.
+    nodes and, when `keep_full` is set, every node; `fields` are further
+    `_SmallRun` fields. The caller sets the replays.
 
     `stop(res)`, when given, tells whether the residuals `res` of a batch
     reach the tolerance. It reads each batch that ends before the last
@@ -518,7 +514,7 @@ def _collect(steps, n_nodes, k, w, keep_full, coupling=None, stop=None,
     return _SmallRun(residuals=res[:walked], gbar_sup=math.sqrt(sup), final=G,
                      replay=None, full=full,
                      bar_rows=None if full is None else full[:, k - w:, :],
-                     clipped=tuple(clipped), **basis_info)
+                     clipped=tuple(clipped), **fields)
 
 
 def _gram_nodes(E, delta, G0, n_steps):
@@ -571,8 +567,8 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None,
                    coupling=None, stop=None):
     """The exp grid over every node, or up to the batch `stop` ends it at,
     from where one composed pair reaches tf, with the residuals from
-    `coupling` (see `_collect`); `setup` is the `_gram_setup` of the same
-    step when the caller has built it already."""
+    `coupling` (see `_collect`); `setup`, when given, is used as the
+    `_gram_setup` of (T, Bm, P0)."""
     if setup is None:
         setup = _gram_setup(T, Bm, P0, grid, q)
     replay = functools.partial(_gram_nodes, setup.E, setup.delta, setup.G0,
@@ -586,7 +582,8 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None,
     # the exp grid never clips
     steps = ((G, G[k - w:, :], False) for G in replay())
     return replace(_collect(steps, grid.n_steps + 1, k, w, keep_full, coupling,
-                            stop, jump), replay=replay)
+                            stop, jump, step_pair=setup.step_pair),
+                   replay=replay)
 
 
 # Above this cond(V) the eigenbasis step loses accuracy like
@@ -600,7 +597,7 @@ _EIGEN_COND_MAX = 1e3
 _LYAP_SEP_MIN = 1e-3
 
 
-def exact_step_pair(T, B, h, q=4):
+def exact_step_pair(T, B, h, q):
     """(E, delta, route) with Y -> E Y E^T + delta the exact one-step
     propagator of dY/dt = T Y + Y T^T + B B^T.
 
@@ -943,14 +940,14 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None,
                   coupling=None, stop=None):
     """The BDF grid over every node, or up to the batch `stop` ends it at,
     from where `_bdf_jump` reaches tf, with the residuals from `coupling`
-    (see `_collect`); `setup` is the `_bdf_setup` of the same step when
-    the caller has built it already."""
+    (see `_collect`); `setup`, when given, is used as the `_bdf_setup` of
+    (T, Bm, P0)."""
     if setup is None:
         setup = _bdf_setup(T, Bm, P0, grid, order)
     steps = _bdf_steps(setup, w, full=keep_full)
     run = _collect(steps, grid.n_steps + 1, T.shape[0], w, keep_full, coupling,
                    stop, _bdf_jump(setup, steps), bdf_basis=setup.basis.kind,
-                   bdf_cond=setup.basis.cond)
+                   bdf_cond=setup.basis.cond, step_pair=setup.step_pair)
     clips = frozenset(run.clipped)
     return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
                    replay_coords=functools.partial(_bdf_coords, setup, clips))
@@ -982,20 +979,20 @@ def _zero_trajectory(n, grid, config):
 
 
 def _route(config):
-    """(step data, grid run, scheme order) of `config.method`, read from
-    the module globals per call so wrappers on them see each call."""
+    """(grid run, scheme order) of `config.method`, read from the module
+    globals per call so wrappers on them see each call."""
     if config.method == "eba_exp":
-        return _gram_setup, _run_gram_grid, _QUADRATURE_ORDER
+        return _run_gram_grid, _QUADRATURE_ORDER
     if config.method == "eba_bdf":
-        return _bdf_setup, _run_bdf_grid, config.bdf_order
+        return _run_bdf_grid, config.bdf_order
     raise ValueError(f"unknown method {config.method!r}")
 
 
 class KrylovStep(NamedTuple):
-    """Krylov step m: the projected data and the route's step data. Its
-    `coupling`, `inner_basis` and `decomposition` (a shallow copy) hold step
-    m's arrays: later `extend` calls replace T_bar, and write basis columns
-    only past the ones these views cover."""
+    """Krylov step m: the projected data. Its `coupling`, `inner_basis` and
+    `decomposition` (a shallow copy) hold step m's arrays: later `extend`
+    calls replace T_bar, and write basis columns only past the ones these
+    views cover."""
 
     m: int
     basis_size: int
@@ -1003,7 +1000,6 @@ class KrylovStep(NamedTuple):
     Bm: np.ndarray
     P0: np.ndarray
     w: int                             # width of the newest inner block
-    setup: tuple                       # `_gram_setup` or `_bdf_setup`
     broke: bool                        # full breakdown: the last step
     coupling: np.ndarray
     inner_basis: np.ndarray
@@ -1011,7 +1007,7 @@ class KrylovStep(NamedTuple):
     started: float                     # perf_counter() before the extend
 
 
-def krylov_steps(op, B, Z0, grid, config):
+def krylov_steps(op, B, Z0, config):
     """The Krylov steps of the projection of (op, B, Z0), one per `extend`,
     up to `config.m_max` or a full breakdown; none when B and Z0 are zero.
     It makes no convergence decision."""
@@ -1020,10 +1016,8 @@ def krylov_steps(op, B, Z0, grid, config):
         B = B[:, None]
     if frob_norm(B) == 0.0 and Z0.shape[1] == 0:
         return
-    setup_grid, _, scheme = _route(config)
     start = np.hstack([B, Z0]) if Z0.shape[1] else B
-    dec = KrylovDecomposition(op, start, variant=config.krylov_variant,
-                              rank_tol=config.rank_tol)
+    dec = KrylovDecomposition(op, start, variant=config.krylov_variant)
     broke = False
     while dec.m < config.m_max and not broke:
         started = time.perf_counter()
@@ -1035,9 +1029,8 @@ def krylov_steps(op, B, Z0, grid, config):
             broke = exc.rank == 0
         T, Bm, P0 = dec.T, dec.project_block(B), dec.project_block(Z0)
         yield KrylovStep(dec.m, dec.inner_width, T, Bm, P0,
-                         dec.widths[dec.m - 1], setup_grid(T, Bm, P0, grid, scheme),
-                         broke, dec.coupling, dec.inner_basis, copy.copy(dec),
-                         started)
+                         dec.widths[dec.m - 1], broke, dec.coupling,
+                         dec.inner_basis, copy.copy(dec), started)
 
 
 def full_grid_run(step, grid, config, stop=None):
@@ -1046,10 +1039,9 @@ def full_grid_run(step, grid, config, stop=None):
     reduced batch by batch to the residual at each node it walked, and its
     record, a "probe" row when the walk ended before tf. `stop(res)` reads
     the residuals of a batch."""
-    _, grid_run, scheme = _route(config)
+    grid_run, scheme = _route(config)
     run = grid_run(step.T, step.Bm, step.P0, grid, scheme, step.w,
-                   keep_full=False, setup=step.setup, coupling=step.coupling,
-                   stop=stop)
+                   keep_full=False, coupling=step.coupling, stop=stop)
     res = run.residuals
     if len(res) <= grid.n_steps:
         fields = {"grid": "probe",
@@ -1063,7 +1055,7 @@ def full_grid_run(step, grid, config, stop=None):
         coupling_norm=frob_norm(step.coupling), small_final=run.final,
         elapsed=time.perf_counter() - step.started, bdf_basis=run.bdf_basis,
         bdf_cond=run.bdf_cond, psd_clips=run.psd_clips,
-        step_pair=step.setup.step_pair, **fields)
+        step_pair=run.step_pair, **fields)
 
 
 def _solve(op, B, X0, grid, config):
@@ -1076,7 +1068,7 @@ def _solve(op, B, X0, grid, config):
 
     iterations = []
     converged = False
-    for step in krylov_steps(op, B, Z0, grid, config):
+    for step in krylov_steps(op, B, Z0, config):
         last = step.broke or step.m >= config.m_max
         run, res, rec = full_grid_run(step, grid, config, None if last else stop)
         iterations.append(rec)

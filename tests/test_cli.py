@@ -187,8 +187,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem(),
                       solver={"not_a_field": 1})
     assert main(["solve", "--config", cfg2, "--out", str(tmp_path)]) == 2
-    # the stop test's batch and the quadrature order are module constants
-    for field in ("probe_stride", "quadrature_order"):
+    # the stop test's batch, the quadrature order, the rank threshold and
+    # the deflation threshold are constants
+    for field in ("probe_stride", "quadrature_order", "dtol", "rank_tol"):
         capsys.readouterr()
         cfg3 = _write_cfg(tmp_path, name="c3.json", problem=_base_problem(),
                           solver={field: 0})
@@ -198,9 +199,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     # a known field with a bad value is named with that value
     # JSON true and false are not numbers, though bool is an int
     for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
-                       ("tol", "1e-3"), ("dtol", -1e-12), ("rank_tol", -1.0),
-                       ("m_max", True), ("bdf_order", True), ("tol", True),
-                       ("dtol", False), ("rank_tol", True)):
+                       ("tol", "1e-3"), ("m_max", True), ("bdf_order", True),
+                       ("tol", True)):
         capsys.readouterr()
         cfg5 = _write_cfg(tmp_path, name="c5.json", problem=_base_problem(),
                           solver={field: bad})
@@ -476,6 +476,31 @@ def test_sweep_over_m_walks_one_basis(tmp_path, monkeypatch):
     assert calls == {"extend": 6, "full": 3}
 
 
+def test_sweep_over_m_builds_step_data_for_the_listed_m_only(tmp_path, monkeypatch):
+    # each grid walk builds its own step data: 4 eigendecompositions for
+    # the 4 distinct m, none for the other 12 steps up to m = 16
+    from dlekrylov import solvers
+
+    calls = {}
+
+    def counted(name):
+        inner = getattr(solvers, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, wrapper)
+
+    for name in ("_bdf_basis", "_run_bdf_grid"):
+        counted(name)
+    cfg = _write_cfg(tmp_path, problem=_base_problem(n0=40),
+                     solver={"method": "eba_bdf", "m_max": 3, "tol": 1e-9},
+                     sweep={"axis": "m", "values": [16, 3, 1, 3, 8]})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls == {"_bdf_basis": 4, "_run_bdf_grid": 4}
+
+
 def test_compare_without_oracle_holds_no_dense_solution(tmp_path):
     # heat_fem n = 2000, 11 nodes: one n x n matrix is 30.5 MiB
     import tracemalloc
@@ -553,6 +578,30 @@ def test_solve_reports_a_bad_external_input(tmp_path, capsys, a_bytes, where):
         a_path.write_bytes(a_bytes)
     cfg = _write_cfg(tmp_path, problem={"kind": "external", "a_path": str(a_path),
                                         "tf": 0.1, "h": 0.01})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("a_shape, b_shape, where", [
+    ((10, 10), (5, 2), "B.mtx: block of shape (5, 2) does not match the (10, 10) "
+                       "matrix of"),
+    ((10, 8), None, "A.mtx: matrix must be square, got (10, 8)"),
+])
+def test_solve_reports_mismatched_external_shapes(tmp_path, capsys, a_shape,
+                                                  b_shape, where):
+    from scipy.sparse import eye
+
+    from dlekrylov.mmio import write_matrix_market, write_matrix_market_array
+
+    problem = {"kind": "external", "a_path": str(tmp_path / "A.mtx"),
+               "tf": 0.1, "h": 0.01}
+    write_matrix_market(-eye(*a_shape, format="csr"), problem["a_path"])
+    if b_shape is not None:
+        problem["b_path"] = str(tmp_path / "B.mtx")
+        write_matrix_market_array(np.ones(b_shape), problem["b_path"])
+    cfg = _write_cfg(tmp_path, problem=problem)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err

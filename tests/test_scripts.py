@@ -43,7 +43,7 @@ def _residuals_are_full_grid_values(tmp_path):
     for method in ("eba_exp", "eba_bdf"):
         config = SolverConfig(method=method, m_max=3, bdf_order=2)
         expected = [(step.m, full_grid_run(step, grid, config)[2].residual_final)
-                    for step in krylov_steps(op, B, np.zeros((36, 0)), grid, config)]
+                    for step in krylov_steps(op, B, np.zeros((36, 0)), config)]
         lines = (tmp_path / f"out/res_{method}.csv").read_text().splitlines()
         got = [(int(m), float(r)) for m, r in (line.split(",") for line in lines[1:])]
         assert got == expected and [m for m, _ in got] == [1, 2, 3]

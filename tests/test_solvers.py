@@ -114,7 +114,7 @@ def _reference_bdf_grid(T, Bm, P0, grid, order):
     Y = P0 @ P0.T
     out = [Y]
     n_start = min(order - 1, N)
-    E, delta, _ = exact_step_pair(T, Bm, h)
+    E, delta, _ = exact_step_pair(T, Bm, h, solvers._QUADRATURE_ORDER)
     for _ in range(n_start):
         Y = _psd_floor(sym_part(E @ Y @ E.T + delta))
         out.append(Y)
@@ -332,7 +332,7 @@ def test_eigen_startup_step_matches_the_exact_pair_and_the_quadrature(seed, k, s
     if spectrum == "complex":
         assert np.any(S.imag != 0)
     Y1 = basis.lift(setup.startup(basis.project(setup.Y0)))
-    E, delta, route = exact_step_pair(T, Bm, h)
+    E, delta, route = exact_step_pair(T, Bm, h, solvers._QUADRATURE_ORDER)
     if spectrum == "zero-sum":
         assert route == "quadrature"          # a singular Lyapunov operator
     tol = 100 * basis.cond ** 2 * np.finfo(float).eps
@@ -453,7 +453,7 @@ def test_ranks_match_factor_width_at_dtol():
     # an eigenvalue at dtol lands on either side of it depending on the
     # eigensolver's rounding; the count and the factor must still agree
     rng = np.random.default_rng(70)
-    k, dtol, n_mat = 40, 1e-12, 50
+    k, dtol, n_mat = 40, solvers._RANK_THRESHOLD, 50
     mats = []
     for _ in range(n_mat):
         U, _ = np.linalg.qr(rng.standard_normal((k, k)))
@@ -464,7 +464,7 @@ def test_ranks_match_factor_width_at_dtol():
                       replay=lambda: iter(mats),
                       residuals=np.zeros(n_mat), decomposition=np.eye(k),
                       converged=True, method="eba_exp", iterations=[], dim=k,
-                      config=SolverConfig(dtol=dtol))
+                      config=SolverConfig())
     widths = [traj.lowrank_factor(i).rank for i in range(n_mat)]
     np.testing.assert_array_equal(traj.ranks(), widths)
 
@@ -523,7 +523,7 @@ def test_truncated_factor_is_finite_where_the_count_passes_eigvalsh():
     # lambda_max = 1e12 puts the eigensolver's rounding (about 1e-3) far
     # above dtol: the count can keep an eigenvalue eigvalsh gives as <= 0
     rng = np.random.default_rng(81)
-    k, dtol, n_mat = 30, 1e-12, 40
+    k, dtol, n_mat = 30, solvers._RANK_THRESHOLD, 40
     mats = []
     for _ in range(n_mat):
         U, _ = np.linalg.qr(rng.standard_normal((k, k)))
@@ -534,7 +534,7 @@ def test_truncated_factor_is_finite_where_the_count_passes_eigvalsh():
     traj = Trajectory(grid=grid, nodes=grid.nodes, final_small=mats[-1],
                       replay=lambda: iter(mats), residuals=np.zeros(n_mat),
                       decomposition=np.eye(k), converged=True, method="eba_exp",
-                      iterations=[], dim=k, config=SolverConfig(dtol=dtol))
+                      iterations=[], dim=k, config=SolverConfig())
     ranks = traj.ranks()
     past_eigvalsh = 0
     for i, G in enumerate(mats):
@@ -564,7 +564,7 @@ def test_bdf_ranks_count_in_the_basis_with_no_eigensolve_lift_or_screen(monkeypa
                                                   tol=1e-300))
     assert traj.iterations[-1].bdf_basis == "eigen"
     assert traj.iterations[-1].psd_clips == 0
-    old = [int(np.sum(np.linalg.eigvalsh(sym_part(G)) > traj.config.dtol))
+    old = [int(np.sum(np.linalg.eigvalsh(sym_part(G)) > solvers._RANK_THRESHOLD))
            for G in traj.replay()]
     calls = {}
     for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
@@ -825,7 +825,7 @@ def test_grid_walk_memory_does_not_grow_with_its_bar_rows():
     grid = TimeGrid(0.0, 2.0, 1e-4)
     cfg = SolverConfig(m_max=5, tol=1e-300)
     *_, step = solvers.krylov_steps(op, gen_random_block(36, 2, seed=7),
-                                    np.zeros((36, 0)), grid, cfg)
+                                    np.zeros((36, 0)), cfg)
     w, k, n_nodes = step.w, step.basis_size, len(grid.nodes)
     assert (w, k, n_nodes) == (4, 20, 20001)
     tracemalloc.start()
@@ -857,23 +857,23 @@ def test_solver_config_validation():
         SolverConfig(bdf_order=5)
     with pytest.raises(ValueError):
         SolverConfig(m_max=0)
-    # the stop test's batch and the quadrature order are module constants
-    for field in ("probe_stride", "quadrature_order"):
+    # the stop test's batch, the quadrature order, the rank threshold and
+    # the deflation threshold are constants
+    for field in ("probe_stride", "quadrature_order", "dtol", "rank_tol"):
         with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: 10})
+    assert list(SolverConfig.__dataclass_fields__) == [
+        "method", "krylov_variant", "m_max", "tol", "bdf_order"]
     with pytest.raises(ValueError):
         solve(np.eye(2), np.ones((2, 1)), None, TimeGrid(0, 1, 0.5),
               SolverConfig(method="nope"))
     for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
                        ("tol", "1e-3"), ("tol", float("nan")),
-                       ("dtol", -1e-12), ("rank_tol", -1.0), ("dtol", "0"),
                        ("m_max", "10"), ("bdf_order", 2.0),
                        # bool is an int, but JSON true is no number
-                       ("m_max", True), ("bdf_order", True), ("tol", True),
-                       ("dtol", False), ("rank_tol", True)):
+                       ("m_max", True), ("bdf_order", True), ("tol", True)):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: bad})
-    assert SolverConfig(dtol=0.0, rank_tol=0).dtol == 0.0
 
 
 @settings(max_examples=10, deadline=None)
@@ -909,6 +909,24 @@ def test_block_variant_without_inverse_action():
     assert frob_norm(traj.solution_dense(-1) - ref[-1]) <= 1e-8 * frob_norm(ref[-1])
 
 
+def test_block_variant_solves_on_both_routes():
+    # the block process needs about three times the steps of the extended
+    # one here (m = 33 against 10); both reach the dense reference at tf
+    from dlekrylov.analysis import dense_reference_integral
+
+    A = gen_convdiff(10)
+    B = gen_random_block(100, 2, seed=7)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    ref = dense_reference_integral(A.toarray(), B, None, grid, q=8)[-1]
+    for method in ("eba_exp", "eba_bdf"):
+        traj = solve(wrap_sparse(A), B, None, grid,
+                     SolverConfig(method=method, krylov_variant="block",
+                                  m_max=40, tol=1e-8))
+        assert traj.converged and traj.decomposition.variant == "block"
+        assert frob_norm(traj.solution_dense(-1) - ref) <= 1e-8 * frob_norm(ref)
+        assert traj.ranks()[-1] == traj.lowrank_factor(-1).rank
+
+
 def _closed_form_increment(lam, U, B, h):
     """The Gramian over one step of T = U diag(lam) U^T, U orthogonal:
     Qt_ab (e^{h s_ab} - 1) / s_ab in U's basis, s = lam_a + lam_b, and
@@ -927,7 +945,7 @@ def test_exact_step_pair_singular_lyapunov_fallback():
     rng = np.random.default_rng(60)
     B = rng.random((3, 2))
     h = 0.05
-    E, delta, route = exact_step_pair(T, B, h)
+    E, delta, route = exact_step_pair(T, B, h, 4)
     assert route == "quadrature"
     np.testing.assert_allclose(E, np.diag(np.exp(h * np.diag(T))), rtol=1e-13)
     ref = _closed_form_increment(np.diag(T), np.eye(3), B, h)
@@ -943,7 +961,7 @@ def test_exact_step_pair_on_stiff_T_matches_the_panel_rule():
     T = S @ np.diag(lam) @ np.linalg.inv(S)
     assert 40 <= np.linalg.norm(T, 2) * h <= 60
     B = rng.standard_normal((k, 2))
-    E, delta, route = exact_step_pair(T, B, h)
+    E, delta, route = exact_step_pair(T, B, h, 4)
     assert route == "lyapunov"
     ref = _panel_increment(T, B, h, 12)
     assert frob_norm(delta - ref) <= 1e-11 * frob_norm(ref)
@@ -958,7 +976,7 @@ def test_exact_step_pair_takes_the_quadrature_route_below_the_separation():
     T = U @ np.diag(lam) @ U.T
     B = rng.standard_normal((5, 2))
     ref = _closed_form_increment(lam, U, B, h)
-    E, delta, route = exact_step_pair(T, B, h)
+    E, delta, route = exact_step_pair(T, B, h, 4)
     assert route == "quadrature"
     assert frob_norm(delta - ref) <= 1e-12 * frob_norm(ref)
     Q = B @ B.T
@@ -975,8 +993,7 @@ def _walk_by_full_grids(op, B, X0, grid, config):
     node. Returns [(m, residuals, run)] per step and `converged`."""
     Z0 = np.zeros((B.shape[0], 0)) if X0 is None else X0.Z
     steps = []
-    for step in solvers.krylov_steps(solvers.as_operator(op), B, Z0, grid,
-                                     config):
+    for step in solvers.krylov_steps(solvers.as_operator(op), B, Z0, config):
         run, res, _ = solvers.full_grid_run(step, grid, config)
         steps.append((step.m, res, run))
         if np.max(res) < config.tol:
@@ -1479,7 +1496,8 @@ def test_each_krylov_step_walks_its_grid_once(method, generator, monkeypatch):
 @pytest.mark.parametrize("method,setup_fn", [("eba_exp", "exact_step_pair"),
                                             ("eba_bdf", "_bdf_basis")])
 def test_step_data_is_built_once_per_krylov_step(method, setup_fn, monkeypatch):
-    # every step's walk reuses the step data `krylov_steps` built
+    # each Krylov step of a solve walks its grid once, and that walk
+    # builds the step's data once
     op = wrap_sparse(gen_convdiff(10))
     B = gen_random_block(100, 2, seed=7)
     calls = []
@@ -1533,7 +1551,7 @@ def test_krylov_steps_keep_their_arrays_after_the_walk(method):
     B = gen_random_block(36, 2, seed=3)
     grid = TimeGrid(0.0, 0.5, 1e-2)
     cfg = SolverConfig(method=method, m_max=5)
-    steps = list(solvers.krylov_steps(op, B, np.zeros((36, 0)), grid, cfg))
+    steps = list(solvers.krylov_steps(op, B, np.zeros((36, 0)), cfg))
     assert [step.m for step in steps] == [1, 2, 3, 4, 5]
     # read after the walk has finished: each step still holds its own m
     for step in steps:
