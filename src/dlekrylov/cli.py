@@ -54,10 +54,17 @@ class ConfigError(ValueError):
 def load_config(path):
     """The configuration object of the JSON file `path`: its sections are
     objects among problem, solver, output and sweep, and output holds at
-    most `write_factor`, a bool; anything else is a ConfigError."""
+    most `write_factor`, a bool; anything else, and a file that cannot be
+    read as UTF-8 text, is a ConfigError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the configuration: "
+                          f"{exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: the configuration is not UTF-8 text: "
+                          f"{exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):

@@ -11,8 +11,10 @@ and column blocks each step (Simoncini, SIAM J. Sci. Comput. 29, 2007).
 The new column block is V^T (A V_newest), from the operator action the
 next candidate needs anyway; the new row block is (A^T V_new)^T V_inner,
 from one transpose action on the new block, so no n-sized array but the
-basis itself outlives a step. The basis grows in place, in one buffer
-whose capacity doubles when it fills.
+basis itself outlives a step. The basis grows in place, in one buffer:
+given a step budget, it is allocated once for every column the budget can
+write, so its pages become resident only as columns are written; without
+one, its capacity doubles when it fills.
 """
 
 import numpy as np
@@ -51,16 +53,22 @@ class KrylovDecomposition:
     action too; a missing one raises `CapabilityError` before the state
     changes.
 
-    The basis lives in one column-major (n, capacity) buffer. `extend`
-    writes a new block into the columns past the basis, and when they run
-    out it copies the basis into a buffer of twice the capacity; it never
-    writes a column that an earlier `basis` view covers. T_bar and the
-    block widths are replaced by a grown copy on every `extend`. The
-    properties return read-only views, so a view or a shallow copy keeps
-    its step's values.
+    The basis lives in one column-major (n, capacity) buffer. With a step
+    budget `max_steps`, the capacity is every column that many `extend`
+    calls can add, `s (max_steps + 1)` for a start block of width s (no
+    block is wider than the one before it), at most n; the buffer is
+    allocated once, uninitialised, so its pages become resident only as
+    columns are written, and the basis is never copied. Without a budget
+    the capacity starts at s. `extend` writes a new block into the columns
+    past the basis, and when they run out it copies the basis into a
+    buffer of twice the capacity; it never writes a column that an earlier
+    `basis` view covers. T_bar and the block widths are replaced by a
+    grown copy on every `extend`. The properties return read-only views,
+    so a view or a shallow copy keeps its step's values.
     """
 
-    def __init__(self, op, start_block, variant="extended", rank_tol=1e-12):
+    def __init__(self, op, start_block, variant="extended", rank_tol=1e-12,
+                 max_steps=None):
         if variant not in ("block", "extended"):
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
@@ -78,14 +86,17 @@ class KrylovDecomposition:
         V = self._orthonormal_block(B, frob_norm(B))
         if V.shape[1] == 0:
             raise ValueError("start block has rank 0")
-        self._widths = [V.shape[1]]
-        self._buf = np.array(V, order="F")
+        s = V.shape[1]
+        self._widths = [s]
+        capacity = s if max_steps is None else min(self.n, s * (max_steps + 1))
+        self._buf = np.empty((self.n, capacity), order="F")
+        self._buf[:, :s] = V
         # columns of `_buf` some decomposition has written: a shallow copy
         # shares the buffer and must not write over the original's blocks
-        self._filled = [V.shape[1]]
-        self._V = _frozen(self._buf[:, :V.shape[1]])
+        self._filled = [s]
+        self._V = _frozen(self._buf[:, :s])
         self._k_in = 0
-        self._tbar = _frozen(np.zeros((V.shape[1], 0)))
+        self._tbar = _frozen(np.zeros((s, 0)))
 
     # -- views of the state --------------------------------------------------
 
@@ -136,13 +147,15 @@ class KrylovDecomposition:
         return U[:, :int(np.sum(s > thresh))]
 
     def _append(self, Vnew):
-        """Write Vnew into the columns past the basis, in a buffer of twice
-        the capacity when they run out or another decomposition has
-        written them."""
+        """Write Vnew into the columns past the basis; in a buffer of twice
+        the capacity when they run out, and of the same capacity when
+        another decomposition has written them."""
         k, rank = self._V.shape[1], Vnew.shape[1]
-        if k + rank > self._buf.shape[1] or self._filled[0] != k:
-            grown = np.empty((self.n, max(2 * self._buf.shape[1], k + rank)),
-                             order="F")
+        capacity = self._buf.shape[1]
+        if k + rank > capacity or self._filled[0] != k:
+            if k + rank > capacity:
+                capacity = max(2 * capacity, k + rank)
+            grown = np.empty((self.n, capacity), order="F")
             grown[:, :k] = self._V
             self._buf, self._filled = grown, [k]
         self._buf[:, k:k + rank] = Vnew

@@ -1017,7 +1017,8 @@ def krylov_steps(op, B, Z0, config):
     if frob_norm(B) == 0.0 and Z0.shape[1] == 0:
         return
     start = np.hstack([B, Z0]) if Z0.shape[1] else B
-    dec = KrylovDecomposition(op, start, variant=config.krylov_variant)
+    dec = KrylovDecomposition(op, start, variant=config.krylov_variant,
+                              max_steps=config.m_max)
     broke = False
     while dec.m < config.m_max and not broke:
         started = time.perf_counter()

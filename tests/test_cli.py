@@ -264,6 +264,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "compare", "sweep", "gen-problem"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, command):
+    # a config that cannot be opened or decoded exits 2 naming its path,
+    # as malformed JSON does, on every subcommand
+    (tmp_path / "latin1.json").write_bytes(b'{"problem": {"kind": "\xe9"}}')
+    (tmp_path / "broken.json").write_text('{"problem": ')
+    out = tmp_path / "out"
+    for name, reason in (("missing.json", "No such file or directory"),
+                         ("a-directory", "Is a directory"),
+                         ("latin1.json", "not UTF-8 text"),
+                         ("broken.json", "invalid JSON at line 1")):
+        if name == "a-directory":
+            (tmp_path / name).mkdir()
+        path = str(tmp_path / name)
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and reason in err
+    assert not out.exists()
+
+
 def test_m_max_below_one_is_config_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, problem=_base_problem(), solver={"m_max": 0})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2

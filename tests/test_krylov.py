@@ -8,6 +8,7 @@ from dlekrylov.dense import frob_norm, spec_norm_2
 from dlekrylov.krylov import (KrylovBreakdown, KrylovDecomposition,
                               arnoldi_relation_residual)
 from dlekrylov.problems import gen_convdiff, gen_heat_fem, gen_random_block
+from dlekrylov.solvers import SolverConfig, krylov_steps
 from dlekrylov.sparsela import (CapabilityError, LinearOperator, wrap_dense,
                                 wrap_sparse)
 
@@ -349,6 +350,46 @@ def test_earlier_steps_keep_their_state_across_a_regrowth(variant):
     for later, _, (V_later, *_) in snapshots[4:]:
         np.testing.assert_array_equal(later.basis, V_later)
     np.testing.assert_array_equal(dec.basis[:, :V_later.shape[1]], V_later)
+
+
+@pytest.mark.parametrize("variant", ["block", "extended"])
+def test_krylov_steps_write_one_buffer_allocated_for_the_step_budget(variant):
+    # with the step budget m_max the basis buffer is allocated once, for
+    # (m_max + 1) blocks of the start width, and the walk never copies
+    # it; every step's views and shallow copy keep their values, read-only
+    op = wrap_sparse(gen_convdiff(8))
+    config = SolverConfig(m_max=9, krylov_variant=variant)
+    steps = []
+    for step in krylov_steps(op, gen_random_block(64, 2, seed=5),
+                             np.zeros((64, 0)), config):
+        dec = step.decomposition
+        views = (step.inner_basis, step.coupling, dec.basis, dec.T_bar)
+        steps.append((step, views, [a.copy() for a in views]))
+    assert len(steps) == 9
+    first = steps[0][0].decomposition
+    assert first._buf.shape == (64, first.widths[0] * 10)
+    assert all(step.decomposition._buf is first._buf for step, _, _ in steps)
+    for step, views, values in steps:
+        dec = step.decomposition
+        now = (step.inner_basis, step.coupling, dec.basis, dec.T_bar)
+        for view, current, value in zip(views, now, values):
+            np.testing.assert_array_equal(view, value)
+            np.testing.assert_array_equal(current, value)
+            for a in (view, current):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
+
+
+def test_step_budget_capacity_is_at_most_n():
+    op = wrap_sparse(gen_convdiff(4))
+    dec = KrylovDecomposition(op, gen_random_block(16, 2, seed=5), max_steps=30)
+    assert dec._buf.shape == (16, 16)
+    while dec.breakdown_rank != 0:
+        try:
+            dec.extend(op)
+        except KrylovBreakdown:
+            pass
+    assert dec.basis.shape[1] == 16 and dec.basis.base is dec._buf
 
 
 def test_T_bar_keeps_the_older_rows_after_a_coarse_deflation():
