@@ -5,9 +5,8 @@ from .analysis import (BoundReport, SizeGuardError, StabilityError,
                        error_bound_general, error_bound_polynomial,
                        error_bound_stable, expm_action_bound,
                        reference_stream)
-from .dense import (IterationLimitError, LyapunovSolver, SolvabilityError,
-                    SymEig, expm, frob_norm, log_norm_mu2, lyap_direct,
-                    qr_thin, spec_norm_2, sym_eig)
+from .dense import (LyapunovSolver, SolvabilityError, expm, frob_norm,
+                    log_norm_mu2, lyap_direct, qr_thin, spec_norm_2)
 from .krylov import KrylovBreakdown, KrylovDecomposition
 from .mmio import (MatrixMarketParseError, read_matrix_market,
                    read_matrix_market_array, write_matrix_market,

@@ -53,9 +53,9 @@ class ConfigError(ValueError):
 
 def load_config(path):
     """The configuration object of the JSON file `path`: its sections are
-    objects among problem, solver, output and sweep, and output holds at
-    most `write_factor`, a bool; anything else, and a file that cannot be
-    read as UTF-8 text, is a ConfigError."""
+    objects among problem, solver, output (at most `write_factor`, a bool)
+    and sweep (at most `axis` and `values`); anything else, and a file
+    that cannot be read as UTF-8 text, is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -82,6 +82,9 @@ def load_config(path):
         if not isinstance(value, bool):
             raise ConfigError(f"output section: write_factor must be true or "
                               f"false, got {value!r}")
+    for field in cfg.get("sweep", {}):
+        if field not in ("axis", "values"):
+            raise ConfigError(f"sweep section: unknown field {field!r}")
     return cfg
 
 
@@ -249,9 +252,9 @@ def cmd_compare(args):
     return 0
 
 
-def _reference_final(A, B, grid, q=8):
+def _reference_final(A, B, grid):
     X = None
-    for _, X in reference_stream(A, B, None, grid, q):
+    for _, X in reference_stream(A, B, None, grid):
         pass
     return X
 

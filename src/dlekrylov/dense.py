@@ -14,10 +14,6 @@ class SolvabilityError(np.linalg.LinAlgError):
     """The Sylvester operator of a Lyapunov solve is (near-)singular."""
 
 
-class IterationLimitError(RuntimeError):
-    """An extremal-eigenvalue iteration did not converge."""
-
-
 def _as_matrix(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -72,24 +68,6 @@ def expm(M):
 
 def sym_part(M):
     return 0.5 * (M + M.T)
-
-
-class SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues decreasing."""
-
-    def __init__(self, values, vectors):
-        self.values = values
-        self.vectors = vectors
-
-    def reconstruct(self):
-        return (self.vectors * self.values) @ self.vectors.T
-
-
-def sym_eig(M):
-    M = _require_square(M)
-    w, U = np.linalg.eigh(sym_part(M))
-    order = np.argsort(w)[::-1]
-    return SymEig(w[order], U[:, order])
 
 
 def check_lyapunov_solvable(ev):
@@ -154,37 +132,8 @@ def lyap_direct(F, Q):
     return LyapunovSolver(F).solve(Q)
 
 
-def log_norm_mu2(op, tol=1e-10, maxiter=None, dense_cutoff=800):
-    """2-logarithmic norm: largest eigenvalue of (A + A^T)/2.
-
-    Accepts a dense array or anything with the linear-operator interface
-    (`dim`, `apply`, optionally `apply_transpose`). Small or
-    transpose-less operators are assembled densely; large ones go through
-    a Lanczos iteration on the symmetrized action.
-    """
-    if isinstance(op, np.ndarray):
-        A = _require_square(op)
-        return 0.5 * float(np.linalg.eigvalsh(A + A.T)[-1])
-
-    n = op.dim
-    has_transpose = hasattr(op, "apply_transpose")
-    if n <= dense_cutoff or not has_transpose:
-        A = op.apply(np.eye(n))
-        return 0.5 * float(np.linalg.eigvalsh(A + A.T)[-1])
-
-    from scipy.sparse.linalg import LinearOperator as ScipyOp
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    def sym_action(v):
-        V = v.reshape(n, 1)
-        return 0.5 * (op.apply(V) + op.apply_transpose(V)).ravel()
-
-    sym = ScipyOp((n, n), matvec=sym_action, dtype=float)
-    try:
-        w = eigsh(sym, k=1, which="LA", tol=tol, maxiter=maxiter,
-                  return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise IterationLimitError(
-            f"symmetric extremal-eigenvalue iteration did not converge: {exc}"
-        ) from exc
-    return float(w[0])
+def log_norm_mu2(A):
+    """2-logarithmic norm of the dense square array A: the largest
+    eigenvalue of (A + A^T)/2."""
+    A = _require_square(A)
+    return 0.5 * float(np.linalg.eigvalsh(A + A.T)[-1])

@@ -21,6 +21,9 @@ import numpy as np
 
 from .dense import frob_norm, qr_thin
 
+# Relative rank threshold of a new block, read at call time.
+_DEFLATION_TOL = 1e-12
+
 
 class KrylovBreakdown(Exception):
     """Rank loss in a new basis block: an invariant subspace was captured.
@@ -51,7 +54,8 @@ class KrylovDecomposition:
     explicit projection V^T (A V_inner). The process needs the operator's
     forward and transpose actions, and the extended variant its inverse
     action too; a missing one raises `CapabilityError` before the state
-    changes.
+    changes. A new block keeps the directions of its candidate above
+    `_DEFLATION_TOL` times its norm; a narrower block is a breakdown.
 
     The basis lives in one column-major (n, capacity) buffer. With a step
     budget `max_steps`, the capacity is every column that many `extend`
@@ -67,12 +71,10 @@ class KrylovDecomposition:
     so a view or a shallow copy keeps its step's values.
     """
 
-    def __init__(self, op, start_block, variant="extended", rank_tol=1e-12,
-                 max_steps=None):
+    def __init__(self, op, start_block, variant="extended", max_steps=None):
         if variant not in ("block", "extended"):
             raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
-        self.rank_tol = rank_tol
         self.breakdown_rank = None
         self.m = 0
 
@@ -136,9 +138,9 @@ class KrylovDecomposition:
 
     def _orthonormal_block(self, cand, scale_norm):
         """Orthonormal basis of a candidate block, its rank detected against
-        rank_tol * scale_norm: QR, then SVD when QR shows a deficiency or
-        the block is wider than tall."""
-        thresh = self.rank_tol * max(scale_norm, 1e-300)
+        `_DEFLATION_TOL` * scale_norm: QR, then SVD when QR shows a
+        deficiency or the block is wider than tall."""
+        thresh = _DEFLATION_TOL * max(scale_norm, 1e-300)
         if cand.shape[0] >= cand.shape[1]:
             Q, R, _ = qr_thin(cand, rank_tol=0.0)
             if np.all(np.abs(np.diag(R)) > thresh):
@@ -203,10 +205,7 @@ class KrylovDecomposition:
     # -- projections used by the solvers ------------------------------------
 
     def project_block(self, B):
-        """V_m^T @ B onto the inner basis."""
-        B = np.asarray(B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
+        """V_m^T @ B onto the inner basis, B an (n, s) array."""
         return self.inner_basis.T @ B
 
     def lift(self, small):

@@ -205,7 +205,9 @@ def _data_lines(path, lines):
 
 
 def _size_line(path, data, n_lines, count):
-    """The `count` non-negative integers of the size line."""
+    """(lineno, sizes): the size line's number and its `count` non-negative
+    integers. Declaring more entries than lines follow it is an error,
+    raised before anything of that size is allocated."""
     try:
         lineno, fields = next(data)
     except StopIteration:
@@ -221,7 +223,12 @@ def _size_line(path, data, n_lines, count):
         raise MatrixMarketParseError(
             path, lineno, f"size line needs {count} non-negative integers, "
                           f"got {' '.join(fields)!r}")
-    return sizes
+    entries = sizes[2] if count == 3 else sizes[0] * sizes[1]
+    if entries > n_lines - lineno:
+        raise MatrixMarketParseError(
+            path, lineno, f"size line declares {entries} entries, but only "
+                          f"{n_lines - lineno} lines follow it")
+    return lineno, sizes
 
 
 def read_matrix_market(path):
@@ -240,7 +247,10 @@ def read_matrix_market(path):
         raise MatrixMarketParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
     data = _data_lines(path, enumerate(raw_lines[1:], start=2))
-    nrows, ncols, nnz = _size_line(path, data, len(raw_lines), 3)
+    lineno, (nrows, ncols, nnz) = _size_line(path, data, len(raw_lines), 3)
+    if symmetry == "symmetric" and nrows != ncols:
+        raise MatrixMarketParseError(
+            path, lineno, f"a symmetric matrix must be square, got {nrows} x {ncols}")
 
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
@@ -294,7 +304,7 @@ def read_matrix_market_array(path):
         raise MatrixMarketParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
     data = _data_lines(path, enumerate(raw_lines[1:], start=2))
-    nrows, ncols = _size_line(path, data, len(raw_lines), 2)
+    _, (nrows, ncols) = _size_line(path, data, len(raw_lines), 2)
     vals = np.empty(nrows * ncols, dtype=float)
     k = 0
     for lineno, fields in data:

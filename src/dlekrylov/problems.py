@@ -20,6 +20,10 @@ from .solvers import TimeGrid
 
 @dataclass
 class ProblemSpec:
+    """A problem and its grid [t0, tf], step h. B (on heat_fem the forcing
+    F) is the PCG64 block of `s` columns drawn with `seed`, or an external
+    problem's `b_path` file; any other B, a zero one too, is a file."""
+
     kind: str = "convdiff"             # "convdiff" | "heat_fem" | "external"
     n0: int = 10                       # convdiff: interior points per direction
     n: int = 100
@@ -32,7 +36,6 @@ class ProblemSpec:
     h: float = 1e-3
     a_path: str = ""                   # external: Matrix Market inputs
     b_path: str = ""
-    zero_b: bool = False
 
     def __post_init__(self):
         if self.kind not in ("convdiff", "heat_fem", "external"):
@@ -193,8 +196,6 @@ def build_problem(spec):
         spec.n = A.shape[0]
     else:
         raise ValueError(f"unknown problem kind {spec.kind!r}")
-    if spec.zero_b:
-        B = np.zeros_like(B)
     return op, B, spec.grid
 
 
@@ -204,12 +205,6 @@ def _is_array_file(path):
     return len(header) >= 3 and header[2].lower() == b"array"
 
 
-def dense_matrix(op_or_sparse, n=None):
-    """Dense view of an operator or sparse matrix, for desk-scale oracles."""
-    from .sparsela import LinearOperator
-
-    if isinstance(op_or_sparse, LinearOperator):
-        return op_or_sparse.apply(np.eye(op_or_sparse.dim))
-    if hasattr(op_or_sparse, "toarray"):
-        return op_or_sparse.toarray()
-    return np.asarray(op_or_sparse, dtype=float)
+def dense_matrix(op):
+    """Dense matrix of a linear operator, for desk-scale oracles."""
+    return op.apply(np.eye(op.dim))

@@ -59,7 +59,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .dense import (LyapunovSolver, SolvabilityError, check_lyapunov_solvable,
-                    expm, frob_norm, spec_norm_2, sym_eig, sym_part)
+                    expm, frob_norm, spec_norm_2, sym_part)
 from .krylov import KrylovBreakdown, KrylovDecomposition
 from .sparsela import LinearOperator, wrap_dense, wrap_sparse
 
@@ -297,12 +297,12 @@ def gauss_legendre(q, a, b):
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
-def _gl_subpanel_count(t_norm, width, q, target=1e-12):
+def _gl_subpanel_count(t_norm, width, q):
     """Panels needed so the q-point rule resolves integrand variation
-    exp(c s) with |c| <= 2||T||: per-panel relative error below target."""
+    exp(c s) with |c| <= 2||T||: per-panel relative error below 1e-12."""
     coef = math.exp(4.0 * math.lgamma(q + 1) - math.log(2 * q + 1)
                     - 3.0 * math.lgamma(2 * q + 1))
-    c_max = (target / coef) ** (1.0 / (2 * q))
+    c_max = (1e-12 / coef) ** (1.0 / (2 * q))
     return int(min(max(1, np.ceil(2.0 * t_norm * width / c_max)), 4096))
 
 
@@ -392,28 +392,28 @@ def _count_above(Y, tau, gram_inv=None):
     return int(count)
 
 
-def truncate_lowrank(basis, small_sol, dtol=None):
+def truncate_lowrank(basis, small_sol):
     """Eigen-truncate a projected PSD solution and lift it through the basis.
 
-    The factor keeps the eigenvalues above dtol (None: `_RANK_THRESHOLD`),
-    as many as `_count_above` counts, so its width is the rank `ranks`
-    reports at tf; an eigenvalue the count keeps but the eigensolver rounds
-    to at most zero gives a zero column. An eigenvalue below
-    -max(dtol, k*eps*lambda_max) violates positive semidefiniteness and
-    raises; smaller negative ones are rounding and are dropped like the rest.
+    One `eigh` serves the PSD check and the factor, which keeps the
+    eigenvalues above tau = `_RANK_THRESHOLD`, as many as `_count_above`
+    counts, so its width is the rank `ranks` reports at tf; one the count
+    keeps but `eigh` rounds to at most zero gives a zero column. An
+    eigenvalue below -max(tau, k*eps*lambda_max) violates positive
+    semidefiniteness and raises; smaller negative ones are rounding.
     """
-    dtol = _RANK_THRESHOLD if dtol is None else dtol
+    tau = _RANK_THRESHOLD
     V = basis.inner_basis if isinstance(basis, KrylovDecomposition) else np.asarray(basis)
-    vals = np.linalg.eigvalsh(sym_part(small_sol))
+    vals, vecs = np.linalg.eigh(sym_part(small_sol))
     if vals.size:
-        floor = max(dtol, vals.size * np.finfo(float).eps * vals[-1])
+        floor = max(tau, vals.size * np.finfo(float).eps * vals[-1])
         if vals[0] < -floor:
             raise PSDViolationError(
                 f"projected solution has eigenvalue {vals[0]:.3e} < {-floor:.3e}"
             )
-    r = _count_above(small_sol, dtol)
-    eig = sym_eig(small_sol)
-    Z = V @ (eig.vectors[:, :r] * np.sqrt(np.maximum(vals[::-1][:r], 0.0)))
+    r = _count_above(small_sol, tau)
+    # eigh lists the eigenvalues in increasing order
+    Z = V @ (vecs[:, ::-1][:, :r] * np.sqrt(np.maximum(vals[::-1][:r], 0.0)))
     return SymLowRank(Z)
 
 
@@ -563,14 +563,12 @@ def _gram_setup(T, Bm, P0, grid, q):
     return _GramSetup(E, delta, G0, route)
 
 
-def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, setup=None,
-                   coupling=None, stop=None):
+def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
+                   stop=None):
     """The exp grid over every node, or up to the batch `stop` ends it at,
     from where one composed pair reaches tf, with the residuals from
-    `coupling` (see `_collect`); `setup`, when given, is used as the
-    `_gram_setup` of (T, Bm, P0)."""
-    if setup is None:
-        setup = _gram_setup(T, Bm, P0, grid, q)
+    `coupling` (see `_collect`)."""
+    setup = _gram_setup(T, Bm, P0, grid, q)
     replay = functools.partial(_gram_nodes, setup.E, setup.delta, setup.G0,
                                grid.n_steps)
     k = T.shape[0]
@@ -936,14 +934,12 @@ def _bdf_jump(setup, steps):
     return jump
 
 
-def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, setup=None,
-                  coupling=None, stop=None):
+def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
+                  stop=None):
     """The BDF grid over every node, or up to the batch `stop` ends it at,
     from where `_bdf_jump` reaches tf, with the residuals from `coupling`
-    (see `_collect`); `setup`, when given, is used as the `_bdf_setup` of
-    (T, Bm, P0)."""
-    if setup is None:
-        setup = _bdf_setup(T, Bm, P0, grid, order)
+    (see `_collect`)."""
+    setup = _bdf_setup(T, Bm, P0, grid, order)
     steps = _bdf_steps(setup, w, full=keep_full)
     run = _collect(steps, grid.n_steps + 1, T.shape[0], w, keep_full, coupling,
                    stop, _bdf_jump(setup, steps), bdf_basis=setup.basis.kind,

@@ -74,8 +74,8 @@ class LinearOperator:
     `forward` and the optional `inverse`/`transpose` callables take and
     return (n, k) arrays. The Krylov processes need the forward and
     transpose actions, and the extended variant also needs the inverse;
-    every helper here provides all three. Use the `wrap` /
-    `operator_from_pair` helpers rather than constructing this directly.
+    every helper here provides all three, and an operator that lacks an
+    action is constructed directly.
     """
 
     def __init__(self, dim, forward, inverse=None, transpose=None):
@@ -83,10 +83,6 @@ class LinearOperator:
         self._forward = forward
         self._inverse = inverse
         self._transpose = transpose
-
-    @property
-    def has_inverse(self):
-        return self._inverse is not None
 
     def _check(self, V):
         V = np.asarray(V, dtype=float)
@@ -110,8 +106,9 @@ class LinearOperator:
         return self._transpose(self._check(V))
 
 
-def wrap_sparse(A, with_inverse=True):
-    """Operator view of a sparse matrix; the inverse is factored lazily."""
+def wrap_sparse(A):
+    """Operator view of a square sparse matrix with forward, inverse and
+    transpose actions; the LU factor of the inverse is built on first use."""
     A = as_csr(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
@@ -126,12 +123,13 @@ def wrap_sparse(A, with_inverse=True):
     return LinearOperator(
         A.shape[0],
         forward=lambda V: np.asarray(A @ V),
-        inverse=inverse if with_inverse else None,
+        inverse=inverse,
         transpose=lambda V: np.asarray(AT @ V),
     )
 
 
-def wrap_dense(A, with_inverse=True):
+def wrap_dense(A):
+    """Operator view of a square dense matrix, as `wrap_sparse`."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
@@ -147,7 +145,7 @@ def wrap_dense(A, with_inverse=True):
     return LinearOperator(
         A.shape[0],
         forward=lambda V: A @ V,
-        inverse=inverse if with_inverse else None,
+        inverse=inverse,
         transpose=lambda V: A.T @ V,
     )
 

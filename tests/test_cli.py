@@ -57,7 +57,14 @@ def test_solve_writes_report_and_csv(tmp_path):
 
 
 def test_solve_zero_b_exits_cleanly(tmp_path):
-    cfg = _write_cfg(tmp_path, problem=_base_problem(zero_b=True))
+    from dlekrylov.mmio import write_matrix_market, write_matrix_market_array
+    from dlekrylov.problems import gen_convdiff
+
+    a_path, b_path = str(tmp_path / "A.mtx"), str(tmp_path / "B.mtx")
+    write_matrix_market(gen_convdiff(5), a_path)
+    write_matrix_market_array(np.zeros((25, 2)), b_path)
+    cfg = _write_cfg(tmp_path, problem=_base_problem(
+        kind="external", a_path=a_path, b_path=b_path))
     out = str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == 0
     lines = open(os.path.join(out, "solution.csv")).read().splitlines()
@@ -236,9 +243,10 @@ def test_config_error_exit_code(tmp_path, capsys):
                       solver={"seed": 1})
     assert main(["solve", "--config", cfg4, "--out", str(tmp_path)]) == 2
     assert "unknown fields ['seed']" in capsys.readouterr().err
-    # the file is one object of known sections, each an object, and output
-    # holds only write_factor, a bool: a misspelled section or field must
-    # not run the defaults, nor a non-object section end in a traceback
+    # the file is one object of known sections, each an object, output
+    # holds only write_factor, a bool, and sweep only axis and values: a
+    # misspelled section or field must not run the defaults, nor a
+    # non-object section end in a traceback
     out = tmp_path / "bad-sections"
     for sections, name in (
             ({"solvr": {"method": "eba_bdf"}}, "'solvr'"),
@@ -248,7 +256,9 @@ def test_config_error_exit_code(tmp_path, capsys):
             ({"output": {"write_factor": "yes"}}, "write_factor"),
             ({"solver": ["eba_bdf"]}, "solver"),
             ({"problem": None}, "problem"),
-            ({"sweep": "m"}, "sweep")):
+            ({"sweep": "m"}, "sweep"),
+            ({"sweep": {"axis": "m", "value": [1]}}, "sweep section: unknown "
+                                                     "field 'value'")):
         capsys.readouterr()
         cfg10 = _write_cfg(tmp_path, name="c10.json",
                            **{"problem": _base_problem(), **sections})
@@ -591,6 +601,12 @@ def test_gen_problem_heat(tmp_path):
     (b"%%MatrixMarket matrix coordinate real general\n3 3 -1\n", "A.mtx:2:"),
     (b"%%MatrixMarket matrix coordinate real general\n3 3 1\n4 1 1.0\n", "A.mtx:3:"),
     (b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \xff\n", "A.mtx:3:"),
+    # counts no allocation could hold are refused before one is tried
+    (b"%%MatrixMarket matrix coordinate real general\n2 2 100000000000000\n"
+     b"1 1 -1.0\n", "A.mtx:2: size line declares 100000000000000 entries"),
+    # a mirrored entry of a non-square symmetric file would be out of range
+    (b"%%MatrixMarket matrix coordinate real symmetric\n3 2 2\n1 1 -1.0\n"
+     b"3 1 1.0\n", "A.mtx:2: a symmetric matrix must be square"),
 ])
 def test_solve_reports_a_bad_external_input(tmp_path, capsys, a_bytes, where):
     a_path = tmp_path / "A.mtx"
@@ -602,6 +618,23 @@ def test_solve_reports_a_bad_external_input(tmp_path, capsys, a_bytes, where):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
     assert "Traceback" not in err
+
+
+def test_solve_reports_an_oversized_array_block(tmp_path, capsys):
+    from scipy.sparse import eye
+
+    from dlekrylov.mmio import write_matrix_market
+
+    problem = {"kind": "external", "a_path": str(tmp_path / "A.mtx"),
+               "b_path": str(tmp_path / "B.mtx"), "tf": 0.1, "h": 0.01}
+    write_matrix_market(-eye(2, format="csr"), problem["a_path"])
+    (tmp_path / "B.mtx").write_bytes(
+        b"%%MatrixMarket matrix array real general\n100000000 100000000\n1.0\n")
+    cfg = _write_cfg(tmp_path, problem=problem)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {problem['b_path']}:2: size line declares "
+                          "10000000000000000 entries")
 
 
 @pytest.mark.parametrize("a_shape, b_shape, where", [

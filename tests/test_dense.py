@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from dlekrylov.dense import (LyapunovSolver, SolvabilityError, expm,
                              frob_norm, log_norm_mu2, lyap_direct, qr_thin,
-                             spec_norm_2, sym_eig)
-from dlekrylov.sparsela import wrap_sparse
+                             spec_norm_2)
 
 
 # -- qr_thin -----------------------------------------------------------------
@@ -155,22 +154,6 @@ def test_mu2_dense_nonsymmetric_matches_eig():
     assert log_norm_mu2(A) == pytest.approx(ref, rel=1e-12)
 
 
-def test_mu2_operator_iterative_path():
-    rng = np.random.default_rng(8)
-    n = 900
-    from scipy.sparse import random as sparse_random
-
-    A = sparse_random(n, n, density=5.0 / n, random_state=42, format="csr")
-    A = A - 3.0 * np.eye(n)
-    from scipy.sparse import csr_matrix
-
-    A = csr_matrix(A)
-    op = wrap_sparse(A)
-    Ad = A.toarray()
-    ref = 0.5 * np.linalg.eigvalsh(Ad + Ad.T)[-1]
-    assert log_norm_mu2(op, dense_cutoff=100) == pytest.approx(ref, rel=1e-8)
-
-
 def test_mu2_rayleigh_bound():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((15, 15))
@@ -182,29 +165,7 @@ def test_mu2_rayleigh_bound():
         assert v @ S @ v <= mu2 + 1e-8
 
 
-# -- sym_eig and norms -------------------------------------------------------
-
-def test_sym_eig_identity():
-    eig = sym_eig(np.eye(4))
-    np.testing.assert_allclose(eig.values, np.ones(4))
-
-
-def test_sym_eig_sorting():
-    eig = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(eig.values, [3.0, 2.0, 1.0])
-
-
-def test_sym_eig_psd_and_reconstruction():
-    rng = np.random.default_rng(10)
-    Z = rng.standard_normal((12, 5))
-    M = Z @ Z.T
-    eig = sym_eig(M)
-    assert eig.values.min() >= -1e-12 * frob_norm(M)
-    np.testing.assert_allclose(eig.reconstruct(), M,
-                               atol=1e-10 * frob_norm(M))
-    np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(12),
-                               atol=1e-12 * 12)
-
+# -- norms ------------------------------------------------------------------
 
 def test_frob_norm_identity_and_zero():
     assert frob_norm(np.eye(7)) == pytest.approx(np.sqrt(7.0))

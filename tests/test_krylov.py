@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
+from dlekrylov import krylov
 from dlekrylov.dense import frob_norm, spec_norm_2
 from dlekrylov.krylov import (KrylovBreakdown, KrylovDecomposition,
                               arnoldi_relation_residual)
@@ -190,7 +191,7 @@ def test_extended_invariant_suite_convdiff():
 def test_extended_requires_inverse():
     rng = np.random.default_rng(7)
     A = csr_matrix(np.diag(rng.random(8) + 1.0))
-    op = wrap_sparse(A, with_inverse=False)
+    op = LinearOperator(8, lambda V: A @ V, transpose=lambda V: A.T @ V)
     B = rng.standard_normal((8, 1))
     with pytest.raises(CapabilityError):
         KrylovDecomposition(op, B, variant="extended")
@@ -222,13 +223,13 @@ def test_zero_start_block_rejected():
 
 # -- both variants -----------------------------------------------------------
 
-def _grow_checking_T_bar(A, B, variant, rank_tol=1e-12):
+def _grow_checking_T_bar(A, B, variant):
     """Extend up to the full breakdown, checking after every step that the
     grown T_bar equals basis^T A inner_basis. Returns the breakdown ranks
     and the largest norm, relative to T_bar's, of a new block's rows
     against the older blocks."""
     op = wrap_dense(A)
-    dec = KrylovDecomposition(op, B, variant=variant, rank_tol=rank_tol)
+    dec = KrylovDecomposition(op, B, variant=variant)
     ranks, below = [], 0.0
     while dec.breakdown_rank != 0:
         k, k_in = dec.basis.shape[1], dec.inner_width
@@ -392,15 +393,17 @@ def test_step_budget_capacity_is_at_most_n():
     assert dec.basis.shape[1] == 16 and dec.basis.base is dec._buf
 
 
-def test_T_bar_keeps_the_older_rows_after_a_coarse_deflation():
-    # a rank_tol that drops a direction well above rounding level leaves
-    # A V_inner outside the block Hessenberg pattern, so the rows of a new
-    # block against the older blocks are not zero and must be kept
+def test_T_bar_keeps_the_older_rows_after_a_coarse_deflation(monkeypatch):
+    # a deflation threshold that drops a direction well above rounding
+    # level leaves A V_inner outside the block Hessenberg pattern, so the
+    # rows of a new block against the older blocks are not zero and must
+    # be kept
     rng = np.random.default_rng(2)
     A = rng.standard_normal((20, 20)) + 5.0 * np.eye(20)
     b, g, h = (rng.standard_normal((20, 1)) for _ in range(3))
     B = np.hstack([b, A @ b + 1e-8 * g, h])
-    _, below = _grow_checking_T_bar(A, B, "extended", rank_tol=2e-9)
+    monkeypatch.setattr(krylov, "_DEFLATION_TOL", 2e-9)
+    _, below = _grow_checking_T_bar(A, B, "extended")
     assert below > 1e-10
 
 

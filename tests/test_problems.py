@@ -176,9 +176,15 @@ def test_build_problem_convdiff():
     assert grid.n_steps == 10
 
 
-def test_build_problem_zero_b():
-    spec = ProblemSpec(kind="convdiff", n0=4, s=2, seed=3, tf=1.0, h=0.1,
-                       zero_b=True)
+def test_build_problem_zero_b(tmp_path):
+    # a zero B comes in as an external all-zero block
+    from dlekrylov.mmio import write_matrix_market, write_matrix_market_array
+
+    a_path, b_path = str(tmp_path / "A.mtx"), str(tmp_path / "B.mtx")
+    write_matrix_market(gen_convdiff(4), a_path)
+    write_matrix_market_array(np.zeros((16, 2)), b_path)
+    spec = ProblemSpec(kind="external", a_path=a_path, b_path=b_path,
+                       tf=1.0, h=0.1)
     _, B, _ = build_problem(spec)
     np.testing.assert_array_equal(B, np.zeros((16, 2)))
 

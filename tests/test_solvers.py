@@ -384,25 +384,28 @@ def test_bdf_grid_lifts_full_matrices_only_at_tf_and_clipped_nodes(monkeypatch):
         # nodes 5 and 20 (node 1, the start-up node, is screened too)
         return screen(Y, *args) and len(calls) not in (5, 20)
 
+    build = solvers._bdf_setup
+    lifts = []
+
+    def counting_setup(*args):
+        setup = build(*args)
+        lift = setup.basis.lift
+        setup.basis.lift = lambda Yr, rows=None: lifts.append(1) or lift(Yr, rows)
+        return setup
+
+    monkeypatch.setattr(solvers, "_bdf_setup", counting_setup)
     monkeypatch.setattr(solvers, "_psd_screen", failing_screen)
     for keep_full in (False, True):
         calls.clear()
-        setup = solvers._bdf_setup(T, Bm, P0, grid, 2)
-        lifts = []
-        lift = setup.basis.lift
-        setup.basis.lift = lambda Yr, rows=None: lifts.append(1) or lift(Yr, rows)
-        run = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=keep_full,
-                            setup=setup)
+        lifts.clear()
+        run = _run_bdf_grid(T, Bm, P0, grid, 2, w, keep_full=keep_full)
         assert run.psd_clips == 2
         assert len(lifts) == (N if keep_full else 1 + run.psd_clips)
     # in the stiff case every node from 2 on clips, tf included
     T, Bm, P0, grid = _stiff_clipping_case()
     monkeypatch.setattr(solvers, "_psd_screen", screen)
-    setup = solvers._bdf_setup(T, Bm, P0, grid, 2)
-    lifts = []
-    lift = setup.basis.lift
-    setup.basis.lift = lambda Yr, rows=None: lifts.append(1) or lift(Yr, rows)
-    run = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=False, setup=setup)
+    lifts.clear()
+    run = _run_bdf_grid(T, Bm, P0, grid, 2, 1, keep_full=False)
     assert len(lifts) == run.psd_clips == grid.n_steps - 1
 
 
@@ -411,7 +414,7 @@ def test_bdf_grid_lifts_full_matrices_only_at_tf_and_clipped_nodes(monkeypatch):
 def test_truncate_identity_keeps_everything():
     rng = np.random.default_rng(9)
     V, _ = np.linalg.qr(rng.standard_normal((20, 6)))
-    fac = truncate_lowrank(V, np.eye(6), dtol=1e-12)
+    fac = truncate_lowrank(V, np.eye(6))
     assert fac.rank == 6
     np.testing.assert_allclose(fac.to_dense(), V @ V.T, atol=1e-12)
 
@@ -420,7 +423,7 @@ def test_truncate_rank_one():
     rng = np.random.default_rng(10)
     V, _ = np.linalg.qr(rng.standard_normal((15, 4)))
     z = rng.standard_normal((4, 1))
-    fac = truncate_lowrank(V, z @ z.T, dtol=1e-12)
+    fac = truncate_lowrank(V, z @ z.T)
     assert fac.rank == 1
 
 
@@ -429,24 +432,38 @@ def test_truncate_reconstruction_error():
     V, _ = np.linalg.qr(rng.standard_normal((30, 8)))
     Z = rng.standard_normal((8, 8))
     G = Z @ Z.T
-    fac = truncate_lowrank(V, G, dtol=1e-12)
+    fac = truncate_lowrank(V, G)
     assert frob_norm(V @ G @ V.T - fac.to_dense()) <= 1e-11
 
 
 def test_truncate_psd_violation():
     V = np.eye(3)
     with pytest.raises(PSDViolationError):
-        truncate_lowrank(V, np.diag([1.0, -1e-3, 0.5]), dtol=1e-8)
+        truncate_lowrank(V, np.diag([1.0, -1e-3, 0.5]))
 
 
 def test_truncate_psd_bound_scales_with_largest_eigenvalue():
-    # the bound is max(dtol, k*eps*lambda_max) = 6.7e-4 here
+    # the bound is max(_RANK_THRESHOLD, k*eps*lambda_max) = 6.7e-4 here
     V = np.eye(3)
-    fac = truncate_lowrank(V, np.diag([1e12, -1e-7, 1.0]), dtol=1e-12)
+    fac = truncate_lowrank(V, np.diag([1e12, -1e-7, 1.0]))
     assert fac.rank == 2
     np.testing.assert_allclose(fac.to_dense(), np.diag([1e12, 0.0, 1.0]))
     with pytest.raises(PSDViolationError):
-        truncate_lowrank(V, np.diag([1e12, -1e-3, 1.0]), dtol=1e-12)
+        truncate_lowrank(V, np.diag([1e12, -1e-3, 1.0]))
+
+
+def test_truncate_takes_one_eigh_and_no_eigvalsh(monkeypatch):
+    # the PSD check and the factor read the same eigendecomposition
+    rng = np.random.default_rng(12)
+    V, _ = np.linalg.qr(rng.standard_normal((20, 6)))
+    Z = rng.standard_normal((6, 3))
+    calls = {}
+    for name in ("eigh", "eigvalsh"):
+        _count_calls(monkeypatch, np.linalg, name, calls)
+    fac = truncate_lowrank(V, Z @ Z.T)
+    assert calls == {"eigh": 1}
+    assert fac.rank == 3
+    assert frob_norm(fac.to_dense() - V @ Z @ Z.T @ V.T) <= 1e-12
 
 
 def test_ranks_match_factor_width_at_dtol():
@@ -521,7 +538,7 @@ def test_count_above_matches_eigvalsh(k, kind, cond):
 
 def test_truncated_factor_is_finite_where_the_count_passes_eigvalsh():
     # lambda_max = 1e12 puts the eigensolver's rounding (about 1e-3) far
-    # above dtol: the count can keep an eigenvalue eigvalsh gives as <= 0
+    # above dtol: the count can keep an eigenvalue eigh gives as <= 0
     rng = np.random.default_rng(81)
     k, dtol, n_mat = 30, solvers._RANK_THRESHOLD, 40
     mats = []
@@ -541,7 +558,7 @@ def test_truncated_factor_is_finite_where_the_count_passes_eigvalsh():
         factor = traj.lowrank_factor(i)
         assert np.isfinite(factor.Z).all()
         assert factor.rank == ranks[i]
-        past_eigvalsh += np.any(np.linalg.eigvalsh(G)[::-1][:ranks[i]] <= 0.0)
+        past_eigvalsh += np.any(np.linalg.eigh(G)[0][::-1][:ranks[i]] <= 0.0)
     assert past_eigvalsh                 # the guard was needed
     assert traj.lowrank_factor(-1).rank == ranks[-1]
 
@@ -890,12 +907,12 @@ def test_trajectory_residuals_nonnegative_property(seed):
 
 
 def test_block_variant_without_inverse_action():
-    # forward-only operators still work through the plain block process
-    from dlekrylov.sparsela import wrap_sparse
-    from scipy.sparse import csr_matrix
+    # operators without an inverse action still work through the plain
+    # block process
+    from dlekrylov.sparsela import LinearOperator
 
     A = _stable_dense(30, 40)
-    op = wrap_sparse(csr_matrix(A), with_inverse=False)
+    op = LinearOperator(30, lambda V: A @ V, transpose=lambda V: A.T @ V)
     rng = np.random.default_rng(41)
     B = rng.random((30, 2))
     grid = TimeGrid(0.0, 0.5, 1e-2)
@@ -1251,10 +1268,9 @@ def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
     monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
     assert np.iscomplexobj(setup.basis.multiplier) == (spectrum == "complex")
-    plain = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
-                          setup=setup)
+    plain = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True)
     stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
-                            setup=setup, stop=lambda res: True)
+                            stop=lambda res: True)
     np.testing.assert_array_equal(stopped.bar_rows, plain.bar_rows[:stride])
     if stride < order:
         np.testing.assert_array_equal(stopped.final, plain.final)
@@ -1264,7 +1280,6 @@ def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
     # a stop test that reads every batch and never fires changes nothing
     asked = []
     checked = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
-                            setup=setup,
                             stop=lambda res: asked.append(len(res)) or False)
     # 48 nodes: each batch that ends before node 47 is read once
     assert asked == [stride] * (47 // stride)
@@ -1280,17 +1295,18 @@ def test_bdf_probe_pass_steps_only_its_head(order, monkeypatch):
     # steps of nodes order..9 only
     T, Bm, P0, grid = _smooth_case()
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
+    monkeypatch.setattr(solvers, "_bdf_setup", lambda *args: setup)
     calls = []
     solve_step = setup.basis.solve
     setup.basis.solve = lambda R: calls.append(1) or solve_step(R)
     yields = _count_yields(monkeypatch, "_bdf_steps")
     stride = solvers._PROBE_STRIDE
     run = _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False,
-                        setup=setup, stop=lambda res: True)
+                        stop=lambda res: True)
     assert len(run.residuals) == stride and yields == [stride]
     assert len(calls) == stride - order
     calls.clear()
-    _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False, setup=setup)
+    _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False)
     assert len(calls) == grid.n_steps - (order - 1)
     assert yields == [stride, grid.n_steps + 1]
 
