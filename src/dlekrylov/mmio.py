@@ -234,8 +234,9 @@ def _size_line(path, data, n_lines, count):
 def read_matrix_market(path):
     """Read a real coordinate Matrix Market file into CSR.
 
-    General and symmetric files are supported; symmetric storage is
-    expanded to full storage on read.
+    General and symmetric files are supported; symmetric storage, which
+    holds the lower triangle only, is expanded to full storage on read, and
+    an entry above its diagonal is a parse error.
     """
     raw_lines = _read_lines(path)
     if not raw_lines:
@@ -267,6 +268,9 @@ def read_matrix_market(path):
             raise MatrixMarketParseError(path, lineno, f"malformed entry {' '.join(fields)!r}") from None
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketParseError(path, lineno, f"index ({i},{j}) out of bounds")
+        if i < j and symmetry == "symmetric":
+            raise MatrixMarketParseError(
+                path, lineno, f"entry ({i},{j}) above the diagonal of a symmetric matrix")
         rows[k], cols[k], vals[k] = i - 1, j - 1, v
         k += 1
     if k != nnz:

@@ -704,15 +704,18 @@ class _StepBasis:
         swap = (ar, np.r_[ar[:r], ar[r:].reshape(p, 2)[:, ::-1].ravel()])
         M_xy = np.array([[mult[np.ix_(swap[x], swap[y])] for y in (0, 1)]
                          for x in (0, 1)])
-        C = np.einsum("sxa,tyb,xyab->stab", g, g, M_xy).real
-        C_rows = C[1, 0, r:].reshape(p, 2, k)
-        C_cols = C[0, 1, :, r:].reshape(k, p, 2)
-        C_both = C[1, 1, r:, r:].reshape(p, 2, p, 2)
+        C = np.einsum("sxa,tyb,xyab->stab", g, g, M_xy)
+        # contiguous real copies of the blocks the map reads, so that the
+        # map keeps no view of the complex C
+        C_diag = np.ascontiguousarray(C[0, 0].real)
+        C_rows = np.ascontiguousarray(C[1, 0, r:].real).reshape(p, 2, k)
+        C_cols = np.ascontiguousarray(C[0, 1, :, r:].real).reshape(k, p, 2)
+        C_both = np.ascontiguousarray(C[1, 1, r:, r:].real).reshape(p, 2, p, 2)
 
         def apply(R):
             # the pairs' rows and columns are contiguous, so reshaped
             # views with a reversed pair axis read R at the partners
-            out = np.multiply(R, C[0, 0], order="C")
+            out = np.multiply(R, C_diag, order="C")
             rows = out[r:].reshape(p, 2, k)
             rows += C_rows * R[r:].reshape(p, 2, k)[:, ::-1]
             cols = out[:, r:].reshape(k, p, 2)
@@ -854,7 +857,8 @@ def _bdf_steps(setup, w, full=True, clips=None):
             rows = Y[k - w:, :]
             Yr = basis.project(Y)
         else:
-            rows = basis.lift_rows(Yr, w)
+            # w = 0 (the rank pass) reads no rows: skip the lift's products
+            rows = basis.lift_rows(Yr, w) if w else Yr[k:]
             Y = basis.lift(Yr, rows) if full or i == setup.n_steps else None
         history.insert(0, Yr)
         del history[order:]
@@ -909,14 +913,24 @@ def _compose_entrywise(first, then):
     return np.einsum("ijab,jlab->ilab", A2, A1), _apply_entrywise(then, b1)
 
 
+# Entries of one row block of `_bdf_jump`'s per-entry maps to tf: they
+# are built, composed and applied about this many entries at a time (three
+# blocks at k = 72..80), which bounds their complex temporaries to a
+# fraction of the whole matrix's; much smaller blocks slow the jump, whose
+# numpy calls per block then dominate (8-row blocks at k = 72: 18% slower).
+_JUMP_BLOCK_ENTRIES = 2000
+
+
 def _bdf_jump(setup, steps):
     """`_collect`'s jump to tf for a BDF walk over the generator `steps`.
 
     In the eigen basis, from the history of the last node walked, the
     recurrence runs unscreened: the BDF step is a per-entry affine map in
     the complex eigenbasis, composed by repeated squaring into one map to
-    tf, whose value is taken back to the real basis and lifted. In the
-    Schur basis, or within the start-up steps, the walk goes on to tf."""
+    tf, whose value is taken back to the real basis and lifted. The
+    entries are independent, so the map is formed and applied on blocks of
+    rows, each writing its rows of the value at tf. In the Schur basis, or
+    within the start-up steps, the walk goes on to tf."""
     basis = setup.basis
 
     def jump(node, s):
@@ -925,11 +939,18 @@ def _bdf_jump(setup, steps):
             for Y, *_ in steps:
                 pass
             return Y
-        step = _bdf_step_map(basis.multiplier, basis.to_eigen(setup.forcing),
-                             setup.alphas)
-        x = _apply_entrywise(_pair_power(step, s, _compose_entrywise),
-                             np.array([basis.to_eigen(Yr) for Yr in history]))
-        return basis.lift(basis.from_eigen(x[0]))
+        forcing = basis.to_eigen(setup.forcing)
+        x = np.array([basis.to_eigen(Yr) for Yr in history])
+        k = len(forcing)
+        blocks = min(k, max(1, round(k * k / _JUMP_BLOCK_ENTRIES)))
+        bounds = [k * j // blocks for j in range(blocks + 1)]
+        out = np.empty((k, k), np.result_type(basis.multiplier, x))
+        for rows in map(slice, bounds[:-1], bounds[1:]):
+            step = _bdf_step_map(basis.multiplier[rows], forcing[rows],
+                                 setup.alphas)
+            out[rows] = _apply_entrywise(
+                _pair_power(step, s, _compose_entrywise), x[:, rows])[0]
+        return basis.lift(basis.from_eigen(out))
 
     return jump
 

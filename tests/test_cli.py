@@ -607,6 +607,9 @@ def test_gen_problem_heat(tmp_path):
     # a mirrored entry of a non-square symmetric file would be out of range
     (b"%%MatrixMarket matrix coordinate real symmetric\n3 2 2\n1 1 -1.0\n"
      b"3 1 1.0\n", "A.mtx:2: a symmetric matrix must be square"),
+    # symmetric storage holds the lower triangle only
+    (b"%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n"
+     b"1 2 1.0\n", "A.mtx:4: entry (1,2) above the diagonal"),
 ])
 def test_solve_reports_a_bad_external_input(tmp_path, capsys, a_bytes, where):
     a_path = tmp_path / "A.mtx"

@@ -31,6 +31,19 @@ def test_symmetric_file_expands(tmp_path):
     np.testing.assert_array_equal(A, expected)
 
 
+def test_symmetric_file_refuses_an_entry_above_the_diagonal(tmp_path):
+    # symmetric storage holds the lower triangle only: listing both (2,1)
+    # and (1,2) would otherwise read as A[0,1] = A[1,0] = 2.0
+    path = str(tmp_path / "sym.mtx")
+    with open(path, "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
+        fh.write("2 2 2\n2 1 1.0\n1 2 1.0\n")
+    with pytest.raises(MatrixMarketParseError) as exc:
+        read_matrix_market(path)
+    assert exc.value.lineno == 4
+    assert "entry (1,2) above the diagonal" in str(exc.value)
+
+
 def test_roundtrip_random_exact(tmp_path):
     path = str(tmp_path / "rand.mtx")
     A = csr_matrix(sparse_random(80, 80, density=5000 / 6400.0, random_state=3))

@@ -288,6 +288,14 @@ def test_pair_basis_solve_matches_the_complex_eigenbasis_solve(spectrum, pairs):
         blocks[j:j + 2, j:j + 2] = True
     D = basis.M_inv @ T @ M
     assert np.abs(D[~blocks]).max() <= 1e-12 * np.abs(T).max()
+    # the solve map keeps real, C-contiguous coefficient arrays only: no
+    # strided real view of a complex coefficient tensor
+    kept = [cell.cell_contents for cell in basis.solve.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+    assert kept
+    for a in kept:
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.base is None or a.base.dtype == np.float64
 
 
 def _startup_case(seed, k, spectrum):
@@ -1287,6 +1295,93 @@ def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
     np.testing.assert_array_equal(checked.final, plain.final)
     assert checked.clipped == plain.clipped
     np.testing.assert_array_equal(list(checked.replay()), list(plain.replay()))
+
+
+@pytest.mark.parametrize("entries", [1, 20])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("spectrum", ["real", "complex"])
+def test_bdf_jump_in_row_blocks_equals_one_block_bitwise(spectrum, order,
+                                                         entries, monkeypatch):
+    # the jump to tf forms its per-entry maps on blocks of rows; k = 9
+    # rows in 1-row blocks, or in blocks of 2, 2, 2 and 3 rows at 20
+    # entries, give the one-block value bitwise
+    if spectrum == "real":
+        T, Bm, P0 = _real_spectrum_case()
+    else:
+        T, Bm, P0, _ = _smooth_case()
+    grid = TimeGrid(0.0, 0.94, 0.02)
+    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
+    assert setup.basis.kind == "eigen"
+    assert np.iscomplexobj(setup.basis.multiplier) == (spectrum == "complex")
+    steps = solvers._bdf_steps(setup, Bm.shape[1])
+    node = next(itertools.islice(steps, 9, None))
+    jump = solvers._bdf_jump(setup, steps)
+    monkeypatch.setattr(solvers, "_JUMP_BLOCK_ENTRIES", 10 ** 9)
+    whole = jump(node, grid.n_steps - 9)
+    maps = []
+    step_map = solvers._bdf_step_map
+    monkeypatch.setattr(solvers, "_bdf_step_map",
+                        lambda mult, *args: maps.append(len(mult))
+                        or step_map(mult, *args))
+    monkeypatch.setattr(solvers, "_JUMP_BLOCK_ENTRIES", entries)
+    blocked = jump(node, grid.n_steps - 9)
+    assert maps == ([1] * 9 if entries == 1 else [2, 2, 2, 3])
+    np.testing.assert_array_equal(blocked, whole)
+
+
+def test_bdf_jump_temporaries_stay_below_the_whole_matrix_maps(monkeypatch):
+    # one stopped walk's jump to tf at k = 72: the composed per-entry maps
+    # over the whole matrix took about 28 k^2 complex words; formed in row
+    # blocks, the jump takes about 14
+    import tracemalloc
+
+    op = wrap_sparse(gen_convdiff(20))
+    cfg = SolverConfig(method="eba_bdf", bdf_order=2, m_max=18, tol=1e-300)
+    *_, step = solvers.krylov_steps(op, gen_random_block(400, 2, seed=7),
+                                    np.zeros((400, 0)), cfg)
+    k = step.basis_size
+    assert k == 72
+    peaks = []
+    bdf_jump = solvers._bdf_jump
+
+    def traced_jump(setup, steps):
+        jump = bdf_jump(setup, steps)
+
+        def traced(node, s):
+            tracemalloc.start()
+            try:
+                out = jump(node, s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        return traced
+
+    monkeypatch.setattr(solvers, "_bdf_jump", traced_jump)
+    run = _run_bdf_grid(step.T, step.Bm, step.P0, TimeGrid(0.0, 2.0, 1e-3), 2,
+                        step.w, keep_full=False, coupling=step.coupling,
+                        stop=lambda res: True)
+    assert run.bdf_basis == "eigen" and len(run.residuals) == solvers._PROBE_STRIDE
+    assert len(peaks) == 1 and peaks[0] < 20 * 16 * k * k
+
+
+def test_bdf_rank_walk_lifts_no_rows(monkeypatch):
+    # the rank pass walks the grid at bar width 0 and reads no rows, so it
+    # takes no row lift; its basis values are the grid's nodes
+    T, Bm, P0, grid = _smooth_case()
+    run = _run_bdf_grid(T, Bm, P0, grid, 2, Bm.shape[1], keep_full=True)
+    lifts = []
+    lift_rows = solvers._StepBasis.lift_rows
+    monkeypatch.setattr(solvers._StepBasis, "lift_rows",
+                        lambda self, *args: lifts.append(1) or lift_rows(self, *args))
+    coords = list(run.replay_coords())
+    assert not lifts and len(coords) == grid.n_steps + 1
+    basis = solvers._bdf_setup(T, Bm, P0, grid, 2).basis
+    for (Y, gram_inv), G in zip(coords, run.full):
+        if gram_inv is not None:
+            Y = basis.lift(Y)
+        np.testing.assert_allclose(Y, G, rtol=1e-13, atol=1e-13 * frob_norm(G))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
