@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import expm, frob_norm, log_norm_mu2, spec_norm_2, sym_part
-from .solvers import BDF_TABLE, gauss_legendre
+from .solvers import BDF_TABLE, exact_step_pair, gauss_legendre
 
 
 class SizeGuardError(ValueError):
@@ -35,8 +35,9 @@ class BoundReport:
 
 
 def reference_stream(A, B, X0, grid, q=8):
-    """Yield (index, X) along the grid: exponential propagation plus panel
-    quadrature of the source integral, without storing the trajectory."""
+    """Yield (index, X) along the grid by the exact one-step pair
+    `exact_step_pair` with its q-point panel rule, without storing the
+    trajectory."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     B = np.asarray(B, dtype=float)
@@ -45,13 +46,7 @@ def reference_stream(A, B, X0, grid, q=8):
     X = np.zeros((n, n)) if X0 is None else np.asarray(
         X0.to_dense() if hasattr(X0, "to_dense") else X0, dtype=float)
 
-    E = expm(grid.h * A)
-    sigma, wts = gauss_legendre(q, 0.0, grid.h)
-    delta = np.zeros((n, n))
-    for s_j, w_j in zip(sigma, wts):
-        F = expm(s_j * A) @ B
-        delta += w_j * (F @ F.T)
-    delta = sym_part(delta)
+    E, delta = exact_step_pair(A, B, grid.h, q)
 
     yield 0, X
     for i in range(1, grid.n_steps + 1):
@@ -63,8 +58,9 @@ def dense_reference_integral(A, B, X0, grid, q=8):
     """Exact-solution trajectory by exponential propagation plus panel
     quadrature of the source integral. Desk scale only (n <= 500).
 
-    Returns an (n_nodes, n, n) array. Panel increments use q-point
-    Gauss-Legendre; accuracy is set by q and the grid step.
+    Returns an (n_nodes, n, n) array. Each step's increment composes
+    q-point Gauss-Legendre panels sized by ||A|| (`exact_step_pair`), so
+    its accuracy does not depend on the grid step.
     """
     n = np.asarray(A).shape[0]
     if n > 500:

@@ -133,7 +133,6 @@ def _iteration_rows(traj):
             "bdf_cond": rec.bdf_cond,
             "grid": rec.grid,
             "psd_clips": rec.psd_clips,
-            "step_pair": rec.step_pair,
             "probe_nodes": rec.probe_nodes,
         }
         for rec in traj.iterations

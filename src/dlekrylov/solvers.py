@@ -9,9 +9,9 @@ the listed m.
 Two routes propagate the projected solution over the time grid. The
 exponential route steps node to node by the exact one-step pair (E,
 delta): E = e^{hT}, and the increment delta, the Gramian integral over
-one step, solves T delta + delta T^T = E Q E^T - Q (Van Loan, 1978). That
-identity cancels when two eigenvalues of T nearly sum to zero, so below a
-separation bound a composite Gauss-Legendre rule builds the increment.
+one step. A Gauss-Legendre rule builds the pair of one panel short
+enough for the rule, and repeated squaring of that pair composes the 2^j
+panels of a step into delta (Van Loan, 1978).
 The BDF route integrates the projected matrix ODE with a fixed-step
 backward differentiation formula. Each BDF step is a small algebraic
 Lyapunov equation with one coefficient on the whole grid, solved in a
@@ -58,8 +58,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .dense import (LyapunovSolver, SolvabilityError, check_lyapunov_solvable,
-                    expm, frob_norm, spec_norm_2, sym_part)
+from .dense import (LyapunovSolver, check_lyapunov_solvable, expm, frob_norm,
+                    spec_norm_2, sym_part)
 from .krylov import KrylovBreakdown, KrylovDecomposition
 from .sparsela import LinearOperator, wrap_dense, wrap_sparse
 
@@ -69,7 +69,7 @@ BDF_TABLE = {
     3: (6.0 / 11.0, (18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0)),
 }
 
-# Point count of the Gauss-Legendre fallback rule of the exp route's step
+# Point count of the Gauss-Legendre panel rule of the exp route's step
 # pair, the node count of a batch the stop test of a grid walk reads, and
 # the threshold above which an eigenvalue of a projected solution counts
 # toward its rank and its truncated factor; all are read at call time.
@@ -172,10 +172,8 @@ class IterationRecord:
     the last node walked by one composed map; on eba-bdf in the eigen
     basis that map is the unscreened recurrence, so it matches the full
     grid at rounding level, and only where that grid never clips. A "full"
-    step walked every node. `step_pair` is how the step's exact step built
-    its increment: "lyapunov" or "quadrature", or "eigen" for an eba-bdf
-    start-up in the eigenbasis (None for BDF1). `psd_clips` counts the
-    clipped nodes among the nodes the walk recorded."""
+    step walked every node. `psd_clips` counts the clipped nodes among the
+    nodes the walk recorded."""
 
     m: int
     basis_size: int
@@ -189,7 +187,6 @@ class IterationRecord:
     bdf_cond: float = None             # cond(V) that chose that basis
     grid: str = "full"                 # "probe" | "full"
     psd_clips: int = 0                 # PSD screen clips of that grid run
-    step_pair: str = None              # "lyapunov" | "quadrature" | "eigen"
     probe_nodes: int = None            # nodes a stopped walk visited
 
 
@@ -297,33 +294,28 @@ def gauss_legendre(q, a, b):
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
-def _gl_subpanel_count(t_norm, width, q):
-    """Panels needed so the q-point rule resolves integrand variation
-    exp(c s) with |c| <= 2||T||: per-panel relative error below 1e-12."""
+def _panel_halvings(t_norm, h, q):
+    """Fewest halvings j of h whose panel h / 2^j the q-point rule
+    resolves: integrand variation exp(c s) with |c| <= 2||T||, per-panel
+    relative error below 1e-14. A tighter bound gains nothing: each
+    halving adds one squaring to `exact_step_pair`'s composition, and
+    with it rounding error."""
     coef = math.exp(4.0 * math.lgamma(q + 1) - math.log(2 * q + 1)
                     - 3.0 * math.lgamma(2 * q + 1))
-    c_max = (1e-12 / coef) ** (1.0 / (2 * q))
-    return int(min(max(1, np.ceil(2.0 * t_norm * width / c_max)), 4096))
+    c_max = (1e-14 / coef) ** (1.0 / (2 * q))
+    panels = max(1, math.ceil(2.0 * t_norm * h / c_max))
+    return (panels - 1).bit_length()
 
 
 def _panel_increment(T, B, width, q):
-    """integral over [0, width] of e^{sT} B B^T e^{sT^T} ds.
-
-    Composite q-point Gauss-Legendre; the panel is split into uniform
-    sub-panels sized by the stiffness of T, with node blocks propagated
-    by one small multiply per sub-panel."""
+    """integral over [0, width] of e^{sT} B B^T e^{sT^T} ds by the q-point
+    Gauss-Legendre rule on the one panel."""
     k = T.shape[0]
-    n_sub = _gl_subpanel_count(spec_norm_2(T), width, q)
-    w_sub = width / n_sub
-    sigma, wts = gauss_legendre(q, 0.0, w_sub)
-    node_blocks = [expm(s_j * T) @ B for s_j in sigma]
-    E_sub = expm(w_sub * T) if n_sub > 1 else None
+    sigma, wts = gauss_legendre(q, 0.0, width)
     acc = np.zeros((k, k))
-    for j in range(n_sub):
-        for w_j, W in zip(wts, node_blocks):
-            acc += w_j * (W @ W.T)
-        if j + 1 < n_sub:
-            node_blocks = [E_sub @ W for W in node_blocks]
+    for s_j, w_j in zip(sigma, wts):
+        W = expm(s_j * T) @ B
+        acc += w_j * (W @ W.T)
     return sym_part(acc)
 
 
@@ -460,7 +452,6 @@ class _SmallRun:
     bdf_cond: float = None             # cond(V) of the eigenvectors
     clipped: tuple = ()                # nodes the PSD screen clipped
     replay_coords: object = None       # `Trajectory.replay_coords`
-    step_pair: str = None              # `IterationRecord.step_pair`
 
     @property
     def psd_clips(self):
@@ -546,21 +537,24 @@ def _pair_power(pair, s, compose):
         pair = compose(pair, pair)
 
 
-class _GramSetup(NamedTuple):
-    """Step data of an exp grid."""
+def exact_step_pair(T, B, h, q):
+    """(E, delta) with Y -> E Y E^T + delta the exact one-step propagator
+    of dY/dt = T Y + Y T^T + B B^T: E = e^{hT} and delta the Gramian
+    integral over one step.
 
-    E: np.ndarray
-    delta: np.ndarray
-    G0: np.ndarray
-    step_pair: str                     # route of `exact_step_pair`
-
-
-def _gram_setup(T, Bm, P0, grid, q):
-    """Step pair (E, delta) of the exp grid and its initial value."""
-    k = T.shape[0]
-    E, delta, route = exact_step_pair(T, Bm, grid.h, q)
-    G0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
-    return _GramSetup(E, delta, G0, route)
+    The q-point rule `_panel_increment` builds the pair of one panel of
+    width tau = h / 2^j, j the fewest halvings whose panel it resolves, and
+    the pair composed with itself 2^j times by repeated squaring gives
+    delta: (E, d) then (E, d) is (E^2, E d E^T + d). Each term the
+    composition adds is positive semidefinite, so nothing cancels,
+    whatever the eigenvalues of T. E comes from one expm: the squared
+    panel exponential carries about 2^j times its rounding error, which
+    the grid's steps would compound."""
+    j = _panel_halvings(spec_norm_2(T), h, q)
+    tau = h / 2 ** j
+    panel = (expm(tau * T), _panel_increment(T, B, tau, q))
+    E = expm(h * T) if j else panel[0]
+    return E, _pair_power(panel, 2 ** j, _compose)[1]
 
 
 def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
@@ -568,54 +562,25 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
     """The exp grid over every node, or up to the batch `stop` ends it at,
     from where one composed pair reaches tf, with the residuals from
     `coupling` (see `_collect`)."""
-    setup = _gram_setup(T, Bm, P0, grid, q)
-    replay = functools.partial(_gram_nodes, setup.E, setup.delta, setup.G0,
-                               grid.n_steps)
     k = T.shape[0]
+    E, delta = exact_step_pair(T, Bm, grid.h, q)
+    G0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
+    replay = functools.partial(_gram_nodes, E, delta, G0, grid.n_steps)
 
     def jump(node, s):
-        E_s, d_s = _pair_power((setup.E, setup.delta), s, _compose)
+        E_s, d_s = _pair_power((E, delta), s, _compose)
         return sym_part(E_s @ node[0] @ E_s.T + d_s)
 
     # the exp grid never clips
     steps = ((G, G[k - w:, :], False) for G in replay())
     return replace(_collect(steps, grid.n_steps + 1, k, w, keep_full, coupling,
-                            stop, jump, step_pair=setup.step_pair),
+                            stop, jump),
                    replay=replay)
 
 
 # Above this cond(V) the eigenbasis step loses accuracy like
 # cond(V)^2 * eps, so the BDF grid runs in the real Schur basis instead.
 _EIGEN_COND_MAX = 1e3
-
-# Below this h * min |lam_a + lam_b| over the eigenvalues of T, the
-# increment solved from T delta + delta T^T = E Q E^T - Q loses about
-# eps / (h * min |lam_a + lam_b|) relative accuracy to cancellation, so
-# the quadrature rule builds it instead.
-_LYAP_SEP_MIN = 1e-3
-
-
-def exact_step_pair(T, B, h, q):
-    """(E, delta, route) with Y -> E Y E^T + delta the exact one-step
-    propagator of dY/dt = T Y + Y T^T + B B^T.
-
-    delta solves T delta + delta T^T = E Q E^T - Q, Q = B B^T, which is
-    stable for stiff T where the block-exponential construction cancels
-    catastrophically, when the eigenvalue pairs of T are separated from
-    zero by _LYAP_SEP_MIN / h; otherwise, and when the Lyapunov operator
-    is singular, the q-point panel rule `_panel_increment` builds delta.
-    `route` names the way taken: "lyapunov" or "quadrature"."""
-    E = expm(h * T)
-    try:
-        lyap = LyapunovSolver(T)
-        lam = lyap.eigvals
-        if h * np.min(np.abs(lam[:, None] + lam[None, :]),
-                      initial=np.inf) >= _LYAP_SEP_MIN:
-            Q = B @ B.T
-            return E, lyap.solve(Q - E @ Q @ E.T), "lyapunov"
-    except SolvabilityError:
-        pass                           # singular: the quadrature rule applies
-    return E, _panel_increment(T, B, h, q), "quadrature"
 
 
 class _StepBasis:
@@ -783,20 +748,20 @@ def _bdf_basis(T, h_beta):
 
 
 def _startup_step(T, Bm, h, basis, Q):
-    """(step, route): the exact step Yr -> Yr(t + h) of
-    dY/dt = T Y + Y T^T + Bm Bm^T on basis values, Q = Bm Bm^T in the
-    basis. In V it is Yh -> e^{hS} * Yh + Qh * expm1(hS)/S elementwise,
-    S_ab = lam_a + lam_b (h where S = 0), route "eigen"; in the Schur
-    basis U, `exact_step_pair`'s (E, delta) as (U^T E U, U^T delta U)."""
+    """The exact step Yr -> Yr(t + h) of dY/dt = T Y + Y T^T + Bm Bm^T on
+    basis values, Q = Bm Bm^T in the basis. In V it is
+    Yh -> e^{hS} * Yh + Qh * expm1(hS)/S elementwise, S_ab = lam_a + lam_b
+    (h where S = 0); in the Schur basis U, `exact_step_pair`'s (E, delta)
+    as (U^T E U, U^T delta U)."""
     if basis.lam is None:
-        E, delta, route = exact_step_pair(T, Bm, h, _QUADRATURE_ORDER)
+        E, delta = exact_step_pair(T, Bm, h, _QUADRATURE_ORDER)
         E, delta = basis.M_inv @ E @ basis.M, basis.project(delta)
-        return (lambda Yr: sym_part(E @ Yr @ E.T + delta)), route
+        return lambda Yr: sym_part(E @ Yr @ E.T + delta)
     S = basis.lam[:, None] + basis.lam[None, :]
     phi = np.divide(np.expm1(h * S), S, out=np.full_like(S, h), where=S != 0)
     propagate = basis.entrywise(np.exp(h * S))
     increment = basis.from_eigen(basis.to_eigen(Q) * phi)
-    return (lambda Yr: propagate(Yr) + increment), "eigen"
+    return lambda Yr: propagate(Yr) + increment
 
 
 class _BDFSetup(NamedTuple):
@@ -804,7 +769,6 @@ class _BDFSetup(NamedTuple):
 
     Y0: np.ndarray
     startup: object                    # `_startup_step`'s map; None for BDF1
-    step_pair: str                     # its route; None for BDF1
     basis: _StepBasis
     forcing: np.ndarray                # h*beta*Q in the basis
     alphas: tuple
@@ -819,9 +783,8 @@ def _bdf_setup(T, Bm, P0, grid, order):
     Q = basis.project(Bm @ Bm.T)
     # multistep start-up values by exact propagation (a low-order
     # bootstrap step would cap the observable global order at 2)
-    startup, route = (_startup_step(T, Bm, grid.h, basis, Q) if order > 1
-                      else (None, None))
-    return _BDFSetup(Y0, startup, route, basis, grid.h * beta * Q, alphas,
+    startup = _startup_step(T, Bm, grid.h, basis, Q) if order > 1 else None
+    return _BDFSetup(Y0, startup, basis, grid.h * beta * Q, alphas,
                      grid.n_steps)
 
 
@@ -964,7 +927,7 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
     steps = _bdf_steps(setup, w, full=keep_full)
     run = _collect(steps, grid.n_steps + 1, T.shape[0], w, keep_full, coupling,
                    stop, _bdf_jump(setup, steps), bdf_basis=setup.basis.kind,
-                   bdf_cond=setup.basis.cond, step_pair=setup.step_pair)
+                   bdf_cond=setup.basis.cond)
     clips = frozenset(run.clipped)
     return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
                    replay_coords=functools.partial(_bdf_coords, setup, clips))
@@ -1006,7 +969,7 @@ def _route(config):
 
 
 class KrylovStep(NamedTuple):
-    """Krylov step m: the projected data. Its `coupling`, `inner_basis` and
+    """Krylov step m: the projected data. Its `coupling` and
     `decomposition` (a shallow copy) hold step m's arrays: later `extend`
     calls replace T_bar, and write basis columns only past the ones these
     views cover."""
@@ -1019,7 +982,6 @@ class KrylovStep(NamedTuple):
     w: int                             # width of the newest inner block
     broke: bool                        # full breakdown: the last step
     coupling: np.ndarray
-    inner_basis: np.ndarray
     decomposition: KrylovDecomposition
     started: float                     # perf_counter() before the extend
 
@@ -1048,7 +1010,7 @@ def krylov_steps(op, B, Z0, config):
         T, Bm, P0 = dec.T, dec.project_block(B), dec.project_block(Z0)
         yield KrylovStep(dec.m, dec.inner_width, T, Bm, P0,
                          dec.widths[dec.m - 1], broke, dec.coupling,
-                         dec.inner_basis, copy.copy(dec), started)
+                         copy.copy(dec), started)
 
 
 def full_grid_run(step, grid, config, stop=None):
@@ -1072,8 +1034,7 @@ def full_grid_run(step, grid, config, stop=None):
         m=step.m, basis_size=step.basis_size, residual_max=float(np.max(res)),
         coupling_norm=frob_norm(step.coupling), small_final=run.final,
         elapsed=time.perf_counter() - step.started, bdf_basis=run.bdf_basis,
-        bdf_cond=run.bdf_cond, psd_clips=run.psd_clips,
-        step_pair=run.step_pair, **fields)
+        bdf_cond=run.bdf_cond, psd_clips=run.psd_clips, **fields)
 
 
 def _solve(op, B, X0, grid, config):

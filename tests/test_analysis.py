@@ -7,10 +7,11 @@ from dlekrylov.analysis import (SizeGuardError, StabilityError,
                                 dense_reference_integral,
                                 dense_reference_kron_ode, error_bound_general,
                                 error_bound_polynomial, error_bound_stable,
-                                expm_action_bound)
+                                expm_action_bound, reference_stream)
 from dlekrylov.dense import expm, frob_norm, log_norm_mu2
 from dlekrylov import solvers
 from dlekrylov.krylov import KrylovDecomposition
+from dlekrylov.problems import gen_convdiff, gen_random_block
 from dlekrylov.solvers import SolverConfig, TimeGrid, solve_eba_exp
 from dlekrylov.sparsela import wrap_dense
 
@@ -54,6 +55,19 @@ def test_integral_reference_q_doubling():
     X1 = dense_reference_integral(A, B, None, grid, q=8)[-1]
     X2 = dense_reference_integral(A, B, None, grid, q=16)[-1]
     assert frob_norm(X1 - X2) <= 1e-11 * max(frob_norm(X2), 1.0)
+
+
+def test_integral_reference_at_tf_does_not_depend_on_the_step():
+    # convdiff n0 = 10 over [0, 2]: each step's increment is the exact step
+    # pair, so a coarse grid reaches the X(tf) of the fine one
+    A = gen_convdiff(10).toarray()
+    B = gen_random_block(100, 2, seed=7)
+    finals = []
+    for h in (1e-3, 0.1):
+        for _, X in reference_stream(A, B, None, TimeGrid(0.0, 2.0, h)):
+            pass
+        finals.append(X)
+    assert frob_norm(finals[1] - finals[0]) <= 1e-12 * frob_norm(finals[0])
 
 
 def test_integral_reference_size_guard():

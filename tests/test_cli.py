@@ -41,7 +41,6 @@ def test_solve_writes_report_and_csv(tmp_path):
         assert row["residual_max"] >= 1e-9 and row["residual_final"] > 0
         assert "residual_probe_max" not in row
     assert all(row["psd_clips"] == 0 for row in rows)    # eba-exp never screens
-    assert all(row["step_pair"] == "lyapunov" for row in rows)
     # each stopped walk reaches tol in its first batch, nodes 0..9
     assert [row["probe_nodes"] for row in rows] == [10] * (len(rows) - 1) + [None]
     timings = report["timings_s"]
@@ -162,7 +161,6 @@ def test_flag_overrides(tmp_path):
         assert row["bdf_basis"] == "eigen"
         assert 1.0 <= row["bdf_cond"] < 1e3
         assert isinstance(row["psd_clips"], int) and row["psd_clips"] >= 0
-        assert row["step_pair"] is None          # BDF1 has no start-up pair
     # a stopped walk ends after its first batch, nodes 0..9
     assert [row["probe_nodes"] for row in rows] == [10] * (len(rows) - 1) + [None]
 
@@ -184,8 +182,6 @@ def test_report_counts_psd_clips(tmp_path, monkeypatch):
     # a stopped walk screens nodes 1..9 of its first batch; the full grid
     # all 50 nodes
     assert [row["psd_clips"] for row in rows] == [9] * (len(rows) - 1) + [50]
-    # the start-up step comes from the step basis's eigendecomposition
-    assert all(row["step_pair"] == "eigen" for row in rows)
 
 
 def test_config_error_exit_code(tmp_path, capsys):

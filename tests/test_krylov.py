@@ -364,7 +364,7 @@ def test_krylov_steps_write_one_buffer_allocated_for_the_step_budget(variant):
     for step in krylov_steps(op, gen_random_block(64, 2, seed=5),
                              np.zeros((64, 0)), config):
         dec = step.decomposition
-        views = (step.inner_basis, step.coupling, dec.basis, dec.T_bar)
+        views = (step.decomposition.inner_basis, step.coupling, dec.basis, dec.T_bar)
         steps.append((step, views, [a.copy() for a in views]))
     assert len(steps) == 9
     first = steps[0][0].decomposition
@@ -372,7 +372,7 @@ def test_krylov_steps_write_one_buffer_allocated_for_the_step_budget(variant):
     assert all(step.decomposition._buf is first._buf for step, _, _ in steps)
     for step, views, values in steps:
         dec = step.decomposition
-        now = (step.inner_basis, step.coupling, dec.basis, dec.T_bar)
+        now = (step.decomposition.inner_basis, step.coupling, dec.basis, dec.T_bar)
         for view, current, value in zip(views, now, values):
             np.testing.assert_array_equal(view, value)
             np.testing.assert_array_equal(current, value)

@@ -13,8 +13,8 @@ from dlekrylov import solvers
 from dlekrylov.dense import LyapunovSolver
 from dlekrylov.solvers import (BDF_TABLE, PSDViolationError, SolverConfig,
                                SymLowRank, TimeGrid, Trajectory,
-                               _panel_increment, _run_bdf_grid,
-                               _run_gram_grid, exact_step_pair, residual_norm,
+                               _run_bdf_grid, _run_gram_grid,
+                               exact_step_pair, residual_norm,
                                solve, solve_eba_bdf, solve_eba_exp,
                                truncate_lowrank)
 from dlekrylov.sparsela import wrap_dense, wrap_sparse
@@ -90,7 +90,7 @@ def test_residual_norm_equals_true_dense_residual():
     for _ in range(m):
         dec.extend(op)
     T, Bm, V = dec.T, dec.project_block(B), dec.inner_basis
-    G = _panel_increment(T, Bm, 0.9, 10)     # the Gramian over [0, 0.9]
+    G = exact_step_pair(T, Bm, 0.9, 10)[1]   # the Gramian over [0, 0.9]
     Gdot = T @ G + G @ T.T + Bm @ Bm.T
     X = V @ G @ V.T
     R_true = V @ Gdot @ V.T - A @ X - X @ A.T - B @ B.T
@@ -114,7 +114,7 @@ def _reference_bdf_grid(T, Bm, P0, grid, order):
     Y = P0 @ P0.T
     out = [Y]
     n_start = min(order - 1, N)
-    E, delta, _ = exact_step_pair(T, Bm, h, solvers._QUADRATURE_ORDER)
+    E, delta = exact_step_pair(T, Bm, h, solvers._QUADRATURE_ORDER)
     for _ in range(n_start):
         Y = _psd_floor(sym_part(E @ Y @ E.T + delta))
         out.append(Y)
@@ -334,15 +334,13 @@ def test_eigen_startup_step_matches_the_exact_pair_and_the_quadrature(seed, k, s
     setup = solvers._bdf_setup(T, Bm, P0, grid, 2)
     basis = setup.basis
     assume(basis.kind == "eigen")
-    assert setup.step_pair == "eigen" and basis.cond <= solvers._EIGEN_COND_MAX
+    assert basis.cond <= solvers._EIGEN_COND_MAX
     S = basis.lam[:, None] + basis.lam[None, :]
     assert np.any(S == 0) == (spectrum == "zero-sum")
     if spectrum == "complex":
         assert np.any(S.imag != 0)
     Y1 = basis.lift(setup.startup(basis.project(setup.Y0)))
-    E, delta, route = exact_step_pair(T, Bm, h, solvers._QUADRATURE_ORDER)
-    if spectrum == "zero-sum":
-        assert route == "quadrature"          # a singular Lyapunov operator
+    E, delta = exact_step_pair(T, Bm, h, solvers._QUADRATURE_ORDER)
     tol = 100 * basis.cond ** 2 * np.finfo(float).eps
     for ref in (sym_part(E @ setup.Y0 @ E.T + delta),
                 dense_reference_integral(T, Bm, SymLowRank(P0), grid, q=8)[1]):
@@ -952,33 +950,33 @@ def test_block_variant_solves_on_both_routes():
         assert traj.ranks()[-1] == traj.lowrank_factor(-1).rank
 
 
-def _closed_form_increment(lam, U, B, h):
-    """The Gramian over one step of T = U diag(lam) U^T, U orthogonal:
-    Qt_ab (e^{h s_ab} - 1) / s_ab in U's basis, s = lam_a + lam_b, and
-    h Qt_ab where s_ab = 0."""
+def _closed_form_increment(lam, V, B, h):
+    """The Gramian over one step of T = V diag(lam) V^-1: V (Qh * phi) V^T
+    with Qh = V^-1 B B^T V^-T and phi_ab = expm1(h s_ab) / s_ab,
+    s = lam_a + lam_b, and h where s_ab = 0; real for a real T."""
     s = lam[:, None] + lam[None, :]
-    Qt = U.T @ B @ B.T @ U
+    V_inv = np.linalg.inv(V)
+    Qh = V_inv @ B @ B.T @ V_inv.T
     zero = s == 0.0
-    factor = np.where(zero, h, np.expm1(h * s) / np.where(zero, 1.0, s))
-    return U @ (Qt * factor) @ U.T
+    phi = np.where(zero, h, np.expm1(h * s) / np.where(zero, 1.0, s))
+    return (V @ (Qh * phi) @ V.T).real
 
 
-def test_exact_step_pair_singular_lyapunov_fallback():
-    # eigenvalue pair sums to zero: the algebraic route is singular and
-    # the quadrature fallback must deliver the same increment
+def test_exact_step_pair_with_an_eigenvalue_pair_summing_to_zero():
+    # eigenvalue pair sums to zero: T's Lyapunov operator is singular, and
+    # the pair still delivers the closed-form increment
     T = np.diag([1.0, -1.0, -2.0])
     rng = np.random.default_rng(60)
     B = rng.random((3, 2))
     h = 0.05
-    E, delta, route = exact_step_pair(T, B, h, 4)
-    assert route == "quadrature"
+    E, delta = exact_step_pair(T, B, h, 4)
     np.testing.assert_allclose(E, np.diag(np.exp(h * np.diag(T))), rtol=1e-13)
     ref = _closed_form_increment(np.diag(T), np.eye(3), B, h)
     np.testing.assert_allclose(delta, ref, rtol=1e-11, atol=1e-14)
 
 
-def test_exact_step_pair_on_stiff_T_matches_the_panel_rule():
-    # ||T|| h = 50: the panel rule needs hundreds of sub-panels
+def test_exact_step_pair_on_stiff_T_matches_the_closed_form():
+    # ||T|| h = 50: the step's panel is halved until the rule resolves it
     rng = np.random.default_rng(64)
     k, h = 10, 1e-3
     S = np.eye(k) + 0.3 * rng.standard_normal((k, k))
@@ -986,14 +984,14 @@ def test_exact_step_pair_on_stiff_T_matches_the_panel_rule():
     T = S @ np.diag(lam) @ np.linalg.inv(S)
     assert 40 <= np.linalg.norm(T, 2) * h <= 60
     B = rng.standard_normal((k, 2))
-    E, delta, route = exact_step_pair(T, B, h, 4)
-    assert route == "lyapunov"
-    ref = _panel_increment(T, B, h, 12)
+    E, delta = exact_step_pair(T, B, h, 4)
+    ref = _closed_form_increment(lam, S, B, h)
     assert frob_norm(delta - ref) <= 1e-11 * frob_norm(ref)
 
 
-def test_exact_step_pair_takes_the_quadrature_route_below_the_separation():
-    # h * min |lam_a + lam_b| = 1e-9: the Lyapunov identity cancels
+def test_exact_step_pair_where_the_lyapunov_identity_cancels():
+    # h * min |lam_a + lam_b| = 1e-9: the increment solved from the
+    # Lyapunov identity T delta + delta T^T = E Q E^T - Q cancels
     rng = np.random.default_rng(65)
     h = 1e-3
     lam = np.array([-5e-7, -1.0, -3.0, -10.0, -0.2])
@@ -1001,12 +999,96 @@ def test_exact_step_pair_takes_the_quadrature_route_below_the_separation():
     T = U @ np.diag(lam) @ U.T
     B = rng.standard_normal((5, 2))
     ref = _closed_form_increment(lam, U, B, h)
-    E, delta, route = exact_step_pair(T, B, h, 4)
-    assert route == "quadrature"
+    E, delta = exact_step_pair(T, B, h, 4)
     assert frob_norm(delta - ref) <= 1e-12 * frob_norm(ref)
     Q = B @ B.T
     bare = LyapunovSolver(T).solve(Q - E @ Q @ E.T)
     assert frob_norm(bare - ref) > 1e-9 * frob_norm(ref)
+
+
+def test_exact_step_pair_with_a_slow_mode_at_h_norm_1e5():
+    # h ||T|| = 1e5 with a mode at -5e-7: 2^20 panels, and the slow
+    # mode's integral kept to the closed form's accuracy
+    rng = np.random.default_rng(66)
+    h = 1e-3
+    lam = np.array([-5e-7, -1.0, -3.0, -1e8, -3e7])
+    U, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    T = U @ np.diag(lam) @ U.T
+    B = rng.standard_normal((5, 2))
+    E, delta = exact_step_pair(T, B, h, 4)
+    ref = _closed_form_increment(lam, U, B, h)
+    assert frob_norm(delta - ref) <= 1e-10 * frob_norm(ref)
+    np.testing.assert_allclose(E, U @ np.diag(np.exp(h * lam)) @ U.T,
+                               rtol=0, atol=1e-10)
+
+
+def test_exact_step_pair_on_non_normal_triangular_T_matches_radau():
+    # eigenvalues -1..-1e5 of an upper-triangular T with strictly upper
+    # entries of scale 100: cond(V) ~ 3e7, and every eigenvalue pair sum
+    # at least 2, so h * min |lam_a + lam_b| = 2e-3; against Radau on the
+    # vectorized equation
+    import scipy.sparse as sp
+    from scipy.integrate import solve_ivp
+
+    rng = np.random.default_rng(1)
+    k, h = 20, 1e-3
+    T = np.diag(-np.logspace(0, 5, k)) + np.triu(100 * rng.standard_normal((k, k)), 1)
+    B = rng.standard_normal((k, 2))
+    Q = B @ B.T
+    jac = sp.csc_matrix(np.kron(T, np.eye(k)) + np.kron(np.eye(k), T))
+    sol = solve_ivp(lambda s, y: (T @ y.reshape(k, k) + y.reshape(k, k) @ T.T
+                                  + Q).ravel(),
+                    (0.0, h), np.zeros(k * k), method="Radau", jac=jac,
+                    rtol=1e-12, atol=1e-20)
+    assert sol.success
+    ref = sol.y[:, -1].reshape(k, k)
+    delta = exact_step_pair(T, B, h, 4)[1]
+    assert frob_norm(delta - ref) <= 1e-12 * frob_norm(ref)
+
+
+def _stable_spectrum_case(seed, k, h_norm, spectrum):
+    """(T, lam, V, h): T = V diag(lam) V^-1 real, V = S P with S real and
+    P 2x2-block-diagonal on the conjugate pairs, so cond(V) = cond(S), and
+    h such that h ||T|| = h_norm. The real parts are spread over up to four
+    decades below -0.5; "zero-sum" sets the two slowest eigenvalues to
+    0.5 and -0.5, which grow like e^{h/2}, so it is meant for a modest h."""
+    rng = np.random.default_rng(seed)
+    re = -np.geomspace(1.0, 10.0 ** rng.uniform(0, 4), k) * rng.uniform(0.5, 1.0, k)
+    D = np.diag(re)
+    lam = re.astype(complex)
+    P = np.eye(k, dtype=complex)
+    pairs = range(0, k - 1, 2) if spectrum == "complex" else ()
+    for j in pairs:
+        b = rng.uniform(0.1, 2.0) * abs(re[j])
+        D[j + 1, j + 1] = re[j]
+        D[j, j + 1], D[j + 1, j] = b, -b
+        lam[j], lam[j + 1] = re[j] + 1j * b, re[j] - 1j * b
+        P[j:j + 2, j:j + 2] = [[1.0, 1.0], [1j, -1j]]
+    if spectrum == "zero-sum":
+        D[0, 0], D[1, 1] = 0.5, -0.5
+        lam[:2] = 0.5, -0.5
+    S = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    T = S @ D @ np.linalg.inv(S)
+    return T, lam, S @ P, h_norm / np.linalg.norm(T, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=7),
+       st.floats(min_value=1e-3, max_value=1e4),
+       st.sampled_from(["real", "complex"]))
+@example(3, 4, 1e4, "complex")
+@example(5, 4, 1.0, "zero-sum")
+def test_exact_step_pair_matches_the_closed_form(seed, k, h_norm, spectrum):
+    # random stable T with cond(V) <= 1e2 and h ||T|| up to 1e4, and a
+    # spectrum with an eigenvalue pair summing to zero
+    T, lam, V, h = _stable_spectrum_case(seed, k, h_norm, spectrum)
+    assume(np.linalg.cond(V) <= 1e2)
+    B = np.random.default_rng(seed + 1).standard_normal((k, 2))
+    E, delta = exact_step_pair(T, B, h, solvers._QUADRATURE_ORDER)
+    ref = _closed_form_increment(lam, V, B, h)
+    assert frob_norm(delta - ref) <= 1e-10 * frob_norm(ref)
+    E_ref = (V @ np.diag(np.exp(h * lam)) @ np.linalg.inv(V)).real
+    assert frob_norm(E - E_ref) <= 1e-10 * max(frob_norm(E_ref), 1.0)
 
 
 # -- one grid walk per Krylov step ----------------------------------------------
@@ -1646,11 +1728,9 @@ def test_eigen_route_bdf_decomposes_T_once_per_krylov_step(basis, monkeypatch):
     assert {r.bdf_basis for r in traj.iterations} == {basis}
     if basis == "eigen":
         assert calls == {"eig": steps}
-        assert {r.step_pair for r in traj.iterations} == {"eigen"}
     else:
         assert calls["eig"] == calls["exact_step_pair"] == steps
         assert orders == [6] * steps
-        assert {r.step_pair for r in traj.iterations} == {"lyapunov"}
 
 
 # -- the Krylov-step walk ------------------------------------------------------
@@ -1671,7 +1751,8 @@ def test_krylov_steps_keep_their_arrays_after_the_walk(method):
         assert step.basis_size == dec.inner_width and not step.broke
         np.testing.assert_array_equal(step.T, dec.T)
         np.testing.assert_array_equal(step.coupling, dec.coupling)
-        np.testing.assert_array_equal(step.inner_basis, dec.inner_basis)
+        np.testing.assert_array_equal(step.decomposition.inner_basis,
+                                      dec.inner_basis)
         np.testing.assert_array_equal(step.decomposition.coupling, dec.coupling)
         assert step.decomposition.widths == dec.widths
 
