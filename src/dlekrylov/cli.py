@@ -1,7 +1,8 @@
 """Command-line front end: problem setup, solver runs, oracle comparisons
 and machine-readable reporting.
 
-Configuration is a JSON file; scalar keys can be overridden by flags.
+A JSON configuration file holds every setting of a run; each subcommand
+takes only that file and an output directory.
 CSV cells carry 17 significant digits so that identical configurations
 reproduce byte-identical files.
 """
@@ -26,6 +27,7 @@ from .problems import (InputError, ProblemSpec, build_problem, dense_matrix,
                        gen_convdiff, gen_random_block, heat_fem_matrices)
 from .solvers import (SolverConfig, TimeGrid, full_grid_run, krylov_steps,
                       solve)
+from .sparsela import FactorizationError
 
 
 def _fmt(x):
@@ -88,26 +90,13 @@ def load_config(path):
     return cfg
 
 
-def build_spec_and_config(cfg, args):
-    problem = dict(cfg.get("problem", {}))
-    if args.seed is not None:
-        problem["seed"] = args.seed
-    if args.h is not None:
-        problem["h"] = args.h
+def build_spec_and_config(cfg):
     try:
-        spec = ProblemSpec.from_dict(problem)
+        spec = ProblemSpec.from_dict(cfg.get("problem", {}))
         spec.grid                      # raises on a grid h does not divide
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"problem section: {exc}") from exc
-    solver_cfg = dict(cfg.get("solver", {}))
-    if args.method:
-        solver_cfg["method"] = args.method.replace("-", "_")
-    if args.m_max is not None:
-        solver_cfg["m_max"] = args.m_max
-    if args.tol is not None:
-        solver_cfg["tol"] = args.tol
-    if args.bdf_order is not None:
-        solver_cfg["bdf_order"] = args.bdf_order
+    solver_cfg = cfg.get("solver", {})
     try:
         config = SolverConfig(**solver_cfg)
     except TypeError as exc:
@@ -141,7 +130,7 @@ def _iteration_rows(traj):
 
 def cmd_solve(args):
     cfg = load_config(args.config)
-    spec, config = build_spec_and_config(cfg, args)
+    spec, config = build_spec_and_config(cfg)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
@@ -199,7 +188,7 @@ def _first_basis_row(traj):
 
 def cmd_compare(args):
     cfg = load_config(args.config)
-    spec, config = build_spec_and_config(cfg, args)
+    spec, config = build_spec_and_config(cfg)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
@@ -260,7 +249,7 @@ def _reference_final(A, B, grid):
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
-    spec, config = build_spec_and_config(cfg, args)
+    spec, config = build_spec_and_config(cfg)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     sweep = cfg.get("sweep", {})
@@ -331,7 +320,7 @@ def cmd_sweep(args):
 
 def cmd_gen_problem(args):
     cfg = load_config(args.config)
-    spec, _ = build_spec_and_config(cfg, args)
+    spec, _ = build_spec_and_config(cfg)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     outputs = {}
@@ -368,14 +357,9 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("solve", cmd_solve), ("compare", cmd_compare),
                      ("sweep", cmd_sweep), ("gen-problem", cmd_gen_problem)):
-        p = sub.add_parser(name)
+        # an abbreviation is no option: "--h" is not --help
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--method", choices=["eba-exp", "eba-bdf"])
-        p.add_argument("--m-max", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--h", type=float)
-        p.add_argument("--bdf-order", type=int, choices=[1, 2, 3])
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default: cwd)")
         p.set_defaults(handler=fn)
     return parser
@@ -389,7 +373,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SizeGuardError, StabilityError, MatrixMarketParseError,
-            InputError) as exc:
+            InputError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

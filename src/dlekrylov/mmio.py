@@ -7,8 +7,8 @@ reported with the offending line number, and so that written values
 round-trip bit-exactly (17 significant digits, as Python's "%.16e"
 prints them).
 
-The array writer formats its values in NumPy, a chunk of at most
-_CHUNK values at a time: each value is scaled to a 17-digit integer by an
+Both writers format their values in NumPy, a chunk of at most _CHUNK
+values at a time: each value is scaled to a 17-digit integer by an
 exact double-double product with a tabulated power of ten and rounded
 half to even, which is the correctly rounded result "%.16e" gives. Python
 prints a value itself where that is not certain: zeros, inf and nan,
@@ -289,11 +289,14 @@ def write_matrix_market(A, path):
     """Write a sparse matrix as a real general coordinate file."""
     A = coo_matrix(A)
     order = np.lexsort((A.col, A.row))
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for k in order:
-            fh.write(f"{A.row[k] + 1} {A.col[k] + 1} {_fmt(A.data[k])}\n")
+    values = io.BytesIO()
+    _write_values(values, np.asarray(A.data[order], dtype=float)[None, :])
+    with open(path, "wb") as fh:
+        fh.write(b"%%MatrixMarket matrix coordinate real general\n")
+        fh.write(b"%d %d %d\n" % (*A.shape, A.nnz))
+        fh.write(b"".join(b"%d %d %s\n" % line for line in zip(
+            (A.row[order] + 1).tolist(), (A.col[order] + 1).tolist(),
+            values.getvalue().splitlines())))
 
 
 def read_matrix_market_array(path):

@@ -162,7 +162,19 @@ def gen_heat_fem(n, dt, alpha):
 
 
 class InputError(ValueError):
-    """An external input file cannot be read, or its shape does not fit."""
+    """An external input file cannot be read, its shape does not fit, or
+    it holds a value that is not finite."""
+
+
+def _require_finite(path, M):
+    """Raise an InputError naming the first non-finite entry of M in
+    row-major order, numbered from 1 as a Matrix Market file numbers it."""
+    M = coo_matrix(M)
+    bad = np.flatnonzero(~np.isfinite(M.data))
+    if bad.size:
+        k = bad[np.lexsort((M.col[bad], M.row[bad]))[0]]
+        raise InputError(f"{path}: entry ({M.row[k] + 1}, {M.col[k] + 1}) "
+                         f"is {M.data[k]}, not a finite number")
 
 
 def build_problem(spec):
@@ -192,6 +204,9 @@ def build_problem(spec):
         if B.shape[0] != A.shape[0]:
             raise InputError(f"{spec.b_path}: block of shape {B.shape} does not "
                              f"match the {A.shape} matrix of {spec.a_path}")
+        _require_finite(spec.a_path, A)
+        if spec.b_path:
+            _require_finite(spec.b_path, B)
         op = wrap_sparse(A)
         spec.n = A.shape[0]
     else:

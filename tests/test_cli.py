@@ -128,24 +128,24 @@ def test_solve_frees_the_operator_before_writing_the_factor(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "build_problem", build_problem)
     monkeypatch.setattr(cli, "write_matrix_market_array", write_factor)
-    for method in ("eba-exp", "eba-bdf"):
+    for method in ("eba_exp", "eba_bdf"):
         refs.clear()
         cfg = _write_cfg(tmp_path, problem=_base_problem(),
-                         solver={"m_max": 10, "tol": 1e-8},
+                         solver={"method": method, "m_max": 10, "tol": 1e-8},
                          output={"write_factor": True})
         out = str(tmp_path / method)
-        assert main(["solve", "--config", cfg, "--out", out, "--method", method]) == 0
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
         report = json.load(open(os.path.join(out, "report.json")))
         assert 0.0 < report["timings_s"]["write"] <= report["timings_s"]["output"]
     assert alive == [False, False]
 
 
-def test_flag_overrides(tmp_path):
-    cfg = _write_cfg(tmp_path, problem=_base_problem(),
-                     solver={"m_max": 10, "tol": 1e-8})
+def test_report_echoes_the_config(tmp_path):
+    cfg = _write_cfg(tmp_path, problem=_base_problem(seed=9),
+                     solver={"method": "eba_bdf", "bdf_order": 1, "tol": 1e-6,
+                             "m_max": 6})
     out = str(tmp_path / "out")
-    main(["solve", "--config", cfg, "--out", out, "--method", "eba-bdf",
-          "--bdf-order", "1", "--tol", "1e-6", "--m-max", "6", "--seed", "9"])
+    main(["solve", "--config", cfg, "--out", out])
     report = json.load(open(os.path.join(out, "report.json")))
     assert report["method"] == "eba_bdf"
     assert report["solver"]["bdf_order"] == 1
@@ -227,10 +227,6 @@ def test_config_error_exit_code(tmp_path, capsys):
                           problem={"kind": "heat_fem", "n": 8, field: bad})
         assert main(["solve", "--config", cfg7, "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
-    cfg8 = _write_cfg(tmp_path, name="c8.json", problem=_base_problem())
-    for flags in (["--seed", "-1"], ["--h", "1e9"]):
-        assert main(["solve", "--config", cfg8, "--out", str(tmp_path),
-                     *flags]) == 2
     cfg9 = _write_cfg(tmp_path, name="c9.json", problem=_base_problem(),
                       sweep={"axis": "h", "values": [0.01, 1e9]})
     assert main(["sweep", "--config", cfg9, "--out", str(tmp_path)]) == 2
@@ -271,6 +267,21 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["solve", "compare", "sweep", "gen-problem"])
+@pytest.mark.parametrize("flag, value", [
+    ("--method", "eba-bdf"), ("--m-max", "6"), ("--tol", "1e-6"),
+    ("--h", "0.01"), ("--bdf-order", "1"), ("--seed", "9")])
+def test_settings_are_not_flags(tmp_path, capsys, command, flag, value):
+    # the config file is the run's whole record: no flag sets a value of it
+    cfg = _write_cfg(tmp_path, problem=_base_problem())
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "sweep", "gen-problem"])
 def test_unreadable_config_file_is_config_error(tmp_path, capsys, command):
     # a config that cannot be opened or decoded exits 2 naming its path,
     # as malformed JSON does, on every subcommand
@@ -294,9 +305,6 @@ def test_m_max_below_one_is_config_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, problem=_base_problem(), solver={"m_max": 0})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "m_max must be at least 1" in capsys.readouterr().err
-    cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem())
-    assert main(["solve", "--config", cfg2, "--out", str(tmp_path),
-                 "--m-max", "-1"]) == 2
     cfg3 = _write_cfg(tmp_path, name="c3.json", problem=_base_problem(),
                       sweep={"axis": "m", "values": [0]})
     assert main(["sweep", "--config", cfg3, "--out", str(tmp_path)]) == 2
@@ -309,10 +317,6 @@ def test_grid_that_h_does_not_divide_is_config_error(tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error: problem section:" in err and "h=0.3" in err
-    cfg2 = _write_cfg(tmp_path, name="c2.json", problem=_base_problem(tf=1.0))
-    assert main(["solve", "--config", cfg2, "--out", str(tmp_path),
-                 "--h", "0.3"]) == 2
-    assert "config error: problem section:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis,values", [
@@ -658,6 +662,51 @@ def test_solve_reports_mismatched_external_shapes(tmp_path, capsys, a_shape,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
     assert "Traceback" not in err
+
+
+def _external_problem(tmp_path, A, B, method):
+    from dlekrylov.mmio import write_matrix_market, write_matrix_market_array
+
+    problem = {"kind": "external", "a_path": str(tmp_path / "A.mtx"),
+               "b_path": str(tmp_path / "B.mtx"), "tf": 0.1, "h": 0.01}
+    write_matrix_market(A, problem["a_path"])
+    write_matrix_market_array(B, problem["b_path"])
+    return _write_cfg(tmp_path, problem=problem, solver={"method": method})
+
+
+@pytest.mark.parametrize("method", ["eba_exp", "eba_bdf"])
+@pytest.mark.parametrize("where", ["A", "B"])
+def test_solve_reports_a_non_finite_external_entry(tmp_path, capsys, method,
+                                                    where):
+    # the first non-finite entry in row-major order is named, numbered
+    # from 1 as the file numbers it
+    from dlekrylov.problems import gen_convdiff
+
+    A, B = gen_convdiff(5).tolil(), np.ones((25, 2))
+    if where == "A":
+        A[2, 3], A[10, 10] = np.nan, np.inf
+        name, what = "A.mtx", "entry (3, 4) is nan"
+    else:
+        B[7, 0], B[4, 1] = -np.inf, np.inf
+        name, what = "B.mtx", "entry (5, 2) is inf"
+    cfg = _external_problem(tmp_path, A, B, method)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: {what}, not a finite number")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["eba_exp", "eba_bdf"])
+def test_solve_reports_a_singular_external_matrix(tmp_path, capsys, method):
+    from scipy.sparse import diags
+
+    # row 3 (numbered from 0) of A has no entries
+    A = diags([-1.0, -1.0, -1.0, 0.0, -1.0]).tocsr()
+    A.eliminate_zeros()
+    cfg = _external_problem(tmp_path, A, np.ones((5, 1)), method)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: structurally singular: row 3 has no entries\n"
 
 
 def test_gen_problem_external_rejected(tmp_path):

@@ -128,6 +128,33 @@ def test_array_writer_matches_the_per_value_format(tmp_path):
     assert "-0.0000000000000000e+00" in expected and "4.9406564584124654e-324" in expected
 
 
+def test_coordinate_writer_matches_the_per_entry_format(tmp_path):
+    # entries out of order, ±0 and a subnormal stored explicitly, and
+    # ±inf and nan among them; the file lists them sorted by (row, col)
+    from scipy.sparse import coo_matrix
+
+    rng = np.random.default_rng(5)
+    n, nnz = 40, 300
+    flat = rng.permutation(n * 30)[:nnz]
+    row, col = flat // 30, flat % 30
+    data = rng.standard_normal(nnz) * 10.0 ** rng.integers(-20, 20, nnz)
+    data[:6] = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]
+    for A in (coo_matrix((data, (row, col)), shape=(n, 30)),
+              coo_matrix((0, 0)), coo_matrix((3, 2))):
+        path = tmp_path / "coo.mtx"
+        write_matrix_market(A, str(path))
+        order = sorted(range(A.nnz), key=lambda k: (A.row[k], A.col[k]))
+        expected = ("%%MatrixMarket matrix coordinate real general\n"
+                    f"{A.shape[0]} {A.shape[1]} {A.nnz}\n"
+                    + "".join(f"{A.row[k] + 1} {A.col[k] + 1} {_fmt(A.data[k])}\n"
+                              for k in order))
+        assert path.read_bytes() == expected.encode()
+        if A.nnz:
+            for value in ("-0.0000000000000000e+00", "4.9406564584124654e-324",
+                          " -inf\n", " inf\n", " nan\n"):
+                assert value in expected
+
+
 @pytest.mark.parametrize("reader, header, size", [
     (read_matrix_market_array, "array", "3 x"),
     (read_matrix_market_array, "array", "-1 2"),
