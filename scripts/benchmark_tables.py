@@ -7,46 +7,40 @@ import argparse
 import sys
 import time
 
-from dlekrylov import (SolverConfig, TimeGrid, gen_convdiff, gen_heat_fem,
-                       gen_random_block, solve_eba_bdf, solve_eba_exp,
-                       wrap_sparse)
-
-
-def run_case(op, B, grid, method, m_max, tol):
-    solver = solve_eba_exp if method == "eba_exp" else solve_eba_bdf
-    t0 = time.perf_counter()
-    traj = solver(op, B, None, grid, SolverConfig(m_max=m_max, tol=tol,
-                                                  bdf_order=2))
-    elapsed = time.perf_counter() - t0
-    return traj.final_residual, traj.iterations[-1].m, elapsed
+from dlekrylov import ProblemSpec, SolverConfig, build_problem, solve
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--example", choices=["convdiff", "heat"], default="convdiff")
     ap.add_argument("--sizes", type=int, nargs="+", default=[2500, 6400])
-    ap.add_argument("--methods", nargs="+", default=["eba_exp", "eba_bdf"])
+    ap.add_argument("--methods", nargs="+", choices=["eba_exp", "eba_bdf"],
+                    default=["eba_exp", "eba_bdf"])
     ap.add_argument("--m-max", type=int, default=30)
     ap.add_argument("--tol", type=float, default=1e-10)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 
-    grid = TimeGrid(0.0, 2.0, 1e-3)
     print(f"{'n':>8} {'method':>8} {'residual':>12} {'m':>4} {'time [s]':>9}")
     for n in args.sizes:
+        # ProblemSpec defaults: grid [0, 2] with h = 1e-3, B of 2 columns,
+        # and on heat_fem dt = 0.01, alpha = 0.05
         if args.example == "convdiff":
             n0 = int(round(n ** 0.5))
             if n0 * n0 != n:
                 print(f"skipping n={n}: not a perfect square", file=sys.stderr)
                 continue
-            op = wrap_sparse(gen_convdiff(n0))
-            B = gen_random_block(n, 2, seed=args.seed)
+            spec = ProblemSpec(kind="convdiff", n0=n0, seed=args.seed)
         else:
-            op, build_b = gen_heat_fem(n, dt=0.01, alpha=0.05)
-            B = build_b(gen_random_block(n, 2, seed=args.seed))
+            spec = ProblemSpec(kind="heat_fem", n=n, seed=args.seed)
+        op, B, grid = build_problem(spec)
         for method in args.methods:
-            res, m, elapsed = run_case(op, B, grid, method, args.m_max, args.tol)
-            print(f"{n:>8} {method:>8} {res:>12.3e} {m:>4} {elapsed:>9.2f}")
+            config = SolverConfig(method=method, m_max=args.m_max, tol=args.tol)
+            t0 = time.perf_counter()
+            traj = solve(op, B, None, grid, config)
+            elapsed = time.perf_counter() - t0
+            print(f"{n:>8} {method:>8} {traj.final_residual:>12.3e} "
+                  f"{traj.iterations[-1].m:>4} {elapsed:>9.2f}")
     return 0
 
 

@@ -15,8 +15,17 @@ from .dense import expm, frob_norm, log_norm_mu2, spec_norm_2, sym_part
 from .solvers import BDF_TABLE, exact_step_pair, gauss_legendre
 
 
+# the largest order n of a dense oracle or bound, which holds n x n matrices
+ORACLE_MAX_N = 500
+
+
 class SizeGuardError(ValueError):
     """Problem too large for a dense desk-scale oracle."""
+
+
+def _require_oracle_size(n, what):
+    if n > ORACLE_MAX_N:
+        raise SizeGuardError(f"{what} limited to n <= {ORACLE_MAX_N}, got {n}")
 
 
 class StabilityError(ValueError):
@@ -37,9 +46,10 @@ class BoundReport:
 def reference_stream(A, B, X0, grid, q=8):
     """Yield (index, X) along the grid by the exact one-step pair
     `exact_step_pair` with its q-point panel rule, without storing the
-    trajectory."""
+    trajectory. Desk scale only (n <= ORACLE_MAX_N)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
+    _require_oracle_size(n, "dense reference")
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]
@@ -56,15 +66,14 @@ def reference_stream(A, B, X0, grid, q=8):
 
 def dense_reference_integral(A, B, X0, grid, q=8):
     """Exact-solution trajectory by exponential propagation plus panel
-    quadrature of the source integral. Desk scale only (n <= 500).
+    quadrature of the source integral. Desk scale only (n <= ORACLE_MAX_N).
 
     Returns an (n_nodes, n, n) array. Each step's increment composes
     q-point Gauss-Legendre panels sized by ||A|| (`exact_step_pair`), so
     its accuracy does not depend on the grid step.
     """
     n = np.asarray(A).shape[0]
-    if n > 500:
-        raise SizeGuardError(f"dense reference limited to n <= 500, got {n}")
+    _require_oracle_size(n, "dense reference")
     out = np.empty((grid.n_steps + 1, n, n))
     for i, X in reference_stream(A, B, X0, grid, q):
         out[i] = X
@@ -129,8 +138,7 @@ def error_bound_general(A, B, dec, grid, q=4, mu2=None):
     left as NaN for the caller to fill in)."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if n > 500:
-        raise SizeGuardError(f"dense bound limited to n <= 500, got {n}")
+    _require_oracle_size(n, "dense bound")
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         B = B[:, None]

@@ -18,8 +18,8 @@ import time
 
 import numpy as np
 
-from .analysis import (SizeGuardError, StabilityError, error_bound_stable,
-                       reference_stream)
+from .analysis import (ORACLE_MAX_N, SizeGuardError, StabilityError,
+                       error_bound_stable, reference_stream)
 from .dense import frob_norm, log_norm_mu2
 from .mmio import (MatrixMarketParseError, write_matrix_market,
                    write_matrix_market_array)
@@ -198,7 +198,7 @@ def cmd_compare(args):
 
     # one pass over the three node streams: random access by node index
     # would replay each trajectory once per node
-    oracle_ok = spec.n <= 500
+    oracle_ok = spec.n <= ORACLE_MAX_N
     if oracle_ok:
         refs = (X for _, X in reference_stream(dense_matrix(op), B, None, grid))
     else:
@@ -267,7 +267,7 @@ def cmd_sweep(args):
         raise ConfigError(f"sweep values on axis {axis} must be a list of {need}, got {values!r}")
 
     op, B, grid = build_problem(spec)
-    oracle_ok = spec.n <= 500
+    oracle_ok = spec.n <= ORACLE_MAX_N
     A = dense_matrix(op) if oracle_ok else None
     mu2 = log_norm_mu2(A) if oracle_ok else None
     refs = {}

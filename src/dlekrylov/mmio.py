@@ -12,8 +12,8 @@ values at a time: each value is scaled to a 17-digit integer by an
 exact double-double product with a tabulated power of ten and rounded
 half to even, which is the correctly rounded result "%.16e" gives. Python
 prints a value itself where that is not certain: zeros, inf and nan,
-magnitudes outside [1e-260, 1e260], values next to a power of ten, and
-values whose rounding the product's error bound leaves undecided, ties
+magnitudes outside [1e-260, 1e260], values just below a power of ten,
+and values whose rounding the product's error bound leaves undecided, ties
 among them. The bytes are Python's either way.
 """
 
@@ -41,8 +41,8 @@ def _fmt(x):
 # as hi + lo, each a correctly rounded double, and |x| hi is made exact by
 # Dekker's product, so the scaled value y is known to within 5e-15. `_fmt`
 # prints the line where y's fraction lies within _UNDECIDED of 1/2, where
-# y is not inside (1e16, 1e17) (e one off next to a power of ten, or N
-# rounding to one), and for magnitudes outside [_FAST_MIN, _FAST_MAX],
+# y is not inside [1e16 - 0.05, 1e17) (e one off next to a power of ten,
+# or N rounding to 1e17), and for magnitudes outside [_FAST_MIN, _FAST_MAX],
 # where a table entry or a split half would leave the normal range.
 
 _CHUNK = 2400                       # values per pass, at most
@@ -101,15 +101,17 @@ def _digits(a, powers):
     digits N, the table row e - _KMIN of the exponent e, and whether the
     double-double product decides N."""
     # floor(log10 a) can be one off next to a power of ten; the scaled
-    # value then falls outside (1e16, 1e17), as it does where N rounds to
-    # a power of ten (a = 1 among them), and counts as undecided
+    # value then falls outside [1e16, 1e17) and counts as undecided, but
+    # for a y in [1e16 - 0.05, 1e16): at the exponent e - 1 its 17 digits
+    # round up to 1e17, which "%.16e" prints as 10^e, so N = 1e16 is right
     row = np.floor(np.log10(a)).astype(np.intp) - _KMIN
     p, s = _scaled(a, row, powers)
     y_hi = p + s                    # an integer where decided
     y_lo = s - (y_hi - p)
     whole = np.floor(y_lo)
     frac = y_lo - whole
-    decided = (y_hi > 1e16) & (y_hi < 1e17) & (np.abs(frac - 0.5) > _UNDECIDED)
+    decided = (((y_hi > 1e16) | ((y_hi == 1e16) & (y_lo > _UNDECIDED - 0.05)))
+               & (y_hi < 1e17) & (np.abs(frac - 0.5) > _UNDECIDED))
     n = y_hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
     return n, row, decided
 
@@ -120,10 +122,10 @@ def _fill_lines(x, tables, words, keep):
     are not the line, to be printed by `_fmt`."""
     powers, leads, digits, fields, three = tables
     a = np.abs(x)
-    # zeros, inf, nan and the magnitudes out of range are scaled as 1.0,
-    # which is undecided
-    n, row, decided = _digits(np.where((a >= _FAST_MIN) & (a <= _FAST_MAX), a, 1.0),
-                              powers)
+    # zeros, inf, nan and the magnitudes out of range are scaled as 1.0
+    # and printed by `_fmt`
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    n, row, decided = _digits(np.where(fast, a, 1.0), powers)
     lead = n // 10 ** 16
     rest = n - lead * 10 ** 16
     high = rest // 10 ** 8
@@ -140,7 +142,7 @@ def _fill_lines(x, tables, words, keep):
     words[:, 5:].view(np.uint64)[:, 0] = fields[row]
     keep[:, 1] = x < 0
     keep[:, 22] = three[row]
-    return np.flatnonzero(~decided)
+    return np.flatnonzero(~(decided & fast))
 
 
 def _write_values(fh, rows):

@@ -162,8 +162,8 @@ def gen_heat_fem(n, dt, alpha):
 
 
 class InputError(ValueError):
-    """An external input file cannot be read, its shape does not fit, or
-    it holds a value that is not finite."""
+    """An external input file cannot be read, its shape does not fit, it
+    holds a value that is not finite, or its matrix has an empty row."""
 
 
 def _require_finite(path, M):
@@ -205,6 +205,10 @@ def build_problem(spec):
             raise InputError(f"{spec.b_path}: block of shape {B.shape} does not "
                              f"match the {A.shape} matrix of {spec.a_path}")
         _require_finite(spec.a_path, A)
+        empty = np.flatnonzero(np.diff(A.indptr) == 0)
+        if empty.size:
+            raise InputError(f"{spec.a_path}: row {empty[0] + 1} has no entries, "
+                             "so the matrix is singular")
         if spec.b_path:
             _require_finite(spec.b_path, B)
         op = wrap_sparse(A)

@@ -76,6 +76,12 @@ def test_integral_reference_size_guard():
                                  TimeGrid(0, 1, 0.5))
 
 
+def test_reference_stream_size_guard():
+    with pytest.raises(SizeGuardError, match="n <= 500, got 501"):
+        next(reference_stream(np.eye(501), np.ones((501, 1)), None,
+                              TimeGrid(0, 1, 0.5)))
+
+
 def test_kron_reference_zero_data():
     grid = TimeGrid(0.0, 1.0, 0.25)
     out = dense_reference_kron_ode(np.diag([-1.0, -2.0]), np.zeros((2, 1)),

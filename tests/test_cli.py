@@ -700,13 +700,14 @@ def test_solve_reports_a_non_finite_external_entry(tmp_path, capsys, method,
 def test_solve_reports_a_singular_external_matrix(tmp_path, capsys, method):
     from scipy.sparse import diags
 
-    # row 3 (numbered from 0) of A has no entries
+    # row 4 of A.mtx, numbered from 1 as the file numbers it, has no entries
     A = diags([-1.0, -1.0, -1.0, 0.0, -1.0]).tocsr()
     A.eliminate_zeros()
     cfg = _external_problem(tmp_path, A, np.ones((5, 1)), method)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: structurally singular: row 3 has no entries\n"
+    assert err == (f"error: {tmp_path / 'A.mtx'}: row 4 has no entries, "
+                   "so the matrix is singular\n")
 
 
 def test_gen_problem_external_rejected(tmp_path):

@@ -245,6 +245,21 @@ def test_array_format_with_log10_one_off(monkeypatch, fallback_count, shift):
     assert len(fallback_count) == values.size
 
 
+def test_array_format_around_powers_of_ten():
+    # +-10^k and 40 neighbours on each side for every k whose neighbours
+    # the fast path can take; exact powers of ten are decided there
+    from dlekrylov import mmio
+
+    powers = np.array([float(f"1e{k}") for k in range(-259, 259)])
+    near = (powers.view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64).ravel()
+    values = np.concatenate([near, -near])
+    assert _lines_of(values) == _reference_lines(values.tolist())
+    x = np.array([1e4, -1e4, 1.0, -1.0, 0.1, -0.1, 1e-5, -1e-5, 1e22, -1e22])
+    words = np.empty((x.size, mmio._WORDS), np.uint32)
+    keep = np.ones((x.size, 4 * mmio._WORDS), bool)
+    assert mmio._fill_lines(x, mmio._tables(), words, keep).size == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_array_format_property(values):

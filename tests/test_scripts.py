@@ -1,7 +1,10 @@
-"""Smoke runs of the experiment scripts: each runs as its own process on a
-tiny case, exits with status 0, writes the file it names and leaves no
-temporary file behind."""
+"""Smoke runs of the paper experiments: each committed config under
+`experiments/` runs through the command line on a tiny case, and
+`scripts/benchmark_tables.py` runs as its own process, exits with status 0
+and leaves no temporary file behind."""
 
+import glob
+import json
 import os
 import subprocess
 import sys
@@ -9,9 +12,14 @@ import sys
 import numpy as np
 import pytest
 
+from dlekrylov.cli import build_spec_and_config, load_config, main
+from dlekrylov.problems import build_problem
+from dlekrylov.solvers import full_grid_run, krylov_steps
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCRIPTS = os.path.join(ROOT, "scripts")
 SRC = os.path.abspath(os.path.join(ROOT, "src"))
+EXPERIMENTS = sorted(glob.glob(os.path.join(ROOT, "experiments", "*.json")))
 
 
 def _run(tmp_path, script, *args):
@@ -30,50 +38,44 @@ def _run(tmp_path, script, *args):
     return proc
 
 
-def _residuals_are_full_grid_values(tmp_path):
-    """Each value of residual_vs_iterations.py's CSVs (--n0 6 --m-max 3 and
-    the script's defaults) is the residual at tf of step m's full grid."""
-    from dlekrylov import SolverConfig, TimeGrid, gen_convdiff, gen_random_block
-    from dlekrylov.solvers import full_grid_run, krylov_steps
-    from dlekrylov.sparsela import wrap_sparse
+def test_every_paper_experiment_has_a_config():
+    names = [os.path.basename(p) for p in EXPERIMENTS]
+    assert names == ["compare_with_reference.json", "error_bound_curves.json",
+                     "residual_vs_m_eba_bdf.json", "residual_vs_m_eba_exp.json"]
 
-    op = wrap_sparse(gen_convdiff(6))
-    B = gen_random_block(36, 2, seed=7)
-    grid = TimeGrid(0.0, 2.0, 1e-3)
-    for method in ("eba_exp", "eba_bdf"):
-        config = SolverConfig(method=method, m_max=3, bdf_order=2)
-        expected = [(step.m, full_grid_run(step, grid, config)[2].residual_final)
-                    for step in krylov_steps(op, B, np.zeros((36, 0)), config)]
-        lines = (tmp_path / f"out/res_{method}.csv").read_text().splitlines()
-        got = [(int(m), float(r)) for m, r in (line.split(",") for line in lines[1:])]
+
+@pytest.mark.parametrize("path", EXPERIMENTS,
+                         ids=[os.path.basename(p)[:-5] for p in EXPERIMENTS])
+def test_experiment_runs_through_the_cli(tmp_path, path):
+    cfg = load_config(path)
+    build_spec_and_config(cfg)
+    # a config with a sweep section is a sweep over m; any other compares
+    # both methods with the dense reference
+    cfg["problem"]["n0"] = 6
+    if "sweep" in cfg:
+        command, header = "sweep", "axis_value,residual,error,bound_eq19"
+        cfg["solver"]["m_max"] = 3
+        cfg["sweep"]["values"] = [m for m in cfg["sweep"]["values"] if m <= 3]
+    else:
+        command = "compare"
+        header = "t,rel_diff_exp,rel_diff_bdf,x11_ref,x11_exp,x11_bdf"
+        cfg["problem"].update(tf=0.2, h=0.01)
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(small), "--out", str(out)]) == 0
+    lines = (out / f"{command}.csv").read_text().splitlines()
+    assert lines[0] == header and len(lines) > 1
+
+    if os.path.basename(path).startswith("residual_vs_m"):
+        # each row is the residual at tf of step m's full grid
+        spec, config = build_spec_and_config(cfg)
+        op, B, grid = build_problem(spec)
+        expected = [[step.m, full_grid_run(step, grid, config)[2].residual_final]
+                    for step in krylov_steps(op, B, np.zeros((spec.n, 0)), config)]
+        got = [[int(m), float(r)] for m, r, _, _ in
+               (line.split(",") for line in lines[1:])]
         assert got == expected and [m for m, _ in got] == [1, 2, 3]
-
-
-@pytest.mark.parametrize("script,args,outputs,check", [
-    pytest.param("residual_vs_iterations.py",
-                 ["--n0", 6, "--m-max", 3, "--out-prefix", "out/res"],
-                 [("out/res_eba_exp.csv", "m,residual_tf"),
-                  ("out/res_eba_bdf.csv", "m,residual_tf")],
-                 _residuals_are_full_grid_values,
-                 id="residual_vs_iterations"),
-    pytest.param("error_bound_curves.py",
-                 ["--n0", 6, "--m-max", 3, "--out", "out"],
-                 [("out/sweep.csv", "axis_value,residual,error,bound_eq19")],
-                 None, id="error_bound_curves"),
-    pytest.param("compare_with_reference.py",
-                 ["--n0", 6, "--tf", 0.2, "--h", 0.01, "--out", "out"],
-                 [("out/compare.csv",
-                   "t,rel_diff_exp,rel_diff_bdf,x11_ref,x11_exp,x11_bdf")],
-                 None, id="compare_with_reference"),
-])
-def test_script_writes_its_csv(tmp_path, script, args, outputs, check):
-    proc = _run(tmp_path, script, *args)
-    assert proc.returncode == 0, proc.stderr
-    for name, header in outputs:
-        lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0] == header and len(lines) > 1
-    if check is not None:
-        check(tmp_path)
 
 
 def test_benchmark_tables_prints_a_row_per_method(tmp_path):
