@@ -34,12 +34,12 @@ and its largest row norm as it fills: a walk keeps one residual per node.
 Below the last step the walk carries a stop test: it reads the residuals
 of each batch, and a residual at or above the tolerance proves the step
 has not converged, so the walk ends there and the loop moves on. The
-value at tf it reports is then reached by one composed map: the step
-pair raised to the remaining steps on the exp route, the BDF step as a
-per-entry map in the complex eigenbasis, unscreened, on the BDF route
-(in the Schur basis the walk goes on to tf unchecked). A walk that
-reaches tf has visited every node and decides; the last step's walk
-carries no stop test.
+value at tf it reports is then reached from the last node walked by the
+exact propagator over the remaining span: the step pair raised to the
+remaining steps on the exp route, and on the BDF route the exact step
+the start-up takes, over that span, in the grid's basis. It is only
+reported, never decided on. A walk that reaches tf has visited every
+node and decides; the last step's walk carries no stop test.
 
 The trajectory of the last step is a stream: its step data regenerate
 the projected solutions on demand with no new matrix exponential,
@@ -169,11 +169,13 @@ class IterationRecord:
     `tol`: `probe_nodes` counts the nodes it walked, `residual_max` is the
     largest residual over them, and `gbar_sup`, which needs every node, is
     None. Its `residual_final` and `small_final` are at tf, reached from
-    the last node walked by one composed map; on eba-bdf in the eigen
-    basis that map is the unscreened recurrence, so it matches the full
-    grid at rounding level, and only where that grid never clips. A "full"
-    step walked every node. `psd_clips` counts the clipped nodes among the
-    nodes the walk recorded."""
+    the last node walked by the exact propagator over the remaining span,
+    unscreened: on eba-exp the step pair raised to the remaining steps, so
+    it matches the full grid at rounding level; on eba-bdf the exact
+    solution from that node, which differs from the BDF grid's value at
+    tf by the scheme's own error. A "full" step walked every node.
+    `psd_clips` counts the clipped nodes among the nodes the walk
+    recorded."""
 
     m: int
     basis_size: int
@@ -524,17 +526,17 @@ def _compose(first, then):
     return E2 @ E1, sym_part(E2 @ d1 @ E2.T + d2)
 
 
-def _pair_power(pair, s, compose):
-    """The map `pair` applied s >= 1 times in a row, by repeated squaring;
-    `compose(first, then)` composes two maps."""
+def _pair_power(pair, s):
+    """The propagator pair `pair` applied s >= 1 times in a row, by
+    repeated squaring."""
     out = None
     while True:
         if s & 1:
-            out = pair if out is None else compose(out, pair)
+            out = pair if out is None else _compose(out, pair)
         s >>= 1
         if not s:
             return out
-        pair = compose(pair, pair)
+        pair = _compose(pair, pair)
 
 
 def exact_step_pair(T, B, h, q):
@@ -554,7 +556,7 @@ def exact_step_pair(T, B, h, q):
     tau = h / 2 ** j
     panel = (expm(tau * T), _panel_increment(T, B, tau, q))
     E = expm(h * T) if j else panel[0]
-    return E, _pair_power(panel, 2 ** j, _compose)[1]
+    return E, _pair_power(panel, 2 ** j)[1]
 
 
 def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
@@ -568,7 +570,7 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
     replay = functools.partial(_gram_nodes, E, delta, G0, grid.n_steps)
 
     def jump(node, s):
-        E_s, d_s = _pair_power((E, delta), s, _compose)
+        E_s, d_s = _pair_power((E, delta), s)
         return sym_part(E_s @ node[0] @ E_s.T + d_s)
 
     # the exp grid never clips
@@ -593,12 +595,11 @@ class _StepBasis:
     map in the real pair basis of the eigenvectors (`_pair_basis`).
     `gram` = M^T M and `gram_inv`, its inverse, carry the PSD screen into
     the basis; both are None where M is orthogonal. In the pair basis
-    `lam` are T's eigenvalues in the order of the eigenbasis V = M P, and
-    `multiplier` is the solve in V: R * multiplier elementwise. Both are
-    None in the Schur basis."""
+    `lam` are T's eigenvalues in the order of the eigenbasis V = M P; it
+    is None in the Schur basis."""
 
     def __init__(self, kind, cond, M, M_inv, solve=None, gram=None,
-                 gram_inv=None, multiplier=None, lam=None, pairing=None):
+                 gram_inv=None, lam=None, pairing=None):
         self.kind = kind
         self.cond = cond
         self.M = M
@@ -606,7 +607,6 @@ class _StepBasis:
         self.solve = solve
         self.gram = gram
         self.gram_inv = gram_inv
-        self.multiplier = multiplier
         self.lam = lam
         self._pairing = pairing            # `_pair_congruence` data; None: P = I
 
@@ -729,8 +729,7 @@ def _pair_basis(lam, V, cond, h_beta):
     pairing = None if r == k else (r, np.array([[1.0, 1.0], [1j, -1j]]),
                                    np.array([[0.5, -0.5j], [0.5, 0.5j]]))
     basis = _StepBasis("eigen", cond, W, W_inv, gram=W.T @ W,
-                       gram_inv=W_inv @ W_inv.T, multiplier=inv_pair, lam=lam,
-                       pairing=pairing)
+                       gram_inv=W_inv @ W_inv.T, lam=lam, pairing=pairing)
     basis.solve = basis.entrywise(inv_pair)
     return basis
 
@@ -747,9 +746,9 @@ def _bdf_basis(T, h_beta):
     return _StepBasis("schur", cond, lyap.U, lyap.U.T, lyap.solve_schur)
 
 
-def _startup_step(T, Bm, h, basis, Q):
+def _exact_step(T, Bm, h, basis, Q):
     """The exact step Yr -> Yr(t + h) of dY/dt = T Y + Y T^T + Bm Bm^T on
-    basis values, Q = Bm Bm^T in the basis. In V it is
+    basis values over any span h, Q = Bm Bm^T in the basis. In V it is
     Yh -> e^{hS} * Yh + Qh * expm1(hS)/S elementwise, S_ab = lam_a + lam_b
     (h where S = 0); in the Schur basis U, `exact_step_pair`'s (E, delta)
     as (U^T E U, U^T delta U)."""
@@ -768,7 +767,7 @@ class _BDFSetup(NamedTuple):
     """Step data of a BDF grid, as `_bdf_steps` reads them."""
 
     Y0: np.ndarray
-    startup: object                    # `_startup_step`'s map; None for BDF1
+    startup: object                    # `_exact_step` over h; None for BDF1
     basis: _StepBasis
     forcing: np.ndarray                # h*beta*Q in the basis
     alphas: tuple
@@ -783,7 +782,7 @@ def _bdf_setup(T, Bm, P0, grid, order):
     Q = basis.project(Bm @ Bm.T)
     # multistep start-up values by exact propagation (a low-order
     # bootstrap step would cap the observable global order at 2)
-    startup = _startup_step(T, Bm, grid.h, basis, Q) if order > 1 else None
+    startup = _exact_step(T, Bm, grid.h, basis, Q) if order > 1 else None
     return _BDFSetup(Y0, startup, basis, grid.h * beta * Q, alphas,
                      grid.n_steps)
 
@@ -846,88 +845,22 @@ def _bdf_coords(setup, clips):
         yield (Y, None) if Y is not None else (history[0], gram_inv)
 
 
-def _bdf_step_map(multiplier, forcing, alphas):
-    """One eigenbasis BDF step as a per-entry affine map (A, b) on the
-    stacked history x = (Yh_n, ..., Yh_{n-p+1}), shape (p, k, k):
-    x -> A x + b with Yh_{n+1} = multiplier * (forcing + sum_j alpha_j
-    Yh_{n+1-j}) on top and the older values shifted down."""
-    p = len(alphas)
-    A = np.zeros((p, p) + multiplier.shape,
-                 dtype=np.result_type(multiplier, forcing))
-    for j, alpha in enumerate(alphas):
-        A[0, j] = alpha * multiplier
-    for i in range(1, p):
-        A[i, i - 1] = 1.0
-    b = np.zeros(A.shape[1:], dtype=A.dtype)
-    b[0] = forcing * multiplier
-    return A, b
-
-
-def _apply_entrywise(pair, x):
-    """A x + b for per-entry affine maps: a p x p product at every entry."""
-    A, b = pair
-    return (A * x).sum(axis=1) + b
-
-
-def _compose_entrywise(first, then):
-    """The per-entry map of `first` followed by `then`:
-    (A1, b1) then (A2, b2) is (A2 A1, A2 b1 + b2)."""
-    (A1, b1), (A2, _) = first, then
-    return np.einsum("ijab,jlab->ilab", A2, A1), _apply_entrywise(then, b1)
-
-
-# Entries of one row block of `_bdf_jump`'s per-entry maps to tf: they
-# are built, composed and applied about this many entries at a time (three
-# blocks at k = 72..80), which bounds their complex temporaries to a
-# fraction of the whole matrix's; much smaller blocks slow the jump, whose
-# numpy calls per block then dominate (8-row blocks at k = 72: 18% slower).
-_JUMP_BLOCK_ENTRIES = 2000
-
-
-def _bdf_jump(setup, steps):
-    """`_collect`'s jump to tf for a BDF walk over the generator `steps`.
-
-    In the eigen basis, from the history of the last node walked, the
-    recurrence runs unscreened: the BDF step is a per-entry affine map in
-    the complex eigenbasis, composed by repeated squaring into one map to
-    tf, whose value is taken back to the real basis and lifted. The
-    entries are independent, so the map is formed and applied on blocks of
-    rows, each writing its rows of the value at tf. In the Schur basis, or
-    within the start-up steps, the walk goes on to tf."""
-    basis = setup.basis
-
-    def jump(node, s):
-        history = node[3]
-        if basis.multiplier is None or len(history) < len(setup.alphas):
-            for Y, *_ in steps:
-                pass
-            return Y
-        forcing = basis.to_eigen(setup.forcing)
-        x = np.array([basis.to_eigen(Yr) for Yr in history])
-        k = len(forcing)
-        blocks = min(k, max(1, round(k * k / _JUMP_BLOCK_ENTRIES)))
-        bounds = [k * j // blocks for j in range(blocks + 1)]
-        out = np.empty((k, k), np.result_type(basis.multiplier, x))
-        for rows in map(slice, bounds[:-1], bounds[1:]):
-            step = _bdf_step_map(basis.multiplier[rows], forcing[rows],
-                                 setup.alphas)
-            out[rows] = _apply_entrywise(
-                _pair_power(step, s, _compose_entrywise), x[:, rows])[0]
-        return basis.lift(basis.from_eigen(out))
-
-    return jump
-
-
 def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
                   stop=None):
     """The BDF grid over every node, or up to the batch `stop` ends it at,
-    from where `_bdf_jump` reaches tf, with the residuals from `coupling`
-    (see `_collect`)."""
+    from where the exact step over the remaining span reaches tf, with the
+    residuals from `coupling` (see `_collect`)."""
     setup = _bdf_setup(T, Bm, P0, grid, order)
-    steps = _bdf_steps(setup, w, full=keep_full)
-    run = _collect(steps, grid.n_steps + 1, T.shape[0], w, keep_full, coupling,
-                   stop, _bdf_jump(setup, steps), bdf_basis=setup.basis.kind,
-                   bdf_cond=setup.basis.cond)
+    basis = setup.basis
+
+    def jump(node, s):
+        # from the basis value of the last node walked, unscreened
+        step = _exact_step(T, Bm, s * grid.h, basis, basis.project(Bm @ Bm.T))
+        return basis.lift(step(node[3][0]))
+
+    run = _collect(_bdf_steps(setup, w, full=keep_full), grid.n_steps + 1,
+                   T.shape[0], w, keep_full, coupling, stop, jump,
+                   bdf_basis=basis.kind, bdf_cond=basis.cond)
     clips = frozenset(run.clipped)
     return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
                    replay_coords=functools.partial(_bdf_coords, setup, clips))

@@ -272,7 +272,8 @@ def test_pair_basis_solve_matches_the_complex_eigenbasis_solve(spectrum, pairs):
     out = basis.solve(R)
     assert not np.iscomplexobj(out)
     # the same solve in the complex eigenbasis, one elementwise product
-    Yh = basis.multiplier * basis.to_eigen(R)
+    lam_F = h_beta * basis.lam - 0.5
+    Yh = -1.0 / (lam_F[:, None] + lam_F[None, :]) * basis.to_eigen(R)
     assert frob_norm(out - basis.from_eigen(Yh)) <= 1e-14 * frob_norm(out)
     # and in the original coordinates, by Bartels-Stewart
     F = h_beta * T - 0.5 * np.eye(k)
@@ -1097,24 +1098,37 @@ def test_exact_step_pair_matches_the_closed_form(seed, k, h_norm, spectrum):
 def _walk_by_full_grids(op, B, X0, grid, config):
     """The reference loop: `full_grid_run` with no stop test at every
     Krylov step, up to the first step whose residual is below tol at every
-    node. Returns [(m, residuals, run)] per step and `converged`."""
+    node. Returns [(m, residuals, run, step)] per step and `converged`."""
     Z0 = np.zeros((B.shape[0], 0)) if X0 is None else X0.Z
     steps = []
     for step in solvers.krylov_steps(solvers.as_operator(op), B, Z0, config):
         run, res, _ = solvers.full_grid_run(step, grid, config)
-        steps.append((step.m, res, run))
+        steps.append((step.m, res, run, step))
         if np.max(res) < config.tol:
             return steps, True
     return steps, False
+
+
+def _exact_tail(T, Bm, P0, grid, order, w, last):
+    """The value at tf of a BDF walk stopped at node `last`, and the grid's
+    step basis: `exact_step_pair` at q = 8 over the remaining span, applied
+    in the Krylov coordinates to the screened walk's node there."""
+    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
+    for i, (Y, *_) in enumerate(solvers._bdf_steps(setup, w)):
+        if i == last:
+            break
+    E, delta = exact_step_pair(T, Bm, (grid.n_steps - last) * grid.h, 8)
+    return sym_part(E @ Y @ E.T + delta), setup.basis
 
 
 def _assert_one_walk_per_step(op, B, X0, grid, config):
     """`solve` against the reference loop: the same m sequence and
     `converged`, the last step's residuals and final node bitwise, and each
     "probe" row ended after the batch of `_PROBE_STRIDE` nodes that holds
-    its step's first residual at or above tol; its value at tf, reached by
-    a composed map, matches the full grid's where that grid never clips.
-    Returns both."""
+    its step's first residual at or above tol; its value at tf matches the
+    full grid's on eba-exp, where the grid never clips, and on eba-bdf the
+    exact propagation from the last node walked (`_exact_tail`). Returns
+    both."""
     traj = solve(op, B, X0, grid, config)
     steps, converged = _walk_by_full_grids(op, B, X0, grid, config)
     assert [r.m for r in traj.iterations] == [m for m, *_ in steps]
@@ -1122,7 +1136,7 @@ def _assert_one_walk_per_step(op, B, X0, grid, config):
     np.testing.assert_array_equal(traj.residuals, steps[-1][1])
     np.testing.assert_array_equal(traj.final_small, steps[-1][2].final)
     stride = solvers._PROBE_STRIDE
-    for rec, (_, res, run) in zip(traj.iterations, steps):
+    for rec, (_, res, run, step) in zip(traj.iterations, steps):
         reached = res >= config.tol
         # the nodes of the batches that end before tf
         checked = stride * ((len(res) - 1) // stride)
@@ -1132,7 +1146,15 @@ def _assert_one_walk_per_step(op, B, X0, grid, config):
             assert rec.probe_nodes == walked
             assert rec.residual_max == np.max(res[:walked]) >= config.tol
             assert rec.gbar_sup is None
-            if not run.clipped:
+            if config.method == "eba_bdf":
+                final = _exact_tail(step.T, step.Bm, step.P0, grid,
+                                    config.bdf_order, step.w, walked - 1)[0]
+                assert rec.residual_final == pytest.approx(
+                    residual_norm(step.coupling, final), rel=1e-10)
+                np.testing.assert_allclose(
+                    rec.small_final, final, rtol=1e-10,
+                    atol=1e-10 * np.abs(final).max())
+            elif not run.clipped:
                 assert rec.residual_final == pytest.approx(res[-1], rel=1e-10)
                 np.testing.assert_allclose(
                     rec.small_final, run.final, rtol=1e-10,
@@ -1281,8 +1303,8 @@ def _smooth_case():
 def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
                                                      monkeypatch):
     # a BDF walk its stop test ends at the first batch holds the screened
-    # full grid's nodes bitwise; past the start-up steps it screens no node
-    # after that batch, and inside them it goes on to tf as the full grid
+    # full grid's nodes bitwise and screens no node after that batch, also
+    # when it stops inside the start-up steps
     T, Bm, P0, grid = _smooth_case() if case == "smooth" else _stiff_clipping_case()
     w = Bm.shape[1]
     monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
@@ -1293,21 +1315,18 @@ def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
     stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
                             stop=lambda res: True)
     assert (stopped.bdf_basis, stopped.bdf_cond) == (full.bdf_basis, full.bdf_cond)
-    goes_on = stride < order             # node stride - 1 is a start-up node
     # nodes 1..stride-1 are screened, as the full grid screens them
-    assert clips == (full_clips if goes_on else full_clips[:stride - 1])
+    assert clips == full_clips[:stride - 1]
     assert stopped.psd_clips == sum(full_clips[:stride - 1])
     clipping = case == "clipping" and order > 1    # BDF1 keeps Y PSD
     assert any(full_clips) == clipping
     if clipping and stride > 2:
         assert any(clips)
     np.testing.assert_array_equal(stopped.bar_rows, full.bar_rows[:stride])
-    if goes_on:
-        np.testing.assert_array_equal(stopped.final, full.final)
-    elif case == "smooth":
-        # no clip anywhere: the unscreened jump to tf is the full grid's
-        # recurrence composed into one map, so tf agrees at rounding level
-        np.testing.assert_allclose(stopped.final, full.final, rtol=1e-12)
+    if case == "smooth":
+        # the jump to tf is the exact propagation from node stride - 1
+        final = _exact_tail(T, Bm, P0, grid, order, w, stride - 1)[0]
+        np.testing.assert_allclose(stopped.final, final, rtol=1e-12)
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
     nodes = solvers._bdf_nodes(setup, w)
     np.testing.assert_array_equal(list(itertools.islice(nodes, stride)),
@@ -1322,33 +1341,16 @@ def _real_spectrum_case():
             rng.standard_normal((9, 12)))
 
 
-def _stepwise_tail(setup, w, last):
-    """The value at tf of a walk stopped at node `last`, with its tail
-    stepped one elementwise BDF step per node, unscreened, from the
-    screened walk's history at that node."""
-    basis, N, alphas = setup.basis, setup.n_steps, setup.alphas
-    for i, (_, _, _, history) in enumerate(solvers._bdf_steps(setup, w)):
-        if i == last:
-            break
-    # in the eigenbasis, where the step is elementwise
-    history = [basis.to_eigen(Yh) for Yh in history]
-    forcing = basis.to_eigen(setup.forcing)
-    for _ in range(last, N):
-        rhs = forcing
-        for alpha, Yh_prev in zip(alphas, history):
-            rhs = rhs + alpha * Yh_prev
-        history = [rhs * basis.multiplier] + history[:-1]
-    return basis.lift(basis.from_eigen(history[0]))
-
-
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("stride", [1, 4, 10])
 @pytest.mark.parametrize("spectrum", ["real", "complex"])
 def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
                                                      monkeypatch):
-    # a walk stopped after its first batch reaches tf by one composed map;
-    # stride 1 with order 2 or 3 stops inside the start-up steps, where
-    # the walk goes on to tf instead
+    # a walk stopped after its first batch reaches tf by the exact step
+    # over the remaining span, in the Schur and in the eigen basis, also
+    # from inside the start-up steps (stride 1 with order 2 or 3), at the
+    # start-up step test's tolerance; the eigen basis goes last, so the
+    # stop test below runs in it
     if spectrum == "real":
         T, Bm, P0 = _real_spectrum_case()
     else:
@@ -1356,17 +1358,18 @@ def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
     grid = TimeGrid(0.0, 0.94, 0.02)
     w = Bm.shape[1]
     monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
-    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
-    assert np.iscomplexobj(setup.basis.multiplier) == (spectrum == "complex")
-    plain = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True)
-    stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
-                            stop=lambda res: True)
-    np.testing.assert_array_equal(stopped.bar_rows, plain.bar_rows[:stride])
-    if stride < order:
-        np.testing.assert_array_equal(stopped.final, plain.final)
-    else:
-        final = _stepwise_tail(setup, w, stride - 1)
-        assert frob_norm(stopped.final - final) <= 1e-12 * frob_norm(final)
+    for kind, cond_max in (("schur", 0.0), ("eigen", solvers._EIGEN_COND_MAX)):
+        monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", cond_max)
+        final, basis = _exact_tail(T, Bm, P0, grid, order, w, stride - 1)
+        assert basis.kind == kind
+        if kind == "eigen":
+            assert np.iscomplexobj(basis.lam) == (spectrum == "complex")
+        plain = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True)
+        stopped = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
+                                stop=lambda res: True)
+        np.testing.assert_array_equal(stopped.bar_rows, plain.bar_rows[:stride])
+        tol = 100 * basis.cond ** 2 * np.finfo(float).eps
+        assert frob_norm(stopped.final - final) <= tol * frob_norm(final)
     # a stop test that reads every batch and never fires changes nothing
     asked = []
     checked = _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full=True,
@@ -1379,42 +1382,10 @@ def test_bdf_composed_tail_matches_the_stepwise_tail(spectrum, stride, order,
     np.testing.assert_array_equal(list(checked.replay()), list(plain.replay()))
 
 
-@pytest.mark.parametrize("entries", [1, 20])
-@pytest.mark.parametrize("order", [1, 2, 3])
-@pytest.mark.parametrize("spectrum", ["real", "complex"])
-def test_bdf_jump_in_row_blocks_equals_one_block_bitwise(spectrum, order,
-                                                         entries, monkeypatch):
-    # the jump to tf forms its per-entry maps on blocks of rows; k = 9
-    # rows in 1-row blocks, or in blocks of 2, 2, 2 and 3 rows at 20
-    # entries, give the one-block value bitwise
-    if spectrum == "real":
-        T, Bm, P0 = _real_spectrum_case()
-    else:
-        T, Bm, P0, _ = _smooth_case()
-    grid = TimeGrid(0.0, 0.94, 0.02)
-    setup = solvers._bdf_setup(T, Bm, P0, grid, order)
-    assert setup.basis.kind == "eigen"
-    assert np.iscomplexobj(setup.basis.multiplier) == (spectrum == "complex")
-    steps = solvers._bdf_steps(setup, Bm.shape[1])
-    node = next(itertools.islice(steps, 9, None))
-    jump = solvers._bdf_jump(setup, steps)
-    monkeypatch.setattr(solvers, "_JUMP_BLOCK_ENTRIES", 10 ** 9)
-    whole = jump(node, grid.n_steps - 9)
-    maps = []
-    step_map = solvers._bdf_step_map
-    monkeypatch.setattr(solvers, "_bdf_step_map",
-                        lambda mult, *args: maps.append(len(mult))
-                        or step_map(mult, *args))
-    monkeypatch.setattr(solvers, "_JUMP_BLOCK_ENTRIES", entries)
-    blocked = jump(node, grid.n_steps - 9)
-    assert maps == ([1] * 9 if entries == 1 else [2, 2, 2, 3])
-    np.testing.assert_array_equal(blocked, whole)
-
-
 def test_bdf_jump_temporaries_stay_below_the_whole_matrix_maps(monkeypatch):
-    # one stopped walk's jump to tf at k = 72: the composed per-entry maps
-    # over the whole matrix took about 28 k^2 complex words; formed in row
-    # blocks, the jump takes about 14
+    # one stopped walk's jump to tf at k = 72: the composed per-entry BDF
+    # maps over the whole matrix took about 28 k^2 complex words; the exact
+    # step over the remaining span takes about 14
     import tracemalloc
 
     op = wrap_sparse(gen_convdiff(20))
@@ -1424,10 +1395,11 @@ def test_bdf_jump_temporaries_stay_below_the_whole_matrix_maps(monkeypatch):
     k = step.basis_size
     assert k == 72
     peaks = []
-    bdf_jump = solvers._bdf_jump
+    collect = solvers._collect
 
-    def traced_jump(setup, steps):
-        jump = bdf_jump(setup, steps)
+    def traced_collect(*args, **fields):
+        # positional (steps, n_nodes, k, w, keep_full, coupling, stop, jump)
+        jump = args[7]
 
         def traced(node, s):
             tracemalloc.start()
@@ -1438,9 +1410,9 @@ def test_bdf_jump_temporaries_stay_below_the_whole_matrix_maps(monkeypatch):
                 tracemalloc.stop()
             return out
 
-        return traced
+        return collect(*args[:7], traced, **fields)
 
-    monkeypatch.setattr(solvers, "_bdf_jump", traced_jump)
+    monkeypatch.setattr(solvers, "_collect", traced_collect)
     run = _run_bdf_grid(step.T, step.Bm, step.P0, TimeGrid(0.0, 2.0, 1e-3), 2,
                         step.w, keep_full=False, coupling=step.coupling,
                         stop=lambda res: True)
@@ -1666,11 +1638,28 @@ def test_one_walk_per_step_equals_a_full_grid_at_every_step(case, monkeypatch):
         assert [r.psd_clips > 0 for r in traj.iterations] == [True] * 3
 
 
-@pytest.mark.parametrize("method,generator", [("eba_exp", "_gram_nodes"),
-                                              ("eba_bdf", "_bdf_steps")])
-def test_each_krylov_step_walks_its_grid_once(method, generator, monkeypatch):
+@pytest.mark.parametrize("method,generator,case", [
+    pytest.param("eba_exp", "_gram_nodes", "default", id="eba_exp-_gram_nodes"),
+    pytest.param("eba_bdf", "_bdf_steps", "default", id="eba_bdf-_bdf_steps"),
+    pytest.param("eba_bdf", "_bdf_steps", "schur", id="eba_bdf-_bdf_steps-schur"),
+    pytest.param("eba_bdf", "_bdf_steps", "convection",
+                 id="eba_bdf-_bdf_steps-convection")])
+def test_each_krylov_step_walks_its_grid_once(method, generator, case,
+                                              monkeypatch):
+    # "schur" forces the Schur step basis; "convection" is a
+    # convection-dominated problem whose later Krylov steps reach it on
+    # their own (cond(V) above 1e3 from m = 19) and that does not converge
     op = wrap_sparse(gen_convdiff(10))
     B = gen_random_block(100, 2, seed=7)
+    m_max, tol = 20, 1e-4
+    if case == "schur":
+        monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
+    elif case == "convection":
+        c = 300.0
+        op = wrap_sparse(gen_convdiff(20, f1=lambda x, y: c * x * y,
+                                      f2=lambda x, y: c * np.exp(x**2 * y)))
+        B = gen_random_block(400, 2, seed=7)
+        m_max = 24
     grid = TimeGrid(0.0, 1.0, 1e-2)
     walks = []
     run_grid = "_run_gram_grid" if method == "eba_exp" else "_run_bdf_grid"
@@ -1678,9 +1667,12 @@ def test_each_krylov_step_walks_its_grid_once(method, generator, monkeypatch):
     monkeypatch.setattr(solvers, run_grid,
                         lambda *a, **kw: walks.append(1) or inner(*a, **kw))
     yields = _count_yields(monkeypatch, generator)
-    traj = solve(op, B, None, grid, SolverConfig(method=method, m_max=20,
-                                                 tol=1e-4))
-    assert traj.converged and len(traj.iterations) > 3
+    traj = solve(op, B, None, grid, SolverConfig(method=method, m_max=m_max,
+                                                 tol=tol))
+    assert traj.converged == (case != "convection")
+    assert len(traj.iterations) > 3
+    if case != "default":
+        assert "schur" in {r.bdf_basis for r in traj.iterations[:-1]}
     assert len(walks) == len(yields) == len(traj.iterations)
     # a stopped walk steps no node past its stopping batch
     assert yields == [r.probe_nodes or len(grid.nodes) for r in traj.iterations]
@@ -1706,9 +1698,9 @@ def test_step_data_is_built_once_per_krylov_step(method, setup_fn, monkeypatch):
 
 @pytest.mark.parametrize("basis", ["eigen", "schur"])
 def test_eigen_route_bdf_decomposes_T_once_per_krylov_step(basis, monkeypatch):
-    # on the eigen route one eig serves the BDF solve and the start-up step;
-    # the Schur fallback still takes its start-up pair from exact_step_pair,
-    # at the exp route's quadrature order
+    # on the eigen route one eig serves the BDF solve, the start-up step
+    # and a stopped walk's exact step to tf; the Schur fallback takes both
+    # exact steps from exact_step_pair, at the exp route's quadrature order
     if basis == "schur":
         monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
     monkeypatch.setattr(solvers, "_QUADRATURE_ORDER", 6)
@@ -1729,8 +1721,11 @@ def test_eigen_route_bdf_decomposes_T_once_per_krylov_step(basis, monkeypatch):
     if basis == "eigen":
         assert calls == {"eig": steps}
     else:
-        assert calls["eig"] == calls["exact_step_pair"] == steps
-        assert orders == [6] * steps
+        probes = sum(r.grid == "probe" for r in traj.iterations)
+        assert probes == steps - 1
+        assert calls["eig"] == steps
+        assert calls["exact_step_pair"] == steps + probes
+        assert orders == [6] * (steps + probes)
 
 
 # -- the Krylov-step walk ------------------------------------------------------
