@@ -149,16 +149,8 @@ def cmd_solve(args):
     _write_csv(csv_path, ["t", "residual_frobenius", "rank"],
                [(t, r, int(k)) for t, r, k in zip(traj.nodes, traj.residuals, ranks)])
 
-    factor_path = None
-    t_write = 0.0
-    if cfg.get("output", {}).get("write_factor", False):
-        factor = traj.lowrank_factor(-1)
-        factor_path = os.path.join(out_dir, "factor_tf.mtx")
-        t_write = time.perf_counter()
-        write_matrix_market_array(factor.Z, factor_path + ".tmp")
-        os.replace(factor_path + ".tmp", factor_path)
-        t_write = time.perf_counter() - t_write
-
+    write_factor = cfg.get("output", {}).get("write_factor", False)
+    Z = traj.lowrank_factor(-1).Z if write_factor else None
     report = {
         "problem": spec.to_dict(),
         "solver": {f: getattr(config, f) for f in SolverConfig.__dataclass_fields__},
@@ -168,16 +160,28 @@ def cmd_solve(args):
         "final_residual": traj.final_residual,
         "final_rank": int(ranks[-1]),
         "iterations": _iteration_rows(traj),
-        "timings_s": {"build": t_build, "solve": t_solve, "ranks": t_ranks,
-                      "write": t_write},
-        "outputs": {"csv": csv_path, "factor": factor_path},
     }
-    report["timings_s"]["output"] = time.perf_counter() - t_start
+    del traj                    # nor the Krylov basis past the factor's Z
+
+    factor_path = None
+    t_write = 0.0
+    if write_factor:
+        factor_path = os.path.join(out_dir, "factor_tf.mtx")
+        t_write = time.perf_counter()
+        write_matrix_market_array(Z, factor_path + ".tmp")
+        os.replace(factor_path + ".tmp", factor_path)
+        t_write = time.perf_counter() - t_write
+
+    report["timings_s"] = {"build": t_build, "solve": t_solve, "ranks": t_ranks,
+                           "write": t_write,
+                           "output": time.perf_counter() - t_start}
+    report["outputs"] = {"csv": csv_path, "factor": factor_path}
     _atomic_write(os.path.join(out_dir, "report.json"),
                   json.dumps(report, indent=2) + "\n")
-    print(f"{traj.method}: m={report['final_m']} residual={traj.final_residual:.3e} "
-          f"converged={traj.converged}")
-    return 0 if traj.converged else 3
+    print(f"{report['method']}: m={report['final_m']} "
+          f"residual={report['final_residual']:.3e} "
+          f"converged={report['converged']}")
+    return 0 if report["converged"] else 3
 
 
 def _first_basis_row(traj):

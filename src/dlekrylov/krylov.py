@@ -14,8 +14,13 @@ from one transpose action on the new block, so no n-sized array but the
 basis itself outlives a step. The basis grows in place, in one buffer:
 given a step budget, it is allocated once for every column the budget can
 write, so its pages become resident only as columns are written; without
-one, its capacity doubles when it fills.
+one, its capacity doubles when it fills. The buffer is a private anonymous
+mapping of its own, advised never to be backed by huge pages, so it
+becomes resident 4 KiB at a time whatever the host's transparent huge
+page mode, and it is unmapped when its last view is freed.
 """
+
+import mmap
 
 import numpy as np
 
@@ -43,6 +48,21 @@ def _frozen(a):
     return a
 
 
+def _column_buffer(n, capacity):
+    """An uninitialised column-major (n, capacity) float array in a private
+    anonymous mapping advised MADV_NOHUGEPAGE where the platform has it.
+
+    numpy advises huge pages for every array of 4 MiB or more, so a
+    buffer from `np.empty` becomes resident in 2 MiB steps where the host
+    grants them: up to one such page ahead of the columns written. The
+    mapping is unmapped when the last array viewing it is freed.
+    """
+    buf = mmap.mmap(-1, n * capacity * 8, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray((n, capacity), dtype=float, buffer=buf, order="F")
+
+
 class KrylovDecomposition:
     """Growing Arnoldi decomposition A @ V_m = V_{m+1} @ T_bar.
 
@@ -62,8 +82,10 @@ class KrylovDecomposition:
     calls can add, `s (max_steps + 1)` for a start block of width s (no
     block is wider than the one before it), at most n; the buffer is
     allocated once, uninitialised, so its pages become resident only as
-    columns are written, and the basis is never copied. Without a budget
-    the capacity starts at s. `extend` writes a new block into the columns
+    columns are written, and the basis is never copied. It is a mapping of
+    its own whose pages are never advised huge, so they become resident
+    4 KiB at a time, and it is unmapped with the last view of it. Without
+    a budget the capacity starts at s. `extend` writes a new block into the columns
     past the basis, and when they run out it copies the basis into a
     buffer of twice the capacity; it never writes a column that an earlier
     `basis` view covers. T_bar and the block widths are replaced by a
@@ -91,7 +113,7 @@ class KrylovDecomposition:
         s = V.shape[1]
         self._widths = [s]
         capacity = s if max_steps is None else min(self.n, s * (max_steps + 1))
-        self._buf = np.empty((self.n, capacity), order="F")
+        self._buf = _column_buffer(self.n, capacity)
         self._buf[:, :s] = V
         # columns of `_buf` some decomposition has written: a shallow copy
         # shares the buffer and must not write over the original's blocks
@@ -157,7 +179,7 @@ class KrylovDecomposition:
         if k + rank > capacity or self._filled[0] != k:
             if k + rank > capacity:
                 capacity = max(2 * capacity, k + rank)
-            grown = np.empty((self.n, capacity), order="F")
+            grown = _column_buffer(self.n, capacity)
             grown[:, :k] = self._V
             self._buf, self._filled = grown, [k]
         self._buf[:, k:k + rank] = Vnew

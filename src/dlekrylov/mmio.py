@@ -5,7 +5,9 @@ A small hand-rolled parser is used instead of scipy.io so that malformed
 files, a bad size line or a byte that is not UTF-8 among them, are
 reported with the offending line number, and so that written values
 round-trip bit-exactly (17 significant digits, as Python's "%.16e"
-prints them).
+prints them). The coordinate reader parses its entries with numpy and
+reads them again line by line only where a check could fail, to name the
+line.
 
 Both writers format their values in NumPy, a chunk of at most _CHUNK
 values at a time: each value is scaled to a 17-digit integer by an
@@ -233,6 +235,61 @@ def _size_line(path, data, n_lines, count):
     return lineno, sizes
 
 
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
+
+
+def _parsed_entries(lines, nrows, ncols, nnz, symmetric):
+    """(rows, cols, vals), 0-based, of the coordinate entries in the data
+    `lines`, parsed by numpy; None where `_checked_entries` may find a
+    fault, which it then names by line.
+
+    numpy's parsers accept a subset of what `int` and `float` accept and
+    give the same values; a comment line, a line of the wrong width, an
+    entry out of bounds or above a symmetric diagonal, or a count other
+    than `nnz` leaves the lines to `_checked_entries`.
+    """
+    # loadtxt warns when no line holds an entry
+    if nnz == 0 or all(map(str.isspace, lines)):
+        return None
+    try:
+        e = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    i, j = e["i"], e["j"]
+    if (len(e) != nnz or i.min() < 1 or i.max() > nrows or j.min() < 1
+            or j.max() > ncols or (symmetric and np.any(i < j))):
+        return None
+    return i - 1, j - 1, e["v"]
+
+
+def _checked_entries(path, data, n_lines, nrows, ncols, nnz, symmetric):
+    """(rows, cols, vals), 0-based, of the (lineno, fields) pairs of `data`,
+    parsed line by line; the first faulty line raises."""
+    rows = np.empty(nnz, dtype=np.int64)
+    cols = np.empty(nnz, dtype=np.int64)
+    vals = np.empty(nnz, dtype=float)
+    k = 0
+    for lineno, fields in data:
+        if k >= nnz:
+            raise MatrixMarketParseError(path, lineno, "more entries than the size line declares")
+        if len(fields) != 3:
+            raise MatrixMarketParseError(path, lineno, f"entry needs 3 fields, got {len(fields)}")
+        try:
+            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise MatrixMarketParseError(path, lineno, f"malformed entry {' '.join(fields)!r}") from None
+        if not (1 <= i <= nrows and 1 <= j <= ncols):
+            raise MatrixMarketParseError(path, lineno, f"index ({i},{j}) out of bounds")
+        if i < j and symmetric:
+            raise MatrixMarketParseError(
+                path, lineno, f"entry ({i},{j}) above the diagonal of a symmetric matrix")
+        rows[k], cols[k], vals[k] = i - 1, j - 1, v
+        k += 1
+    if k != nnz:
+        raise MatrixMarketParseError(path, n_lines, f"expected {nnz} entries, found {k}")
+    return rows, cols, vals
+
+
 def read_matrix_market(path):
     """Read a real coordinate Matrix Market file into CSR.
 
@@ -251,34 +308,17 @@ def read_matrix_market(path):
 
     data = _data_lines(path, enumerate(raw_lines[1:], start=2))
     lineno, (nrows, ncols, nnz) = _size_line(path, data, len(raw_lines), 3)
-    if symmetry == "symmetric" and nrows != ncols:
+    symmetric = symmetry == "symmetric"
+    if symmetric and nrows != ncols:
         raise MatrixMarketParseError(
             path, lineno, f"a symmetric matrix must be square, got {nrows} x {ncols}")
 
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=float)
-    k = 0
-    for lineno, fields in data:
-        if k >= nnz:
-            raise MatrixMarketParseError(path, lineno, "more entries than the size line declares")
-        if len(fields) != 3:
-            raise MatrixMarketParseError(path, lineno, f"entry needs 3 fields, got {len(fields)}")
-        try:
-            i, j, v = int(fields[0]), int(fields[1]), float(fields[2])
-        except ValueError:
-            raise MatrixMarketParseError(path, lineno, f"malformed entry {' '.join(fields)!r}") from None
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise MatrixMarketParseError(path, lineno, f"index ({i},{j}) out of bounds")
-        if i < j and symmetry == "symmetric":
-            raise MatrixMarketParseError(
-                path, lineno, f"entry ({i},{j}) above the diagonal of a symmetric matrix")
-        rows[k], cols[k], vals[k] = i - 1, j - 1, v
-        k += 1
-    if k != nnz:
-        raise MatrixMarketParseError(path, len(raw_lines), f"expected {nnz} entries, found {k}")
-
-    if symmetry == "symmetric":
+    entries = _parsed_entries(raw_lines[lineno:], nrows, ncols, nnz, symmetric)
+    if entries is None:
+        entries = _checked_entries(path, data, len(raw_lines), nrows, ncols,
+                                   nnz, symmetric)
+    rows, cols, vals = entries
+    if symmetric:
         off = rows != cols
         rows, cols, vals = (np.concatenate([rows, cols[off]]),
                             np.concatenate([cols, rows[off]]),

@@ -140,6 +140,38 @@ def test_solve_frees_the_operator_before_writing_the_factor(tmp_path, monkeypatc
     assert alive == [False, False]
 
 
+def test_solve_frees_the_basis_before_writing_the_factor(tmp_path, monkeypatch):
+    # by reference count alone, so no collection is needed for the basis
+    # buffer's pages to be returned before the write
+    import weakref
+
+    from dlekrylov import cli
+
+    refs, alive = [], []
+    solve_ = cli.solve
+
+    def solve(*args):
+        traj = solve_(*args)
+        refs.append(weakref.ref(traj.decomposition._buf))
+        return traj
+
+    write = cli.write_matrix_market_array
+
+    def write_factor(M, path):
+        alive.append(refs[0]() is not None)
+        write(M, path)
+
+    monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(cli, "write_matrix_market_array", write_factor)
+    for method in ("eba_exp", "eba_bdf"):
+        refs.clear()
+        cfg = _write_cfg(tmp_path, problem=_base_problem(),
+                         solver={"method": method, "m_max": 10, "tol": 1e-8},
+                         output={"write_factor": True})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / method)]) == 0
+    assert alive == [False, False]
+
+
 def test_report_echoes_the_config(tmp_path):
     cfg = _write_cfg(tmp_path, problem=_base_problem(seed=9),
                      solver={"method": "eba_bdf", "bdf_order": 1, "tol": 1e-6,

@@ -1,4 +1,5 @@
 import copy
+import gc
 
 import numpy as np
 import pytest
@@ -391,6 +392,58 @@ def test_step_budget_capacity_is_at_most_n():
         except KrylovBreakdown:
             pass
     assert dec.basis.shape[1] == 16 and dec.basis.base is dec._buf
+
+
+def _smaps_kb(array):
+    """Rss and AnonHugePages in kB, summed over the mappings of
+    /proc/self/smaps that overlap the memory of `array`."""
+    lo = array.__array_interface__["data"][0]
+    hi = lo + array.nbytes
+    try:
+        with open("/proc/self/smaps") as fh:
+            lines = fh.readlines()
+    except OSError:
+        pytest.skip("/proc/self/smaps cannot be read")
+    totals = {"Rss": 0, "AnonHugePages": 0}
+    overlaps = False
+    for line in lines:
+        key, *rest = line.split()
+        if not key.endswith(":"):
+            start, end = (int(a, 16) for a in key.split("-"))
+            overlaps = start < hi and end > lo
+        elif overlaps and key[:-1] in totals:
+            totals[key[:-1]] += int(rest[0])
+    return totals
+
+
+def test_basis_buffer_is_resident_in_small_pages_as_columns_are_written():
+    # the n = 6400 buffer is allocated for 41 blocks (164 columns, 8.4 MB):
+    # after 20 extends only the 84 written columns are resident, in 4 KiB
+    # pages, never in 2 MiB ones ahead of the writes. The kernel can merge
+    # the buffer's mapping only with another basis buffer's, so earlier
+    # tests' are freed first.
+    gc.collect()
+    op = wrap_sparse(gen_convdiff(80))
+    dec = _extend_times(KrylovDecomposition(op, gen_random_block(6400, 2, seed=7),
+                                            max_steps=40), op, 20)
+    k = dec.basis.shape[1]
+    assert (k, dec._buf.shape[1]) == (84, 164)
+    kb = _smaps_kb(dec._buf)
+    assert kb["AnonHugePages"] == 0
+    assert kb["Rss"] <= (dec.basis.nbytes + 4096 * k) // 1024
+
+
+def test_basis_view_outlives_its_decomposition():
+    op = wrap_sparse(gen_convdiff(8))
+    dec = _extend_times(KrylovDecomposition(op, gen_random_block(64, 2, seed=5),
+                                            max_steps=4), op, 3)
+    V = dec.basis
+    value = V.copy()
+    del dec
+    gc.collect()
+    np.testing.assert_array_equal(V, value)
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0
 
 
 def test_T_bar_keeps_the_older_rows_after_a_coarse_deflation(monkeypatch):

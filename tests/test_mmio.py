@@ -1,10 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix, random as sparse_random
 
+from dlekrylov import mmio
 from dlekrylov.mmio import (MatrixMarketParseError, _fmt, read_matrix_market,
                             read_matrix_market_array, write_matrix_market,
                             write_matrix_market_array)
@@ -94,6 +96,74 @@ def test_index_out_of_bounds(tmp_path):
     with pytest.raises(MatrixMarketParseError) as exc:
         read_matrix_market(path)
     assert exc.value.lineno == 3
+
+
+def _read_outcome(path):
+    """The CSR arrays `read_matrix_market` returns, as bytes, or the text
+    of the parse error it raises."""
+    try:
+        A = read_matrix_market(path)
+    except MatrixMarketParseError as exc:
+        return str(exc)
+    return A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()
+
+
+_INDICES = ["1", "2", "3", "+2", "007", "0", "4", "-1", "1.0", "1e0", "1_0",
+            "\u0663", "99999999999999999999"]
+_VALUES = ["1", "-0", "2.", ".5", "1.5e-3", "nan", "-inf", "Infinity",
+           "1e400", "1_0", "\u0663", "0x1p3", "\x00", "x"]
+
+
+@st.composite
+def _coordinate_body(draw):
+    """(nnz, text): the data lines of a 3 x 3 coordinate file, mostly
+    well formed, and an entry count that mostly matches them."""
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["entry"] * 6 + ["blank", "comment", "width"]))
+        if kind == "blank":
+            fields = draw(st.sampled_from([[], [""], ["\t"]]))
+        elif kind == "comment":
+            fields = ["%", "a", "note"]
+        else:
+            fields = [draw(st.sampled_from(_INDICES[:5] * 2 + _INDICES)),
+                      draw(st.sampled_from(_INDICES[:5] * 2 + _INDICES)),
+                      draw(st.sampled_from(_VALUES[:9] * 2 + _VALUES))]
+            if kind == "width":
+                fields = draw(st.sampled_from([fields[:2], fields + ["1"],
+                                               fields + ["%"]]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", "\x0c"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(fields)
+                     + draw(st.sampled_from(["\n", "\r\n", " \n"])))
+    entries = sum(1 for line in lines if line.strip() and "%" not in line[:2])
+    nnz = draw(st.sampled_from([entries] * 3 + [entries - 1, entries + 1]))
+    return max(nnz, 0), "".join(lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(["general", "symmetric"]), _coordinate_body())
+def test_coordinate_reader_matches_the_line_loop(tmp_path_factory, symmetry, body):
+    # the numpy parse gives the line loop's matrix or leaves the file to
+    # it, so its error and line are the loop's
+    nnz, text = body
+    path = str(tmp_path_factory.mktemp("mm") / "A.mtx")
+    with open(path, "w", newline="") as fh:
+        fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n3 3 {nnz}\n")
+        fh.write(text)
+    fast = _read_outcome(path)
+    with mock.patch.object(mmio, "_parsed_entries", lambda *args: None):
+        assert _read_outcome(path) == fast
+
+
+def test_coordinate_reader_parses_a_clean_file_without_the_line_loop(tmp_path):
+    path = str(tmp_path / "A.mtx")
+    A = csr_matrix(sparse_random(40, 40, density=0.2, random_state=4))
+    write_matrix_market(A, path)
+    with mock.patch.object(mmio, "_checked_entries",
+                           side_effect=AssertionError("line loop ran")):
+        back = read_matrix_market(path)
+    assert (back != A).nnz == 0
+    np.testing.assert_array_equal(back.data, A.data)
 
 
 def test_array_roundtrip(tmp_path):
