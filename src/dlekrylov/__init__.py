@@ -1,10 +1,8 @@
 """Low-rank Krylov solvers for large-scale differential Lyapunov equations."""
 
 from .analysis import (BoundReport, SizeGuardError, StabilityError,
-                       dense_reference_integral, dense_reference_kron_ode,
-                       error_bound_general, error_bound_polynomial,
-                       error_bound_stable, expm_action_bound,
-                       reference_stream)
+                       dense_reference_integral, error_bound_general,
+                       error_bound_stable, reference_stream)
 from .dense import (LyapunovSolver, SolvabilityError, expm, frob_norm,
                     log_norm_mu2, lyap_direct, qr_thin, spec_norm_2)
 from .krylov import KrylovBreakdown, KrylovDecomposition

@@ -234,11 +234,3 @@ class KrylovDecomposition:
         """V_m @ small @ V_m^T."""
         V = self.inner_basis
         return V @ small @ V.T
-
-
-def arnoldi_relation_residual(op, dec):
-    """|| A V_m - V_{m+1} T_bar || / (||A V_m||), for tests and diagnostics."""
-    V_inner = dec.inner_basis
-    AV = op.apply(V_inner)
-    R = AV - dec.basis @ dec.T_bar
-    return frob_norm(R) / max(frob_norm(AV), 1e-300)

@@ -5,9 +5,8 @@ A small hand-rolled parser is used instead of scipy.io so that malformed
 files, a bad size line or a byte that is not UTF-8 among them, are
 reported with the offending line number, and so that written values
 round-trip bit-exactly (17 significant digits, as Python's "%.16e"
-prints them). The coordinate reader parses its entries with numpy and
-reads them again line by line only where a check could fail, to name the
-line.
+prints them). Both readers parse their entries with numpy and read them
+again line by line only where a check could fail, to name the line.
 
 Both writers format their values in NumPy, a chunk of at most _CHUNK
 values at a time: each value is scaled to a 17-digit integer by an
@@ -236,30 +235,33 @@ def _size_line(path, data, n_lines, count):
 
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
+_VALUE = np.dtype([("v", float)])
 
 
-def _parsed_entries(lines, nrows, ncols, nnz, symmetric):
-    """(rows, cols, vals), 0-based, of the coordinate entries in the data
-    `lines`, parsed by numpy; None where `_checked_entries` may find a
-    fault, which it then names by line.
+def _parsed_entries(lines, dtype, count):
+    """The `count` records of `dtype` in the data `lines`, one a line,
+    parsed by numpy; None where the reader's line loop may find a fault,
+    which it then names by line.
 
     numpy's parsers accept a subset of what `int` and `float` accept and
-    give the same values; a comment line, a line of the wrong width, an
-    entry out of bounds or above a symmetric diagonal, or a count other
-    than `nnz` leaves the lines to `_checked_entries`.
+    give the same values; a comment line, a line of other than the dtype's
+    field count, or a count other than `count` leaves the lines to the
+    line loop.
     """
     # loadtxt warns when no line holds an entry
-    if nnz == 0 or all(map(str.isspace, lines)):
+    if count == 0 or all(map(str.isspace, lines)):
         return None
     try:
-        e = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+        e = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
     except ValueError:
         return None
-    i, j = e["i"], e["j"]
-    if (len(e) != nnz or i.min() < 1 or i.max() > nrows or j.min() < 1
-            or j.max() > ncols or (symmetric and np.any(i < j))):
-        return None
-    return i - 1, j - 1, e["v"]
+    return e if len(e) == count else None
+
+
+def _in_bounds(i, j, nrows, ncols, symmetric):
+    """Whether 1-based (i, j) lie in the matrix, and in a symmetric one's lower triangle."""
+    return not (i.min() < 1 or i.max() > nrows or j.min() < 1
+                or j.max() > ncols or (symmetric and np.any(i < j)))
 
 
 def _checked_entries(path, data, n_lines, nrows, ncols, nnz, symmetric):
@@ -313,11 +315,12 @@ def read_matrix_market(path):
         raise MatrixMarketParseError(
             path, lineno, f"a symmetric matrix must be square, got {nrows} x {ncols}")
 
-    entries = _parsed_entries(raw_lines[lineno:], nrows, ncols, nnz, symmetric)
-    if entries is None:
-        entries = _checked_entries(path, data, len(raw_lines), nrows, ncols,
-                                   nnz, symmetric)
-    rows, cols, vals = entries
+    e = _parsed_entries(raw_lines[lineno:], _ENTRY, nnz)
+    if e is not None and _in_bounds(e["i"], e["j"], nrows, ncols, symmetric):
+        rows, cols, vals = e["i"] - 1, e["j"] - 1, e["v"]
+    else:
+        rows, cols, vals = _checked_entries(path, data, len(raw_lines), nrows,
+                                            ncols, nnz, symmetric)
     if symmetric:
         off = rows != cols
         rows, cols, vals = (np.concatenate([rows, cols[off]]),
@@ -353,7 +356,10 @@ def read_matrix_market_array(path):
         raise MatrixMarketParseError(path, 1, f"unsupported symmetry {symmetry!r}")
 
     data = _data_lines(path, enumerate(raw_lines[1:], start=2))
-    _, (nrows, ncols) = _size_line(path, data, len(raw_lines), 2)
+    lineno, (nrows, ncols) = _size_line(path, data, len(raw_lines), 2)
+    e = _parsed_entries(raw_lines[lineno:], _VALUE, nrows * ncols)
+    if e is not None:
+        return e["v"].reshape((ncols, nrows)).T.copy()
     vals = np.empty(nrows * ncols, dtype=float)
     k = 0
     for lineno, fields in data:

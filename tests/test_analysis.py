@@ -2,17 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from dlekrylov.analysis import (SizeGuardError, StabilityError,
-                                dense_reference_integral,
-                                dense_reference_kron_ode, error_bound_general,
-                                error_bound_polynomial, error_bound_stable,
-                                expm_action_bound, reference_stream)
-from dlekrylov.dense import expm, frob_norm, log_norm_mu2
+                                dense_reference_integral, error_bound_general,
+                                error_bound_stable, reference_stream)
+from dlekrylov.dense import frob_norm, log_norm_mu2
 from dlekrylov import solvers
 from dlekrylov.krylov import KrylovDecomposition
 from dlekrylov.problems import gen_convdiff, gen_random_block
-from dlekrylov.solvers import SolverConfig, TimeGrid, solve_eba_exp
+from dlekrylov.solvers import BDF_TABLE, SolverConfig, TimeGrid, solve_eba_exp
 from dlekrylov.sparsela import wrap_dense
 
 
@@ -20,6 +19,36 @@ def _stable_dense(n, seed, shift=3.0):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) / np.sqrt(n)
     return A - shift * np.eye(n)
+
+
+def dense_reference_kron_ode(A, B, grid, p=2):
+    """Trajectory from X(t0) = 0 of the vectorized linear ODE by fixed-step
+    BDF of order p: a second oracle, independent of the exponential
+    integral. The n^2-sized system limits it to n <= 60."""
+    n = A.shape[0]
+    assert n <= 60, f"Kronecker ODE reference limited to n <= 60, got {n}"
+
+    big = np.kron(np.eye(n), A) + np.kron(A, np.eye(n))
+    b = (B @ B.T).flatten(order="F")
+    h = grid.h
+    N = grid.n_steps
+
+    lu_cache = {}
+    history = [np.zeros(n * n)]
+    out = np.zeros((N + 1, n, n))
+    for i in range(1, N + 1):
+        p_eff = min(p, len(history))
+        beta, alphas = BDF_TABLE[p_eff]
+        if p_eff not in lu_cache:
+            lu_cache[p_eff] = sla.lu_factor(np.eye(n * n) - h * beta * big)
+        rhs = h * beta * b
+        for alpha, x_prev in zip(alphas, history):
+            rhs = rhs + alpha * x_prev
+        x = sla.lu_solve(lu_cache[p_eff], rhs)
+        history.insert(0, x)
+        del history[p:]
+        out[i] = x.reshape((n, n), order="F")
+    return out
 
 
 # -- reference oracles ---------------------------------------------------------
@@ -85,25 +114,19 @@ def test_reference_stream_size_guard():
 def test_kron_reference_zero_data():
     grid = TimeGrid(0.0, 1.0, 0.25)
     out = dense_reference_kron_ode(np.diag([-1.0, -2.0]), np.zeros((2, 1)),
-                                   None, grid)
+                                   grid)
     np.testing.assert_array_equal(out, np.zeros((5, 2, 2)))
 
 
 def test_kron_reference_scalar_recurrence_exact():
     a, b, h = -2.0, 1.3, 0.1
     grid = TimeGrid(0.0, 0.5, h)
-    out = dense_reference_kron_ode(np.array([[a]]), np.array([[b]]), None,
-                                   grid, p=1)
+    out = dense_reference_kron_ode(np.array([[a]]), np.array([[b]]), grid,
+                                   p=1)
     x = 0.0
     for i in range(1, 6):
         x = (x + h * b * b) / (1.0 - 2.0 * a * h)
         assert out[i][0, 0] == pytest.approx(x, rel=1e-14)
-
-
-def test_kron_reference_size_guard():
-    with pytest.raises(SizeGuardError):
-        dense_reference_kron_ode(np.eye(61), np.ones((61, 1)), None,
-                                 TimeGrid(0, 1, 0.5))
 
 
 @pytest.mark.parametrize("n,seed", [(6, 3), (10, 4), (14, 5)])
@@ -113,7 +136,7 @@ def test_oracles_agree(n, seed):
     B = rng.random((n, 2))
     grid = TimeGrid(0.0, 2.0, 1e-3)
     Xi = dense_reference_integral(A, B, None, grid, q=8)[-1]
-    Xk = dense_reference_kron_ode(A, B, None, grid, p=2)[-1]
+    Xk = dense_reference_kron_ode(A, B, grid, p=2)[-1]
     assert frob_norm(Xi - Xk) <= 1e-7 * max(frob_norm(Xi), 1.0)
 
 
@@ -223,61 +246,6 @@ def test_bound_general_size_guard():
     with pytest.raises(SizeGuardError):
         error_bound_general(np.eye(501), np.ones((501, 1)), None,
                             TimeGrid(0, 1, 0.5))
-
-
-# -- polynomial-krylov bounds ------------------------------------------------------
-
-def test_expm_action_bound_substitution():
-    assert expm_action_bound(1.0, 1.0, 1) == pytest.approx(2.0 * math.e, rel=1e-14)
-
-
-def test_expm_action_bound_decays():
-    vals = [expm_action_bound(2.0, 1.0, m) for m in range(3, 40)]
-    assert all(b <= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1e-30
-
-
-def test_expm_action_bound_dominates_measured_gap():
-    n = 30
-    rng = np.random.default_rng(14)
-    A = rng.standard_normal((n, n))
-    A *= 0.9 / np.linalg.norm(A, 2)          # ||A|| <= 1
-    B = rng.random((n, 2))
-    op = wrap_dense(A)
-    dec = KrylovDecomposition(op, B, variant="block")
-    rho = np.linalg.norm(A, 2)
-    exact = expm(A) @ B
-    for m in range(1, 10):
-        dec.extend(op)
-        V = dec.inner_basis
-        approx = V @ (expm(dec.T) @ dec.project_block(B))
-        gap = frob_norm(exact - approx)
-        assert gap <= expm_action_bound(rho, frob_norm(B), m)
-
-
-def test_error_bound_polynomial_dominates():
-    n = 20
-    rng = np.random.default_rng(15)
-    A = rng.standard_normal((n, n))
-    A *= 0.8 / np.linalg.norm(A, 2)
-    B = rng.random((n, 2))
-    op = wrap_dense(A)
-    grid = TimeGrid(0.0, 1.0, 0.05)
-    ref = dense_reference_integral(A, B, None, grid, q=10)
-    mu2 = log_norm_mu2(A)
-    rho = np.linalg.norm(A, 2)
-    dec = KrylovDecomposition(op, B, variant="block")
-    from dlekrylov.solvers import _run_gram_grid
-
-    for m in range(1, 8):
-        dec.extend(op)
-        Bm = dec.project_block(B)
-        run = _run_gram_grid(dec.T, Bm, np.zeros((dec.inner_width, 0)), grid,
-                             8, dec.widths[dec.m - 1], keep_full=True)
-        err = frob_norm(dec.inner_basis @ run.full[-1] @ dec.inner_basis.T - ref[-1])
-        bound = error_bound_polynomial(rho, mu2, frob_norm(B), frob_norm(Bm),
-                                       m, 0.0, 1.0)
-        assert bound >= err
 
 
 def test_mu2_of_projection_bounded_by_mu2_of_operator():

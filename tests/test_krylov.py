@@ -7,12 +7,19 @@ from scipy.sparse import csr_matrix
 
 from dlekrylov import krylov
 from dlekrylov.dense import frob_norm, spec_norm_2
-from dlekrylov.krylov import (KrylovBreakdown, KrylovDecomposition,
-                              arnoldi_relation_residual)
+from dlekrylov.krylov import KrylovBreakdown, KrylovDecomposition
 from dlekrylov.problems import gen_convdiff, gen_heat_fem, gen_random_block
 from dlekrylov.solvers import SolverConfig, krylov_steps
 from dlekrylov.sparsela import (CapabilityError, LinearOperator, wrap_dense,
                                 wrap_sparse)
+
+
+def arnoldi_relation_residual(op, dec):
+    """|| A V_m - V_{m+1} T_bar || / (||A V_m||)."""
+    V_inner = dec.inner_basis
+    AV = op.apply(V_inner)
+    R = AV - dec.basis @ dec.T_bar
+    return frob_norm(R) / max(frob_norm(AV), 1e-300)
 
 
 def _extend_times(dec, op, m):

@@ -166,6 +166,72 @@ def test_coordinate_reader_parses_a_clean_file_without_the_line_loop(tmp_path):
     np.testing.assert_array_equal(back.data, A.data)
 
 
+def _array_outcome(path):
+    """The array `read_matrix_market_array` returns, as bytes with its
+    shape and layout, or the text of the parse error it raises."""
+    try:
+        M = read_matrix_market_array(path)
+    except MatrixMarketParseError as exc:
+        return str(exc)
+    return M.shape, M.flags.c_contiguous, M.tobytes()
+
+
+@st.composite
+def _array_body(draw):
+    """(nrows, ncols, text): the data lines of an array file, mostly well
+    formed, and a size that mostly matches them."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["value"] * 6 + ["blank", "comment", "width"]))
+        if kind == "blank":
+            fields = draw(st.sampled_from([[], [""], ["\t"]]))
+        elif kind == "comment":
+            fields = ["%", "a", "note"]
+        else:
+            fields = [draw(st.sampled_from(_VALUES[:9] * 2 + _VALUES))]
+            if kind == "width":
+                fields = draw(st.sampled_from([fields * 2, fields + ["%"]]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", "\x0c"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(fields)
+                     + draw(st.sampled_from(["\n", "\r\n", " \n"])))
+    values = sum(1 for line in lines if line.strip() and "%" not in line[:2])
+    count = max(draw(st.sampled_from([values] * 3 + [values - 1, values + 1])), 0)
+    ncols = draw(st.sampled_from([d for d in (1, 2, 3) if count % d == 0]))
+    return count // ncols, ncols, "".join(lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_array_body())
+def test_array_reader_matches_the_line_loop(tmp_path_factory, body):
+    # the numpy parse gives the line loop's array or leaves the file to
+    # it, so its error and line are the loop's
+    nrows, ncols, text = body
+    path = str(tmp_path_factory.mktemp("mm") / "B.mtx")
+    with open(path, "w", newline="") as fh:
+        fh.write(f"%%MatrixMarket matrix array real general\n{nrows} {ncols}\n")
+        fh.write(text)
+    fast = _array_outcome(path)
+    with mock.patch.object(mmio, "_parsed_entries", lambda *args: None):
+        assert _array_outcome(path) == fast
+
+
+def test_array_reader_parses_a_clean_file_without_the_line_loop(tmp_path):
+    path = str(tmp_path / "B.mtx")
+    M = np.random.default_rng(6).standard_normal((40, 3))
+    write_matrix_market_array(M, path)
+    parse, parsed = mmio._parsed_entries, []
+
+    def recorded(*args):
+        parsed.append(parse(*args))
+        return parsed[-1]
+
+    with mock.patch.object(mmio, "_parsed_entries", recorded):
+        back = read_matrix_market_array(path)
+    assert len(parsed) == 1 and parsed[0] is not None
+    np.testing.assert_array_equal(back, M)
+    assert back.flags.c_contiguous
+
+
 def test_array_roundtrip(tmp_path):
     path = str(tmp_path / "dense.mtx")
     rng = np.random.default_rng(4)
