@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import numbers
 import os
 import sys
@@ -39,6 +40,23 @@ def _atomic_write(path, text):
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _finite_or_null(value):
+    """`value` with each non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _write_json(path, obj):
+    """`obj` as strict JSON (RFC 8259), a non-finite float as null."""
+    _atomic_write(path, json.dumps(_finite_or_null(obj), indent=2,
+                                   allow_nan=False) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -176,8 +194,7 @@ def cmd_solve(args):
                            "write": t_write,
                            "output": time.perf_counter() - t_start}
     report["outputs"] = {"csv": csv_path, "factor": factor_path}
-    _atomic_write(os.path.join(out_dir, "report.json"),
-                  json.dumps(report, indent=2) + "\n")
+    _write_json(os.path.join(out_dir, "report.json"), report)
     print(f"{report['method']}: m={report['final_m']} "
           f"residual={report['final_residual']:.3e} "
           f"converged={report['converged']}")
@@ -235,8 +252,7 @@ def cmd_compare(args):
         "converged": {"eba_exp": traj_exp.converged, "eba_bdf": traj_bdf.converged},
         "outputs": {"csv": csv_path},
     }
-    _atomic_write(os.path.join(out_dir, "compare.json"),
-                  json.dumps(report, indent=2) + "\n")
+    _write_json(os.path.join(out_dir, "compare.json"), report)
     if oracle_ok:
         print(f"rel diff at tf: exp={rows[-1][1]:.3e} bdf={rows[-1][2]:.3e}")
     else:
@@ -347,8 +363,7 @@ def cmd_gen_problem(args):
               file=sys.stderr)
         return 2
     meta = {"problem": spec.to_dict(), "outputs": outputs}
-    _atomic_write(os.path.join(out_dir, "problem.json"),
-                  json.dumps(meta, indent=2) + "\n")
+    _write_json(os.path.join(out_dir, "problem.json"), meta)
     print(f"wrote {sorted(v for v in outputs.values() if v.endswith('.mtx'))} to {out_dir}")
     return 0
 

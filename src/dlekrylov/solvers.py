@@ -19,8 +19,8 @@ real basis: in the real pair basis of the projected operator's
 eigenvectors (a conjugate pair v, conj v becomes Re v, Im v) it is one
 O(k^2) map, and when the eigenvectors are ill-conditioned the real Schur
 basis takes over with one triangular Sylvester solve. Every node after t0
-lives in that basis, the exact start-up steps too: elementwise in the
-eigenbasis, or the exponential route's pair moved into the Schur basis.
+lives in that basis, the exact start-up steps too: two more such maps in
+the pair basis, or the exponential route's pair moved into the Schur basis.
 A BDF grid run lifts only the rows the residual formula reads, and the
 whole node only at tf, at a node the PSD screen clips, or when every
 node is asked for.
@@ -349,6 +349,17 @@ def _sytrf_lwork(k):
     return int(lapack.dsytrf_lwork(k, lower=True)[0])
 
 
+def _shifted(Y, s, gram_inv):
+    """A new Y + s gram_inv (Y + s I for None), congruent to M Y M^T + s I."""
+    if gram_inv is None:
+        shifted = Y.copy()
+        shifted.flat[::Y.shape[0] + 1] += s
+    else:
+        shifted = s * gram_inv
+        shifted += Y
+    return shifted
+
+
 def _count_above(Y, tau, gram_inv=None):
     """Count of the eigenvalues of M Y M^T above tau, M = I when `gram_inv`
     is None, else `gram_inv` = (M^T M)^-1; Y is symmetric and only its
@@ -363,14 +374,8 @@ def _count_above(Y, tau, gram_inv=None):
     k = Y.shape[0]
     if k == 0:
         return 0
-    if gram_inv is None:
-        shifted = Y.copy()
-        shifted.flat[::k + 1] -= tau
-    else:
-        shifted = -tau * gram_inv
-        shifted += Y
-    ldu, ipiv, _ = lapack.dsytrf(shifted, lower=True, lwork=_sytrf_lwork(k),
-                                 overwrite_a=True)
+    ldu, ipiv, _ = lapack.dsytrf(_shifted(Y, -tau, gram_inv), lower=True,
+                                 lwork=_sytrf_lwork(k), overwrite_a=True)
     d = ldu.diagonal()
     count = np.count_nonzero(d[ipiv > 0] > 0)
     # both rows of a 2x2 pivot hold the same negative ipiv entry and the
@@ -420,13 +425,8 @@ def _psd_screen(Y, gram=None, gram_inv=None):
     k = Y.shape[0]
     trace = np.trace(Y) if gram is None else np.vdot(gram, Y)
     shift = 1e-13 * max(max(trace / max(k, 1), 0.0), 1e-300)
-    if gram_inv is None:
-        shifted = Y.copy()
-        shifted.flat[::k + 1] += shift
-    else:
-        shifted = shift * gram_inv
-        shifted += Y
-    return lapack.dpotrf(shifted, lower=True, overwrite_a=True, clean=False)[1] == 0
+    return lapack.dpotrf(_shifted(Y, shift, gram_inv), lower=True,
+                         overwrite_a=True, clean=False)[1] == 0
 
 
 def _psd_clip(Y):
@@ -592,14 +592,14 @@ class _StepBasis:
     `solve` maps the right-hand side R (in the basis) of
     F Y + Y F^T = -R to Y (in the basis), F = h*beta*T - I/2: one
     triangular Sylvester solve in the real Schur basis, one real O(k^2)
-    map in the real pair basis of the eigenvectors (`_pair_basis`).
-    `gram` = M^T M and `gram_inv`, its inverse, carry the PSD screen into
-    the basis; both are None where M is orthogonal. In the pair basis
-    `lam` are T's eigenvalues in the order of the eigenbasis V = M P; it
-    is None in the Schur basis."""
+    `entrywise` map in the real pair basis of the eigenvectors
+    (`_pair_basis`). `gram` = M^T M and `gram_inv`, its inverse, carry the
+    PSD screen into the basis; both are None where M is orthogonal. In the
+    pair basis `lam` are T's eigenvalues in the order of the eigenbasis
+    V = M P, the real ones first; it is None in the Schur basis."""
 
     def __init__(self, kind, cond, M, M_inv, solve=None, gram=None,
-                 gram_inv=None, lam=None, pairing=None):
+                 gram_inv=None, lam=None):
         self.kind = kind
         self.cond = cond
         self.M = M
@@ -608,7 +608,6 @@ class _StepBasis:
         self.gram = gram
         self.gram_inv = gram_inv
         self.lam = lam
-        self._pairing = pairing            # `_pair_congruence` data; None: P = I
 
     def project(self, Y):
         return self.M_inv @ Y @ self.M_inv.T
@@ -630,29 +629,16 @@ class _StepBasis:
             Y[:, Y.shape[0] - w:] = rows.T
         return Y
 
-    def to_eigen(self, Yr):
-        """Yh = P^-1 Yr P^-T, the coordinates in V of Yr."""
-        if self._pairing is None:
-            return Yr
-        r, _, block_inv = self._pairing
-        return _pair_congruence(Yr, r, block_inv)
-
-    def from_eigen(self, Yh):
-        """Yr = P Yh P^T, real, of the coordinates Yh in V."""
-        if self._pairing is None:
-            return Yh
-        r, block, _ = self._pairing
-        return _pair_congruence(Yh, r, block).real
-
     def entrywise(self, mult):
-        """The real map Yr -> from_eigen(mult * to_eigen(Yr)), mult a
-        function of lam_a + lam_b, at O(k^2): an entry (a, b) reads Yr at
-        the rows of a's pair and the columns of b's pair, so it is
+        """The product by `mult` elementwise in the eigenbasis, read in the
+        pair basis: the real map Yr -> P (mult * (P^-1 Yr P^-T)) P^T, mult
+        a function of lam_a + lam_b, at O(k^2). An entry (a, b) reads Yr
+        at the rows of a's pair and the columns of b's pair, so it is
         Yr * mult between real eigenvalues and a 2x2 coupling on pairs."""
         k = len(self.lam)
-        if self._pairing is None:
+        r = int(np.count_nonzero(self.lam.imag == 0))
+        if r == k:
             return lambda R: R * mult
-        r = self._pairing[0]
         p = (k - r) // 2
         # entry (a, b) reads R[swap^s a, swap^t b], s, t in {0, 1} and swap
         # taking a to its pair partner, with weight C[s, t, a, b] = sum over
@@ -667,15 +653,18 @@ class _StepBasis:
         g[1, 1, r:] = 0.5j
         ar = np.arange(k)
         swap = (ar, np.r_[ar[:r], ar[r:].reshape(p, 2)[:, ::-1].ravel()])
-        M_xy = np.array([[mult[np.ix_(swap[x], swap[y])] for y in (0, 1)]
-                         for x in (0, 1)])
-        C = np.einsum("sxa,tyb,xyab->stab", g, g, M_xy)
-        # contiguous real copies of the blocks the map reads, so that the
-        # map keeps no view of the complex C
-        C_diag = np.ascontiguousarray(C[0, 0].real)
-        C_rows = np.ascontiguousarray(C[1, 0, r:].real).reshape(p, 2, k)
-        C_cols = np.ascontiguousarray(C[0, 1, :, r:].real).reshape(k, p, 2)
-        C_both = np.ascontiguousarray(C[1, 1, r:, r:].real).reshape(p, 2, p, 2)
+        # one np.take per block: indexing by np.ix_ costs about 5x as much
+        M_xy = np.empty((2, 2, k, k), dtype=mult.dtype)
+        for x, y in itertools.product((0, 1), repeat=2):
+            np.take(mult[swap[x]], swap[y], axis=1, out=M_xy[x, y])
+        # C[s, t] = C(g[s], g[t], M_xy), taken only on the blocks the map
+        # reads, as contiguous real copies: the map keeps no complex array
+        C = functools.partial(np.einsum, "xa,yb,xyab->ab")
+        C_diag = C(g[0], g[0], M_xy).real.copy()
+        C_rows = C(g[1, :, r:], g[0], M_xy[:, :, r:]).real.reshape(p, 2, k).copy()
+        C_cols = C(g[0], g[1, :, r:], M_xy[..., r:]).real.reshape(k, p, 2).copy()
+        C_both = C(g[1, :, r:], g[1, :, r:], M_xy[:, :, r:, r:]).real.reshape(
+            p, 2, p, 2).copy()
 
         def apply(R):
             # the pairs' rows and columns are contiguous, so reshaped
@@ -690,18 +679,6 @@ class _StepBasis:
             return out
 
         return apply
-
-
-def _pair_congruence(X, r, block):
-    """P X P^T for P = I_r (+) block (+) block (+) ..., block 2x2, at O(k^2)."""
-    k = X.shape[0]
-    p = (k - r) // 2
-    out = X.astype(complex)
-    out[r:] = np.einsum("ij,pjk->pik", block,
-                        out[r:].reshape(p, 2, k)).reshape(2 * p, k)
-    out[:, r:] = np.einsum("ij,kpj->kpi", block,
-                           out[:, r:].reshape(k, p, 2)).reshape(k, 2 * p)
-    return out
 
 
 def _pair_basis(lam, V, cond, h_beta):
@@ -726,10 +703,8 @@ def _pair_basis(lam, V, cond, h_beta):
     lam_F = h_beta * lam - 0.5
     check_lyapunov_solvable(lam_F)
     inv_pair = -1.0 / (lam_F[:, None] + lam_F[None, :])
-    pairing = None if r == k else (r, np.array([[1.0, 1.0], [1j, -1j]]),
-                                   np.array([[0.5, -0.5j], [0.5, 0.5j]]))
     basis = _StepBasis("eigen", cond, W, W_inv, gram=W.T @ W,
-                       gram_inv=W_inv @ W_inv.T, lam=lam, pairing=pairing)
+                       gram_inv=W_inv @ W_inv.T, lam=lam)
     basis.solve = basis.entrywise(inv_pair)
     return basis
 
@@ -748,18 +723,19 @@ def _bdf_basis(T, h_beta):
 
 def _exact_step(T, Bm, h, basis, Q):
     """The exact step Yr -> Yr(t + h) of dY/dt = T Y + Y T^T + Bm Bm^T on
-    basis values over any span h, Q = Bm Bm^T in the basis. In V it is
-    Yh -> e^{hS} * Yh + Qh * expm1(hS)/S elementwise, S_ab = lam_a + lam_b
-    (h where S = 0); in the Schur basis U, `exact_step_pair`'s (E, delta)
-    as (U^T E U, U^T delta U)."""
-    if basis.lam is None:
+    basis values over any span h, Q = Bm Bm^T in the basis. In the
+    eigenbasis it is Yh -> e^{hS} * Yh + Qh * expm1(hS)/S elementwise,
+    S_ab = lam_a + lam_b (h where S = 0), so in the pair basis it is two
+    `entrywise` maps, the second applied once to Q; in the Schur basis U,
+    `exact_step_pair`'s (E, delta) as (U^T E U, U^T delta U)."""
+    if basis.kind == "schur":
         E, delta = exact_step_pair(T, Bm, h, _QUADRATURE_ORDER)
         E, delta = basis.M_inv @ E @ basis.M, basis.project(delta)
         return lambda Yr: sym_part(E @ Yr @ E.T + delta)
     S = basis.lam[:, None] + basis.lam[None, :]
     phi = np.divide(np.expm1(h * S), S, out=np.full_like(S, h), where=S != 0)
     propagate = basis.entrywise(np.exp(h * S))
-    increment = basis.from_eigen(basis.to_eigen(Q) * phi)
+    increment = basis.entrywise(phi)(Q)
     return lambda Yr: propagate(Yr) + increment
 
 
@@ -819,8 +795,7 @@ def _bdf_steps(setup, w, full=True, clips=None):
             rows = Y[k - w:, :]
             Yr = basis.project(Y)
         else:
-            # w = 0 (the rank pass) reads no rows: skip the lift's products
-            rows = basis.lift_rows(Yr, w) if w else Yr[k:]
+            rows = basis.lift_rows(Yr, w)
             Y = basis.lift(Yr, rows) if full or i == setup.n_steps else None
         history.insert(0, Yr)
         del history[order:]

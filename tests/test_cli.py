@@ -14,6 +14,16 @@ def _write_cfg(tmp_path, name="cfg.json", **sections):
     return path
 
 
+def _strict_json(path):
+    """The JSON file `path`, read as RFC 8259 allows: a NaN, Infinity or
+    -Infinity token raises."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 def _base_problem(**kw):
     prob = {"kind": "convdiff", "n0": 5, "s": 2, "seed": 3,
             "t0": 0.0, "tf": 0.5, "h": 0.01}
@@ -26,7 +36,7 @@ def test_solve_writes_report_and_csv(tmp_path):
                      solver={"m_max": 12, "tol": 1e-9})
     out = str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = _strict_json(os.path.join(out, "report.json"))
     assert report["converged"] is True
     assert report["method"] == "eba_exp"
     rows = report["iterations"]
@@ -69,6 +79,7 @@ def test_solve_zero_b_exits_cleanly(tmp_path):
     lines = open(os.path.join(out, "solution.csv")).read().splitlines()
     vals = [float(r.split(",")[1]) for r in lines[1:]]
     assert all(v == 0.0 for v in vals)
+    assert _strict_json(os.path.join(out, "report.json"))["final_residual"] == 0.0
 
 
 def test_solve_deterministic_csv(tmp_path):
@@ -87,7 +98,7 @@ def test_solve_failure_sets_exit_status_but_writes_report(tmp_path):
                      solver={"m_max": 2, "tol": 1e-14})
     out = str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == 3
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = _strict_json(os.path.join(out, "report.json"))
     assert report["converged"] is False
     assert report["final_residual"] > 0
 
@@ -103,6 +114,8 @@ def test_solve_writes_factor(tmp_path):
     Z = read_matrix_market_array(os.path.join(out, "factor_tf.mtx"))
     assert Z.shape[0] == 25
     assert Z.shape[1] >= 1
+    report = _strict_json(os.path.join(out, "report.json"))
+    assert report["outputs"]["factor"] == os.path.join(out, "factor_tf.mtx")
 
 
 def test_solve_frees_the_operator_before_writing_the_factor(tmp_path, monkeypatch):
@@ -135,7 +148,7 @@ def test_solve_frees_the_operator_before_writing_the_factor(tmp_path, monkeypatc
                          output={"write_factor": True})
         out = str(tmp_path / method)
         assert main(["solve", "--config", cfg, "--out", out]) == 0
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = _strict_json(os.path.join(out, "report.json"))
         assert 0.0 < report["timings_s"]["write"] <= report["timings_s"]["output"]
     assert alive == [False, False]
 
@@ -178,7 +191,7 @@ def test_report_echoes_the_config(tmp_path):
                              "m_max": 6})
     out = str(tmp_path / "out")
     main(["solve", "--config", cfg, "--out", out])
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = _strict_json(os.path.join(out, "report.json"))
     assert report["method"] == "eba_bdf"
     assert report["solver"]["bdf_order"] == 1
     assert report["solver"]["tol"] == 1e-6
@@ -209,7 +222,7 @@ def test_report_counts_psd_clips(tmp_path, monkeypatch):
                              "tol": 1e-6})
     out = str(tmp_path / "out")
     main(["solve", "--config", cfg, "--out", out])
-    rows = json.load(open(os.path.join(out, "report.json")))["iterations"]
+    rows = _strict_json(os.path.join(out, "report.json"))["iterations"]
     assert len(rows) > 1
     # a stopped walk screens nodes 1..9 of its first batch; the full grid
     # all 50 nodes
@@ -394,6 +407,9 @@ def test_compare_small_problem(tmp_path):
     assert float(last[2]) < 1e-4      # bdf vs dense reference, O(h^2) at h=0.01
     # x11 traces agree across methods
     assert float(last[4]) == pytest.approx(float(last[5]), rel=1e-4)
+    report = _strict_json(os.path.join(out, "compare.json"))
+    assert report["oracle"] == "dense_integral"
+    assert report["final_rel_diff_exp"] == pytest.approx(float(last[1]), rel=1e-15)
 
 
 def test_compare_refuses_oracle_above_guard(tmp_path):
@@ -402,10 +418,23 @@ def test_compare_refuses_oracle_above_guard(tmp_path):
     cfg = _write_cfg(tmp_path, problem=prob, solver={"m_max": 2, "tol": 1e-3})
     out = str(tmp_path / "out")
     assert main(["compare", "--config", cfg, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "compare.json")))
+    report = _strict_json(os.path.join(out, "compare.json"))
     assert "refused" in report["oracle"]
+    # no oracle, no difference: null, where NaN would not be JSON
+    assert report["final_rel_diff_exp"] is None
+    assert report["final_rel_diff_bdf"] is None
     lines = open(os.path.join(out, "compare.csv")).read().splitlines()
     assert lines[1].split(",")[1] == "nan"
+
+
+def test_json_writer_writes_non_finite_floats_as_null(tmp_path):
+    from dlekrylov.cli import _write_json
+
+    path = str(tmp_path / "out.json")
+    _write_json(path, {"a": float("nan"), "b": [np.float64(np.inf), 1.5],
+                       "c": {"d": (-np.inf, 0.1)}, "e": True, "f": None})
+    assert _strict_json(path) == {"a": None, "b": [None, 1.5],
+                                  "c": {"d": [None, 0.1]}, "e": True, "f": None}
 
 
 def test_sweep_over_m(tmp_path):
@@ -614,7 +643,7 @@ def test_gen_problem_convdiff(tmp_path):
     B = read_matrix_market_array(os.path.join(out, "B.mtx"))
     assert (A != gen_convdiff(4)).nnz == 0
     np.testing.assert_array_equal(B, gen_random_block(16, 2, seed=3))
-    meta = json.load(open(os.path.join(out, "problem.json")))
+    meta = _strict_json(os.path.join(out, "problem.json"))
     assert meta["problem"]["kind"] == "convdiff"
 
 
@@ -626,6 +655,8 @@ def test_gen_problem_heat(tmp_path):
     assert main(["gen-problem", "--config", cfg, "--out", out]) == 0
     for f in ("M.mtx", "K.mtx", "F.mtx", "problem.json"):
         assert os.path.exists(os.path.join(out, f))
+    meta = _strict_json(os.path.join(out, "problem.json"))
+    assert meta["problem"]["kind"] == "heat_fem"
 
 
 @pytest.mark.parametrize("a_bytes, where", [

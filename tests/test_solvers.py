@@ -261,33 +261,52 @@ def test_pair_basis_solve_matches_the_complex_eigenbasis_solve(spectrum, pairs):
 
     T = _spectrum_case(spectrum)
     k = T.shape[0]
-    n_pairs = int(np.sum(np.linalg.eigvals(T).imag > 0))
+    lam_V, V = np.linalg.eig(T)
+    n_pairs = int(np.sum(lam_V.imag > 0))
     assert (n_pairs == pairs) if pairs is not None else (0 < 2 * n_pairs < k)
-    h_beta = 0.02
+    h_beta, h = 0.02, 0.1
     basis = solvers._bdf_basis(T, h_beta)
     assert basis.kind == "eigen" and not np.iscomplexobj(basis.M)
+    M, M_inv = basis.M, basis.M_inv
     rng = np.random.default_rng(71)
     R = rng.standard_normal((k, k))
     R = R + R.T
+    V_inv = np.linalg.inv(V)
+
+    def eigen_map(f):
+        # Y -> V (f(S) * (V^-1 Y V^-T)) V^T elementwise in T's complex
+        # eigenbasis, S_ab = lam_a + lam_b, read in the basis coordinates
+        S = lam_V[:, None] + lam_V[None, :]
+        Yh = V_inv @ (M @ R @ M.T) @ V_inv.T
+        out = M_inv @ (V @ (f(S) * Yh) @ V.T) @ M_inv.T
+        assert frob_norm(out.imag) <= 1e-13 * frob_norm(out)
+        return out.real
+
+    # the solve, and the two maps of the exact step, each one `entrywise`
+    # map of a function of S in the basis's eigenvalue order
+    S = basis.lam[:, None] + basis.lam[None, :]
+    step_tol = 100 * basis.cond ** 2 * np.finfo(float).eps
+    for f, out, tol in (
+            (lambda S: -1.0 / (h_beta * S - 1.0), basis.solve(R), 1e-14),
+            (lambda S: np.exp(h * S), basis.entrywise(np.exp(h * S))(R),
+             step_tol),
+            (lambda S: np.expm1(h * S) / S,
+             basis.entrywise(np.expm1(h * S) / S)(R), step_tol)):
+        assert not np.iscomplexobj(out)
+        ref = eigen_map(f)
+        assert frob_norm(out - ref) <= tol * frob_norm(ref)
+    # the solve in the original coordinates, by Bartels-Stewart
     out = basis.solve(R)
-    assert not np.iscomplexobj(out)
-    # the same solve in the complex eigenbasis, one elementwise product
-    lam_F = h_beta * basis.lam - 0.5
-    Yh = -1.0 / (lam_F[:, None] + lam_F[None, :]) * basis.to_eigen(R)
-    assert frob_norm(out - basis.from_eigen(Yh)) <= 1e-14 * frob_norm(out)
-    # and in the original coordinates, by Bartels-Stewart
     F = h_beta * T - 0.5 * np.eye(k)
-    M = basis.M
     ref = solve_continuous_lyapunov(F, -(M @ R @ M.T))
     assert frob_norm(M @ out @ M.T - ref) <= 1e-14 * frob_norm(ref)
-    assert frob_norm(basis.from_eigen(basis.to_eigen(R)) - R) <= 1e-14 * frob_norm(R)
     # M^-1 T M is block-diagonal: the real eigenvalues, then a 2x2 block
     # per conjugate pair
     r = k - 2 * n_pairs
     blocks = np.eye(k, dtype=bool)
     for j in range(r, k, 2):
         blocks[j:j + 2, j:j + 2] = True
-    D = basis.M_inv @ T @ M
+    D = M_inv @ T @ M
     assert np.abs(D[~blocks]).max() <= 1e-12 * np.abs(T).max()
     # the solve map keeps real, C-contiguous coefficient arrays only: no
     # strided real view of a complex coefficient tensor
@@ -1421,16 +1440,17 @@ def test_bdf_jump_temporaries_stay_below_the_whole_matrix_maps(monkeypatch):
 
 
 def test_bdf_rank_walk_lifts_no_rows(monkeypatch):
-    # the rank pass walks the grid at bar width 0 and reads no rows, so it
-    # takes no row lift; its basis values are the grid's nodes
+    # the rank pass walks the grid at bar width 0 and reads no rows, so
+    # each row lift it takes lifts none; its basis values are the grid's
+    # nodes
     T, Bm, P0, grid = _smooth_case()
     run = _run_bdf_grid(T, Bm, P0, grid, 2, Bm.shape[1], keep_full=True)
-    lifts = []
+    widths = []
     lift_rows = solvers._StepBasis.lift_rows
     monkeypatch.setattr(solvers._StepBasis, "lift_rows",
-                        lambda self, *args: lifts.append(1) or lift_rows(self, *args))
+                        lambda self, Yr, w: widths.append(w) or lift_rows(self, Yr, w))
     coords = list(run.replay_coords())
-    assert not lifts and len(coords) == grid.n_steps + 1
+    assert set(widths) <= {0} and len(coords) == grid.n_steps + 1
     basis = solvers._bdf_setup(T, Bm, P0, grid, 2).basis
     for (Y, gram_inv), G in zip(coords, run.full):
         if gram_inv is not None:
