@@ -7,11 +7,14 @@ the m sweep of the command line walks it once and runs the full grid at
 the listed m.
 
 Two routes propagate the projected solution over the time grid. The
-exponential route steps node to node by the exact one-step pair (E,
-delta): E = e^{hT}, and the increment delta, the Gramian integral over
-one step. A Gauss-Legendre rule builds the pair of one panel short
-enough for the rule, and repeated squaring of that pair composes the 2^j
-panels of a step into delta (Van Loan, 1978).
+exponential route propagates by the exact one-step pair (E, delta):
+E = e^{hT}, and the increment delta, the Gramian integral over one step.
+A Gauss-Legendre rule builds the pair of one panel short enough for the
+rule, and repeated squaring of that pair composes the 2^j panels of a
+step into delta (Van Loan, 1978). The same composition gives the pairs
+(E, delta)^j of up to one batch of nodes, by which an exp grid run
+reaches each batch end from the one before in one step, and the nodes
+in between only in the rows the residual formula reads.
 The BDF route integrates the projected matrix ODE with a fixed-step
 backward differentiation formula. Each BDF step is a small algebraic
 Lyapunov equation with one coefficient on the whole grid, solved in a
@@ -31,6 +34,8 @@ Each Krylov step walks its grid once. The walk holds the bar rows (the
 last w rows of a node, all the residual formula reads) of one batch of
 `_PROBE_STRIDE` nodes at a time, and reduces each batch to its residuals
 and its largest row norm as it fills: a walk keeps one residual per node.
+A full node it needs only at the end of a batch, where a stopped walk
+ends.
 Below the last step the walk carries a stop test: it reads the residuals
 of each batch, and a residual at or above the tolerance proves the step
 has not converged, so the walk ends there and the loop moves on. The
@@ -43,8 +48,10 @@ node and decides; the last step's walk carries no stop test.
 
 The trajectory of the last step is a stream: its step data regenerate
 the projected solutions on demand with no new matrix exponential,
-eigendecomposition or Lyapunov setup, holding O(k^2) floats, and a BDF
-replay clips the nodes the deciding run clipped with no new PSD screen.
+eigendecomposition or Lyapunov setup, holding O(s k^2) floats with
+s = `_PROBE_STRIDE`. An exp replay reaches the batch ends as the deciding run
+did, bitwise, and a BDF replay clips the nodes the deciding run clipped
+with no new PSD screen.
 """
 import copy
 import functools
@@ -198,9 +205,10 @@ class Trajectory:
 
     The nodes are a stream, not a stored array: `replay()` returns a fresh
     iterator over Y(t_0), ..., Y(t_N) that re-runs the last Krylov step's
-    grid from its step data, so walking it holds O(k^2) floats. A replay
-    clips the nodes the deciding grid run's PSD screen clipped and screens
-    none: its inputs are that run's bitwise, so its decisions are too.
+    grid from its step data, so walking it holds O(s k^2) floats with
+    s = `_PROBE_STRIDE`. A replay clips the nodes the deciding grid run's
+    PSD screen clipped and screens none: its inputs are that run's
+    bitwise, so its decisions are too.
     `replay_coords()` walks the same nodes in the coordinates the grid
     holds them in, as pairs (Y, gram_inv) with the node congruent to Y
     (see `_count_above`); None means `replay()`'s nodes with gram_inv None.
@@ -442,14 +450,16 @@ def _psd_clip(Y):
 class _SmallRun:
     """A grid walk reduced to what its caller reads: the residual at each
     node walked, the largest bar-row norm over them, the value at tf and,
-    when asked, every node walked, with its bar rows as a view."""
+    when asked, every node walked and the bar rows the walk read of it."""
 
     residuals: np.ndarray              # (nodes walked,)
     gbar_sup: float                    # max over them of ||Y[k-w:, :]||_F
     final: np.ndarray                  # (k, k)
     replay: object                     # () -> iterator over the n_nodes (k, k)
     full: np.ndarray = None            # (nodes walked, k, k) when requested
-    bar_rows: np.ndarray = None        # view full[:, k-w:, :] when requested
+    # the rows the residuals were taken from, when requested: on the exp
+    # route within rounding of full[:, k-w:, :], elsewhere bitwise those
+    bar_rows: np.ndarray = None        # (nodes walked, w, k)
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
     clipped: tuple = ()                # nodes the PSD screen clipped
@@ -467,9 +477,11 @@ def _collect(steps, n_nodes, k, w, keep_full, coupling=None, stop=None,
     each batch of `_PROBE_STRIDE` nodes go into one reused buffer, from
     which `_residuals_over_nodes` takes their residuals with `coupling`
     (None: no coupling block, every residual 0) and a running max takes
-    their norms. The run keeps those residuals, the final node, the clipped
-    nodes and, when `keep_full` is set, every node; `fields` are further
-    `_SmallRun` fields. The caller sets the replays.
+    their norms. Y may be None inside a batch; it is read at the batch
+    ends, the last node walked among them. The run keeps those residuals,
+    the final node, the clipped nodes and, when `keep_full` is set, every
+    node and its rows; `fields` are further `_SmallRun` fields. The caller
+    sets the replays.
 
     `stop(res)`, when given, tells whether the residuals `res` of a batch
     reach the tolerance. It reads each batch that ends before the last
@@ -484,12 +496,14 @@ def _collect(steps, n_nodes, k, w, keep_full, coupling=None, stop=None,
     res = np.empty(n_nodes)
     sup = 0.0
     full = np.empty((n_nodes, k, k)) if keep_full else None
+    bar_rows = np.empty((n_nodes, w, k)) if keep_full else None
     clipped = []
     for i, node in enumerate(steps):
         G, rows, clip = node[:3]
         batch[i % stride] = rows
         if keep_full:
             full[i] = G
+            bar_rows[i] = rows
         if clip:
             clipped.append(i)
         walked = i + 1
@@ -503,20 +517,96 @@ def _collect(steps, n_nodes, k, w, keep_full, coupling=None, stop=None,
             G = jump(node, n_nodes - walked)
             break
     if keep_full:
-        full = full[:walked]
+        full, bar_rows = full[:walked], bar_rows[:walked]
     return _SmallRun(residuals=res[:walked], gbar_sup=math.sqrt(sup), final=G,
-                     replay=None, full=full,
-                     bar_rows=None if full is None else full[:, k - w:, :],
+                     replay=None, full=full, bar_rows=bar_rows,
                      clipped=tuple(clipped), **fields)
 
 
-def _gram_nodes(E, delta, G0, n_steps):
-    """G_0, ..., G_N of the node-to-node propagation G -> E G E^T + delta."""
+def _batches(n_steps, s):
+    """(a, b) for the batches of a walk over the nodes 0..N in batches of
+    s nodes, as `_collect` reads them: a is the previous batch end (0 at
+    first) and b the next, the first node after a with b + 1 a multiple of
+    s, or N."""
+    a = 0
+    while a < n_steps:
+        b = min(a + s - (a + 1) % s, n_steps)
+        yield a, b
+        a = b
+
+
+class _Stride(NamedTuple):
+    """The pairs (E_j, delta_j) = (E, delta)^j, j = 1..s, of an exp grid
+    walked in batches of s nodes (see `_gram_nodes`), only as far as the
+    walk reads them."""
+
+    s: int
+    E: np.ndarray                      # (n, k, k): E_j at j - 1, n <= s
+    rows: np.ndarray                   # (n - 1, w, k): delta_j[k-w:] at j - 1
+    delta: dict                        # {j: delta_j}: 1 and each batch length
+
+
+def _stride_pairs(E, delta, w, n_steps):
+    """`_Stride` of the one-step pair (E, delta) for a grid of N steps in
+    batches of `_PROBE_STRIDE` nodes. E_j = E_{j-1} E is one product each.
+    The rows of delta_j = sum over i < j of E_i delta E_i^T (E_0 = I) come
+    from two stacked products and a running sum, at O(w k^2) each. The
+    full delta_j of each batch length composes halves (`_delta_power`)."""
+    s, k = _PROBE_STRIDE, E.shape[0]
+    lengths = {b - a for a, b in _batches(n_steps, s)}
+    n = max(lengths)
+    Es = np.empty((n, k, k))
+    Es[0] = E
+    for j in range(1, n):
+        np.matmul(Es[j - 1], E, out=Es[j])
+    inner = Es[:max(n - 2, 0)]
+    terms = (inner[:, k - w:] @ delta) @ inner.transpose(0, 2, 1)
+    rows = np.cumsum(np.concatenate([delta[None, k - w:], terms]), axis=0)
+    built = {1: delta}
+    return _Stride(s, Es, rows[:n - 1],
+                   {j: _delta_power(Es, built, j) for j in {1, *lengths}})
+
+
+def _delta_power(Es, built, j):
+    """delta_j from its halves a = j // 2 and b = j - a by the composition
+    (E_a, delta_a) then (E_b, delta_b) = (E_j, E_b delta_a E_b^T + delta_b),
+    with E_b from the stack `Es` and each delta memoized in `built`, which
+    holds delta_1."""
+    if j not in built:
+        a = j // 2
+        E_b = Es[j - a - 1]
+        built[j] = sym_part(E_b @ _delta_power(Es, built, a) @ E_b.T
+                            + _delta_power(Es, built, j - a))
+    return built[j]
+
+
+def _gram_nodes(pairs, G0, n_steps, full=True):
+    """(G_i, rows_i, False) for the nodes i = 0..N of the propagation
+    G -> E G E^T + delta from the `_Stride` pairs of (E, delta), with
+    rows_i the last w rows of G_i.
+
+    The walk holds a full node at each batch end b (see `_batches`) and
+    reaches the next, n steps on, by one propagation
+    sym_part(E_n G_b E_n^T + delta_n). A node j steps past b gets only its
+    rows, (E_j[k-w:] G_b) E_j^T + delta_j[k-w:], all of a batch's by two
+    stacked products; its G_i is None unless `full` is set, which steps it
+    from the node before by (E, delta)."""
+    k, w = G0.shape[0], pairs.rows.shape[1]
+    E, delta = pairs.E[0], pairs.delta[1]
+    E_bar = pairs.E[:, k - w:].reshape(-1, k)
     G = G0
-    yield G
-    for _ in range(n_steps):
-        G = sym_part(E @ G @ E.T + delta)
-        yield G
+    yield G, G[k - w:], False
+    for a, b in _batches(n_steps, pairs.s):
+        n = b - a
+        rows = (E_bar[:(n - 1) * w] @ G).reshape(n - 1, w, k)
+        rows = rows @ pairs.E[:n - 1].transpose(0, 2, 1) + pairs.rows[:n - 1]
+        Y = G
+        for j in range(n - 1):
+            Y = sym_part(E @ Y @ E.T + delta) if full else None
+            yield Y, rows[j], False
+        E_n = pairs.E[n - 1]
+        G = sym_part(E_n @ G @ E_n.T + pairs.delta[n])
+        yield G, G[k - w:], False
 
 
 def _compose(first, then):
@@ -563,21 +653,23 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
                    stop=None):
     """The exp grid over every node, or up to the batch `stop` ends it at,
     from where one composed pair reaches tf, with the residuals from
-    `coupling` (see `_collect`)."""
+    `coupling` (see `_collect`), walked by `_gram_nodes`: one full
+    propagation per batch. Its replay reaches the same batch ends by the
+    same pairs, and the nodes in between one step at a time."""
     k = T.shape[0]
     E, delta = exact_step_pair(T, Bm, grid.h, q)
     G0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
-    replay = functools.partial(_gram_nodes, E, delta, G0, grid.n_steps)
+    pairs = _stride_pairs(E, delta, w, grid.n_steps)
+    nodes = functools.partial(_gram_nodes, pairs, G0, grid.n_steps)
 
     def jump(node, s):
         E_s, d_s = _pair_power((E, delta), s)
         return sym_part(E_s @ node[0] @ E_s.T + d_s)
 
     # the exp grid never clips
-    steps = ((G, G[k - w:, :], False) for G in replay())
-    return replace(_collect(steps, grid.n_steps + 1, k, w, keep_full, coupling,
-                            stop, jump),
-                   replay=replay)
+    run = _collect(nodes(full=keep_full), grid.n_steps + 1, k, w, keep_full,
+                   coupling, stop, jump)
+    return replace(run, replay=lambda: (G for G, *_ in nodes()))
 
 
 # Above this cond(V) the eigenbasis step loses accuracy like
@@ -613,8 +705,11 @@ class _StepBasis:
         return self.M_inv @ Y @ self.M_inv.T
 
     def lift_rows(self, Yr, w):
-        """The last w rows of `lift(Yr)`, at O(w k^2)."""
+        """The last w rows of `lift(Yr)`, at O(w k^2); none, with no
+        product, at w = 0."""
         k = Yr.shape[0]
+        if not w:
+            return np.empty((0, k))
         rows = (self.M[k - w:] @ Yr) @ self.M.T
         rows[:, k - w:] = sym_part(rows[:, k - w:])
         return rows
@@ -957,6 +1052,8 @@ def _solve(op, B, X0, grid, config):
     converged = False
     for step in krylov_steps(op, B, Z0, config):
         last = step.broke or step.m >= config.m_max
+        # the previous walk's step data are not needed past its record
+        run = None
         run, res, rec = full_grid_run(step, grid, config, None if last else stop)
         iterations.append(rec)
         # a walk that reached tf read every node

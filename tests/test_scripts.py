@@ -6,6 +6,7 @@ and leaves no temporary file behind."""
 import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -83,3 +84,41 @@ def test_benchmark_tables_prints_a_row_per_method(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert [row[:2] for row in rows] == [["100", "eba_exp"], ["100", "eba_bdf"]]
+
+
+def test_output_diff_names_the_files_a_changed_constant_moves(tmp_path):
+    # the same tree on both sides is identical; a copy with a higher rank
+    # threshold moves the rank column, the report's final rank and the
+    # factor's width
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "problem": {"kind": "convdiff", "n0": 6, "s": 2, "seed": 7,
+                    "t0": 0.0, "tf": 0.1, "h": 0.01},
+        "solver": {"m_max": 6, "tol": 1e-8},
+        "output": {"write_factor": True}}))
+    base = tmp_path / "base"
+    shutil.copytree(SRC, base / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runs = [tmp_path / "same", tmp_path / "moved"]
+    for run in runs:
+        run.mkdir()
+    proc = _run(runs[0], "output_diff.py", base, "--config", config)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all 3 files identical"
+
+    solvers_py = base / "src" / "dlekrylov" / "solvers.py"
+    text = solvers_py.read_text()
+    assert "\n_RANK_THRESHOLD = 1e-12\n" in text
+    solvers_py.write_text(text.replace("\n_RANK_THRESHOLD = 1e-12\n",
+                                       "\n_RANK_THRESHOLD = 1e-4\n"))
+    proc = _run(runs[1], "output_diff.py", base, "--config", config)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "3 differ: tiny/solution.csv, tiny/report.json, tiny/factor_tf.mtx")
+    assert "    rank: " in proc.stdout and "residual_frobenius" not in proc.stdout
+
+
+def test_output_diff_refuses_an_unknown_base(tmp_path):
+    proc = _run(tmp_path, "output_diff.py", "no-such-revision", "--config",
+                os.path.join(ROOT, "experiments", "compare_with_reference.json"))
+    assert proc.returncode == 2 and "no-such-revision" in proc.stderr

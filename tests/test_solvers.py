@@ -1240,6 +1240,55 @@ def test_probe_pass_matches_full_grid_at_probe_nodes(stride, monkeypatch):
                                atol=1e-12 * np.abs(full.final).max())
 
 
+@pytest.mark.parametrize("stride", [1, 7, 10, 50, 80])
+def test_batched_exp_walk_matches_the_one_step_recurrence(stride, monkeypatch):
+    # the walk reaches each batch end by one propagation and the nodes in
+    # between by their rows only; every node, its rows and its residual
+    # match the node-to-node recurrence G -> E G E^T + delta
+    T, Bm, P0, grid, w, coupling = _exp_probe_case()
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
+    run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=True,
+                         coupling=coupling)
+    E, delta = exact_step_pair(T, Bm, grid.h, 4)
+    ref = [P0 @ P0.T]
+    for _ in range(grid.n_steps):
+        ref.append(sym_part(E @ ref[-1] @ E.T + delta))
+    assert run.full.shape[0] == len(ref) == 51
+    k = T.shape[0]
+    for i, G in enumerate(ref):
+        scale = frob_norm(G)
+        assert frob_norm(run.full[i] - G) <= 1e-12 * scale
+        assert frob_norm(run.bar_rows[i] - G[k - w:]) <= 1e-12 * scale
+        assert run.residuals[i] == pytest.approx(
+            residual_norm(coupling, run.full[i]), rel=1e-12)
+    np.testing.assert_array_equal(run.final, run.full[-1])
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10])
+def test_exp_walk_propagates_a_full_node_once_per_batch(stride, monkeypatch):
+    # a k x k propagation ends in sym_part; the deciding walk takes one per
+    # batch, at its end, and no full node in between
+    T, Bm, P0, grid, w, _ = _exp_probe_case()
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
+    k = T.shape[0]
+    pairs = solvers._stride_pairs(*exact_step_pair(T, Bm, grid.h, 4), w,
+                                  grid.n_steps)
+    propagations = []
+
+    def counted(M):
+        if M.shape == (k, k):
+            propagations.append(1)
+        return sym_part(M)
+
+    monkeypatch.setattr(solvers, "sym_part", counted)
+    nodes = list(solvers._gram_nodes(pairs, P0 @ P0.T, grid.n_steps,
+                                     full=False))
+    ends = [b for _, b in solvers._batches(grid.n_steps, stride)]
+    assert len(nodes) == 51 and len(propagations) == len(ends)
+    assert len(ends) == (50 if stride == 1 else 50 // stride + 1)
+    assert [i for i, (G, *_) in enumerate(nodes) if G is not None] == [0, *ends]
+
+
 @pytest.mark.parametrize("fail_at", [0, 1, 3, 6, None])
 def test_exp_probe_pass_stops_at_its_first_failing_probe(fail_at, monkeypatch):
     # batches of 7 with N = 50: the stop test reads nodes 0..6 at call 0,
@@ -1456,6 +1505,18 @@ def test_bdf_rank_walk_lifts_no_rows(monkeypatch):
         if gram_inv is not None:
             Y = basis.lift(Y)
         np.testing.assert_allclose(Y, G, rtol=1e-13, atol=1e-13 * frob_norm(G))
+
+
+def test_lift_rows_of_width_zero_make_no_product():
+    T, Bm, P0, grid = _smooth_case()
+    basis = solvers._bdf_setup(T, Bm, P0, grid, 2).basis
+    k = T.shape[0]
+    Yr = basis.project(P0 @ P0.T)
+    rows = basis.lift_rows(Yr, 0)
+    assert rows.shape == (0, k)
+    np.testing.assert_array_equal(basis.lift(Yr, rows), basis.lift(Yr))
+    basis.M = None                     # a product by M would raise
+    assert basis.lift_rows(Yr, 0).shape == (0, k)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
