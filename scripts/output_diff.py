@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Compare the outputs of `dlekrylov solve` between two source trees.
+"""Compare the outputs of the `dlekrylov` commands between two source trees.
 
     python3 scripts/output_diff.py BASE [--config PATH ...]
 
 BASE is a git revision of this repository, exported with `git archive`
 into a temporary directory, or a directory that holds a `src/`. The other
 side is the `src/` next to this script, as it is on disk. Both sides run
-`dlekrylov solve` on the same configs, each in a fresh process with one
-BLAS thread: by default the four workloads of `perfbench/run.py` (seed 7,
+the same configs, each command in a fresh process with one BLAS thread:
+by default the four workloads of `perfbench/run.py` (seed 7,
 `write_factor` true) and the four `experiments/*.json`; each `--config`
-replaces that set. All runs write to a temporary directory, never inside
-the repository.
+replaces that set. Every config runs `solve`, and also `sweep` when it
+has a `sweep` section; an experiment without one also runs `compare`, as
+the experiments are run. All runs write to a temporary directory, never
+inside the repository.
 
 For each output file it prints whether the file is byte-identical
-(`report.json`: equal apart from its timings and paths) and, if not, the
+(a JSON report: equal apart from its timings and paths) and, if not, the
 largest relative difference |a - b| / max(|a|, |b|) of each numeric CSV
-column and `report.json` field that moved (timings, `elapsed_s` and paths
-left out), the relative Frobenius difference of X = Z Z^T for the factor
-file, and any change of `iterations` (the last Krylov step) or
-`converged`. Exit status: 0 when every file is identical, 1 when any
-differs, 2 when BASE cannot be read.
+column and JSON report field that moved (timings, `elapsed_s` and paths
+left out; NaN against NaN counts as equal), the relative Frobenius
+difference of X = Z Z^T for the factor file, and any change of
+`iterations` (the last Krylov step) or `converged`. Exit status: 0 when
+every file is identical, 1 when any differs, 2 when BASE cannot be read.
 """
 
 import argparse
@@ -38,23 +40,36 @@ import numpy as np
 sys.dont_write_bytecode = True     # importing perfbench/run.py writes nothing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-OUTPUTS = ("solution.csv", "report.json", "factor_tf.mtx")
-# report.json keys whose values differ from run to run or name a place
+OUTPUTS = ("solution.csv", "report.json", "factor_tf.mtx", "sweep.csv",
+           "compare.csv", "compare.json")
+# JSON report keys whose values differ from run to run or name a place
 SKIPPED = ("timings_s", "elapsed_s", "outputs")
 
 
+def commands_for(config, experiment=False):
+    """The commands a config runs: `solve`, then `sweep` when it has a
+    sweep section, else `compare` for an experiment."""
+    if "sweep" in config:
+        return "solve", "sweep"
+    return ("solve", "compare") if experiment else ("solve",)
+
+
 def default_configs():
-    """(name, config) of the perfbench workloads at seed 7 and of the
-    committed experiments."""
+    """(name, config, commands) of the perfbench workloads at seed 7 and
+    of the committed experiments."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    configs = [(name, bench.config_for(workload, 7))
-               for name, workload in bench.WORKLOADS.items()]
+    configs = []
+    for name, workload in bench.WORKLOADS.items():
+        cfg = bench.config_for(workload, 7)
+        configs.append((name, cfg, commands_for(cfg)))
     for path in sorted(glob.glob(os.path.join(ROOT, "experiments", "*.json"))):
         with open(path, encoding="utf-8") as fh:
-            configs.append((os.path.basename(path)[:-5], json.load(fh)))
+            cfg = json.load(fh)
+        configs.append((os.path.basename(path)[:-5], cfg,
+                        commands_for(cfg, experiment=True)))
     return configs
 
 
@@ -75,8 +90,8 @@ def base_src(base, tmp):
     return os.path.join(tmp, "src")
 
 
-def run_solve(src, config_path, out_dir):
-    """Exit status of `dlekrylov solve` imported from `src`."""
+def run_command(src, command, config_path, out_dir):
+    """Exit status of `dlekrylov COMMAND` imported from `src`."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from dlekrylov import cli\n"
             "if not cli.__file__.startswith(sys.argv[1]):\n"
@@ -86,7 +101,7 @@ def run_solve(src, config_path, out_dir):
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     env.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")})
-    proc = subprocess.run([sys.executable, "-c", code, src + os.sep, "solve",
+    proc = subprocess.run([sys.executable, "-c", code, src + os.sep, command,
                            "--config", config_path, "--out", out_dir],
                           env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 3):       # 3: ran, did not converge
@@ -97,7 +112,7 @@ def run_solve(src, config_path, out_dir):
 def rel_diff(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = np.maximum(np.abs(a), np.abs(b))
-    diff = np.abs(a - b)
+    diff = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.where(diff == 0, 0.0, diff / scale)
     return float(np.max(rel, initial=0.0))
@@ -232,8 +247,9 @@ def main(argv=None):
         configs = []
         for path in args.config:
             with open(path, encoding="utf-8") as fh:
-                configs.append((os.path.splitext(os.path.basename(path))[0],
-                                json.load(fh)))
+                cfg = json.load(fh)
+            configs.append((os.path.splitext(os.path.basename(path))[0], cfg,
+                            commands_for(cfg)))
     else:
         configs = default_configs()
 
@@ -246,14 +262,16 @@ def main(argv=None):
         src_b = os.path.join(ROOT, "src")
         print(f"base: {args.base}  change: {src_b}")
         moved, files = [], 0
-        for i, (name, cfg) in enumerate(configs):
+        for i, (name, cfg, commands) in enumerate(configs):
             run_dir = os.path.join(tmp, f"run-{i}")
             os.makedirs(run_dir)
             config_path = os.path.join(run_dir, "config.json")
             with open(config_path, "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
             dirs = [os.path.join(run_dir, side) for side in ("base", "change")]
-            status = [run_solve(src, config_path, out)
+            # the commands of one side write distinct files into one directory
+            status = [tuple(run_command(src, command, config_path, out)
+                            for command in commands)
                       for src, out in zip((src_a, src_b), dirs)]
             print(name)
             compared, moved_here = compare_run(name, *dirs, *status)

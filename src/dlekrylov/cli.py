@@ -74,11 +74,15 @@ class ConfigError(ValueError):
 def load_config(path):
     """The configuration object of the JSON file `path`: its sections are
     objects among problem, solver, output (at most `write_factor`, a bool)
-    and sweep (at most `axis` and `values`); anything else, and a file
-    that cannot be read as UTF-8 text, is a ConfigError."""
+    and sweep (at most `axis` and `values`); anything else, a file that
+    cannot be read as UTF-8 text, and a NaN, Infinity or -Infinity token,
+    which strict JSON (RFC 8259) does not have, is a ConfigError."""
+    def refuse(token):
+        raise ConfigError(f"{path}: {token} is not a JSON number")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=refuse)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read the configuration: "
                           f"{exc.strerror or exc}") from exc

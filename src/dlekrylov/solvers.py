@@ -11,10 +11,11 @@ exponential route propagates by the exact one-step pair (E, delta):
 E = e^{hT}, and the increment delta, the Gramian integral over one step.
 A Gauss-Legendre rule builds the pair of one panel short enough for the
 rule, and repeated squaring of that pair composes the 2^j panels of a
-step into delta (Van Loan, 1978). The same composition gives the pairs
-(E, delta)^j of up to one batch of nodes, by which an exp grid run
-reaches each batch end from the one before in one step, and the nodes
-in between only in the rows the residual formula reads.
+step into delta (Van Loan, 1978). One table of the pairs (E, delta)^j,
+j up to one batch of nodes, serves the whole exp grid: a grid run
+reaches each batch end from the one before in one step and the nodes
+in between only in the rows the residual formula reads, a replay forms
+each batch in full, and a stopped walk reaches tf by powers of it.
 The BDF route integrates the projected matrix ODE with a fixed-step
 backward differentiation formula. Each BDF step is a small algebraic
 Lyapunov equation with one coefficient on the whole grid, solved in a
@@ -40,8 +41,8 @@ Below the last step the walk carries a stop test: it reads the residuals
 of each batch, and a residual at or above the tolerance proves the step
 has not converged, so the walk ends there and the loop moves on. The
 value at tf it reports is then reached from the last node walked by the
-exact propagator over the remaining span: the step pair raised to the
-remaining steps on the exp route, and on the BDF route the exact step
+exact propagator over the remaining span: the table's pairs raised to
+the remaining steps on the exp route, and on the BDF route the exact step
 the start-up takes, over that span, in the grid's basis. It is only
 reported, never decided on. A walk that reaches tf has visited every
 node and decides; the last step's walk carries no stop test.
@@ -143,8 +144,9 @@ class SolverConfig:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if (not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool)
-                or not self.tol > 0):
-            raise ValueError(f"tol must be a positive number, got {self.tol!r}")
+                or not 0 < self.tol < math.inf):
+            raise ValueError(f"tol must be a positive finite number, "
+                             f"got {self.tol!r}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be at least 1, got {self.m_max}")
         if self.bdf_order not in BDF_TABLE:
@@ -457,8 +459,9 @@ class _SmallRun:
     final: np.ndarray                  # (k, k)
     replay: object                     # () -> iterator over the n_nodes (k, k)
     full: np.ndarray = None            # (nodes walked, k, k) when requested
-    # the rows the residuals were taken from, when requested: on the exp
-    # route within rounding of full[:, k-w:, :], elsewhere bitwise those
+    # the walk's own rows, those the residuals were taken from, when
+    # requested: bitwise full[:, k-w:, :], but inside an exp batch, which
+    # forms them apart from the full node, only within rounding of those
     bar_rows: np.ndarray = None        # (nodes walked, w, k)
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
@@ -536,76 +539,63 @@ def _batches(n_steps, s):
 
 
 class _Stride(NamedTuple):
-    """The pairs (E_j, delta_j) = (E, delta)^j, j = 1..s, of an exp grid
-    walked in batches of s nodes (see `_gram_nodes`), only as far as the
-    walk reads them."""
+    """The pairs (E_j, delta_j) = (E, delta)^j, j = 1..n, of an exp grid
+    walked in batches of s nodes, n the longest batch (see `_gram_nodes`)."""
 
     s: int
-    E: np.ndarray                      # (n, k, k): E_j at j - 1, n <= s
-    rows: np.ndarray                   # (n - 1, w, k): delta_j[k-w:] at j - 1
-    delta: dict                        # {j: delta_j}: 1 and each batch length
+    E: np.ndarray                      # (n, k, k): E_j at j - 1
+    delta: np.ndarray                  # (n, k, k): delta_j at j - 1
 
 
-def _stride_pairs(E, delta, w, n_steps):
-    """`_Stride` of the one-step pair (E, delta) for a grid of N steps in
-    batches of `_PROBE_STRIDE` nodes. E_j = E_{j-1} E is one product each.
-    The rows of delta_j = sum over i < j of E_i delta E_i^T (E_0 = I) come
-    from two stacked products and a running sum, at O(w k^2) each. The
-    full delta_j of each batch length composes halves (`_delta_power`)."""
+def _stride_pairs(E, delta, n_steps):
+    """The `_Stride` table of the one-step pair (E, delta) for a grid of N
+    steps in batches of `_PROBE_STRIDE` nodes, built in place from the one
+    before: E_j = E_{j-1} E, delta_j = delta_{j-1} + E_{j-1} delta E_{j-1}^T."""
     s, k = _PROBE_STRIDE, E.shape[0]
-    lengths = {b - a for a, b in _batches(n_steps, s)}
-    n = max(lengths)
-    Es = np.empty((n, k, k))
-    Es[0] = E
+    n = max(b - a for a, b in _batches(n_steps, s))
+    pairs = _Stride(s, np.empty((n, k, k)), np.empty((n, k, k)))
+    pairs.E[0], pairs.delta[0] = E, delta
     for j in range(1, n):
-        np.matmul(Es[j - 1], E, out=Es[j])
-    inner = Es[:max(n - 2, 0)]
-    terms = (inner[:, k - w:] @ delta) @ inner.transpose(0, 2, 1)
-    rows = np.cumsum(np.concatenate([delta[None, k - w:], terms]), axis=0)
-    built = {1: delta}
-    return _Stride(s, Es, rows[:n - 1],
-                   {j: _delta_power(Es, built, j) for j in {1, *lengths}})
+        E_prev = pairs.E[j - 1]
+        np.matmul(E_prev, E, out=pairs.E[j])
+        pairs.delta[j] = sym_part(pairs.delta[j - 1]
+                                  + E_prev @ delta @ E_prev.T)
+    return pairs
 
 
-def _delta_power(Es, built, j):
-    """delta_j from its halves a = j // 2 and b = j - a by the composition
-    (E_a, delta_a) then (E_b, delta_b) = (E_j, E_b delta_a E_b^T + delta_b),
-    with E_b from the stack `Es` and each delta memoized in `built`, which
-    holds delta_1."""
-    if j not in built:
-        a = j // 2
-        E_b = Es[j - a - 1]
-        built[j] = sym_part(E_b @ _delta_power(Es, built, a) @ E_b.T
-                            + _delta_power(Es, built, j - a))
-    return built[j]
-
-
-def _gram_nodes(pairs, G0, n_steps, full=True):
+def _gram_nodes(pairs, G0, n_steps, w, full=True):
     """(G_i, rows_i, False) for the nodes i = 0..N of the propagation
-    G -> E G E^T + delta from the `_Stride` pairs of (E, delta), with
-    rows_i the last w rows of G_i.
+    G -> E G E^T + delta, read from the `_Stride` table of (E, delta),
+    with rows_i the last w rows of G_i.
 
-    The walk holds a full node at each batch end b (see `_batches`) and
-    reaches the next, n steps on, by one propagation
-    sym_part(E_n G_b E_n^T + delta_n). A node j steps past b gets only its
-    rows, (E_j[k-w:] G_b) E_j^T + delta_j[k-w:], all of a batch's by two
-    stacked products; its G_i is None unless `full` is set, which steps it
-    from the node before by (E, delta)."""
-    k, w = G0.shape[0], pairs.rows.shape[1]
-    E, delta = pairs.E[0], pairs.delta[1]
+    From a batch end b (see `_batches`), held in full, node b + j is
+    E_j G_b E_j^T + delta_j: the next batch end in full, and the nodes in
+    between only in their rows, (E_j[k-w:] G_b) E_j^T + delta_j[k-w:],
+    all of a batch's by two stacked products. Their G_i are None unless
+    `full` is set, which forms the whole batch by two stacked products
+    into one buffer and keeps the rows of the walk without it."""
+    k = G0.shape[0]
+    E_t = pairs.E.transpose(0, 2, 1)
     E_bar = pairs.E[:, k - w:].reshape(-1, k)
     G = G0
     yield G, G[k - w:], False
     for a, b in _batches(n_steps, pairs.s):
         n = b - a
         rows = (E_bar[:(n - 1) * w] @ G).reshape(n - 1, w, k)
-        rows = rows @ pairs.E[:n - 1].transpose(0, 2, 1) + pairs.rows[:n - 1]
-        Y = G
-        for j in range(n - 1):
-            Y = sym_part(E @ Y @ E.T + delta) if full else None
-            yield Y, rows[j], False
-        E_n = pairs.E[n - 1]
-        G = sym_part(E_n @ G @ E_n.T + pairs.delta[n])
+        rows = rows @ E_t[:n - 1] + pairs.delta[:n - 1, k - w:]
+        if full:
+            Y = pairs.E[:n] @ G @ E_t[:n]
+            Y += pairs.delta[:n]
+            # sym_part in place, bitwise, with no stacked temporary to
+            # raise the peak RSS: numpy buffers the overlapping transpose
+            Y += Y.transpose(0, 2, 1)
+            Y *= 0.5
+            G = Y[-1]
+        else:
+            Y = itertools.repeat(None)
+            G = sym_part(pairs.E[n - 1] @ G @ E_t[n - 1] + pairs.delta[n - 1])
+        for Y_j, rows_j in zip(Y, rows):
+            yield Y_j, rows_j, False
         yield G, G[k - w:], False
 
 
@@ -652,18 +642,22 @@ def exact_step_pair(T, B, h, q):
 def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
                    stop=None):
     """The exp grid over every node, or up to the batch `stop` ends it at,
-    from where one composed pair reaches tf, with the residuals from
-    `coupling` (see `_collect`), walked by `_gram_nodes`: one full
-    propagation per batch. Its replay reaches the same batch ends by the
-    same pairs, and the nodes in between one step at a time."""
-    k = T.shape[0]
-    E, delta = exact_step_pair(T, Bm, grid.h, q)
-    G0 = P0 @ P0.T if P0.shape[1] else np.zeros((k, k))
-    pairs = _stride_pairs(E, delta, w, grid.n_steps)
-    nodes = functools.partial(_gram_nodes, pairs, G0, grid.n_steps)
+    from where the table's pairs reach tf, with the residuals from
+    `coupling` (see `_collect`), walked by `_gram_nodes` from one
+    `_stride_pairs` table: one full propagation per batch. Its replay
+    reads the same table and forms each batch in full."""
+    k, G0 = T.shape[0], P0 @ P0.T          # G0 zero when P0 has no column
+    pairs = _stride_pairs(*exact_step_pair(T, Bm, grid.h, q), grid.n_steps)
+    nodes = functools.partial(_gram_nodes, pairs, G0, grid.n_steps, w)
 
     def jump(node, s):
-        E_s, d_s = _pair_power((E, delta), s)
+        # the longest pair to the power of the whole batches in s, then
+        # the remainder's pair
+        whole, rest = divmod(s, len(pairs.E))
+        longest = (pairs.E[-1], pairs.delta[-1])
+        parts = [_pair_power(longest, whole)] if whole else []
+        parts += [(pairs.E[rest - 1], pairs.delta[rest - 1])] if rest else []
+        E_s, d_s = functools.reduce(_compose, parts)
         return sym_part(E_s @ node[0] @ E_s.T + d_s)
 
     # the exp grid never clips

@@ -257,12 +257,16 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert "config error" in err and field in err and repr(bad) in err
         assert "unknown fields" not in err
     # a bad problem field or time grid is named too, not passed on to the
-    # generators; -1e400 reads as -inf
+    # generators; the JSON number -1e400 reads as -inf
     for field, bad in (("n0", 2.5), ("n0", 0), ("n0", True), ("s", True),
                        ("seed", -1), ("h", 1e9), ("t0", -1e400), ("h", "0.01")):
         capsys.readouterr()
         cfg6 = _write_cfg(tmp_path, name="c6.json",
                           problem=_base_problem(**{field: bad}))
+        if bad == -1e400:
+            # json.dump writes -inf as the token -Infinity, which is no JSON
+            c6 = tmp_path / "c6.json"
+            c6.write_text(c6.read_text().replace("-Infinity", "-1e400"))
         assert main(["solve", "--config", cfg6, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error: problem section" in err and field in err
@@ -272,6 +276,20 @@ def test_config_error_exit_code(tmp_path, capsys):
                           problem={"kind": "heat_fem", "n": 8, field: bad})
         assert main(["solve", "--config", cfg7, "--out", str(tmp_path)]) == 2
         assert field in capsys.readouterr().err
+    # configs are strict JSON: a NaN or Infinity token is named, and a tol
+    # that reads as inf, from the JSON number 1e400, is no tolerance
+    for token in ("Infinity", "-Infinity", "NaN"):
+        capsys.readouterr()
+        cfg8 = tmp_path / "c8.json"
+        cfg8.write_text('{"problem": %s, "solver": {"tol": %s}}'
+                        % (json.dumps(_base_problem()), token))
+        assert main(["solve", "--config", str(cfg8), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{token} is not a JSON number" in err
+    cfg8.write_text('{"problem": %s, "solver": {"tol": 1e400}}'
+                    % json.dumps(_base_problem()))
+    assert main(["solve", "--config", str(cfg8), "--out", str(tmp_path)]) == 2
+    assert "tol must be a positive finite number" in capsys.readouterr().err
     cfg9 = _write_cfg(tmp_path, name="c9.json", problem=_base_problem(),
                       sweep={"axis": "h", "values": [0.01, 1e9]})
     assert main(["sweep", "--config", cfg9, "--out", str(tmp_path)]) == 2

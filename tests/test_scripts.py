@@ -118,6 +118,39 @@ def test_output_diff_names_the_files_a_changed_constant_moves(tmp_path):
     assert "    rank: " in proc.stdout and "residual_frobenius" not in proc.stdout
 
 
+def test_output_diff_compares_the_sweep_a_config_names(tmp_path):
+    # a config with a sweep section runs `sweep` besides `solve`, and its
+    # sweep.csv is compared column by column
+    config = tmp_path / "tiny_sweep.json"
+    config.write_text(json.dumps({
+        "problem": {"kind": "convdiff", "n0": 6, "s": 2, "seed": 7,
+                    "t0": 0.0, "tf": 0.1, "h": 0.01},
+        "solver": {"m_max": 4, "tol": 1e-8},
+        "sweep": {"axis": "m", "values": [1, 2, 3]}}))
+    base = tmp_path / "base"
+    shutil.copytree(SRC, base / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runs = [tmp_path / "same", tmp_path / "moved"]
+    for run in runs:
+        run.mkdir()
+    proc = _run(runs[0], "output_diff.py", base, "--config", config)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "  sweep.csv: identical" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "all 3 files identical"
+
+    # a coarser panel rule moves the step pair, so every residual
+    solvers_py = base / "src" / "dlekrylov" / "solvers.py"
+    text = solvers_py.read_text()
+    assert "\n_QUADRATURE_ORDER = 4\n" in text
+    solvers_py.write_text(text.replace("\n_QUADRATURE_ORDER = 4\n",
+                                       "\n_QUADRATURE_ORDER = 2\n"))
+    proc = _run(runs[1], "output_diff.py", base, "--config", config)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "tiny_sweep/sweep.csv" in proc.stdout.splitlines()[-1]
+    sweep = proc.stdout.split("  sweep.csv: differs")[1]
+    assert "    residual: " in sweep
+
+
 def test_output_diff_refuses_an_unknown_base(tmp_path):
     proc = _run(tmp_path, "output_diff.py", "no-such-revision", "--config",
                 os.path.join(ROOT, "experiments", "compare_with_reference.json"))

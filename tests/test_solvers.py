@@ -912,6 +912,7 @@ def test_solver_config_validation():
               SolverConfig(method="nope"))
     for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
                        ("tol", "1e-3"), ("tol", float("nan")),
+                       ("tol", float("inf")),
                        ("m_max", "10"), ("bdf_order", 2.0),
                        # bool is an int, but JSON true is no number
                        ("m_max", True), ("bdf_order", True), ("tol", True)):
@@ -1271,7 +1272,7 @@ def test_exp_walk_propagates_a_full_node_once_per_batch(stride, monkeypatch):
     T, Bm, P0, grid, w, _ = _exp_probe_case()
     monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
     k = T.shape[0]
-    pairs = solvers._stride_pairs(*exact_step_pair(T, Bm, grid.h, 4), w,
+    pairs = solvers._stride_pairs(*exact_step_pair(T, Bm, grid.h, 4),
                                   grid.n_steps)
     propagations = []
 
@@ -1281,12 +1282,73 @@ def test_exp_walk_propagates_a_full_node_once_per_batch(stride, monkeypatch):
         return sym_part(M)
 
     monkeypatch.setattr(solvers, "sym_part", counted)
-    nodes = list(solvers._gram_nodes(pairs, P0 @ P0.T, grid.n_steps,
+    nodes = list(solvers._gram_nodes(pairs, P0 @ P0.T, grid.n_steps, w,
                                      full=False))
     ends = [b for _, b in solvers._batches(grid.n_steps, stride)]
     assert len(nodes) == 51 and len(propagations) == len(ends)
     assert len(ends) == (50 if stride == 1 else 50 // stride + 1)
     assert [i for i, (G, *_) in enumerate(nodes) if G is not None] == [0, *ends]
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10])
+def test_stride_pairs_match_the_stepwise_powers(stride, monkeypatch):
+    # the table holds (E, delta)^j for j up to the longest batch: E^j and
+    # sum over i < j of E^i delta E^i^T
+    T, Bm, _, grid, _, _ = _exp_probe_case()
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
+    E, delta = exact_step_pair(T, Bm, grid.h, 4)
+    pairs = solvers._stride_pairs(E, delta, grid.n_steps)
+    assert pairs.s == stride and pairs.E.shape[0] == stride
+    E_j, delta_j = E, delta
+    for j in range(1, stride + 1):
+        assert frob_norm(pairs.E[j - 1] - E_j) <= 1e-13 * frob_norm(E_j)
+        assert (frob_norm(pairs.delta[j - 1] - delta_j)
+                <= 1e-13 * frob_norm(delta_j))
+        delta_j = delta_j + E_j @ delta @ E_j.T
+        E_j = E_j @ E
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10])
+def test_exp_replay_reads_each_node_from_the_table(stride, monkeypatch):
+    # node b + j of the replay is E_j G_b E_j^T + delta_j from the batch
+    # end b before it, bitwise
+    T, Bm, P0, grid, w, coupling = _exp_probe_case()
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
+    pairs = solvers._stride_pairs(*exact_step_pair(T, Bm, grid.h, 4),
+                                  grid.n_steps)
+    run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False,
+                         coupling=coupling)
+    nodes = list(run.replay())
+    np.testing.assert_array_equal(nodes[0], P0 @ P0.T)
+    for a, b in solvers._batches(grid.n_steps, stride):
+        for j in range(1, b - a + 1):
+            E_j, delta_j = pairs.E[j - 1], pairs.delta[j - 1]
+            np.testing.assert_array_equal(
+                nodes[a + j], sym_part(E_j @ nodes[a] @ E_j.T + delta_j))
+    np.testing.assert_array_equal(nodes[-1], run.final)
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 3, 6])
+def test_exp_jump_to_tf_reads_the_table(fail_at, monkeypatch):
+    # batches of 7 with N = 50: the steps left after a stopped batch are
+    # whole tables of 7 and a remainder, at most 4 compositions in all
+    T, Bm, P0, grid, w, coupling = _exp_probe_case()
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", 7)
+    full = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False,
+                          coupling=coupling)
+    pair = exact_step_pair(T, Bm, grid.h, 4)
+    monkeypatch.setattr(solvers, "exact_step_pair", lambda *args: pair)
+    composed = []
+    compose = solvers._compose
+    monkeypatch.setattr(solvers, "_compose",
+                        lambda *args: composed.append(1) or compose(*args))
+    asked = []
+    run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False,
+                         coupling=coupling,
+                         stop=lambda res: asked.append(1) or len(asked) > fail_at)
+    assert len(run.residuals) == 7 * (fail_at + 1)
+    assert len(composed) <= 4
+    assert frob_norm(run.final - full.final) <= 1e-12 * frob_norm(full.final)
 
 
 @pytest.mark.parametrize("fail_at", [0, 1, 3, 6, None])
