@@ -11,17 +11,20 @@ by default the four workloads of `perfbench/run.py` (seed 7,
 `write_factor` true) and the four `experiments/*.json`; each `--config`
 replaces that set. Every config runs `solve`, and also `sweep` when it
 has a `sweep` section; an experiment without one also runs `compare`, as
-the experiments are run. All runs write to a temporary directory, never
-inside the repository.
+the experiments are run. A convdiff or heat_fem config also runs
+`gen-problem`. All runs write to a temporary directory, never inside the
+repository.
 
 For each output file it prints whether the file is byte-identical
 (a JSON report: equal apart from its timings and paths) and, if not, the
 largest relative difference |a - b| / max(|a|, |b|) of each numeric CSV
 column and JSON report field that moved (timings, `elapsed_s` and paths
 left out; NaN against NaN counts as equal), the relative Frobenius
-difference of X = Z Z^T for the factor file, and any change of
-`iterations` (the last Krylov step) or `converged`. Exit status: 0 when
-every file is identical, 1 when any differs, 2 when BASE cannot be read.
+difference of X = Z Z^T for the factor file, the largest relative
+difference of the values of any other Matrix Market file, and any change
+of `iterations` (the last Krylov step) or `converged`. Exit status: 0
+when every file is identical, 1 when any differs, 2 when BASE cannot be
+read.
 """
 
 import argparse
@@ -41,17 +44,23 @@ sys.dont_write_bytecode = True     # importing perfbench/run.py writes nothing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUTS = ("solution.csv", "report.json", "factor_tf.mtx", "sweep.csv",
-           "compare.csv", "compare.json")
+           "compare.csv", "compare.json", "A.mtx", "B.mtx", "M.mtx", "K.mtx",
+           "F.mtx", "problem.json")
 # JSON report keys whose values differ from run to run or name a place
 SKIPPED = ("timings_s", "elapsed_s", "outputs")
 
 
 def commands_for(config, experiment=False):
     """The commands a config runs: `solve`, then `sweep` when it has a
-    sweep section, else `compare` for an experiment."""
+    sweep section, else `compare` for an experiment, then `gen-problem`
+    for a problem it generates."""
     if "sweep" in config:
-        return "solve", "sweep"
-    return ("solve", "compare") if experiment else ("solve",)
+        commands = ("solve", "sweep")
+    else:
+        commands = ("solve", "compare") if experiment else ("solve",)
+    if config["problem"].get("kind") != "external":
+        commands += ("gen-problem",)
+    return commands
 
 
 def default_configs():
@@ -159,12 +168,31 @@ def diff_csv(a, b):
             for name, x, y in zip(head_a.split(","), cols_a, cols_b)}
 
 
-def _array_mtx(data):
-    lines = [line for line in data.decode().splitlines()
+def _mtx_entries(data):
+    """(size fields, entries) of a Matrix Market file: one row per entry,
+    its indices (none in an array file) and then its value."""
+    lines = [line.split() for line in data.decode().splitlines()
              if line.strip() and not line.startswith("%")]
-    rows, cols = map(int, lines[0].split())
+    # a coordinate file's size line has 3 fields and its entries 3, an
+    # array file's 2 and 1
+    width = 3 if len(lines[0]) == 3 else 1
+    return lines[0], np.array(lines[1:], dtype=float).reshape(-1, width)
+
+
+def _array_mtx(data):
+    (rows, cols), entries = _mtx_entries(data)
     # the array format lists the entries column by column
-    return np.array(lines[1:], dtype=float).reshape(cols, rows).T
+    return entries[:, 0].reshape(int(cols), int(rows)).T
+
+
+def diff_matrix(a, b):
+    """Largest relative difference of the values of two Matrix Market
+    files with the same size line and indices, else the change of shape."""
+    (size_a, entries_a), (size_b, entries_b) = _mtx_entries(a), _mtx_entries(b)
+    if size_a != size_b or not np.array_equal(entries_a[:, :-1], entries_b[:, :-1]):
+        return {"(shape)": f"size {' '.join(size_a)} -> {' '.join(size_b)}, "
+                           "or the entries' indices moved"}
+    return {"values": rel_diff(entries_a[:, -1], entries_b[:, -1])}
 
 
 def diff_factor(a, b):
@@ -220,8 +248,10 @@ def compare_run(name, dir_a, dir_b, status_a, status_b):
         moved.append(label)
         if file.endswith(".csv"):
             fields = diff_csv(a, b)
-        elif file.endswith(".mtx"):
+        elif file == "factor_tf.mtx":
             fields = diff_factor(a, b)
+        elif file.endswith(".mtx"):
+            fields = diff_matrix(a, b)
         else:
             fields = diff_report(a, b)
             for key in ("final_m", "converged"):

@@ -834,7 +834,8 @@ class _BDFSetup(NamedTuple):
     Y0: np.ndarray
     startup: object                    # `_exact_step` over h; None for BDF1
     basis: _StepBasis
-    forcing: np.ndarray                # h*beta*Q in the basis
+    Q: np.ndarray                      # Bm Bm^T in the basis
+    forcing: np.ndarray                # h*beta*Q
     alphas: tuple
     n_steps: int
 
@@ -848,7 +849,7 @@ def _bdf_setup(T, Bm, P0, grid, order):
     # multistep start-up values by exact propagation (a low-order
     # bootstrap step would cap the observable global order at 2)
     startup = _exact_step(T, Bm, grid.h, basis, Q) if order > 1 else None
-    return _BDFSetup(Y0, startup, basis, grid.h * beta * Q, alphas,
+    return _BDFSetup(Y0, startup, basis, Q, grid.h * beta * Q, alphas,
                      grid.n_steps)
 
 
@@ -919,7 +920,7 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
 
     def jump(node, s):
         # from the basis value of the last node walked, unscreened
-        step = _exact_step(T, Bm, s * grid.h, basis, basis.project(Bm @ Bm.T))
+        step = _exact_step(T, Bm, s * grid.h, basis, setup.Q)
         return basis.lift(step(node[3][0]))
 
     run = _collect(_bdf_steps(setup, w, full=keep_full), grid.n_steps + 1,

@@ -1,4 +1,6 @@
-import io
+import os
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -7,9 +9,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix, random as sparse_random
 
 from dlekrylov import mmio
-from dlekrylov.mmio import (MatrixMarketParseError, _fmt, read_matrix_market,
+from dlekrylov.mmio import (MatrixMarketParseError, read_matrix_market,
                             read_matrix_market_array, write_matrix_market,
                             write_matrix_market_array)
+
+
+def _fmt(x):
+    """Python's "%.16e", the bytes both writers give a finite value."""
+    return format(float(x), ".16e")
 
 
 def test_roundtrip_1x1(tmp_path):
@@ -280,15 +287,27 @@ def test_coordinate_writer_matches_the_per_entry_format(tmp_path):
         path = tmp_path / "coo.mtx"
         write_matrix_market(A, str(path))
         order = sorted(range(A.nnz), key=lambda k: (A.row[k], A.col[k]))
-        expected = ("%%MatrixMarket matrix coordinate real general\n"
-                    f"{A.shape[0]} {A.shape[1]} {A.nnz}\n"
-                    + "".join(f"{A.row[k] + 1} {A.col[k] + 1} {_fmt(A.data[k])}\n"
-                              for k in order))
-        assert path.read_bytes() == expected.encode()
-        if A.nnz:
-            for value in ("-0.0000000000000000e+00", "4.9406564584124654e-324",
-                          " -inf\n", " inf\n", " nan\n"):
-                assert value in expected
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["%%MatrixMarket matrix coordinate real general",
+                             f"{A.shape[0]} {A.shape[1]} {A.nnz}"]
+        assert [line.rsplit(" ", 1)[0] for line in lines[2:]] == [
+            f"{A.row[k] + 1} {A.col[k] + 1}" for k in order]
+        tokens = [line.rsplit(" ", 1)[1] for line in lines[2:]]
+        values = A.data[order]
+        finite = np.isfinite(values)
+        assert [t for t, f in zip(tokens, finite) if f] == [
+            _fmt(x) for x in values[finite]]
+        if not A.nnz:
+            continue
+        assert {"-0.0000000000000000e+00", "4.9406564584124654e-324"} <= set(tokens)
+        # ±inf and nan are written as tokens that both readers read back
+        np.testing.assert_array_equal(read_matrix_market(str(path)).toarray(),
+                                      A.toarray())
+        column = tmp_path / "column.mtx"
+        column.write_text(f"%%MatrixMarket matrix array real general\n{A.nnz} 1\n"
+                          + "".join(t + "\n" for t in tokens))
+        np.testing.assert_array_equal(read_matrix_market_array(str(column))[:, 0],
+                                      values)
 
 
 @pytest.mark.parametrize("reader, header, size", [
@@ -309,37 +328,38 @@ def test_bad_size_line_reports_line(tmp_path, reader, header, size):
 
 
 def _lines_of(values):
-    """The array writer's value lines for a 1-D array, as bytes."""
-    from dlekrylov.mmio import _write_values
-
-    buf = io.BytesIO()
-    _write_values(buf, np.asarray(values, dtype=float)[None, :])
-    return buf.getvalue()
-
-
-def _reference_lines(values):
-    return "".join(_fmt(x) + "\n" for x in values).encode()
-
-
-@pytest.fixture
-def fallback_count(monkeypatch):
-    """Counts the values the array writer hands to Python's formatter."""
-    from dlekrylov import mmio
-
-    calls = []
-    fmt = mmio._fmt
-    monkeypatch.setattr(mmio, "_fmt", lambda x: calls.append(x) or fmt(x))
-    return calls
+    """The value lines `write_matrix_market_array` writes for a 1-D array,
+    as bytes."""
+    values = np.asarray(values, dtype=float)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "values.mtx")
+        write_matrix_market_array(values[:, None], path)
+        with open(path, "rb") as fh:
+            header, size, lines = fh.read().split(b"\n", 2)
+    assert header == b"%%MatrixMarket matrix array real general"
+    assert size == b"%d 1" % values.size
+    return lines
 
 
-def test_array_format_on_random_bit_patterns(fallback_count):
+def _assert_reference_lines(lines, values):
+    """`lines` hold "%.16e" of each finite value, and for ±inf and nan a
+    token that reads back as the value."""
+    values = np.asarray(values, dtype=float)
+    got = lines.decode().splitlines(keepends=True)
+    assert len(got) == values.size and lines.endswith(b"\n")
+    finite = np.isfinite(values)
+    assert [line for line, f in zip(got, finite) if f] == [
+        _fmt(x) + "\n" for x in values[finite].tolist()]
+    np.testing.assert_array_equal(
+        [float(line) for line, f in zip(got, finite) if not f], values[~finite])
+
+
+def test_array_format_on_random_bit_patterns():
     # every exponent, sign, subnormal, inf and nan; 2^20 values
     rng = np.random.default_rng(15)
     bits = rng.integers(0, 2 ** 64, size=2 ** 20, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
-    assert _lines_of(values) == _reference_lines(values.tolist())
-    # magnitudes outside [1e-260, 1e260] and nan go through Python
-    assert 0.1 * values.size < len(fallback_count) < 0.2 * values.size
+    _assert_reference_lines(_lines_of(values), values)
 
 
 def _named_values():
@@ -362,60 +382,107 @@ def _named_values():
     return values
 
 
-def test_array_format_on_named_values(fallback_count):
+def test_array_format_on_named_values():
     values = _named_values()
     values = values + [-x for x in values]
-    assert _lines_of(values) == _reference_lines(values)
+    _assert_reference_lines(_lines_of(values), values)
     assert b"1.0000076293945312e+00\n" in _lines_of([1.0 + 2.0 ** -17])
-    assert len(fallback_count) > 0
-
-
-@pytest.mark.parametrize("shift", [-1.0, 1.0])
-def test_array_format_with_log10_one_off(monkeypatch, fallback_count, shift):
-    # an exponent estimate one off puts the scaled value outside
-    # [1e16, 1e17): every such line is Python's
-    log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
-    values = np.random.default_rng(5).standard_normal(3000) * 10.0 ** np.arange(-150, 150, 0.1)
-    assert _lines_of(values) == _reference_lines(values.tolist())
-    assert len(fallback_count) == values.size
 
 
 def test_array_format_around_powers_of_ten():
-    # +-10^k and 40 neighbours on each side for every k whose neighbours
-    # the fast path can take; exact powers of ten are decided there
-    from dlekrylov import mmio
-
+    # +-10^k and 40 neighbours on each side for every k in [-259, 258]
     powers = np.array([float(f"1e{k}") for k in range(-259, 259)])
     near = (powers.view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64).ravel()
     values = np.concatenate([near, -near])
-    assert _lines_of(values) == _reference_lines(values.tolist())
-    x = np.array([1e4, -1e4, 1.0, -1.0, 0.1, -0.1, 1e-5, -1e-5, 1e22, -1e22])
-    words = np.empty((x.size, mmio._WORDS), np.uint32)
-    keep = np.ones((x.size, 4 * mmio._WORDS), bool)
-    assert mmio._fill_lines(x, mmio._tables(), words, keep).size == 0
+    _assert_reference_lines(_lines_of(values), values)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_array_format_property(values):
-    assert _lines_of(values) == _reference_lines(values)
+    _assert_reference_lines(_lines_of(values), values)
 
 
 def test_array_writer_chunks_and_empty_shapes(tmp_path):
-    from dlekrylov import mmio
-
     rng = np.random.default_rng(2)
-    # columns longer than a chunk, split unevenly; a fallback value at a
-    # chunk boundary and at the start of a column
-    M = rng.standard_normal((mmio._CHUNK + 3, 3)) * 10.0 ** rng.integers(-12, 12, (1, 3))
+    # columns of 2403 values, a zero, a nan and an -inf among them
+    M = rng.standard_normal((2403, 3)) * 10.0 ** rng.integers(-12, 12, (1, 3))
     M[0, 1] = 0.0
     M[-1, 0] = np.nan
-    M[mmio._CHUNK // 2, 2] = -np.inf
+    M[1200, 2] = -np.inf
     for shape_matrix in (M, np.zeros((0, 2)), np.zeros((4, 0))):
         path = tmp_path / "m.mtx"
         write_matrix_market_array(shape_matrix, str(path))
         rows, cols = shape_matrix.shape
-        expected = (f"%%MatrixMarket matrix array real general\n{rows} {cols}\n"
-                    .encode() + _reference_lines(shape_matrix.T.ravel().tolist()))
-        assert path.read_bytes() == expected
+        header, size, lines = path.read_bytes().split(b"\n", 2)
+        assert header + b"\n" + size == (
+            f"%%MatrixMarket matrix array real general\n{rows} {cols}".encode())
+        if shape_matrix.size:
+            _assert_reference_lines(lines, shape_matrix.T.ravel())
+        else:
+            assert lines == b""
+    # the -inf and nan tokens read back through both readers
+    write_matrix_market_array(M, str(tmp_path / "m.mtx"))
+    np.testing.assert_array_equal(read_matrix_market_array(str(tmp_path / "m.mtx")), M)
+    write_matrix_market(csr_matrix(M), str(tmp_path / "coo.mtx"))
+    np.testing.assert_array_equal(read_matrix_market(str(tmp_path / "coo.mtx")).toarray(), M)
+
+
+def _input_of(write, value):
+    """The dense `value` as the writer `write` takes it."""
+    return csr_matrix(value) if write is write_matrix_market else value
+
+
+@pytest.mark.parametrize("write", [write_matrix_market, write_matrix_market_array])
+def test_writers_put_the_size_line_on_line_2(tmp_path, write):
+    # no comment line: a reader of line 2 finds the size line
+    M = _input_of(write, np.arange(6.0).reshape(3, 2) + 1.0)
+    path = tmp_path / "m.mtx"
+    write(M, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[1] in ("3 2", "3 2 6")
+    assert not any(line.startswith("%") for line in lines[1:])
+
+
+@pytest.mark.parametrize("write", [write_matrix_market, write_matrix_market_array])
+def test_writers_keep_a_symmetric_matrix_general(tmp_path, write):
+    # every entry of a small symmetric matrix is listed, under a general
+    # header
+    S = np.arange(25.0).reshape(5, 5) + 1.0
+    M = _input_of(write, S + S.T)
+    path = tmp_path / "s.mtx"
+    write(M, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(" real general") and len(lines) == 2 + 25
+    back = (read_matrix_market(str(path)).toarray() if write is write_matrix_market
+            else read_matrix_market_array(str(path)))
+    np.testing.assert_array_equal(back, S + S.T)
+
+
+@pytest.mark.parametrize("write", [write_matrix_market, write_matrix_market_array])
+@pytest.mark.parametrize("name", ["m.mtx", "factor_tf.mtx.tmp", "m"])
+def test_writers_take_any_path_and_leave_no_temporary_file(tmp_path, write, name):
+    # a str or pathlib.Path target, with or without ".mtx", is written as
+    # named, and nothing else is left in its directory
+    M = _input_of(write, np.array([[1.5, 0.25], [-2.0, 3.0]]))
+    for target in (str(tmp_path / name), tmp_path / name):
+        write(M, target)
+        assert os.listdir(tmp_path) == [name]
+        assert pathlib.Path(target).read_text().splitlines()[1] in ("2 2", "2 2 4")
+        os.remove(target)
+
+
+@pytest.mark.parametrize("write", [write_matrix_market, write_matrix_market_array])
+def test_writers_leave_no_temporary_file_when_mmwrite_raises(tmp_path, monkeypatch, write):
+    import scipy.io
+
+    def failing(target, *args, **kwargs):
+        with open(target, "w") as fh:
+            fh.write("%%MatrixMarket matrix array real general\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(scipy.io, "mmwrite", failing)
+    M = _input_of(write, np.eye(2))
+    with pytest.raises(OSError, match="disk full"):
+        write(M, str(tmp_path / "m.mtx"))
+    assert os.listdir(tmp_path) == []

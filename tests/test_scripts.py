@@ -87,9 +87,9 @@ def test_benchmark_tables_prints_a_row_per_method(tmp_path):
 
 
 def test_output_diff_names_the_files_a_changed_constant_moves(tmp_path):
-    # the same tree on both sides is identical; a copy with a higher rank
-    # threshold moves the rank column, the report's final rank and the
-    # factor's width
+    # the same tree on both sides is identical, gen-problem's files
+    # included; a copy with a higher rank threshold moves the rank column,
+    # the report's final rank and the factor's width
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({
         "problem": {"kind": "convdiff", "n0": 6, "s": 2, "seed": 7,
@@ -104,7 +104,9 @@ def test_output_diff_names_the_files_a_changed_constant_moves(tmp_path):
         run.mkdir()
     proc = _run(runs[0], "output_diff.py", base, "--config", config)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "all 3 files identical"
+    for file in ("A.mtx", "B.mtx", "problem.json"):
+        assert f"  {file}: identical" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "all 6 files identical"
 
     solvers_py = base / "src" / "dlekrylov" / "solvers.py"
     text = solvers_py.read_text()
@@ -136,7 +138,7 @@ def test_output_diff_compares_the_sweep_a_config_names(tmp_path):
     proc = _run(runs[0], "output_diff.py", base, "--config", config)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "  sweep.csv: identical" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "all 3 files identical"
+    assert proc.stdout.splitlines()[-1] == "all 6 files identical"
 
     # a coarser panel rule moves the step pair, so every residual
     solvers_py = base / "src" / "dlekrylov" / "solvers.py"
@@ -149,6 +151,42 @@ def test_output_diff_compares_the_sweep_a_config_names(tmp_path):
     assert "tiny_sweep/sweep.csv" in proc.stdout.splitlines()[-1]
     sweep = proc.stdout.split("  sweep.csv: differs")[1]
     assert "    residual: " in sweep
+
+
+def test_output_diff_compares_the_files_gen_problem_writes(tmp_path):
+    # a heat_fem config also runs gen-problem; a copy whose coordinate
+    # writer scales every value by 1 + eps moves M.mtx and K.mtx only
+    config = tmp_path / "tiny_heat.json"
+    config.write_text(json.dumps({
+        "problem": {"kind": "heat_fem", "n": 100, "s": 2, "seed": 7,
+                    "t0": 0.0, "tf": 0.1, "h": 0.01},
+        "solver": {"m_max": 6, "tol": 1e-8},
+        "output": {"write_factor": True}}))
+    base = tmp_path / "base"
+    shutil.copytree(SRC, base / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runs = [tmp_path / "same", tmp_path / "moved"]
+    for run in runs:
+        run.mkdir()
+    proc = _run(runs[0], "output_diff.py", base, "--config", config)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for file in ("M.mtx", "K.mtx", "F.mtx", "problem.json"):
+        assert f"  {file}: identical" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "all 7 files identical"
+
+    mmio_py = base / "src" / "dlekrylov" / "mmio.py"
+    text = mmio_py.read_text()
+    assert "\n    A = coo_matrix(A)\n" in text
+    mmio_py.write_text(text.replace(
+        "\n    A = coo_matrix(A)\n",
+        "\n    A = coo_matrix(A)\n    A.data = A.data * (1.0 + 2.0 ** -52)\n"))
+    proc = _run(runs[1], "output_diff.py", base, "--config", config)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "2 differ: tiny_heat/M.mtx, tiny_heat/K.mtx")
+    # the values moved at rounding level
+    moved = proc.stdout.split("  M.mtx: differs")[1].splitlines()[1]
+    assert moved.startswith("    values: ") and 0 < float(moved.split()[1]) < 1e-15
 
 
 def test_output_diff_refuses_an_unknown_base(tmp_path):

@@ -1603,6 +1603,24 @@ def test_bdf_probe_pass_steps_only_its_head(order, monkeypatch):
     assert yields == [stride, grid.n_steps + 1]
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_bdf_jump_reuses_the_setup_projection(order, monkeypatch):
+    # Bm Bm^T is projected once per grid, by `_bdf_setup`, and the history
+    # starts from one projection of Y0: a stopped walk's jump to tf
+    # projects nothing more, so it takes as many projections as a full walk
+    T, Bm, P0, grid = _smooth_case()
+    calls = []
+    project = solvers._StepBasis.project
+    monkeypatch.setattr(solvers._StepBasis, "project",
+                        lambda self, Y: calls.append(1) or project(self, Y))
+    full = _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False)
+    assert len(calls) == 2 and full.psd_clips == 0
+    calls.clear()
+    _run_bdf_grid(T, Bm, P0, grid, order, 2, keep_full=False,
+                  stop=lambda res: True)
+    assert len(calls) == 2
+
+
 def test_grid_runs_count_their_psd_clips(monkeypatch):
     T, Bm, P0, grid = _stiff_clipping_case()
     clips = _record_floor(monkeypatch)
