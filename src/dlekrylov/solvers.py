@@ -53,6 +53,17 @@ eigendecomposition or Lyapunov setup, holding O(s k^2) floats with
 s = `_PROBE_STRIDE`. An exp replay reaches the batch ends as the deciding run
 did, bitwise, and a BDF replay clips the nodes the deciding run clipped
 with no new PSD screen.
+
+The rank column counts, by inertia, the eigenvalues above a fixed
+threshold at each node. On the exp route from X0 = 0 the projected
+solution is the integral of e^{sT} Bm Bm^T e^{sT^T} from t0, which grows
+in the Loewner order, and by Weyl's monotonicity theorem so does that
+count: the rank pass counts the batch ends, and forms and counts node by
+node only the batches whose end count moved, as the replay forms them. A
+count that falls, which only rounding near the threshold can cause,
+sends the pass back to one count per node. With an X0, and on the BDF
+route, whose BDF2 and BDF3 steps are not known to keep the order, every
+node is counted.
 """
 import copy
 import functools
@@ -214,6 +225,9 @@ class Trajectory:
     `replay_coords()` walks the same nodes in the coordinates the grid
     holds them in, as pairs (Y, gram_inv) with the node congruent to Y
     (see `_count_above`); None means `replay()`'s nodes with gram_inv None.
+    `replay_batches()`, set only where the nodes grow in the Loewner order
+    (eba-exp from X0 = 0), walks the grid batch by batch as `_gram_batches`
+    yields it, for `ranks`.
     The value at tf is kept as `final_small` and read without a replay.
     Random access to node i replays i steps; `small_solutions` materializes
     every node once, at O(N k^2) memory kept for the trajectory's life, and
@@ -232,6 +246,7 @@ class Trajectory:
     dim: int
     config: SolverConfig
     replay_coords: object = None       # () -> iterator over (Y, gram_inv)
+    replay_batches: object = None      # () -> iterator over the batches
 
     @property
     def final_residual(self):
@@ -282,19 +297,40 @@ class Trajectory:
 
         The last entry counts `final_small` as `truncate_lowrank` does, so
         it is the width of `lowrank_factor(-1)`. The other nodes are
-        counted by inertia on one walk of `replay_coords()`, in the grid's
-        own coordinates: no eigendecomposition, no lift of a basis node and
-        no PSD screen. Where a node's eigenvalue lies within rounding of
-        the threshold, its count and the width of `lowrank_factor(i)`,
-        which counts the lifted node, can differ by one."""
+        counted by inertia (`_count_above`): no eigendecomposition, no
+        lift of a basis node and no PSD screen.
+
+        Where `replay_batches` is set (eba-exp from X0 = 0), the nodes
+        grow in the Loewner order: Y(t) is the integral over [t0, t] of
+        e^{sT} Bm Bm^T e^{sT^T}, and its increments are positive
+        semidefinite. By Weyl's monotonicity theorem each eigenvalue grows
+        too, and with it the count above a fixed threshold. So the
+        pass counts the batch ends, and every node between two ends of
+        the same count has that count; only a batch whose end count moved
+        is formed and counted node by node (`_count_batches`). The
+        rounded nodes are monotone only up to rounding: if any count it
+        takes falls below one before it, the threshold lies within the
+        rounding of an eigenvalue, and the pass counts every node instead,
+        as below, so the column is the per-node one.
+
+        Otherwise (an X0, or eba-bdf, whose BDF2 and BDF3 steps are not
+        known to keep the order) every node is counted on one walk of
+        `replay_coords()`, in the grid's own coordinates.
+
+        Where a node's eigenvalue lies within rounding of the threshold,
+        its count and the width of `lowrank_factor(i)`, which counts the
+        lifted node, can differ by one; and a skipped node, which is not
+        counted, can differ by one from its own count."""
         tau = _RANK_THRESHOLD
-        n_nodes = len(self.nodes)
+        out = np.empty(len(self.nodes), dtype=int)
+        out[-1] = _count_above(self.final_small, tau)
+        if (self.replay_batches is not None
+                and _count_batches(self.replay_batches(), out, tau)):
+            return out
         walk = (self.replay_coords() if self.replay_coords is not None
                 else ((G, None) for G in self.replay()))
-        out = np.empty(n_nodes, dtype=int)
-        for i, (Y, gram_inv) in enumerate(itertools.islice(walk, n_nodes - 1)):
+        for i, (Y, gram_inv) in enumerate(itertools.islice(walk, len(out) - 1)):
             out[i] = _count_above(Y, tau, gram_inv)
-        out[-1] = _count_above(self.final_small, tau)
         return out
 
 
@@ -401,6 +437,31 @@ def _count_above(Y, tau, gram_inv=None):
     return int(count)
 
 
+def _count_batches(batches, out, tau):
+    """Fill `out` with the counts above tau at the nodes of a grid whose
+    nodes grow in the Loewner order, `out[-1]` holding the last node's
+    already, from `batches`, tuples (a, G_a, b, G_b, between) as
+    `_gram_batches` yields them. Each batch end is counted; the nodes
+    between two ends of equal count take that count, and those of a batch
+    whose end count moved are formed by `between()` and counted. True when
+    done; False, with `out` part filled, as soon as a count falls below
+    the one before it, at a batch end or inside a batch."""
+    last = len(out) - 1
+    for a, G_a, b, G_b, between in batches:
+        if a == 0:
+            out[0] = _count_above(G_a, tau)
+        if b < last:
+            out[b] = _count_above(G_b, tau)
+        if out[b] == out[a]:
+            out[a + 1:b] = out[a]
+            continue
+        for i, Y in enumerate(between(), a + 1):
+            out[i] = _count_above(Y, tau)
+        if np.any(np.diff(out[a:b + 1]) < 0):
+            return False
+    return True
+
+
 def truncate_lowrank(basis, small_sol):
     """Eigen-truncate a projected PSD solution and lift it through the basis.
 
@@ -467,6 +528,7 @@ class _SmallRun:
     bdf_cond: float = None             # cond(V) of the eigenvectors
     clipped: tuple = ()                # nodes the PSD screen clipped
     replay_coords: object = None       # `Trajectory.replay_coords`
+    replay_batches: object = None      # `Trajectory.replay_batches`
 
     @property
     def psd_clips(self):
@@ -563,6 +625,37 @@ def _stride_pairs(E, delta, n_steps):
     return pairs
 
 
+def _batch_nodes(pairs, G, n):
+    """The n nodes after a batch end held as G, E_j G E_j^T + delta_j for
+    j = 1..n, as one (n, k, k) array formed by two stacked products."""
+    Y = pairs.E[:n] @ G @ pairs.E[:n].transpose(0, 2, 1)
+    Y += pairs.delta[:n]
+    # sym_part in place, bitwise, with no stacked temporary to raise the
+    # peak RSS: numpy buffers the overlapping transpose
+    Y += Y.transpose(0, 2, 1)
+    Y *= 0.5
+    return Y
+
+
+def _batch_end(pairs, G, n):
+    """The node n steps after a batch end held as G, alone: bitwise the
+    last of `_batch_nodes(pairs, G, n)`."""
+    return sym_part(pairs.E[n - 1] @ G @ pairs.E[n - 1].T + pairs.delta[n - 1])
+
+
+def _gram_batches(pairs, G0, n_steps):
+    """(a, G_a, b, G_b, between) for the batches of the exp grid from G0,
+    as `Trajectory.replay_batches` walks them: the batch ends a and b
+    (see `_batches`), each formed as the grid run forms it, and
+    `between()`, which forms the nodes a+1..b-1 as the replay does. The
+    nodes are bitwise the replay's."""
+    G = G0
+    for a, b in _batches(n_steps, pairs.s):
+        G_b = _batch_end(pairs, G, b - a)
+        yield a, G, b, G_b, functools.partial(_batch_nodes, pairs, G, b - a - 1)
+        G = G_b
+
+
 def _gram_nodes(pairs, G0, n_steps, w, full=True):
     """(G_i, rows_i, False) for the nodes i = 0..N of the propagation
     G -> E G E^T + delta, read from the `_Stride` table of (E, delta),
@@ -584,16 +677,11 @@ def _gram_nodes(pairs, G0, n_steps, w, full=True):
         rows = (E_bar[:(n - 1) * w] @ G).reshape(n - 1, w, k)
         rows = rows @ E_t[:n - 1] + pairs.delta[:n - 1, k - w:]
         if full:
-            Y = pairs.E[:n] @ G @ E_t[:n]
-            Y += pairs.delta[:n]
-            # sym_part in place, bitwise, with no stacked temporary to
-            # raise the peak RSS: numpy buffers the overlapping transpose
-            Y += Y.transpose(0, 2, 1)
-            Y *= 0.5
+            Y = _batch_nodes(pairs, G, n)
             G = Y[-1]
         else:
             Y = itertools.repeat(None)
-            G = sym_part(pairs.E[n - 1] @ G @ E_t[n - 1] + pairs.delta[n - 1])
+            G = _batch_end(pairs, G, n)
         for Y_j, rows_j in zip(Y, rows):
             yield Y_j, rows_j, False
         yield G, G[k - w:], False
@@ -660,10 +748,14 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
         E_s, d_s = functools.reduce(_compose, parts)
         return sym_part(E_s @ node[0] @ E_s.T + d_s)
 
-    # the exp grid never clips
+    # the exp grid never clips; from G0 = 0 its nodes grow in the Loewner
+    # order, so the rank pass may walk the batch ends
     run = _collect(nodes(full=keep_full), grid.n_steps + 1, k, w, keep_full,
                    coupling, stop, jump)
-    return replace(run, replay=lambda: (G for G, *_ in nodes()))
+    batches = (None if P0.shape[1] else
+               functools.partial(_gram_batches, pairs, G0, grid.n_steps))
+    return replace(run, replay=lambda: (G for G, *_ in nodes()),
+                   replay_batches=batches)
 
 
 # Above this cond(V) the eigenbasis step loses accuracy like
@@ -1064,6 +1156,7 @@ def _solve(op, B, X0, grid, config):
         replay=run.replay, residuals=res, decomposition=step.decomposition,
         converged=converged, method=config.method, iterations=iterations,
         dim=op.dim, config=config, replay_coords=run.replay_coords,
+        replay_batches=run.replay_batches,
     )
 
 

@@ -4,6 +4,7 @@
 and leaves no temporary file behind."""
 
 import glob
+import inspect
 import json
 import os
 import shutil
@@ -15,7 +16,7 @@ import pytest
 
 from dlekrylov.cli import build_spec_and_config, load_config, main
 from dlekrylov.problems import build_problem
-from dlekrylov.solvers import full_grid_run, krylov_steps
+from dlekrylov.solvers import Trajectory, full_grid_run, krylov_steps
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -193,3 +194,33 @@ def test_output_diff_refuses_an_unknown_base(tmp_path):
     proc = _run(tmp_path, "output_diff.py", "no-such-revision", "--config",
                 os.path.join(ROOT, "experiments", "compare_with_reference.json"))
     assert proc.returncode == 2 and "no-such-revision" in proc.stderr
+
+
+def _line_of(fn, text):
+    """The line number of the first line of `fn` that reads `text`."""
+    lines, first = inspect.getsourcelines(fn)
+    return first + [line.strip() for line in lines].index(text)
+
+
+def test_line_trace_lists_the_lines_a_run_leaves_unrun(tmp_path):
+    # a solve with a nonzero B never takes krylov_steps' early return, and
+    # an eba-exp solve from X0 = 0 counts its ranks at the batch ends, so
+    # the per-node walk of Trajectory.ranks stays unrun
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "problem": {"kind": "convdiff", "n0": 6, "s": 2, "t0": 0.0,
+                    "tf": 0.1, "h": 0.01},
+        "solver": {"method": "eba_exp", "m_max": 4, "tol": 1e-8}}))
+    proc = _run(tmp_path, "line_trace.py", config, "--function", "krylov_steps",
+                "--function", "Trajectory.ranks")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    unrun = [line.split(":")[1] for line in proc.stdout.splitlines()
+             if line.startswith("src/dlekrylov/solvers.py:")]
+    assert str(_line_of(krylov_steps, "return")) in unrun
+    assert str(_line_of(krylov_steps, "broke = False")) not in unrun
+    assert str(_line_of(Trajectory.ranks, "walk = (self.replay_coords() "
+                        "if self.replay_coords is not None")) in unrun
+    assert str(_line_of(Trajectory.ranks, "tau = _RANK_THRESHOLD")) not in unrun
+    assert "# ran solve on tiny.json: exit 3" in proc.stdout
+    assert "m=4" in proc.stderr and "m=4" not in proc.stdout
+    assert sorted(os.listdir(tmp_path)) == ["tiny.json", "tmpdir"]

@@ -1,4 +1,5 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.linalg import lapack
 
 from dlekrylov.dense import frob_norm, sym_part
 from dlekrylov.krylov import KrylovDecomposition
-from dlekrylov.problems import gen_convdiff, gen_random_block
+from dlekrylov.problems import gen_convdiff, gen_heat_fem, gen_random_block
 from dlekrylov import solvers
 from dlekrylov.dense import LyapunovSolver
 from dlekrylov.solvers import (BDF_TABLE, PSDViolationError, SolverConfig,
@@ -649,6 +650,137 @@ def test_replays_clip_the_nodes_the_deciding_run_clipped(monkeypatch):
     _count_calls(monkeypatch, solvers, "_psd_screen", calls)
     np.testing.assert_array_equal(list(run.replay()), run.full)
     assert calls == {}
+
+
+def _per_node_ranks(traj):
+    """The rank column by one count per node: every node of `replay()`
+    but the last, then `final_small`."""
+    tau = solvers._RANK_THRESHOLD
+    counts = [solvers._count_above(G, tau) for G in traj.replay()]
+    counts[-1] = solvers._count_above(traj.final_small, tau)
+    return np.array(counts)
+
+
+def _batch_end_counts(ranks, n_steps):
+    """The entries of a rank column at node 0 and at the batch ends."""
+    ends = [0] + [b for _, b in solvers._batches(n_steps, solvers._PROBE_STRIDE)]
+    return ranks[ends]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=6, max_value=16),
+       st.integers(min_value=1, max_value=2), st.integers(min_value=2, max_value=4),
+       st.sampled_from([1, 7, 10]), st.integers(min_value=2, max_value=45),
+       st.booleans())
+def test_exp_ranks_equal_the_per_node_count(seed, n, p, m_max, stride, n_steps,
+                                            with_x0):
+    # from X0 = 0 the rank pass counts batch ends and skips the nodes of
+    # a batch whose end count did not move; with an X0 it counts every
+    # node. Both give the column of one count per replayed node.
+    assume(stride == 1 or (n_steps + 1) % stride)      # a short last batch
+    rng = np.random.default_rng(seed)
+    A = _stable_dense(n, seed)
+    B = rng.standard_normal((n, p))
+    X0 = SymLowRank(0.3 * rng.standard_normal((n, 2))) if with_x0 else None
+    grid = TimeGrid(0.0, 0.05 * n_steps, 0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_PROBE_STRIDE", stride)
+        traj = solve(A, B, X0, grid, SolverConfig(m_max=m_max, tol=1e-300))
+        assert (traj.replay_batches is None) == with_x0
+        np.testing.assert_array_equal(traj.ranks(), _per_node_ranks(traj))
+
+
+def _exp_growing_case():
+    """An eba-exp trajectory from X0 = 0 whose rank grows over the grid:
+    N = 200, k = 12."""
+    A = _stable_dense(30, 31)
+    B = np.random.default_rng(32).standard_normal((30, 2))
+    grid = TimeGrid(0.0, 2.0, 1e-2)
+    return solve(A, B, None, grid, SolverConfig(m_max=3, tol=1e-300))
+
+
+def test_exp_ranks_count_the_batch_ends_and_the_moved_batches(monkeypatch):
+    # with batches of 10 the pass counts node 0, each batch end (tf by
+    # final_small) and the nodes inside the batches whose end count moved,
+    # formed by one stacked product each; it replays no node
+    traj = _exp_growing_case()
+    ref = _per_node_ranks(traj)
+    n_steps, s = traj.grid.n_steps, solvers._PROBE_STRIDE
+    batches = list(solvers._batches(n_steps, s))
+    moved = [(a, b) for a, b in batches if ref[b] > ref[a]]
+    assert s == 10 and 0 < len(moved) < len(batches)
+    calls, formed = {}, []
+    _count_calls(monkeypatch, solvers, "_count_above", calls)
+    batch_nodes = solvers._batch_nodes
+    monkeypatch.setattr(solvers, "_batch_nodes",
+                        lambda pairs, G, n: formed.append(n) or batch_nodes(pairs, G, n))
+    monkeypatch.setattr(traj, "replay", None)          # a replay would raise
+    np.testing.assert_array_equal(traj.ranks(), ref)
+    assert calls["_count_above"] == 1 + len(batches) + sum(formed)
+    assert calls["_count_above"] <= len(batches) + 1 + (s - 1) * len(moved)
+    assert formed == [b - a - 1 for a, b in moved]
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10])
+def test_exp_rank_batches_are_the_replay_nodes(stride, monkeypatch):
+    # node 0, the batch ends and the nodes between them, as the rank pass
+    # forms them, are the replay's nodes bitwise
+    T, Bm, _, grid, w, coupling = _exp_probe_case()
+    monkeypatch.setattr(solvers, "_PROBE_STRIDE", stride)
+    P0 = np.zeros((T.shape[0], 0))
+    run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False,
+                         coupling=coupling)
+    nodes = list(run.replay())
+    for a, G_a, b, G_b, between in run.replay_batches():
+        np.testing.assert_array_equal(G_a, nodes[a])
+        np.testing.assert_array_equal(G_b, nodes[b])
+        np.testing.assert_array_equal(between(), np.array(nodes[a + 1:b]).reshape(
+            b - a - 1, *G_a.shape))
+    np.testing.assert_array_equal(G_b, run.final)
+    nonzero = _run_gram_grid(T, Bm, 0.3 * np.eye(T.shape[0])[:, :2], grid, 4, w,
+                             keep_full=False, coupling=coupling)
+    assert nonzero.replay_batches is None
+
+
+def _heat_drop_case(n, scale, m_max):
+    """eba-exp on a heat_fem problem whose input block is scaled so that
+    lambda_max(Y(tf)) is 1e12 to 1e14: rounding flips the counts of
+    eigenvalues near the absolute threshold. N = 50."""
+    op, build_b = gen_heat_fem(n, 0.01, 0.05)
+    B = scale * build_b(gen_random_block(n, 2, seed=7))
+    grid = TimeGrid(0.0, 0.5, 1e-2)
+    traj = solve(op, B, None, grid, SolverConfig(m_max=m_max, tol=1e-3))
+    assert 1e12 < np.linalg.eigvalsh(traj.final_small)[-1] < 1e14
+    return traj
+
+
+@pytest.mark.parametrize("case,end_drops", [((1000, 1e4, 10), True),
+                                            ((400, 1e5, 8), False)],
+                         ids=["batch-end", "inside-a-batch"])
+def test_exp_ranks_fall_back_to_every_node_where_a_count_drops(case, end_drops):
+    # a batch end counts below the one before it, or a node inside a batch
+    # whose end count moved below the node before it: the counts sit in
+    # rounding noise, and the pass counts every node
+    traj = _heat_drop_case(*case)
+    ref = _per_node_ranks(traj)
+    assert np.any(np.diff(ref) < 0)
+    ends = _batch_end_counts(ref, traj.grid.n_steps)
+    assert np.any(np.diff(ends) < 0) == end_drops
+    np.testing.assert_array_equal(traj.ranks(), ref)
+
+
+def test_exp_ranks_fall_back_under_a_count_that_drops(monkeypatch):
+    # a count that reads one more at about half the nodes, chosen by a
+    # checksum of the node's bytes: the batch ends drop, and the column is
+    # the per-node one under the same count
+    traj = _exp_growing_case()
+    count = solvers._count_above
+    monkeypatch.setattr(
+        solvers, "_count_above",
+        lambda Y, tau, gram_inv=None: count(Y, tau, gram_inv) + zlib.crc32(Y.tobytes()) % 2)
+    ref = _per_node_ranks(traj)
+    assert np.any(np.diff(_batch_end_counts(ref, traj.grid.n_steps)) < 0)
+    np.testing.assert_array_equal(traj.ranks(), ref)
 
 
 # -- end-to-end solves --------------------------------------------------------
