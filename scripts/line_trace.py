@@ -2,12 +2,12 @@
 """List the function-body lines of `src/dlekrylov` that a set of runs leaves unrun.
 
     python3 scripts/line_trace.py [CONFIG ...] [--workload NAME ...]
-                                  [--command CMD] [--function NAME ...]
+                                  [--function NAME ...]
 
 Each CONFIG, a `dlekrylov` JSON config, and each `--workload`, a workload
-of `perfbench/run.py` at seed 7, runs `dlekrylov CMD` (default `solve`)
-in this process, one after the other, under `sys.settrace`, writing its
-outputs into a temporary directory. The package is imported from the
+of `perfbench/run.py` at seed 7, runs `dlekrylov solve` in this process,
+one after the other, under `sys.settrace`, writing its outputs into a
+temporary directory. The package is imported from the
 `src/` next to this script, and only its frames are traced, line by line.
 
 A line counts as run in a function when a line event of that function's
@@ -19,8 +19,9 @@ package is needed.
 
 It prints, module by module, every function-body line no run reached, as
 `path:line: function: source`, then one line of counts per module and in
-all; what the runs print goes to stderr. `--function NAME` lists only the functions named NAME (a qualified
-name such as `Trajectory.ranks`, or its last part). Exit status: 0, or 2
+all; what the runs print goes to stderr. `--function NAME` lists only
+the functions named NAME (a qualified name such as `Trajectory.ranks`,
+or its last part). Exit status: 0, or 2
 when a workload is unknown or a run exits with status 2.
 """
 
@@ -150,8 +151,6 @@ def main(argv=None):
                         help="a dlekrylov JSON config")
     parser.add_argument("--workload", action="append", default=[],
                         help="a perfbench workload, run at seed 7")
-    parser.add_argument("--command", default="solve",
-                        choices=("solve", "compare", "sweep", "gen-problem"))
     parser.add_argument("--function", action="append", default=[],
                         help="list only the functions of this name")
     args = parser.parse_args(argv)
@@ -174,11 +173,11 @@ def main(argv=None):
             print(f"line_trace: {exc}", file=sys.stderr)
             return 2
         statuses, seen = traced(
-            lambda item: cli.main([args.command, "--config", item[1],
+            lambda item: cli.main(["solve", "--config", item[1],
                                    "--out", os.path.join(tmp, f"run{item[0]}")]),
             enumerate(paths))
     for path, status in zip(paths, statuses):
-        print(f"# ran {args.command} on {os.path.basename(path)}: exit {status}")
+        print(f"# ran solve on {os.path.basename(path)}: exit {status}")
     report(seen, args.function)
     return 2 if 2 in statuses else 0
 

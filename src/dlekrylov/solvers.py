@@ -60,10 +60,12 @@ solution is the integral of e^{sT} Bm Bm^T e^{sT^T} from t0, which grows
 in the Loewner order, and by Weyl's monotonicity theorem so does that
 count: the rank pass counts the batch ends, and forms and counts node by
 node only the batches whose end count moved, as the replay forms them. A
-count that falls, which only rounding near the threshold can cause,
-sends the pass back to one count per node. With an X0, and on the BDF
-route, whose BDF2 and BDF3 steps are not known to keep the order, every
-node is counted.
+count it takes that falls, which only rounding near the threshold can
+cause, sends the pass back to one count per node; a skipped node is not
+counted, and where an eigenvalue sits within rounding of the threshold
+its entry can differ by one from its own count. With an X0, and on the
+BDF route, whose BDF2 and BDF3 steps are not known to keep the order,
+every node is counted.
 """
 import copy
 import functools
@@ -644,11 +646,11 @@ def _batch_end(pairs, G, n):
 
 
 def _gram_batches(pairs, G0, n_steps):
-    """(a, G_a, b, G_b, between) for the batches of the exp grid from G0,
-    as `Trajectory.replay_batches` walks them: the batch ends a and b
-    (see `_batches`), each formed as the grid run forms it, and
-    `between()`, which forms the nodes a+1..b-1 as the replay does. The
-    nodes are bitwise the replay's."""
+    """(a, G_a, b, G_b, between) for the batches of the exp grid from G0
+    (see `_batches`): the batch ends a and b, G_b formed alone by
+    `_batch_end`, and `between()`, which forms the nodes a+1..b-1 by
+    `_batch_nodes`. The one batch walk of the grid: `_gram_nodes` and
+    `Trajectory.replay_batches` both read it."""
     G = G0
     for a, b in _batches(n_steps, pairs.s):
         G_b = _batch_end(pairs, G, b - a)
@@ -661,30 +663,24 @@ def _gram_nodes(pairs, G0, n_steps, w, full=True):
     G -> E G E^T + delta, read from the `_Stride` table of (E, delta),
     with rows_i the last w rows of G_i.
 
-    From a batch end b (see `_batches`), held in full, node b + j is
-    E_j G_b E_j^T + delta_j: the next batch end in full, and the nodes in
-    between only in their rows, (E_j[k-w:] G_b) E_j^T + delta_j[k-w:],
+    From a batch end a (see `_gram_batches`), held in full, node a + j is
+    E_j G_a E_j^T + delta_j: the next batch end in full, and the nodes in
+    between only in their rows, (E_j[k-w:] G_a) E_j^T + delta_j[k-w:],
     all of a batch's by two stacked products. Their G_i are None unless
-    `full` is set, which forms the whole batch by two stacked products
-    into one buffer and keeps the rows of the walk without it."""
+    `full` is set, which forms them by `between()` and keeps the rows of
+    the walk without it."""
     k = G0.shape[0]
     E_t = pairs.E.transpose(0, 2, 1)
     E_bar = pairs.E[:, k - w:].reshape(-1, k)
-    G = G0
-    yield G, G[k - w:], False
-    for a, b in _batches(n_steps, pairs.s):
+    yield G0, G0[k - w:], False
+    for a, G, b, G_b, between in _gram_batches(pairs, G0, n_steps):
         n = b - a
         rows = (E_bar[:(n - 1) * w] @ G).reshape(n - 1, w, k)
         rows = rows @ E_t[:n - 1] + pairs.delta[:n - 1, k - w:]
-        if full:
-            Y = _batch_nodes(pairs, G, n)
-            G = Y[-1]
-        else:
-            Y = itertools.repeat(None)
-            G = _batch_end(pairs, G, n)
+        Y = between() if full else itertools.repeat(None)
         for Y_j, rows_j in zip(Y, rows):
             yield Y_j, rows_j, False
-        yield G, G[k - w:], False
+        yield G_b, G_b[k - w:], False
 
 
 def _compose(first, then):
