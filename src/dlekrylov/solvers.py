@@ -64,7 +64,7 @@ count it takes that falls, which only rounding near the threshold can
 cause, sends the pass back to one count per node; a skipped node is not
 counted, and where an eigenvalue sits within rounding of the threshold
 its entry can differ by one from its own count. With an X0, and on the
-BDF route, whose BDF2 and BDF3 steps are not known to keep the order,
+BDF route, whose BDF2 and BDF3 steps do not always keep the order,
 every node is counted.
 """
 import copy
@@ -809,39 +809,39 @@ class _StepBasis:
     def entrywise(self, mult):
         """The product by `mult` elementwise in the eigenbasis, read in the
         pair basis: the real map Yr -> P (mult * (P^-1 Yr P^-T)) P^T, mult
-        a function of lam_a + lam_b, at O(k^2). An entry (a, b) reads Yr
-        at the rows of a's pair and the columns of b's pair, so it is
-        Yr * mult between real eigenvalues and a 2x2 coupling on pairs."""
+        a function of lam_a + lam_b, at O(k^2). With a' and b' the other
+        row and column of a's and b's conjugate pair, it takes R to
+        C_diag R[a, b] + C_rows R[a', b] + C_cols R[a, b'] + C_both
+        R[a', b'] at (a, b), each weight a signed mean of Re or Im of mult
+        over the terms (a, b), (a, b'), (a', b), (a', b') that exist (a
+        real eigenvalue has no partner); between real eigenvalues, R * mult:
+            C_diag  Re  + + + +        C_cols  Im  + - + -
+            C_rows  Im  + + - -        C_both  Re  - + + -
+        They are mult contracted with P's 2x2 blocks, whose entries +-1/2
+        and +-i/2 make every term exact, so summed left to right in that
+        order each weight is bitwise the complex contraction's."""
         k = len(self.lam)
         r = int(np.count_nonzero(self.lam.imag == 0))
         if r == k:
             return lambda R: R * mult
         p = (k - r) // 2
-        # entry (a, b) reads R[swap^s a, swap^t b], s, t in {0, 1} and swap
-        # taking a to its pair partner, with weight C[s, t, a, b] = sum over
-        # x, y in {0, 1} of g[s, x, a] g[t, y, b] mult[swap^x a, swap^y b],
-        # g[s, x, a] = P[a, swap^x a] P^-1[swap^x a, swap^s a]: on a pair's
-        # rows g[0] = (1/2, 1/2) and g[1] = (-i/2, i/2); on a real
-        # eigenvalue's row g[0] = (1, 0), g[1] = 0
-        g = np.zeros((2, 2, k), dtype=complex)
-        g[0, 0, :r] = 1.0
-        g[0, :, r:] = 0.5
-        g[1, 0, r:] = -0.5j
-        g[1, 1, r:] = 0.5j
-        ar = np.arange(k)
-        swap = (ar, np.r_[ar[:r], ar[r:].reshape(p, 2)[:, ::-1].ravel()])
-        # one np.take per block: indexing by np.ix_ costs about 5x as much
-        M_xy = np.empty((2, 2, k, k), dtype=mult.dtype)
-        for x, y in itertools.product((0, 1), repeat=2):
-            np.take(mult[swap[x]], swap[y], axis=1, out=M_xy[x, y])
-        # C[s, t] = C(g[s], g[t], M_xy), taken only on the blocks the map
-        # reads, as contiguous real copies: the map keeps no complex array
-        C = functools.partial(np.einsum, "xa,yb,xyab->ab")
-        C_diag = C(g[0], g[0], M_xy).real.copy()
-        C_rows = C(g[1, :, r:], g[0], M_xy[:, :, r:]).real.reshape(p, 2, k).copy()
-        C_cols = C(g[0], g[1, :, r:], M_xy[..., r:]).real.reshape(k, p, 2).copy()
-        C_both = C(g[1, :, r:], g[1, :, r:], M_xy[:, :, r:, r:]).real.reshape(
-            p, 2, p, 2).copy()
+        # Re and Im of mult on the pair rows' and columns' strips and the
+        # pair block; a reversed pair axis reads the partners
+        re, im = mult.real, mult.imag
+        Xr, Yr = (part[r:, :r].reshape(p, 2, r) for part in (re, im))
+        Xc, Yc = (part[:r, r:].reshape(r, p, 2) for part in (re, im))
+        X, Y = (part[r:, r:].reshape(p, 2, p, 2) for part in (re, im))
+        X1, X2, X3 = X[..., ::-1], X[:, ::-1], X[:, ::-1, :, ::-1]
+        Y1, Y2, Y3 = Y[..., ::-1], Y[:, ::-1], Y[:, ::-1, :, ::-1]
+        C_diag = np.block([
+            [re[:r, :r], ((Xc + Xc[..., ::-1]) / 2).reshape(r, 2 * p)],
+            [((Xr + Xr[:, ::-1]) / 2).reshape(2 * p, r),
+             ((X + X1 + X2 + X3) / 4).reshape(2 * p, 2 * p)]])
+        C_rows = np.concatenate([(Yr - Yr[:, ::-1]) / 2, (
+            (Y + Y1 - Y2 - Y3) / 4).reshape(p, 2, 2 * p)], axis=2)
+        C_cols = np.concatenate([(Yc - Yc[..., ::-1]) / 2, (
+            (Y - Y1 + Y2 - Y3) / 4).reshape(2 * p, p, 2)])
+        C_both = (X1 - X + X2 - X3) / 4
 
         def apply(R):
             # the pairs' rows and columns are contiguous, so reshaped

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import zlib
 
@@ -317,6 +318,113 @@ def test_pair_basis_solve_matches_the_complex_eigenbasis_solve(spectrum, pairs):
     for a in kept:
         assert a.dtype == np.float64 and a.flags.c_contiguous
         assert a.base is None or a.base.dtype == np.float64
+
+
+def _entrywise_by_contraction(basis, mult):
+    """The reference `_StepBasis.entrywise` map: its weights contracted in
+    complex arithmetic from P's 2x2 blocks and mult gathered at the
+    partners, then applied as `entrywise` applies them."""
+    k = len(basis.lam)
+    r = int(np.count_nonzero(basis.lam.imag == 0))
+    p = (k - r) // 2
+    # entry (a, b) reads R[swap^s a, swap^t b], s, t in {0, 1} and swap
+    # taking a to its pair partner, with weight C[s, t, a, b] = sum over
+    # x, y in {0, 1} of g[s, x, a] g[t, y, b] mult[swap^x a, swap^y b],
+    # g[s, x, a] = P[a, swap^x a] P^-1[swap^x a, swap^s a]: on a pair's
+    # rows g[0] = (1/2, 1/2) and g[1] = (-i/2, i/2); on a real
+    # eigenvalue's row g[0] = (1, 0), g[1] = 0
+    g = np.zeros((2, 2, k), dtype=complex)
+    g[0, 0, :r] = 1.0
+    g[0, :, r:] = 0.5
+    g[1, 0, r:] = -0.5j
+    g[1, 1, r:] = 0.5j
+    ar = np.arange(k)
+    swap = (ar, np.r_[ar[:r], ar[r:].reshape(p, 2)[:, ::-1].ravel()])
+    M_xy = np.empty((2, 2, k, k), dtype=mult.dtype)
+    for x, y in itertools.product((0, 1), repeat=2):
+        np.take(mult[swap[x]], swap[y], axis=1, out=M_xy[x, y])
+    C = functools.partial(np.einsum, "xa,yb,xyab->ab")
+    C_diag = C(g[0], g[0], M_xy).real
+    C_rows = C(g[1, :, r:], g[0], M_xy[:, :, r:]).real.reshape(p, 2, k)
+    C_cols = C(g[0], g[1, :, r:], M_xy[..., r:]).real.reshape(k, p, 2)
+    C_both = C(g[1, :, r:], g[1, :, r:], M_xy[:, :, r:, r:]).real.reshape(
+        p, 2, p, 2)
+
+    def apply(R):
+        out = np.multiply(R, C_diag, order="C")
+        rows = out[r:].reshape(p, 2, k)
+        rows += C_rows * R[r:].reshape(p, 2, k)[:, ::-1]
+        cols = out[:, r:].reshape(k, p, 2)
+        cols += C_cols * R[:, r:].reshape(k, p, 2)[:, :, ::-1]
+        both = out[r:, r:].reshape(p, 2, p, 2)
+        both += C_both * R[r:, r:].reshape(p, 2, p, 2)[:, ::-1, :, ::-1]
+        return out
+
+    return apply
+
+
+def _pair_spectrum_basis(seed, k, n_pairs):
+    """The real pair basis of T = S D S^-1, D with k - 2 n_pairs real
+    eigenvalues and n_pairs 2x2 blocks of conjugate pairs, S = I + 0.3
+    / sqrt(k) times a standard normal matrix, and the h*beta = 0.02
+    solve."""
+    rng = np.random.default_rng(seed)
+    r = k - 2 * n_pairs
+    D = np.diag(-rng.uniform(0.2, 3.0, k))
+    for j in range(r, k, 2):
+        D[j + 1, j + 1] = D[j, j]
+        D[j, j + 1] = rng.uniform(0.3, 4.0)
+        D[j + 1, j] = -D[j, j + 1]
+    S = np.eye(k) + 0.3 / np.sqrt(k) * rng.standard_normal((k, k))
+    lam, V = np.linalg.eig(S @ D @ np.linalg.inv(S))
+    return solvers._pair_basis(lam, V, float(np.linalg.cond(V)), 0.02)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=40),
+       st.floats(min_value=0.0, max_value=1.0))
+@example(1, 9, 0.0)      # no pair
+@example(2, 9, 0.25)     # one pair
+@example(3, 40, 1.0)     # only pairs
+@example(4, 39, 0.5)     # a mix
+def test_entrywise_weights_are_the_complex_contraction_bitwise(seed, k, share):
+    # the real signed means `entrywise` forms are the complex contraction's
+    # weights bitwise: the solve, and maps by its multiplier and the exact
+    # step's two
+    n_pairs = round(share * (k // 2))
+    basis = _pair_spectrum_basis(seed, k, n_pairs)
+    assume(np.count_nonzero(basis.lam.imag) == 2 * n_pairs)
+    S = basis.lam[:, None] + basis.lam[None, :]
+    h = 0.1
+    phi = np.divide(np.expm1(h * S), S, out=np.full_like(S, h), where=S != 0)
+    lam_F = 0.02 * basis.lam - 0.5
+    maps = [(basis.solve, -1.0 / (lam_F[:, None] + lam_F[None, :]))]
+    maps += [(basis.entrywise(mult), mult)
+             for mult in (-1.0 / (0.02 * S - 1.0), np.exp(h * S), phi)]
+    rng = np.random.default_rng(seed + 1)
+    R = rng.standard_normal((k, k))
+    R = R + R.T
+    for apply, mult in maps:
+        assert np.array_equal(apply(R), _entrywise_by_contraction(basis, mult)(R))
+
+
+def test_entrywise_build_temporaries_stay_below_four_k2_words():
+    # one map at k = 72 with 4 pairs, the size of bdf-6400's m = 18 basis:
+    # the complex weight tensor and its gather took about 14 k^2 float64
+    # words, the real strips take about 2
+    import tracemalloc
+
+    basis = _pair_spectrum_basis(70, 72, 4)
+    assert np.count_nonzero(basis.lam.imag) == 8
+    k = len(basis.lam)
+    mult = np.exp(0.1 * (basis.lam[:, None] + basis.lam[None, :]))
+    tracemalloc.start()
+    try:
+        basis.entrywise(mult)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * k * k
 
 
 def _startup_case(seed, k, spectrum):
