@@ -10,8 +10,9 @@ the same configs, each command in a fresh process with one BLAS thread:
 by default the four workloads of `perfbench/run.py` (seed 7,
 `write_factor` true) and the four `experiments/*.json`; each `--config`
 replaces that set. Every config runs `solve`, and also `sweep` when it
-has a `sweep` section; an experiment without one also runs `compare`, as
-the experiments are run. A convdiff or heat_fem config also runs
+has a `sweep` section. One without it that lies in this checkout's
+`experiments/`, in the default set or named by `--config`, also runs
+`compare`, as the experiments are run. A convdiff or heat_fem config also runs
 `gen-problem`. All runs write to a temporary directory, never inside the
 repository.
 
@@ -275,11 +276,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.config:
         configs = []
+        experiments = os.path.realpath(os.path.join(ROOT, "experiments"))
         for path in args.config:
             with open(path, encoding="utf-8") as fh:
                 cfg = json.load(fh)
+            experiment = os.path.dirname(os.path.realpath(path)) == experiments
             configs.append((os.path.splitext(os.path.basename(path))[0], cfg,
-                            commands_for(cfg)))
+                            commands_for(cfg, experiment)))
     else:
         configs = default_configs()
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import expm, frob_norm, log_norm_mu2, spec_norm_2, sym_part
-from .solvers import exact_step_pair, gauss_legendre
+from .dense import expm, frob_norm, log_norm_mu2, spec_norm_2
+from .solvers import _propagate, exact_step_pair, gauss_legendre
 
 
 # the largest order n of a dense oracle or bound, which holds n x n matrices
@@ -56,11 +56,11 @@ def reference_stream(A, B, X0, grid, q=8):
     X = np.zeros((n, n)) if X0 is None else np.asarray(
         X0.to_dense() if hasattr(X0, "to_dense") else X0, dtype=float)
 
-    E, delta = exact_step_pair(A, B, grid.h, q)
+    pair = exact_step_pair(A, B, grid.h, q)
 
     yield 0, X
     for i in range(1, grid.n_steps + 1):
-        X = sym_part(E @ X @ E.T + delta)
+        X = _propagate(pair, X)
         yield i, X
 
 

@@ -611,6 +611,12 @@ class _Stride(NamedTuple):
     delta: np.ndarray                  # (n, k, k): delta_j at j - 1
 
 
+def _propagate(pair, G):
+    """The node after G by the step pair (E, delta): E G E^T + delta."""
+    E, delta = pair
+    return sym_part(E @ G @ E.T + delta)
+
+
 def _stride_pairs(E, delta, n_steps):
     """The `_Stride` table of the one-step pair (E, delta) for a grid of N
     steps in batches of `_PROBE_STRIDE` nodes, built in place from the one
@@ -620,10 +626,8 @@ def _stride_pairs(E, delta, n_steps):
     pairs = _Stride(s, np.empty((n, k, k)), np.empty((n, k, k)))
     pairs.E[0], pairs.delta[0] = E, delta
     for j in range(1, n):
-        E_prev = pairs.E[j - 1]
-        np.matmul(E_prev, E, out=pairs.E[j])
-        pairs.delta[j] = sym_part(pairs.delta[j - 1]
-                                  + E_prev @ delta @ E_prev.T)
+        np.matmul(pairs.E[j - 1], E, out=pairs.E[j])
+        pairs.delta[j] = _propagate((pairs.E[j - 1], pairs.delta[j - 1]), delta)
     return pairs
 
 
@@ -639,21 +643,15 @@ def _batch_nodes(pairs, G, n):
     return Y
 
 
-def _batch_end(pairs, G, n):
-    """The node n steps after a batch end held as G, alone: bitwise the
-    last of `_batch_nodes(pairs, G, n)`."""
-    return sym_part(pairs.E[n - 1] @ G @ pairs.E[n - 1].T + pairs.delta[n - 1])
-
-
 def _gram_batches(pairs, G0, n_steps):
     """(a, G_a, b, G_b, between) for the batches of the exp grid from G0
-    (see `_batches`): the batch ends a and b, G_b formed alone by
-    `_batch_end`, and `between()`, which forms the nodes a+1..b-1 by
-    `_batch_nodes`. The one batch walk of the grid: `_gram_nodes` and
-    `Trajectory.replay_batches` both read it."""
+    (see `_batches`): the batch ends a and b, G_b formed alone by the
+    table's pair of b - a steps, and `between()`, which forms the nodes
+    a+1..b-1 by `_batch_nodes`. The one batch walk of the grid:
+    `_gram_nodes` and `Trajectory.replay_batches` both read it."""
     G = G0
     for a, b in _batches(n_steps, pairs.s):
-        G_b = _batch_end(pairs, G, b - a)
+        G_b = _propagate((pairs.E[b - a - 1], pairs.delta[b - a - 1]), G)
         yield a, G, b, G_b, functools.partial(_batch_nodes, pairs, G, b - a - 1)
         G = G_b
 
@@ -686,8 +684,8 @@ def _gram_nodes(pairs, G0, n_steps, w, full=True):
 def _compose(first, then):
     """The propagator pair of `first` followed by `then`:
     (E1, d1) then (E2, d2) is (E2 E1, E2 d1 E2^T + d2)."""
-    (E1, d1), (E2, d2) = first, then
-    return E2 @ E1, sym_part(E2 @ d1 @ E2.T + d2)
+    (E1, d1), (E2, _) = first, then
+    return E2 @ E1, _propagate(then, d1)
 
 
 def _pair_power(pair, s):
@@ -741,8 +739,7 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
         longest = (pairs.E[-1], pairs.delta[-1])
         parts = [_pair_power(longest, whole)] if whole else []
         parts += [(pairs.E[rest - 1], pairs.delta[rest - 1])] if rest else []
-        E_s, d_s = functools.reduce(_compose, parts)
-        return sym_part(E_s @ node[0] @ E_s.T + d_s)
+        return _propagate(functools.reduce(_compose, parts), node[0])
 
     # the exp grid never clips; from G0 = 0 its nodes grow in the Loewner
     # order, so the rank pass may walk the batch ends
@@ -908,7 +905,7 @@ def _exact_step(T, Bm, h, basis, Q):
     if basis.kind == "schur":
         E, delta = exact_step_pair(T, Bm, h, _QUADRATURE_ORDER)
         E, delta = basis.M_inv @ E @ basis.M, basis.project(delta)
-        return lambda Yr: sym_part(E @ Yr @ E.T + delta)
+        return functools.partial(_propagate, (E, delta))
     S = basis.lam[:, None] + basis.lam[None, :]
     phi = np.divide(np.expm1(h * S), S, out=np.full_like(S, h), where=S != 0)
     propagate = basis.entrywise(np.exp(h * S))

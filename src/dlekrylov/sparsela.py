@@ -1,14 +1,16 @@
 """Sparse storage, factorized solves and the linear-operator abstraction
 consumed by the Krylov processes.
 
-Sparse matrices are plain scipy CSR; inverse actions always go through a
-one-time LU factorization (SuperLU) that is reused for every solve. Its
-columns are ordered by minimum degree on the pattern of A^T + A (Amestoy,
-Davis & Duff, SIAM J. Matrix Anal. Appl. 17, 1996; Li, ACM TOMS 31, 2005),
-which suits the structurally symmetric matrices the problem generators
-produce: on convdiff n = 6400 it keeps nnz(L + U) at 220,924 where
-SuperLU's default COLAMD ordering gives 370,282.
+Sparse matrices are plain scipy CSR. An operator built here factors on its
+first inverse action, once, and reuses that LU factor; its forward and
+transpose actions never factor. SuperLU orders a sparse factor's columns by
+minimum degree on A^T + A (Amestoy, Davis & Duff, SIAM J. Matrix Anal.
+Appl. 17, 1996; Li, ACM TOMS 31, 2005), which suits the structurally
+symmetric matrices the problem generators produce: on convdiff n = 6400
+nnz(L + U) is 220,924 where SuperLU's default COLAMD ordering gives 370,282.
 """
+
+import functools
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
@@ -54,17 +56,14 @@ class Factorization:
         except RuntimeError as exc:
             raise FactorizationError(f"sparse LU failed: {exc}") from exc
 
-    def solve(self, V):
+    def solve(self, V, trans="N"):
         V = np.asarray(V, dtype=float)
         squeeze = V.ndim == 1
-        X = self._lu.solve(V if not squeeze else V[:, None])
+        X = self._lu.solve(V if not squeeze else V[:, None], trans=trans)
         return X.ravel() if squeeze else X
 
     def solve_transpose(self, V):
-        V = np.asarray(V, dtype=float)
-        squeeze = V.ndim == 1
-        X = self._lu.solve(V if not squeeze else V[:, None], trans="T")
-        return X.ravel() if squeeze else X
+        return self.solve(V, trans="T")
 
 
 class LinearOperator:
@@ -108,22 +107,16 @@ class LinearOperator:
 
 def wrap_sparse(A):
     """Operator view of a square sparse matrix with forward, inverse and
-    transpose actions; the LU factor of the inverse is built on first use."""
+    transpose actions, its LU factor built as the module docstring says."""
     A = as_csr(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
     AT = csr_matrix(A.T)
-    factor_box = []
-
-    def inverse(V):
-        if not factor_box:
-            factor_box.append(Factorization(A))
-        return factor_box[0].solve(V)
-
+    factor = functools.cache(lambda: Factorization(A))
     return LinearOperator(
         A.shape[0],
         forward=lambda V: np.asarray(A @ V),
-        inverse=inverse,
+        inverse=lambda V: factor().solve(V),
         transpose=lambda V: np.asarray(AT @ V),
     )
 
@@ -135,17 +128,11 @@ def wrap_dense(A):
         raise ValueError(f"matrix must be square, got {A.shape}")
     import scipy.linalg as sla
 
-    lu_box = []
-
-    def inverse(V):
-        if not lu_box:
-            lu_box.append(sla.lu_factor(A))
-        return sla.lu_solve(lu_box[0], V)
-
+    factor = functools.cache(lambda: sla.lu_factor(A))
     return LinearOperator(
         A.shape[0],
         forward=lambda V: A @ V,
-        inverse=inverse,
+        inverse=lambda V: sla.lu_solve(factor(), V),
         transpose=lambda V: A.T @ V,
     )
 
@@ -154,8 +141,8 @@ def operator_from_pair(shifted_factor, M):
     """Operator for A = S^{-1} M given S already factored.
 
     Forward action is V -> solve(S, M V); the inverse action
-    V -> M^{-1} (S V) factors M on first use. Transpose action is
-    V -> M^T solve(S^T, V), from A^T = M^T S^{-T}.
+    V -> M^{-1} (S V) factors M as the module docstring says. Transpose
+    action is V -> M^T solve(S^T, V), from A^T = M^T S^{-T}.
     """
     M = as_csr(M)
     n = M.shape[0]
@@ -165,19 +152,10 @@ def operator_from_pair(shifted_factor, M):
         )
     S = shifted_factor.matrix
     MT = csr_matrix(M.T)
-    m_factor_box = []
-
-    def forward(V):
-        return shifted_factor.solve(np.asarray(M @ V))
-
-    def inverse(V):
-        if not m_factor_box:
-            m_factor_box.append(Factorization(M))
-        return m_factor_box[0].solve(np.asarray(S @ V))
-
+    factor = functools.cache(lambda: Factorization(M))
     return LinearOperator(
         n,
-        forward=forward,
-        inverse=inverse,
+        forward=lambda V: shifted_factor.solve(np.asarray(M @ V)),
+        inverse=lambda V: factor().solve(np.asarray(S @ V)),
         transpose=lambda V: np.asarray(MT @ shifted_factor.solve_transpose(V)),
     )

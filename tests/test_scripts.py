@@ -154,6 +154,19 @@ def test_output_diff_compares_the_sweep_a_config_names(tmp_path):
     assert "    residual: " in sweep
 
 
+def test_output_diff_runs_compare_for_a_committed_experiment(tmp_path):
+    # a --config file in experiments/ runs as the default set runs it:
+    # without a sweep section, that is solve and compare
+    base = tmp_path / "base"
+    shutil.copytree(SRC, base / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = _run(tmp_path, "output_diff.py", base, "--config",
+                os.path.join(ROOT, "experiments", "compare_with_reference.json"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for file in ("solution.csv", "compare.csv", "compare.json"):
+        assert f"  {file}: identical" in proc.stdout
+
+
 def test_output_diff_compares_the_files_gen_problem_writes(tmp_path):
     # a heat_fem config also runs gen-problem; a copy whose coordinate
     # writer scales every value by 1 + eps moves M.mtx and K.mtx only

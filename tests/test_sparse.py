@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix, diags, eye as speye, random as sparse_random
@@ -181,3 +182,34 @@ def test_wrap_dense_matches_sparse():
     np.testing.assert_allclose(od.apply(V), os_.apply(V), rtol=1e-13)
     np.testing.assert_allclose(od.apply_inverse(V), os_.apply_inverse(V),
                                rtol=1e-10)
+
+
+@pytest.mark.parametrize("wrap", ["sparse", "dense", "pair"])
+def test_operator_factors_once_on_its_first_inverse_action(wrap, monkeypatch):
+    # forward and transpose actions build no factor, the first inverse
+    # action builds one, later ones reuse it, and each operator has its own
+    M, K = heat_fem_matrices(10, 0.05)
+    shifted = Factorization(csr_matrix(M - 0.01 * K))
+    factored = []
+    init, lu_factor = Factorization.__init__, scipy.linalg.lu_factor
+    monkeypatch.setattr(Factorization, "__init__",
+                        lambda self, A: factored.append(1) or init(self, A))
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda A: factored.append(1) or lu_factor(A))
+    make = {"sparse": lambda: wrap_sparse(M),
+            "dense": lambda: wrap_dense(M.toarray()),
+            "pair": lambda: operator_from_pair(shifted, M)}[wrap]
+    op = make()
+    V = np.random.default_rng(10).standard_normal((10, 2))
+    op.apply(V)
+    op.apply_transpose(V)
+    assert factored == []
+    X = op.apply_inverse(V)
+    assert len(factored) == 1
+    for _ in range(3):
+        np.testing.assert_array_equal(op.apply_inverse(V), X)
+        op.apply(V)
+        op.apply_transpose(V)
+    assert len(factored) == 1
+    make().apply_inverse(V)
+    assert len(factored) == 2
