@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import (ORACLE_MAX_N, SizeGuardError, StabilityError,
                        error_bound_stable, reference_stream)
 from .dense import frob_norm, log_norm_mu2
-from .mmio import (MatrixMarketParseError, write_matrix_market,
+from .mmio import (MatrixMarketParseError, published, write_matrix_market,
                    write_matrix_market_array)
 from .problems import (InputError, ProblemSpec, build_problem, dense_matrix,
                        gen_convdiff, gen_random_block, heat_fem_matrices)
@@ -36,10 +36,8 @@ def _fmt(x):
 
 
 def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with published(path) as tmp, open(tmp, "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _finite_or_null(value):
@@ -190,8 +188,7 @@ def cmd_solve(args):
     if write_factor:
         factor_path = os.path.join(out_dir, "factor_tf.mtx")
         t_write = time.perf_counter()
-        write_matrix_market_array(Z, factor_path + ".tmp")
-        os.replace(factor_path + ".tmp", factor_path)
+        write_matrix_market_array(Z, factor_path)
         t_write = time.perf_counter() - t_write
 
     report["timings_s"] = {"build": t_build, "solve": t_solve, "ranks": t_ranks,

@@ -11,7 +11,10 @@ and column blocks each step (Simoncini, SIAM J. Sci. Comput. 29, 2007).
 The new column block is V^T (A V_newest), from the operator action the
 next candidate needs anyway; the new row block is (A^T V_new)^T V_inner,
 from one transpose action on the new block, so no n-sized array but the
-basis itself outlives a step. The basis grows in place, in one buffer:
+basis itself outlives a step. Both Gram-Schmidt passes subtract in place
+from a candidate of the step's own, which is dropped before the transpose
+action, so a step's peak is four n x w arrays besides the basis. The
+basis grows in place, in one buffer:
 given a step budget, it is allocated once for every column the budget can
 write, so its pages become resident only as columns are written; without
 one, its capacity doubles when it fills. The buffer is a private anonymous
@@ -188,7 +191,10 @@ class KrylovDecomposition:
 
     def extend(self, op):
         """Append one block. Raises KrylovBreakdown on rank loss; the
-        state is updated (at reduced width) before the signal is raised."""
+        state is updated (at reduced width) before the signal is raised.
+
+        The candidate's norm, the deflation scale, is read before both
+        Gram-Schmidt passes orthogonalize the candidate in place."""
         if self.breakdown_rank == 0:
             raise KrylovBreakdown(0, 0)
         V, k_in = self._V, self._k_in
@@ -200,12 +206,17 @@ class KrylovDecomposition:
         newest = V[:, k - width:]
         a_newest = op.apply(newest)
         cand = a_newest[:, :width - n_inv]
+        # orthogonalized in place, so a copy where it is all of a_newest,
+        # which T_bar's new columns still read
         if n_inv:
             cand = np.hstack([cand, op.apply_inverse(newest[:, width - n_inv:])])
-        W = cand
+        else:
+            cand = cand.copy()
+        scale = frob_norm(cand)
         for _ in range(2):
-            W = W - V @ (V.T @ W)
-        Vnew = self._orthonormal_block(W, frob_norm(cand))
+            cand -= V @ (V.T @ cand)
+        Vnew = self._orthonormal_block(cand, scale)
+        del cand
         rank = Vnew.shape[1]
         # V_new^T A V_inner, the rows of the new block against the inner basis
         rows_new = op.apply_transpose(Vnew).T @ V[:, :k_in]

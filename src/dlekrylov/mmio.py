@@ -10,9 +10,11 @@ could fail, to name the line.
 Both writers go through `scipy.io.mmwrite` at 17 significant digits,
 which prints a finite value as Python's "%.16e" does, so written values
 round-trip bit-exactly. They write no comment line: the size line is
-line 2.
+line 2. A file is written under a temporary name and renamed into place
+(`published`), so a failed or interrupted write leaves no partial file.
 """
 
+import contextlib
 import io
 import os
 import shutil
@@ -186,6 +188,21 @@ def read_matrix_market(path):
     return csr_matrix(A)
 
 
+@contextlib.contextmanager
+def published(path):
+    """The name `path` + ".tmp", in `path`'s own directory, to write a file
+    to. When the block completes, the file replaces `path`; when it
+    raises, the file is removed and `path` is left as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _mmwrite(a, path):
     """Write `a`, a float array or sparse matrix, to `path` as a real
     general file by `scipy.io.mmwrite`, without the lone "%" line that
@@ -195,20 +212,21 @@ def _mmwrite(a, path):
     import scipy.io
 
     # mmwrite appends ".mtx" to a file name that lacks it
-    fd, tmp = tempfile.mkstemp(suffix=".mtx",
+    fd, raw = tempfile.mkstemp(suffix=".mtx",
                                dir=os.path.dirname(os.path.abspath(path)))
     os.close(fd)
     try:
         # by default mmwrite writes a small symmetric matrix as "symmetric"
-        scipy.io.mmwrite(tmp, a, precision=17, symmetry="general")
-        with open(tmp, "rb") as src, open(path, "wb") as dst:
+        scipy.io.mmwrite(raw, a, precision=17, symmetry="general")
+        with (published(path) as tmp, open(raw, "rb") as src,
+              open(tmp, "wb") as dst):
             dst.write(src.readline())
             line = src.readline()
             if line != b"%\n":
                 dst.write(line)
             shutil.copyfileobj(src, dst)
     finally:
-        os.remove(tmp)
+        os.remove(raw)
 
 
 def write_matrix_market(A, path):

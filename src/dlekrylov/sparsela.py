@@ -107,17 +107,19 @@ class LinearOperator:
 
 def wrap_sparse(A):
     """Operator view of a square sparse matrix with forward, inverse and
-    transpose actions, its LU factor built as the module docstring says."""
+    transpose actions, its LU factor built as the module docstring says.
+    The transpose action multiplies by `A.T`, the CSC view that shares A's
+    CSR arrays, so the operator keeps no transposed copy of A; that
+    product adds up each entry in the order a transposed CSR copy would."""
     A = as_csr(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
-    AT = csr_matrix(A.T)
     factor = functools.cache(lambda: Factorization(A))
     return LinearOperator(
         A.shape[0],
         forward=lambda V: np.asarray(A @ V),
         inverse=lambda V: factor().solve(V),
-        transpose=lambda V: np.asarray(AT @ V),
+        transpose=lambda V: np.asarray(A.T @ V),
     )
 
 
@@ -142,7 +144,9 @@ def operator_from_pair(shifted_factor, M):
 
     Forward action is V -> solve(S, M V); the inverse action
     V -> M^{-1} (S V) factors M as the module docstring says. Transpose
-    action is V -> M^T solve(S^T, V), from A^T = M^T S^{-T}.
+    action is V -> M^T solve(S^T, V), from A^T = M^T S^{-T}, with M^T
+    the CSC view of M's CSR arrays, as in `wrap_sparse`: no transposed
+    copy of M is kept.
     """
     M = as_csr(M)
     n = M.shape[0]
@@ -151,11 +155,10 @@ def operator_from_pair(shifted_factor, M):
             f"dimension mismatch: factor {shifted_factor.shape}, M {M.shape}"
         )
     S = shifted_factor.matrix
-    MT = csr_matrix(M.T)
     factor = functools.cache(lambda: Factorization(M))
     return LinearOperator(
         n,
         forward=lambda V: shifted_factor.solve(np.asarray(M @ V)),
         inverse=lambda V: factor().solve(np.asarray(S @ V)),
-        transpose=lambda V: np.asarray(MT @ shifted_factor.solve_transpose(V)),
+        transpose=lambda V: np.asarray(M.T @ shifted_factor.solve_transpose(V)),
     )

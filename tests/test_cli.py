@@ -808,3 +808,31 @@ def test_sweep_over_h_shows_second_order(tmp_path):
     errs = [float(r.split(",")[2]) for r in lines[1:]]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.5 <= o <= 2.6 for o in orders), orders
+
+
+@pytest.mark.parametrize("command", ["solve", "gen-problem"])
+def test_a_failed_matrix_market_write_leaves_no_file(tmp_path, monkeypatch, command):
+    # the writer's error propagates, and neither the target nor a
+    # temporary file is left in the output directory
+    import shutil
+
+    def interrupted(src, dst, *args):
+        dst.write(src.read(4))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(shutil, "copyfileobj", interrupted)
+    cfg = _write_cfg(tmp_path, problem=_base_problem(),
+                     solver={"m_max": 10, "tol": 1e-8},
+                     output={"write_factor": True})
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="disk full"):
+        main([command, "--config", cfg, "--out", str(out)])
+    assert sorted(os.listdir(out)) == (["solution.csv"] if command == "solve" else [])
+
+
+def test_a_failed_text_write_leaves_no_file(tmp_path):
+    from dlekrylov import cli
+
+    with pytest.raises(TypeError):
+        cli._atomic_write(str(tmp_path / "report.json"), None)
+    assert os.listdir(tmp_path) == []

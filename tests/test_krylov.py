@@ -481,3 +481,45 @@ def test_extended_basis_stays_orthonormal_at_n_6400(problem):
     V = _extend_times(KrylovDecomposition(op, B), op, 19).basis
     assert V.shape[1] == 80
     assert frob_norm(np.eye(80) - V.T @ V) <= 1e-13
+
+
+@pytest.mark.parametrize("variant", ["block", "extended"])
+def test_extend_holds_at_most_four_and_a_half_blocks(variant):
+    # the candidate is orthogonalized in place and dropped before the
+    # transpose action: one extend at n = 10,000 peaks at 4 n x w blocks
+    # (6 on the extended variant and 5 on the block variant with a fresh
+    # array per Gram-Schmidt pass)
+    import tracemalloc
+
+    n = 10_000
+    op = wrap_sparse(gen_convdiff(100))
+    dec = _extend_times(KrylovDecomposition(op, gen_random_block(n, 2, seed=7),
+                                            variant=variant, max_steps=6), op, 3)
+    block = n * dec.widths[-1] * 8
+    tracemalloc.start()
+    try:
+        dec.extend(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * block
+
+
+@pytest.mark.parametrize("variant", ["block", "extended"])
+def test_extend_keeps_the_forward_action_it_projects(variant):
+    # T_bar's new columns read A V_newest after the candidate drawn from it
+    # has been orthogonalized: the block variant's candidate is all of it,
+    # so it must be orthogonalized in a copy
+    base = wrap_sparse(gen_convdiff(8))
+    applied = []
+    op = LinearOperator(base.dim,
+                        forward=lambda V: applied.append(base.apply(V)) or applied[-1],
+                        inverse=base.apply_inverse, transpose=base.apply_transpose)
+    dec = KrylovDecomposition(op, gen_random_block(64, 2, seed=6), variant=variant)
+    for _ in range(3):
+        k_in = dec.inner_width
+        applied.clear()
+        dec.extend(op)
+        (a_newest,) = applied
+        np.testing.assert_array_equal(a_newest, base.apply(dec.basis[:, k_in:dec.inner_width]))
+        np.testing.assert_array_equal(dec.T_bar[:, k_in:], dec.basis.T @ a_newest)

@@ -486,3 +486,29 @@ def test_writers_leave_no_temporary_file_when_mmwrite_raises(tmp_path, monkeypat
     with pytest.raises(OSError, match="disk full"):
         write(M, str(tmp_path / "m.mtx"))
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("write", [write_matrix_market, write_matrix_market_array])
+def test_an_interrupted_write_leaves_the_target_as_it_was(tmp_path, monkeypatch, write):
+    # a write that fails after the header leaves no partial file: a new
+    # target does not appear, and an existing one keeps its bytes
+    import shutil
+
+    def interrupted(src, dst, *args):
+        dst.write(src.read(4))
+        raise OSError("disk full")
+
+    target = tmp_path / "m.mtx"
+    M = _input_of(write, np.arange(4.0).reshape(2, 2) + 1.0)
+    monkeypatch.setattr(shutil, "copyfileobj", interrupted)
+    with pytest.raises(OSError, match="disk full"):
+        write(M, str(target))
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    write(M, str(target))
+    old = target.read_bytes()
+    monkeypatch.setattr(shutil, "copyfileobj", interrupted)
+    with pytest.raises(OSError, match="disk full"):
+        write(_input_of(write, np.eye(2)), str(target))
+    assert os.listdir(tmp_path) == ["m.mtx"]
+    assert target.read_bytes() == old

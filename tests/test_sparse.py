@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix, diags, eye as speye, random as sparse_random
+from scipy.sparse import (coo_matrix, csr_matrix, diags, eye as speye,
+                          random as sparse_random)
 from scipy.sparse.linalg import splu
 
 from dlekrylov.dense import frob_norm
@@ -213,3 +214,48 @@ def test_operator_factors_once_on_its_first_inverse_action(wrap, monkeypatch):
     assert len(factored) == 1
     make().apply_inverse(V)
     assert len(factored) == 2
+
+
+@pytest.mark.parametrize("case", ["convdiff", "from-coo", "unsorted-csr"])
+def test_transpose_action_is_the_transposed_csr_product_bitwise(case):
+    # the CSC view adds up each entry in the order a row of the transposed
+    # CSR copy does, duplicates included
+    if case == "convdiff":
+        A = gen_convdiff(40)
+    elif case == "from-coo":
+        # unsorted entries with a duplicate, as a Matrix Market file may list them
+        rows, cols = [2, 0, 1, 0, 3, 2, 0], [0, 2, 1, 0, 3, 0, 2]
+        vals = [2.0, 1e16, 1.0, 3.0, 0.5, 5.0, -1e16]
+        A = csr_matrix(coo_matrix((vals, (rows, cols)), shape=(4, 4)))
+    else:
+        # rows with unsorted column indices and a duplicate entry, whose
+        # sums depend on the order they are taken in
+        data = [1e16, 3.0, -1e16, 0.5, 1.0, 2.0, 0.1, -2.5, 1e-3, 4.0]
+        indices = [2, 0, 2, 3, 1, 0, 3, 0, 1, 1]
+        A = csr_matrix((data, indices, [0, 4, 5, 7, 10]), shape=(4, 4))
+        assert not A.has_sorted_indices
+    n = A.shape[0]
+    V = np.random.default_rng(11).standard_normal((n, 4))
+    assert np.array_equal(wrap_sparse(A).apply_transpose(V), csr_matrix(A.T) @ V)
+    S = Factorization(csr_matrix(A + 10.0 * speye(n)))
+    assert np.array_equal(operator_from_pair(S, A).apply_transpose(V),
+                          csr_matrix(A.T) @ S.solve_transpose(V))
+
+
+@pytest.mark.parametrize("wrap", ["sparse", "pair"])
+def test_operator_keeps_no_transposed_copy_of_its_matrix(wrap):
+    # building the operator allocates less than one copy of the matrix's
+    # data and indices (a transposed CSR copy is 640 KB at n = 10,000)
+    import tracemalloc
+
+    A = gen_convdiff(100)
+    S = Factorization(csr_matrix(A + speye(A.shape[0])))
+    tracemalloc.start()
+    try:
+        op = wrap_sparse(A) if wrap == "sparse" else operator_from_pair(S, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (A.data.nbytes + A.indices.nbytes) / 10
+    V = np.ones((A.shape[0], 2))
+    assert op.apply_transpose(V).shape == V.shape
