@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import expm, frob_norm, log_norm_mu2, spec_norm_2
+from .dense import as_block, expm, frob_norm, log_norm_mu2, spec_norm_2
 from .solvers import _propagate, exact_step_pair, gauss_legendre
 
 
@@ -50,9 +50,7 @@ def reference_stream(A, B, X0, grid, q=8):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     _require_oracle_size(n, "dense reference")
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    B = as_block(B)
     X = np.zeros((n, n)) if X0 is None else np.asarray(
         X0.to_dense() if hasattr(X0, "to_dense") else X0, dtype=float)
 
@@ -99,9 +97,7 @@ def error_bound_general(A, B, dec, grid, q=4, mu2=None):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     _require_oracle_size(n, "dense bound")
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    B = as_block(B)
     if mu2 is None:
         mu2 = log_norm_mu2(A)
 

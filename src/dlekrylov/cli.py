@@ -73,14 +73,23 @@ def load_config(path):
     """The configuration object of the JSON file `path`: its sections are
     objects among problem, solver, output (at most `write_factor`, a bool)
     and sweep (at most `axis` and `values`); anything else, a file that
-    cannot be read as UTF-8 text, and a NaN, Infinity or -Infinity token,
-    which strict JSON (RFC 8259) does not have, is a ConfigError."""
+    cannot be read as UTF-8 text, a NaN, Infinity or -Infinity token,
+    which strict JSON (RFC 8259) does not have, and a key given twice in
+    one object, whose value JSON leaves open, is a ConfigError."""
     def refuse(token):
         raise ConfigError(f"{path}: {token} is not a JSON number")
 
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: key {key!r} is given twice")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=refuse)
+            cfg = json.load(fh, parse_constant=refuse, object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read the configuration: "
                           f"{exc.strerror or exc}") from exc
@@ -130,29 +139,24 @@ def build_spec_and_config(cfg):
 
 
 def _iteration_rows(traj):
-    return [
-        {
-            "m": rec.m,
-            "basis_size": rec.basis_size,
-            "residual_final": rec.residual_final,
-            "residual_max": rec.residual_max,
-            "coupling_norm": rec.coupling_norm,
-            "elapsed_s": rec.elapsed,
-            "bdf_basis": rec.bdf_basis,
-            "bdf_cond": rec.bdf_cond,
-            "grid": rec.grid,
-            "psd_clips": rec.psd_clips,
-            "probe_nodes": rec.probe_nodes,
-        }
-        for rec in traj.iterations
-    ]
+    """Each step record as a report row, its fields under their own names
+    (see `IterationRecord`)."""
+    return [{f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)
+             if f.metadata.get("report", True)} for rec in traj.iterations]
 
 
-def cmd_solve(args):
+def _prepare(args):
+    """(cfg, spec, config, out_dir) of a subcommand: the configuration file
+    read and checked, and the output directory made."""
     cfg = load_config(args.config)
     spec, config = build_spec_and_config(cfg)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
+    return cfg, spec, config, out_dir
+
+
+def cmd_solve(args):
+    cfg, spec, config, out_dir = _prepare(args)
 
     t_start = time.perf_counter()
     op, B, grid = build_problem(spec)
@@ -209,10 +213,7 @@ def _first_basis_row(traj):
 
 
 def cmd_compare(args):
-    cfg = load_config(args.config)
-    spec, config = build_spec_and_config(cfg)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    _, spec, config, out_dir = _prepare(args)
 
     op, B, grid = build_problem(spec)
     traj_exp = solve(op, B, None, grid, dataclasses.replace(config, method="eba_exp"))
@@ -269,10 +270,7 @@ def _reference_final(A, B, grid):
 
 
 def cmd_sweep(args):
-    cfg = load_config(args.config)
-    spec, config = build_spec_and_config(cfg)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    cfg, spec, config, out_dir = _prepare(args)
     sweep = cfg.get("sweep", {})
     axis = sweep.get("axis", "m")
     if axis not in ("m", "h", "p"):
@@ -340,10 +338,7 @@ def cmd_sweep(args):
 
 
 def cmd_gen_problem(args):
-    cfg = load_config(args.config)
-    spec, _ = build_spec_and_config(cfg)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    _, spec, _, out_dir = _prepare(args)
     outputs = {}
     if spec.kind == "convdiff":
         A = gen_convdiff(spec.n0)

@@ -28,6 +28,12 @@ def _require_square(M, name="matrix"):
     return M
 
 
+def as_block(B):
+    """B as a float array, a 1-D block as one column."""
+    B = np.asarray(B, dtype=float)
+    return B[:, None] if B.ndim == 1 else B
+
+
 def frob_norm(M):
     return float(np.linalg.norm(np.asarray(M), "fro"))
 

@@ -27,7 +27,7 @@ import mmap
 
 import numpy as np
 
-from .dense import frob_norm, qr_thin
+from .dense import as_block, frob_norm, qr_thin
 
 # Relative rank threshold of a new block, read at call time.
 _DEFLATION_TOL = 1e-12
@@ -103,9 +103,7 @@ class KrylovDecomposition:
         self.breakdown_rank = None
         self.m = 0
 
-        B = np.asarray(start_block, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
+        B = as_block(start_block)
         self.n = B.shape[0]
 
         if variant == "extended":

@@ -44,18 +44,6 @@ def _read_lines(path):
     return io.StringIO(text, newline=None).readlines()
 
 
-def _header_fields(path, line):
-    fields = line.strip().split()
-    if len(fields) != 5 or fields[0] != "%%MatrixMarket":
-        raise MatrixMarketParseError(path, 1, f"malformed header: {line.strip()!r}")
-    _, obj, layout, field, symmetry = fields
-    if obj.lower() != "matrix":
-        raise MatrixMarketParseError(path, 1, f"unsupported object {obj!r}")
-    if field.lower() != "real":
-        raise MatrixMarketParseError(path, 1, f"unsupported field {field!r}")
-    return layout.lower(), symmetry.lower()
-
-
 def _data_lines(path, lines):
     """Yield (lineno, fields) skipping comments and blank lines."""
     for lineno, raw in lines:
@@ -90,6 +78,33 @@ def _size_line(path, data, n_lines, count):
             path, lineno, f"size line declares {entries} entries, but only "
                           f"{n_lines - lineno} lines follow it")
     return lineno, sizes
+
+
+def _prologue(path, layout, symmetries):
+    """(lines, symmetry, data, lineno, sizes) of the real `layout` file at
+    `path`, whose symmetry must be one of `symmetries`: its lines, its
+    symmetry, the (lineno, fields) pairs of its data lines past the size
+    line, and that line's number and sizes (3 for a coordinate file, 2
+    for an array file)."""
+    lines = _read_lines(path)
+    if not lines:
+        raise MatrixMarketParseError(path, 1, "empty file")
+    fields = lines[0].strip().split()
+    if len(fields) != 5 or fields[0] != "%%MatrixMarket":
+        raise MatrixMarketParseError(path, 1, f"malformed header: {lines[0].strip()!r}")
+    _, obj, got, field, symmetry = fields
+    got, symmetry = got.lower(), symmetry.lower()
+    if obj.lower() != "matrix":
+        raise MatrixMarketParseError(path, 1, f"unsupported object {obj!r}")
+    if field.lower() != "real":
+        raise MatrixMarketParseError(path, 1, f"unsupported field {field!r}")
+    if got != layout:
+        raise MatrixMarketParseError(path, 1, f"expected {layout} layout, got {got!r}")
+    if symmetry not in symmetries:
+        raise MatrixMarketParseError(path, 1, f"unsupported symmetry {symmetry!r}")
+    data = _data_lines(path, enumerate(lines[1:], start=2))
+    lineno, sizes = _size_line(path, data, len(lines), 3 if layout == "coordinate" else 2)
+    return lines, symmetry, data, lineno, sizes
 
 
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
@@ -157,17 +172,8 @@ def read_matrix_market(path):
     holds the lower triangle only, is expanded to full storage on read, and
     an entry above its diagonal is a parse error.
     """
-    raw_lines = _read_lines(path)
-    if not raw_lines:
-        raise MatrixMarketParseError(path, 1, "empty file")
-    layout, symmetry = _header_fields(path, raw_lines[0])
-    if layout != "coordinate":
-        raise MatrixMarketParseError(path, 1, f"expected coordinate layout, got {layout!r}")
-    if symmetry not in ("general", "symmetric"):
-        raise MatrixMarketParseError(path, 1, f"unsupported symmetry {symmetry!r}")
-
-    data = _data_lines(path, enumerate(raw_lines[1:], start=2))
-    lineno, (nrows, ncols, nnz) = _size_line(path, data, len(raw_lines), 3)
+    raw_lines, symmetry, data, lineno, (nrows, ncols, nnz) = _prologue(
+        path, "coordinate", ("general", "symmetric"))
     symmetric = symmetry == "symmetric"
     if symmetric and nrows != ncols:
         raise MatrixMarketParseError(
@@ -240,17 +246,7 @@ def write_matrix_market(A, path):
 
 def read_matrix_market_array(path):
     """Read a real dense array Matrix Market file (column-major values)."""
-    raw_lines = _read_lines(path)
-    if not raw_lines:
-        raise MatrixMarketParseError(path, 1, "empty file")
-    layout, symmetry = _header_fields(path, raw_lines[0])
-    if layout != "array":
-        raise MatrixMarketParseError(path, 1, f"expected array layout, got {layout!r}")
-    if symmetry != "general":
-        raise MatrixMarketParseError(path, 1, f"unsupported symmetry {symmetry!r}")
-
-    data = _data_lines(path, enumerate(raw_lines[1:], start=2))
-    lineno, (nrows, ncols) = _size_line(path, data, len(raw_lines), 2)
+    raw_lines, _, data, lineno, (nrows, ncols) = _prologue(path, "array", ("general",))
     e = _parsed_entries(raw_lines[lineno:], _VALUE, nrows * ncols)
     if e is not None:
         return e["v"].reshape((ncols, nrows)).T.copy()

@@ -73,14 +73,14 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .dense import (LyapunovSolver, check_lyapunov_solvable, expm, frob_norm,
-                    spec_norm_2, sym_part)
+from .dense import (LyapunovSolver, as_block, check_lyapunov_solvable, expm,
+                    frob_norm, spec_norm_2, sym_part)
 from .krylov import KrylovBreakdown, KrylovDecomposition
 from .sparsela import LinearOperator, wrap_dense, wrap_sparse
 
@@ -197,16 +197,17 @@ class IterationRecord:
     solution from that node, which differs from the BDF grid's value at
     tf by the scheme's own error. A "full" step walked every node.
     `psd_clips` counts the clipped nodes among the nodes the walk
-    recorded."""
+    recorded. `report.json` holds each record as a row of its fields but
+    the two marked `report` False."""
 
     m: int
     basis_size: int
     residual_final: float
     residual_max: float
     coupling_norm: float
-    gbar_sup: float
-    small_final: np.ndarray
-    elapsed: float
+    gbar_sup: float = field(metadata={"report": False})
+    small_final: np.ndarray = field(metadata={"report": False})
+    elapsed_s: float
     bdf_basis: str = None              # step basis of a BDF grid run
     bdf_cond: float = None             # cond(V) that chose that basis
     grid: str = "full"                 # "probe" | "full"
@@ -224,12 +225,7 @@ class Trajectory:
     s = `_PROBE_STRIDE`. A replay clips the nodes the deciding grid run's
     PSD screen clipped and screens none: its inputs are that run's
     bitwise, so its decisions are too.
-    `replay_coords()` walks the same nodes in the coordinates the grid
-    holds them in, as pairs (Y, gram_inv) with the node congruent to Y
-    (see `_count_above`); None means `replay()`'s nodes with gram_inv None.
-    `replay_batches()`, set only where the nodes grow in the Loewner order
-    (eba-exp from X0 = 0), walks the grid batch by batch as `_gram_batches`
-    yields it, for `ranks`.
+    `count(out, tau)`, set by the grid run, is its rank pass (see `ranks`).
     The value at tf is kept as `final_small` and read without a replay.
     Random access to node i replays i steps; `small_solutions` materializes
     every node once, at O(N k^2) memory kept for the trajectory's life, and
@@ -247,8 +243,7 @@ class Trajectory:
     iterations: list
     dim: int
     config: SolverConfig
-    replay_coords: object = None       # () -> iterator over (Y, gram_inv)
-    replay_batches: object = None      # () -> iterator over the batches
+    count: object = None               # (out, tau) -> None: the rank pass
 
     @property
     def final_residual(self):
@@ -300,39 +295,21 @@ class Trajectory:
         The last entry counts `final_small` as `truncate_lowrank` does, so
         it is the width of `lowrank_factor(-1)`. The other nodes are
         counted by inertia (`_count_above`): no eigendecomposition, no
-        lift of a basis node and no PSD screen.
-
-        Where `replay_batches` is set (eba-exp from X0 = 0), the nodes
-        grow in the Loewner order: Y(t) is the integral over [t0, t] of
-        e^{sT} Bm Bm^T e^{sT^T}, and its increments are positive
-        semidefinite. By Weyl's monotonicity theorem each eigenvalue grows
-        too, and with it the count above a fixed threshold. So the
-        pass counts the batch ends, and every node between two ends of
-        the same count has that count; only a batch whose end count moved
-        is formed and counted node by node (`_count_batches`). The
-        rounded nodes are monotone only up to rounding: if any count it
-        takes falls below one before it, the threshold lies within the
-        rounding of an eigenvalue, and the pass counts every node instead,
-        as below, so the column is the per-node one.
-
-        Otherwise (an X0, or eba-bdf, whose BDF2 and BDF3 steps are not
-        known to keep the order) every node is counted on one walk of
-        `replay_coords()`, in the grid's own coordinates.
+        lift of a basis node and no PSD screen. The grid run's `count`
+        fills them by its route's rule; without one, every node of
+        `replay()` is counted (`_count_each`).
 
         Where a node's eigenvalue lies within rounding of the threshold,
         its count and the width of `lowrank_factor(i)`, which counts the
-        lifted node, can differ by one; and a skipped node, which is not
-        counted, can differ by one from its own count."""
+        lifted node, can differ by one; and a node the rule skips, which
+        is not counted, can differ by one from its own count."""
         tau = _RANK_THRESHOLD
         out = np.empty(len(self.nodes), dtype=int)
         out[-1] = _count_above(self.final_small, tau)
-        if (self.replay_batches is not None
-                and _count_batches(self.replay_batches(), out, tau)):
-            return out
-        walk = (self.replay_coords() if self.replay_coords is not None
-                else ((G, None) for G in self.replay()))
-        for i, (Y, gram_inv) in enumerate(itertools.islice(walk, len(out) - 1)):
-            out[i] = _count_above(Y, tau, gram_inv)
+        if self.count is not None:
+            self.count(out, tau)
+        else:
+            _count_each(((G, None) for G in self.replay()), out, tau)
         return out
 
 
@@ -439,6 +416,14 @@ def _count_above(Y, tau, gram_inv=None):
     return int(count)
 
 
+def _count_each(walk, out, tau):
+    """Fill `out[:-1]` with the counts above tau at the nodes of `walk`,
+    pairs (Y, gram_inv) as `_count_above` reads them, one count a node;
+    the walk's last node, which `out[-1]` counts, is not read."""
+    for i, (Y, gram_inv) in enumerate(itertools.islice(walk, len(out) - 1)):
+        out[i] = _count_above(Y, tau, gram_inv)
+
+
 def _count_batches(batches, out, tau):
     """Fill `out` with the counts above tau at the nodes of a grid whose
     nodes grow in the Loewner order, `out[-1]` holding the last node's
@@ -529,8 +514,7 @@ class _SmallRun:
     bdf_basis: str = None              # "eigen" | "schur" on BDF grids
     bdf_cond: float = None             # cond(V) of the eigenvectors
     clipped: tuple = ()                # nodes the PSD screen clipped
-    replay_coords: object = None       # `Trajectory.replay_coords`
-    replay_batches: object = None      # `Trajectory.replay_batches`
+    count: object = None               # `Trajectory.count`
 
     @property
     def psd_clips(self):
@@ -548,7 +532,7 @@ def _collect(steps, n_nodes, k, w, keep_full, coupling=None, stop=None,
     ends, the last node walked among them. The run keeps those residuals,
     the final node, the clipped nodes and, when `keep_full` is set, every
     node and its rows; `fields` are further `_SmallRun` fields. The caller
-    sets the replays.
+    sets the replay and the rank pass.
 
     `stop(res)`, when given, tells whether the residuals `res` of a batch
     reach the tolerance. It reads each batch that ends before the last
@@ -648,7 +632,7 @@ def _gram_batches(pairs, G0, n_steps):
     (see `_batches`): the batch ends a and b, G_b formed alone by the
     table's pair of b - a steps, and `between()`, which forms the nodes
     a+1..b-1 by `_batch_nodes`. The one batch walk of the grid:
-    `_gram_nodes` and `Trajectory.replay_batches` both read it."""
+    `_gram_nodes` and the exp grid's rank pass both read it."""
     G = G0
     for a, b in _batches(n_steps, pairs.s):
         G_b = _propagate((pairs.E[b - a - 1], pairs.delta[b - a - 1]), G)
@@ -741,14 +725,26 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
         parts += [(pairs.E[rest - 1], pairs.delta[rest - 1])] if rest else []
         return _propagate(functools.reduce(_compose, parts), node[0])
 
-    # the exp grid never clips; from G0 = 0 its nodes grow in the Loewner
-    # order, so the rank pass may walk the batch ends
+    def count(out, tau):
+        # From G0 = 0 the nodes grow in the Loewner order: Y(t) is the
+        # integral over [t0, t] of e^{sT} Bm Bm^T e^{sT^T}, and its
+        # increments are positive semidefinite. By Weyl's monotonicity
+        # theorem each eigenvalue grows too, and with it the count above a
+        # fixed threshold. So the pass counts the batch ends, and every
+        # node between two ends of the same count has that count; only a
+        # batch whose end count moved is formed and counted node by node
+        # (`_count_batches`). The rounded nodes are monotone only up to
+        # rounding: if any count it takes falls below one before it, the
+        # threshold lies within the rounding of an eigenvalue, and the
+        # pass counts every node instead, as it does from an X0.
+        if P0.shape[1] or not _count_batches(
+                _gram_batches(pairs, G0, grid.n_steps), out, tau):
+            _count_each(((G, None) for G, *_ in nodes()), out, tau)
+
+    # the exp grid never clips
     run = _collect(nodes(full=keep_full), grid.n_steps + 1, k, w, keep_full,
                    coupling, stop, jump)
-    batches = (None if P0.shape[1] else
-               functools.partial(_gram_batches, pairs, G0, grid.n_steps))
-    return replace(run, replay=lambda: (G for G, *_ in nodes()),
-                   replay_batches=batches)
+    return replace(run, replay=lambda: (G for G, *_ in nodes()), count=count)
 
 
 # Above this cond(V) the eigenbasis step loses accuracy like
@@ -819,8 +815,6 @@ class _StepBasis:
         order each weight is bitwise the complex contraction's."""
         k = len(self.lam)
         r = int(np.count_nonzero(self.lam.imag == 0))
-        if r == k:
-            return lambda R: R * mult
         p = (k - r) // 2
         # Re and Im of mult on the pair rows' and columns' strips and the
         # pair block; a reversed pair axis reads the partners
@@ -984,17 +978,6 @@ def _bdf_nodes(setup, w, clips=None):
     return (Y for Y, *_ in _bdf_steps(setup, w, clips=clips))
 
 
-def _bdf_coords(setup, clips):
-    """(Y_i, gram_inv) for the nodes of the BDF grid of `_bdf_setup`'s
-    step data, as `Trajectory.replay_coords` walks them: a node the grid
-    holds lifted (Y0, clipped, tf) as it is with gram_inv None, any other
-    as its basis value with the basis's `gram_inv`. It lifts no basis node
-    and reads no rows; `clips` as in `_bdf_steps`."""
-    gram_inv = setup.basis.gram_inv
-    for Y, _, _, history in _bdf_steps(setup, 0, full=False, clips=clips):
-        yield (Y, None) if Y is not None else (history[0], gram_inv)
-
-
 def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
                   stop=None):
     """The BDF grid over every node, or up to the batch `stop` ends it at,
@@ -1008,12 +991,21 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
         step = _exact_step(T, Bm, s * grid.h, basis, setup.Q)
         return basis.lift(step(node[3][0]))
 
+    def count(out, tau):
+        # Every node, since BDF2 and BDF3 steps are not known to keep the
+        # Loewner order, on one walk at bar width 0 that lifts no basis
+        # node: a node the grid holds lifted (Y0, clipped, tf) is counted
+        # as it is, any other as its basis value with the basis's gram_inv.
+        walk = _bdf_steps(setup, 0, full=False, clips=clips)
+        _count_each(((Y, None) if Y is not None else (history[0], basis.gram_inv)
+                     for Y, _, _, history in walk), out, tau)
+
     run = _collect(_bdf_steps(setup, w, full=keep_full), grid.n_steps + 1,
                    T.shape[0], w, keep_full, coupling, stop, jump,
                    bdf_basis=basis.kind, bdf_cond=basis.cond)
     clips = frozenset(run.clipped)
     return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
-                   replay_coords=functools.partial(_bdf_coords, setup, clips))
+                   count=count)
 
 
 # -- outer Krylov loop ------------------------------------------------------
@@ -1033,7 +1025,7 @@ def _zero_trajectory(n, grid, config):
     zero, n_nodes = np.zeros((0, 0)), grid.n_steps + 1
     rec = IterationRecord(m=1, basis_size=0, residual_final=0.0,
                           residual_max=0.0, coupling_norm=0.0, gbar_sup=0.0,
-                          small_final=zero, elapsed=0.0)
+                          small_final=zero, elapsed_s=0.0)
     return Trajectory(
         grid=grid, nodes=grid.nodes, final_small=zero,
         replay=functools.partial(itertools.repeat, zero, n_nodes),
@@ -1073,9 +1065,7 @@ def krylov_steps(op, B, Z0, config):
     """The Krylov steps of the projection of (op, B, Z0), one per `extend`,
     up to `config.m_max` or a full breakdown; none when B and Z0 are zero.
     It makes no convergence decision."""
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
+    B = as_block(B)
     if frob_norm(B) == 0.0 and Z0.shape[1] == 0:
         return
     start = np.hstack([B, Z0]) if Z0.shape[1] else B
@@ -1116,7 +1106,7 @@ def full_grid_run(step, grid, config, stop=None):
     return run, res, IterationRecord(
         m=step.m, basis_size=step.basis_size, residual_max=float(np.max(res)),
         coupling_norm=frob_norm(step.coupling), small_final=run.final,
-        elapsed=time.perf_counter() - step.started, bdf_basis=run.bdf_basis,
+        elapsed_s=time.perf_counter() - step.started, bdf_basis=run.bdf_basis,
         bdf_cond=run.bdf_cond, psd_clips=run.psd_clips, **fields)
 
 
@@ -1148,8 +1138,7 @@ def _solve(op, B, X0, grid, config):
         grid=grid, nodes=grid.nodes, final_small=run.final,
         replay=run.replay, residuals=res, decomposition=step.decomposition,
         converged=converged, method=config.method, iterations=iterations,
-        dim=op.dim, config=config, replay_coords=run.replay_coords,
-        replay_batches=run.replay_batches,
+        dim=op.dim, config=config, count=run.count,
     )
 
 

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.linalg import splu
 
+from .dense import as_block
+
 
 class FactorizationError(RuntimeError):
     """Sparse factorization failed (structural or numerical singularity)."""
@@ -84,9 +86,7 @@ class LinearOperator:
         self._transpose = transpose
 
     def _check(self, V):
-        V = np.asarray(V, dtype=float)
-        if V.ndim == 1:
-            V = V[:, None]
+        V = as_block(V)
         if V.shape[0] != self.dim:
             raise ValueError(f"block has {V.shape[0]} rows, operator dimension is {self.dim}")
         return V

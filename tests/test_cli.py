@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from dlekrylov import cli
 from dlekrylov.cli import main
+from dlekrylov.solvers import IterationRecord
 
 
 def _write_cfg(tmp_path, name="cfg.json", **sections):
@@ -210,6 +213,28 @@ def test_report_echoes_the_config(tmp_path):
     assert [row["probe_nodes"] for row in rows] == [10] * (len(rows) - 1) + [None]
 
 
+def test_report_rows_are_the_step_records(tmp_path, monkeypatch):
+    # each row holds every IterationRecord field but gbar_sup and
+    # small_final, under the field's own name and in the record's order
+    trajs = []
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda *args: trajs.append(solve(*args)) or trajs[-1])
+    cfg = _write_cfg(tmp_path, problem=_base_problem(),
+                     solver={"method": "eba_bdf", "m_max": 6, "tol": 1e-6})
+    out = str(tmp_path / "out")
+    main(["solve", "--config", cfg, "--out", out])
+    rows = _strict_json(os.path.join(out, "report.json"))["iterations"]
+    kept = [f.name for f in dataclasses.fields(IterationRecord)
+            if f.name not in ("gbar_sup", "small_final")]
+    assert kept == ["m", "basis_size", "residual_final", "residual_max",
+                    "coupling_norm", "elapsed_s", "bdf_basis", "bdf_cond",
+                    "grid", "psd_clips", "probe_nodes"]
+    assert len(rows) == len(trajs[0].iterations) > 1
+    for row, rec in zip(rows, trajs[0].iterations):
+        assert list(row) == kept
+        assert row == {name: getattr(rec, name) for name in kept}
+
+
 def test_report_counts_psd_clips(tmp_path, monkeypatch):
     from dlekrylov import solvers
 
@@ -342,6 +367,22 @@ def test_settings_are_not_flags(tmp_path, capsys, command, flag, value):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "sweep", "gen-problem"])
+def test_a_key_given_twice_is_config_error(tmp_path, capsys, command):
+    # JSON leaves the value of a repeated key open: read as the last one,
+    # the run would not match its file, whose report echoes only that one
+    problem = json.dumps(_base_problem())
+    for text in ('{"problem": %s, "solver": {"tol": 1e-3, "tol": 1e-8}}' % problem,
+                 '{"problem": %s, "problem": %s}' % (problem, problem)):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        key = "tol" if "tol" in text else "problem"
+        assert f"config error: {cfg}: key '{key}' is given twice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "compare", "sweep", "gen-problem"])

@@ -16,7 +16,8 @@ import pytest
 
 from dlekrylov.cli import build_spec_and_config, load_config, main
 from dlekrylov.problems import build_problem
-from dlekrylov.solvers import Trajectory, full_grid_run, krylov_steps
+from dlekrylov.solvers import (Trajectory, _run_gram_grid, full_grid_run,
+                               krylov_steps)
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -218,21 +219,27 @@ def _line_of(fn, text):
 def test_line_trace_lists_the_lines_a_run_leaves_unrun(tmp_path):
     # a solve with a nonzero B never takes krylov_steps' early return, and
     # an eba-exp solve from X0 = 0 counts its ranks at the batch ends, so
-    # the per-node walk of Trajectory.ranks stays unrun
+    # the per-node fallback of the exp grid's rank pass stays unrun, and
+    # so does the per-node default of Trajectory.ranks, which the grid
+    # run's pass replaces
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({
         "problem": {"kind": "convdiff", "n0": 6, "s": 2, "t0": 0.0,
                     "tf": 0.1, "h": 0.01},
         "solver": {"method": "eba_exp", "m_max": 4, "tol": 1e-8}}))
     proc = _run(tmp_path, "line_trace.py", config, "--function", "krylov_steps",
-                "--function", "Trajectory.ranks")
+                "--function", "Trajectory.ranks", "--function",
+                "_run_gram_grid.<locals>.count")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     unrun = [line.split(":")[1] for line in proc.stdout.splitlines()
              if line.startswith("src/dlekrylov/solvers.py:")]
     assert str(_line_of(krylov_steps, "return")) in unrun
     assert str(_line_of(krylov_steps, "broke = False")) not in unrun
-    assert str(_line_of(Trajectory.ranks, "walk = (self.replay_coords() "
-                        "if self.replay_coords is not None")) in unrun
+    assert str(_line_of(_run_gram_grid, "_count_each(((G, None) for G, *_ in "
+                        "nodes()), out, tau)")) in unrun
+    assert str(_line_of(Trajectory.ranks, "_count_each(((G, None) for G in "
+                        "self.replay()), out, tau)")) in unrun
+    assert str(_line_of(Trajectory.ranks, "self.count(out, tau)")) not in unrun
     assert str(_line_of(Trajectory.ranks, "tau = _RANK_THRESHOLD")) not in unrun
     assert "# ran solve on tiny.json: exit 3" in proc.stdout
     assert "m=4" in proc.stderr and "m=4" not in proc.stdout

@@ -408,6 +408,21 @@ def test_entrywise_weights_are_the_complex_contraction_bitwise(seed, k, share):
         assert np.array_equal(apply(R), _entrywise_by_contraction(basis, mult)(R))
 
 
+@pytest.mark.parametrize("k", [1, 6, 9])
+def test_entrywise_on_an_all_real_spectrum_is_the_elementwise_product(k):
+    # with no conjugate pair C_diag is mult and the partner weights act on
+    # empty views: the map is R * mult bitwise, the solve's too
+    basis = _pair_spectrum_basis(k, k, 0)
+    assert not np.any(basis.lam.imag)
+    S = basis.lam[:, None] + basis.lam[None, :]
+    lam_F = 0.02 * basis.lam - 0.5
+    R = np.random.default_rng(k).standard_normal((k, k))
+    R = R + R.T
+    assert np.array_equal(basis.solve(R), R * (-1.0 / (lam_F[:, None] + lam_F[None, :])))
+    for mult in (np.exp(0.1 * S), -1.0 / (0.02 * S - 1.0)):
+        assert np.array_equal(basis.entrywise(mult)(R), R * mult)
+
+
 def test_entrywise_build_temporaries_stay_below_four_k2_words():
     # one map at k = 72 with 4 pairs, the size of bdf-6400's m = 18 basis:
     # the complex weight tensor and its gather took about 14 k^2 float64
@@ -728,6 +743,35 @@ def test_bdf_ranks_count_in_the_basis_with_no_eigensolve_lift_or_screen(monkeypa
     assert ranks[-1] == traj.lowrank_factor(-1).rank
 
 
+@pytest.mark.parametrize("route", ["exp", "exp-x0", "bdf1", "bdf2", "bdf3",
+                                   "bdf2-schur"])
+def test_each_route_counts_as_the_per_node_pass(route, monkeypatch):
+    # each grid run's rank pass fills the column `_count_each` gives over
+    # the lifted replay: the exp run's by the batch ends from X0 = 0, the
+    # BDF run's in its basis coordinates, the Schur basis's too
+    if route.endswith("schur"):
+        monkeypatch.setattr(solvers, "_EIGEN_COND_MAX", 0.0)
+    B = gen_random_block(100, 2, seed=7)
+    X0 = SymLowRank(0.3 * gen_random_block(100, 2, seed=8)) if route == "exp-x0" else None
+    config = (SolverConfig(m_max=8, tol=1e-300) if route.startswith("exp") else
+              SolverConfig(method="eba_bdf", bdf_order=int(route[3]), m_max=8,
+                           tol=1e-300))
+    traj = solve(wrap_sparse(gen_convdiff(10)), B, X0, TimeGrid(0.0, 1.0, 1e-2),
+                 config)
+    if route.startswith("bdf"):
+        assert traj.iterations[-1].bdf_basis == (
+            "schur" if route.endswith("schur") else "eigen")
+    tau = solvers._RANK_THRESHOLD
+    got = np.full(len(traj.nodes), -1)
+    got[-1] = solvers._count_above(traj.final_small, tau)
+    want = got.copy()
+    traj.count(got, tau)
+    solvers._count_each(((G, None) for G in traj.replay()), want, tau)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(traj.ranks(), _per_node_ranks(traj))
+    assert 0 < want[1] < want[-1]       # the column moves
+
+
 def test_replays_clip_the_nodes_the_deciding_run_clipped(monkeypatch):
     # a screen that always fails, as in the CLI's clip-count test: the
     # deciding run clips every screened node, and a replay clips them
@@ -785,6 +829,7 @@ def test_exp_ranks_equal_the_per_node_count(seed, n, p, m_max, stride, n_steps,
     # from X0 = 0 the rank pass counts batch ends and skips the nodes of
     # a batch whose end count did not move; with an X0 it counts every
     # node. Both give the column of one count per replayed node.
+    calls = {}
     assume(stride == 1 or (n_steps + 1) % stride)      # a short last batch
     rng = np.random.default_rng(seed)
     A = _stable_dense(n, seed)
@@ -794,8 +839,9 @@ def test_exp_ranks_equal_the_per_node_count(seed, n, p, m_max, stride, n_steps,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_PROBE_STRIDE", stride)
         traj = solve(A, B, X0, grid, SolverConfig(m_max=m_max, tol=1e-300))
-        assert (traj.replay_batches is None) == with_x0
+        _count_calls(mp, solvers, "_count_batches", calls)
         np.testing.assert_array_equal(traj.ranks(), _per_node_ranks(traj))
+    assert ("_count_batches" in calls) != with_x0
 
 
 def _exp_growing_case():
@@ -829,6 +875,23 @@ def test_exp_ranks_count_the_batch_ends_and_the_moved_batches(monkeypatch):
     assert formed == [b - a - 1 for a, b in moved]
 
 
+def _rank_pass_batches(run, grid, monkeypatch):
+    """The batches, as `_gram_batches` yields them, that the rank pass of
+    the grid run `run` hands `_count_batches`."""
+    batches = []
+    count_batches = solvers._count_batches
+
+    def recorded(walk, out, tau):
+        batches.extend(walk)
+        return count_batches(iter(batches), out, tau)
+
+    monkeypatch.setattr(solvers, "_count_batches", recorded)
+    out = np.empty(grid.n_steps + 1, dtype=int)
+    out[-1] = solvers._count_above(run.final, solvers._RANK_THRESHOLD)
+    run.count(out, solvers._RANK_THRESHOLD)
+    return batches
+
+
 @pytest.mark.parametrize("stride", [1, 7, 10])
 def test_exp_rank_batches_are_the_replay_nodes(stride, monkeypatch):
     # node 0, the batch ends and the nodes between them, as the rank pass
@@ -839,15 +902,19 @@ def test_exp_rank_batches_are_the_replay_nodes(stride, monkeypatch):
     run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False,
                          coupling=coupling)
     nodes = list(run.replay())
-    for a, G_a, b, G_b, between in run.replay_batches():
+    batches = _rank_pass_batches(run, grid, monkeypatch)
+    assert [(a, b) for a, _, b, _, _ in batches] == list(
+        solvers._batches(grid.n_steps, stride))
+    for a, G_a, b, G_b, between in batches:
         np.testing.assert_array_equal(G_a, nodes[a])
         np.testing.assert_array_equal(G_b, nodes[b])
         np.testing.assert_array_equal(between(), np.array(nodes[a + 1:b]).reshape(
             b - a - 1, *G_a.shape))
     np.testing.assert_array_equal(G_b, run.final)
+    # from an X0 the pass walks no batch
     nonzero = _run_gram_grid(T, Bm, 0.3 * np.eye(T.shape[0])[:, :2], grid, 4, w,
                              keep_full=False, coupling=coupling)
-    assert nonzero.replay_batches is None
+    assert _rank_pass_batches(nonzero, grid, monkeypatch) == []
 
 
 def _heat_drop_case(n, scale, m_max):
@@ -1800,7 +1867,10 @@ def test_bdf_rank_walk_lifts_no_rows(monkeypatch):
     lift_rows = solvers._StepBasis.lift_rows
     monkeypatch.setattr(solvers._StepBasis, "lift_rows",
                         lambda self, Yr, w: widths.append(w) or lift_rows(self, Yr, w))
-    coords = list(run.replay_coords())
+    coords = []
+    monkeypatch.setattr(solvers, "_count_each",
+                        lambda walk, out, tau: coords.extend(walk))
+    run.count(np.empty(grid.n_steps + 1, dtype=int), solvers._RANK_THRESHOLD)
     assert set(widths) <= {0} and len(coords) == grid.n_steps + 1
     basis = solvers._bdf_setup(T, Bm, P0, grid, 2).basis
     for (Y, gram_inv), G in zip(coords, run.full):
