@@ -7,20 +7,23 @@ extended variant with no inverse part. Each candidate block is
 orthogonalized by block classical Gram-Schmidt run twice (Giraud, Langou,
 Rozloznik & van den Eshof, Numer. Math. 101, 2005), and the projected
 matrix is the explicit projection V^T (A V_inner), grown by its new row
-and column blocks each step (Simoncini, SIAM J. Sci. Comput. 29, 2007).
-The new column block is V^T (A V_newest), from the operator action the
-next candidate needs anyway; the new row block is (A^T V_new)^T V_inner,
-from one transpose action on the new block, so no n-sized array but the
-basis itself outlives a step. Both Gram-Schmidt passes subtract in place
-from a candidate of the step's own, which is dropped before the transpose
-action, so a step's peak is four n x w arrays besides the basis. The
-basis grows in place, in one buffer:
-given a step budget, it is allocated once for every column the budget can
-write, so its pages become resident only as columns are written; without
-one, its capacity doubles when it fills. The buffer is a private anonymous
-mapping of its own, advised never to be backed by huge pages, so it
-becomes resident 4 KiB at a time whatever the host's transparent huge
-page mode, and it is unmapped when its last view is freed.
+and column blocks each step (Simoncini, SIAM J. Sci. Comput. 29, 2007;
+Heyouni, Appl. Numer. Math. 60, 2010). The new column block is
+V^T (A V_newest), from the operator action the next candidate needs
+anyway. Until a block drops a direction, A maps each older inner block
+into the Krylov space the basis spans, so the new block's rows against
+them are zero and T_bar is block upper Hessenberg; after a drop they are
+V_new^T (A V_j), one forward action per older inner block V_j. No n-sized
+array but the basis outlives a step, and both Gram-Schmidt passes
+subtract in place from a candidate of the step's own, so a step peaks at
+four n x w arrays besides the basis. The basis grows in place, in one
+buffer: given a step budget, it is allocated once for every column the
+budget can write, so its pages become resident only as columns are
+written; without one, its capacity doubles when it fills. The buffer is
+a private anonymous mapping of its own, advised never to be backed by
+huge pages, so it becomes resident 4 KiB at a time whatever the host's
+transparent huge page mode, and it is unmapped when its last view is
+freed.
 """
 
 import mmap
@@ -74,8 +77,11 @@ class KrylovDecomposition:
     the coupling. A block of the extended variant has a forward part,
     continued by A, and an inverse part, continued by A^{-1}; a block of
     the block variant is all forward part. For both variants T_bar is the
-    explicit projection V^T (A V_inner). The process needs the operator's
-    forward and transpose actions, and the extended variant its inverse
+    explicit projection V^T (A V_inner), block upper Hessenberg until a
+    block, the start block included, drops a direction: the rows below
+    the block subdiagonal are zero until then, and formed by forward
+    actions on the older inner blocks from then on. The process needs the
+    operator's forward action, and the extended variant its inverse
     action too; a missing one raises `CapabilityError` before the state
     changes. A new block keeps the directions of its candidate above
     `_DEFLATION_TOL` times its norm; a narrower block is a breakdown.
@@ -102,6 +108,8 @@ class KrylovDecomposition:
         self.variant = variant
         self.breakdown_rank = None
         self.m = 0
+        # set by `_orthonormal_block` once a block drops a direction
+        self._dropped = False
 
         B = as_block(start_block)
         self.n = B.shape[0]
@@ -169,7 +177,9 @@ class KrylovDecomposition:
             if np.all(np.abs(np.diag(R)) > thresh):
                 return Q
         U, s, _ = np.linalg.svd(cand, full_matrices=False)
-        return U[:, :int(np.sum(s > thresh))]
+        rank = int(np.sum(s > thresh))
+        self._dropped |= rank < cand.shape[1]
+        return U[:, :rank]
 
     def _append(self, Vnew):
         """Write Vnew into the columns past the basis; in a buffer of twice
@@ -216,13 +226,16 @@ class KrylovDecomposition:
         Vnew = self._orthonormal_block(cand, scale)
         del cand
         rank = Vnew.shape[1]
-        # V_new^T A V_inner, the rows of the new block against the inner basis
-        rows_new = op.apply_transpose(Vnew).T @ V[:, :k_in]
+        tbar = np.zeros((k + rank, k_in + width))
+        tbar[:k, :k_in] = self._tbar
+        if self._dropped and rank:
+            # V_new^T A V_j, the new block's rows against each older block
+            j = 0
+            for w in self._widths[:self.m]:
+                tbar[k:, j:j + w] = Vnew.T @ op.apply(V[:, j:j + w])
+                j += w
 
         self._append(Vnew)
-        tbar = np.empty((k + rank, k_in + width))
-        tbar[:k, :k_in] = self._tbar
-        tbar[k:, :k_in] = rows_new
         tbar[:, k_in:] = self._V.T @ a_newest
         self._tbar = _frozen(tbar)
         self._k_in = k_in + width

@@ -61,6 +61,11 @@ class ProblemSpec:
                     or not 0 < value < math.inf):
                 raise ValueError(f"{name} must be a positive finite number, "
                                  f"got {value!r}")
+        # `open` reads a non-string path such as 0 or True as a file descriptor
+        for name in ("a_path", "b_path"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         if self.kind == "convdiff":
             self.n = self.n0 * self.n0
 

@@ -233,17 +233,23 @@ class Trajectory:
     """
 
     grid: TimeGrid
-    nodes: np.ndarray
     final_small: np.ndarray            # (k, k) at tf
     replay: object                     # () -> iterator over the n_nodes (k, k)
     residuals: np.ndarray
     decomposition: KrylovDecomposition
     converged: bool
-    method: str
     iterations: list
     dim: int
     config: SolverConfig
     count: object = None               # (out, tau) -> None: the rank pass
+
+    @property
+    def nodes(self):
+        return self.grid.nodes
+
+    @property
+    def method(self):
+        return self.config.method
 
     @property
     def final_residual(self):
@@ -1027,10 +1033,10 @@ def _zero_trajectory(n, grid, config):
                           residual_max=0.0, coupling_norm=0.0, gbar_sup=0.0,
                           small_final=zero, elapsed_s=0.0)
     return Trajectory(
-        grid=grid, nodes=grid.nodes, final_small=zero,
+        grid=grid, final_small=zero,
         replay=functools.partial(itertools.repeat, zero, n_nodes),
         residuals=np.zeros(n_nodes), decomposition=None, converged=True,
-        method=config.method, iterations=[rec], dim=n, config=config)
+        iterations=[rec], dim=n, config=config)
 
 
 def _route(config):
@@ -1110,7 +1116,8 @@ def full_grid_run(step, grid, config, stop=None):
         bdf_cond=run.bdf_cond, psd_clips=run.psd_clips, **fields)
 
 
-def _solve(op, B, X0, grid, config):
+def solve(op, B, X0, grid, config):
+    """The route `config.method` names."""
     op = as_operator(op)
     Z0 = X0.Z if X0 is not None else np.zeros((op.dim, 0))
 
@@ -1135,23 +1142,17 @@ def _solve(op, B, X0, grid, config):
         return _zero_trajectory(op.dim, grid, config)
     # the last step (converged, at m_max or broken down) walked every node
     return Trajectory(
-        grid=grid, nodes=grid.nodes, final_small=run.final,
-        replay=run.replay, residuals=res, decomposition=step.decomposition,
-        converged=converged, method=config.method, iterations=iterations,
-        dim=op.dim, config=config, count=run.count,
+        grid=grid, final_small=run.final, replay=run.replay, residuals=res,
+        decomposition=step.decomposition, converged=converged,
+        iterations=iterations, dim=op.dim, config=config, count=run.count,
     )
 
 
 def solve_eba_exp(op, B, X0, grid, config=None):
     """Arnoldi projection + exponential quadrature of the projected Gramian."""
-    return _solve(op, B, X0, grid, replace(config or SolverConfig(), method="eba_exp"))
+    return solve(op, B, X0, grid, replace(config or SolverConfig(), method="eba_exp"))
 
 
 def solve_eba_bdf(op, B, X0, grid, config=None):
     """Arnoldi projection + fixed-step BDF on the projected matrix ODE."""
-    return _solve(op, B, X0, grid, replace(config or SolverConfig(), method="eba_bdf"))
-
-
-def solve(op, B, X0, grid, config):
-    """The route `config.method` names."""
-    return _solve(op, B, X0, grid, config)
+    return solve(op, B, X0, grid, replace(config or SolverConfig(), method="eba_bdf"))

@@ -2,8 +2,8 @@
 consumed by the Krylov processes.
 
 Sparse matrices are plain scipy CSR. An operator built here factors on its
-first inverse action, once, and reuses that LU factor; its forward and
-transpose actions never factor. SuperLU orders a sparse factor's columns by
+first inverse action, once, and reuses that LU factor; its forward action
+never factors. SuperLU orders a sparse factor's columns by
 minimum degree on A^T + A (Amestoy, Davis & Duff, SIAM J. Matrix Anal.
 Appl. 17, 1996; Li, ACM TOMS 31, 2005), which suits the structurally
 symmetric matrices the problem generators produce: on convdiff n = 6400
@@ -58,32 +58,27 @@ class Factorization:
         except RuntimeError as exc:
             raise FactorizationError(f"sparse LU failed: {exc}") from exc
 
-    def solve(self, V, trans="N"):
+    def solve(self, V):
         V = np.asarray(V, dtype=float)
         squeeze = V.ndim == 1
-        X = self._lu.solve(V if not squeeze else V[:, None], trans=trans)
+        X = self._lu.solve(V if not squeeze else V[:, None])
         return X.ravel() if squeeze else X
-
-    def solve_transpose(self, V):
-        return self.solve(V, trans="T")
 
 
 class LinearOperator:
-    """Square operator exposing block actions A @ V and optionally A^{-1} @ V
-    and A^T @ V.
+    """Square operator exposing block actions A @ V and optionally A^{-1} @ V.
 
-    `forward` and the optional `inverse`/`transpose` callables take and
-    return (n, k) arrays. The Krylov processes need the forward and
-    transpose actions, and the extended variant also needs the inverse;
-    every helper here provides all three, and an operator that lacks an
-    action is constructed directly.
+    `forward` and the optional `inverse` callables take and return (n, k)
+    arrays. The block Krylov process needs the forward action alone, and
+    the extended variant also needs the inverse; every helper here
+    provides both, and an operator without an inverse is
+    `LinearOperator(n, forward)`.
     """
 
-    def __init__(self, dim, forward, inverse=None, transpose=None):
+    def __init__(self, dim, forward, inverse=None):
         self.dim = dim
         self._forward = forward
         self._inverse = inverse
-        self._transpose = transpose
 
     def _check(self, V):
         V = as_block(V)
@@ -99,18 +94,10 @@ class LinearOperator:
             raise CapabilityError("operator has no inverse action")
         return self._inverse(self._check(V))
 
-    def apply_transpose(self, V):
-        if self._transpose is None:
-            raise CapabilityError("operator has no transpose action")
-        return self._transpose(self._check(V))
-
 
 def wrap_sparse(A):
-    """Operator view of a square sparse matrix with forward, inverse and
-    transpose actions, its LU factor built as the module docstring says.
-    The transpose action multiplies by `A.T`, the CSC view that shares A's
-    CSR arrays, so the operator keeps no transposed copy of A; that
-    product adds up each entry in the order a transposed CSR copy would."""
+    """Operator view of a square sparse matrix with forward and inverse
+    actions, its LU factor built as the module docstring says."""
     A = as_csr(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
@@ -119,7 +106,6 @@ def wrap_sparse(A):
         A.shape[0],
         forward=lambda V: np.asarray(A @ V),
         inverse=lambda V: factor().solve(V),
-        transpose=lambda V: np.asarray(A.T @ V),
     )
 
 
@@ -135,7 +121,6 @@ def wrap_dense(A):
         A.shape[0],
         forward=lambda V: A @ V,
         inverse=lambda V: sla.lu_solve(factor(), V),
-        transpose=lambda V: A.T @ V,
     )
 
 
@@ -143,10 +128,7 @@ def operator_from_pair(shifted_factor, M):
     """Operator for A = S^{-1} M given S already factored.
 
     Forward action is V -> solve(S, M V); the inverse action
-    V -> M^{-1} (S V) factors M as the module docstring says. Transpose
-    action is V -> M^T solve(S^T, V), from A^T = M^T S^{-T}, with M^T
-    the CSC view of M's CSR arrays, as in `wrap_sparse`: no transposed
-    copy of M is kept.
+    V -> M^{-1} (S V) factors M as the module docstring says.
     """
     M = as_csr(M)
     n = M.shape[0]
@@ -160,5 +142,4 @@ def operator_from_pair(shifted_factor, M):
         n,
         forward=lambda V: shifted_factor.solve(np.asarray(M @ V)),
         inverse=lambda V: factor().solve(np.asarray(S @ V)),
-        transpose=lambda V: np.asarray(M.T @ shifted_factor.solve_transpose(V)),
     )

@@ -199,7 +199,7 @@ def test_extended_invariant_suite_convdiff():
 def test_extended_requires_inverse():
     rng = np.random.default_rng(7)
     A = csr_matrix(np.diag(rng.random(8) + 1.0))
-    op = LinearOperator(8, lambda V: A @ V, transpose=lambda V: A.T @ V)
+    op = LinearOperator(8, lambda V: A @ V)
     B = rng.standard_normal((8, 1))
     with pytest.raises(CapabilityError):
         KrylovDecomposition(op, B, variant="extended")
@@ -280,46 +280,62 @@ def test_state_is_read_only(variant):
 
 @pytest.mark.parametrize("variant", ["block", "extended"])
 def test_one_operator_action_per_extend(variant):
-    # one apply on the newest block, one apply_inverse on its inverse
-    # columns on the extended variant only, and one apply_transpose on the
-    # new block
-    base = wrap_sparse(gen_convdiff(6))
+    # one apply on the newest block and one apply_inverse on its inverse
+    # columns on the extended variant only; once a block has dropped a
+    # direction, one more apply on each older inner block. The start block
+    # [b, A b] drops one on the extended variant, and the block variant's
+    # first extend drops one
+    A = gen_convdiff(6)
+    base = wrap_sparse(A)
     calls = []
     op = LinearOperator(
         base.dim,
         forward=lambda V: calls.append(("apply", V.copy())) or base.apply(V),
-        inverse=lambda V: calls.append(("inverse", V.copy())) or base.apply_inverse(V),
-        transpose=lambda V: (calls.append(("transpose", V.copy()))
-                             or base.apply_transpose(V)))
+        inverse=lambda V: calls.append(("inverse", V.copy())) or base.apply_inverse(V))
     B = gen_random_block(36, 2, seed=4)
-    dec = KrylovDecomposition(op, B, variant=variant)
-    assert [kind for kind, _ in calls] == (["inverse"] if variant == "extended" else [])
-    for _ in range(3):
-        width = dec.widths[-1]
-        newest = dec.basis[:, -width:]
-        n_inv = width // 2 if variant == "extended" else 0
+    for drops, start in ((False, B), (True, np.hstack([B[:, :1], A @ B[:, :1]]))):
         calls.clear()
-        dec.extend(op)
-        assert [kind for kind, _ in calls] == (["apply"] + ["inverse"] * (n_inv > 0)
-                                               + ["transpose"])
-        np.testing.assert_array_equal(calls[0][1], newest)
-        if n_inv:
-            np.testing.assert_array_equal(calls[1][1], newest[:, width - n_inv:])
-        np.testing.assert_array_equal(calls[-1][1], dec.basis[:, -dec.widths[-1]:])
+        dec = KrylovDecomposition(op, start, variant=variant)
+        assert [kind for kind, _ in calls] == (["inverse"] if variant == "extended" else [])
+        for _ in range(3):
+            width = dec.widths[-1]
+            newest = dec.basis[:, -width:]
+            n_inv = width // 2 if variant == "extended" else 0
+            older = dec.widths[:dec.m] if drops else []
+            calls.clear()
+            try:
+                dec.extend(op)
+            except KrylovBreakdown:
+                assert drops
+            assert [kind for kind, _ in calls] == (["apply"] + ["inverse"] * (n_inv > 0)
+                                                   + ["apply"] * len(older))
+            np.testing.assert_array_equal(calls[0][1], newest)
+            if n_inv:
+                np.testing.assert_array_equal(calls[1][1], newest[:, width - n_inv:])
+            j = 0
+            for w, (_, V) in zip(older, calls[len(calls) - len(older):]):
+                np.testing.assert_array_equal(V, dec.basis[:, j:j + w])
+                j += w
+            ref = dec.basis.T @ A @ dec.inner_basis
+            assert frob_norm(dec.T_bar - ref) <= 1e-12 * frob_norm(ref)
+        dropped = dec.widths[0] == 3 if variant == "extended" else dec.widths[1] == 1
+        assert dropped == drops
 
 
 @pytest.mark.parametrize("variant", ["block", "extended"])
-def test_extend_needs_the_transpose_action(variant):
-    # the first extend raises before it changes the state
-    base = wrap_sparse(gen_convdiff(6))
-    op = LinearOperator(base.dim, forward=base.apply, inverse=base.apply_inverse)
-    dec = KrylovDecomposition(op, gen_random_block(36, 2, seed=4), variant=variant)
-    V = dec.basis
-    with pytest.raises(CapabilityError, match="transpose"):
-        dec.extend(op)
-    assert dec.m == 0 and dec.inner_width == 0 and dec.basis is V
-    dec.extend(base)
-    assert dec.m == 1
+def test_T_bar_is_block_upper_hessenberg_until_a_drop(variant):
+    # no block of this convdiff case drops a direction, so every new
+    # block's rows against the older inner blocks are exactly zero
+    A = gen_convdiff(10)
+    op = wrap_sparse(A)
+    dec = _extend_times(KrylovDecomposition(op, gen_random_block(100, 2, seed=7),
+                                            variant=variant), op, 6)
+    assert dec.widths == [dec.widths[0]] * 7
+    ends = np.cumsum(dec.widths)
+    for i in range(2, dec.m + 1):
+        assert not dec.T_bar[ends[i - 1]:ends[i], :ends[i - 2]].any()
+    ref = dec.basis.T @ A @ dec.inner_basis
+    assert frob_norm(dec.T_bar - ref) <= 1e-12 * frob_norm(ref)
 
 
 @pytest.mark.parametrize("variant", ["block", "extended"])
@@ -514,7 +530,7 @@ def test_extend_keeps_the_forward_action_it_projects(variant):
     applied = []
     op = LinearOperator(base.dim,
                         forward=lambda V: applied.append(base.apply(V)) or applied[-1],
-                        inverse=base.apply_inverse, transpose=base.apply_transpose)
+                        inverse=base.apply_inverse)
     dec = KrylovDecomposition(op, gen_random_block(64, 2, seed=6), variant=variant)
     for _ in range(3):
         k_in = dec.inner_width

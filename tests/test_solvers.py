@@ -627,10 +627,9 @@ def test_ranks_match_factor_width_at_dtol():
         vals = np.concatenate([660.0 * rng.random(k - 11), [dtol], np.zeros(10)])
         mats.append((U * vals) @ U.T)
     grid = TimeGrid(0.0, float(n_mat - 1), 1.0)
-    traj = Trajectory(grid=grid, nodes=grid.nodes, final_small=mats[-1],
-                      replay=lambda: iter(mats),
+    traj = Trajectory(grid=grid, final_small=mats[-1], replay=lambda: iter(mats),
                       residuals=np.zeros(n_mat), decomposition=np.eye(k),
-                      converged=True, method="eba_exp", iterations=[], dim=k,
+                      converged=True, iterations=[], dim=k,
                       config=SolverConfig())
     widths = [traj.lowrank_factor(i).rank for i in range(n_mat)]
     np.testing.assert_array_equal(traj.ranks(), widths)
@@ -698,10 +697,9 @@ def test_truncated_factor_is_finite_where_the_count_passes_eigvalsh():
                                dtol * (1.0 + 0.5 * rng.standard_normal(k - 10))])
         mats.append(sym_part((U * vals) @ U.T))
     grid = TimeGrid(0.0, float(n_mat - 1), 1.0)
-    traj = Trajectory(grid=grid, nodes=grid.nodes, final_small=mats[-1],
-                      replay=lambda: iter(mats), residuals=np.zeros(n_mat),
-                      decomposition=np.eye(k), converged=True, method="eba_exp",
-                      iterations=[], dim=k, config=SolverConfig())
+    traj = Trajectory(grid=grid, final_small=mats[-1], replay=lambda: iter(mats),
+                      residuals=np.zeros(n_mat), decomposition=np.eye(k),
+                      converged=True, iterations=[], dim=k, config=SolverConfig())
     ranks = traj.ranks()
     past_eigvalsh = 0
     for i, G in enumerate(mats):
@@ -1246,7 +1244,7 @@ def test_block_variant_without_inverse_action():
     from dlekrylov.sparsela import LinearOperator
 
     A = _stable_dense(30, 40)
-    op = LinearOperator(30, lambda V: A @ V, transpose=lambda V: A.T @ V)
+    op = LinearOperator(30, lambda V: A @ V)
     rng = np.random.default_rng(41)
     B = rng.random((30, 2))
     grid = TimeGrid(0.0, 0.5, 1e-2)
@@ -1256,6 +1254,21 @@ def test_block_variant_without_inverse_action():
     assert traj.converged
     from dlekrylov.analysis import dense_reference_integral
 
+    ref = dense_reference_integral(A, B, None, grid, q=8)
+    assert frob_norm(traj.solution_dense(-1) - ref[-1]) <= 1e-8 * frob_norm(ref[-1])
+
+
+def test_extended_variant_with_forward_and_inverse_actions_only():
+    # the extended process needs no action but A and A^-1
+    from dlekrylov.analysis import dense_reference_integral
+    from dlekrylov.sparsela import LinearOperator
+
+    A = _stable_dense(30, 40)
+    op = LinearOperator(30, lambda V: A @ V, inverse=lambda V: np.linalg.solve(A, V))
+    B = np.random.default_rng(41).random((30, 2))
+    grid = TimeGrid(0.0, 0.5, 1e-2)
+    traj = solve_eba_exp(op, B, None, grid, SolverConfig(m_max=20, tol=1e-11))
+    assert traj.converged and traj.decomposition.variant == "extended"
     ref = dense_reference_integral(A, B, None, grid, q=8)
     assert frob_norm(traj.solution_dense(-1) - ref[-1]) <= 1e-8 * frob_norm(ref[-1])
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import (coo_matrix, csr_matrix, diags, eye as speye,
+from scipy.sparse import (csr_matrix, diags, eye as speye,
                           random as sparse_random)
 from scipy.sparse.linalg import splu
 
@@ -102,7 +102,6 @@ def test_factor_structurally_unsymmetric_matches_dense():
     f = Factorization(A)
     V = np.random.default_rng(8).standard_normal((n, 3))
     for X, ref in ((f.solve(V), np.linalg.solve(D, V)),
-                   (f.solve_transpose(V), np.linalg.solve(D.T, V)),
                    (f.solve(V[:, 0]), np.linalg.solve(D, V[:, 0]))):
         assert X.shape == ref.shape
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -137,16 +136,8 @@ def test_operator_forward_inverse_roundtrip():
     assert frob_norm(op.apply(op.apply_inverse(V)) - V) <= 1e-10 * frob_norm(V)
 
 
-def test_operator_transpose_action():
-    rng = np.random.default_rng(6)
-    A = csr_matrix(sparse_random(30, 30, density=0.3, random_state=8))
-    op = wrap_sparse(A)
-    V = rng.standard_normal((30, 2))
-    np.testing.assert_allclose(op.apply_transpose(V), A.T @ V, rtol=1e-13)
-
-
 def test_operator_without_inverse_raises():
-    op = LinearOperator(3, lambda V: V, transpose=lambda V: V)
+    op = LinearOperator(3, lambda V: V)
     with pytest.raises(CapabilityError):
         op.apply_inverse(np.ones((3, 1)))
 
@@ -170,8 +161,6 @@ def test_pair_operator_roundtrip_and_dense_agreement():
     assert frob_norm(op.apply(op.apply_inverse(V)) - V) <= 1e-10 * frob_norm(V)
     A_dense = np.linalg.solve(shifted.toarray(), M.toarray())
     np.testing.assert_allclose(op.apply(V), A_dense @ V, rtol=1e-11, atol=1e-13)
-    np.testing.assert_allclose(op.apply_transpose(V), A_dense.T @ V,
-                               rtol=1e-11, atol=1e-13)
 
 
 def test_wrap_dense_matches_sparse():
@@ -187,7 +176,7 @@ def test_wrap_dense_matches_sparse():
 
 @pytest.mark.parametrize("wrap", ["sparse", "dense", "pair"])
 def test_operator_factors_once_on_its_first_inverse_action(wrap, monkeypatch):
-    # forward and transpose actions build no factor, the first inverse
+    # the forward action builds no factor, the first inverse
     # action builds one, later ones reuse it, and each operator has its own
     M, K = heat_fem_matrices(10, 0.05)
     shifted = Factorization(csr_matrix(M - 0.01 * K))
@@ -203,43 +192,15 @@ def test_operator_factors_once_on_its_first_inverse_action(wrap, monkeypatch):
     op = make()
     V = np.random.default_rng(10).standard_normal((10, 2))
     op.apply(V)
-    op.apply_transpose(V)
     assert factored == []
     X = op.apply_inverse(V)
     assert len(factored) == 1
     for _ in range(3):
         np.testing.assert_array_equal(op.apply_inverse(V), X)
         op.apply(V)
-        op.apply_transpose(V)
     assert len(factored) == 1
     make().apply_inverse(V)
     assert len(factored) == 2
-
-
-@pytest.mark.parametrize("case", ["convdiff", "from-coo", "unsorted-csr"])
-def test_transpose_action_is_the_transposed_csr_product_bitwise(case):
-    # the CSC view adds up each entry in the order a row of the transposed
-    # CSR copy does, duplicates included
-    if case == "convdiff":
-        A = gen_convdiff(40)
-    elif case == "from-coo":
-        # unsorted entries with a duplicate, as a Matrix Market file may list them
-        rows, cols = [2, 0, 1, 0, 3, 2, 0], [0, 2, 1, 0, 3, 0, 2]
-        vals = [2.0, 1e16, 1.0, 3.0, 0.5, 5.0, -1e16]
-        A = csr_matrix(coo_matrix((vals, (rows, cols)), shape=(4, 4)))
-    else:
-        # rows with unsorted column indices and a duplicate entry, whose
-        # sums depend on the order they are taken in
-        data = [1e16, 3.0, -1e16, 0.5, 1.0, 2.0, 0.1, -2.5, 1e-3, 4.0]
-        indices = [2, 0, 2, 3, 1, 0, 3, 0, 1, 1]
-        A = csr_matrix((data, indices, [0, 4, 5, 7, 10]), shape=(4, 4))
-        assert not A.has_sorted_indices
-    n = A.shape[0]
-    V = np.random.default_rng(11).standard_normal((n, 4))
-    assert np.array_equal(wrap_sparse(A).apply_transpose(V), csr_matrix(A.T) @ V)
-    S = Factorization(csr_matrix(A + 10.0 * speye(n)))
-    assert np.array_equal(operator_from_pair(S, A).apply_transpose(V),
-                          csr_matrix(A.T) @ S.solve_transpose(V))
 
 
 @pytest.mark.parametrize("wrap", ["sparse", "pair"])
@@ -258,4 +219,4 @@ def test_operator_keeps_no_transposed_copy_of_its_matrix(wrap):
         tracemalloc.stop()
     assert peak < (A.data.nbytes + A.indices.nbytes) / 10
     V = np.ones((A.shape[0], 2))
-    assert op.apply_transpose(V).shape == V.shape
+    assert op.apply(V).shape == V.shape
