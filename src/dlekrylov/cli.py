@@ -311,9 +311,10 @@ def cmd_sweep(args):
         walk = dataclasses.replace(config, m_max=max(values, default=1))
         steps = krylov_steps(op, B, np.zeros((op.dim, 0)), walk) if values else ()
         for step in steps:
-            if step.m in values:
-                by_m[step.m] = row(step.m, grid, full_grid_run(step, grid, walk)[2],
-                                   step.decomposition.lift)
+            dec = step.decomposition
+            if dec.m in values:
+                by_m[dec.m] = row(dec.m, grid, full_grid_run(step, grid, walk)[2],
+                                  dec.lift)
         rows = [by_m[m] for m in values if m in by_m]
     else:
         # one solve per value, whose grid or BDF order differs; its row

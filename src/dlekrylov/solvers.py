@@ -225,7 +225,9 @@ class Trajectory:
     s = `_PROBE_STRIDE`. A replay clips the nodes the deciding grid run's
     PSD screen clipped and screens none: its inputs are that run's
     bitwise, so its decisions are too.
-    `count(out, tau)`, set by the grid run, is its rank pass (see `ranks`).
+    `count(out, tau)`, set by the grid run, is its rank pass (see `ranks`):
+    it fills `out[:-1]` and returns True, or returns False where its rule
+    does not hold, for the default pass to fill them.
     The value at tf is kept as `final_small` and read without a replay.
     Random access to node i replays i steps; `small_solutions` materializes
     every node once, at O(N k^2) memory kept for the trajectory's life, and
@@ -241,7 +243,7 @@ class Trajectory:
     iterations: list
     dim: int
     config: SolverConfig
-    count: object = None               # (out, tau) -> None: the rank pass
+    count: object = None               # (out, tau) -> bool: the rank pass
 
     @property
     def nodes(self):
@@ -302,8 +304,9 @@ class Trajectory:
         it is the width of `lowrank_factor(-1)`. The other nodes are
         counted by inertia (`_count_above`): no eigendecomposition, no
         lift of a basis node and no PSD screen. The grid run's `count`
-        fills them by its route's rule; without one, every node of
-        `replay()` is counted (`_count_each`).
+        fills them by its route's rule, where it has one; without one, or
+        where it returns False, every node of `replay()` is counted
+        (`_count_each`).
 
         Where a node's eigenvalue lies within rounding of the threshold,
         its count and the width of `lowrank_factor(i)`, which counts the
@@ -312,9 +315,7 @@ class Trajectory:
         tau = _RANK_THRESHOLD
         out = np.empty(len(self.nodes), dtype=int)
         out[-1] = _count_above(self.final_small, tau)
-        if self.count is not None:
-            self.count(out, tau)
-        else:
+        if self.count is None or not self.count(out, tau):
             _count_each(((G, None) for G in self.replay()), out, tau)
         return out
 
@@ -322,8 +323,16 @@ class Trajectory:
 # -- small dense building blocks -------------------------------------------
 
 
-def gauss_legendre(q, a, b):
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(q):
+    """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(q)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(q, a, b):
+    x, w = _legendre_rule(q)
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
@@ -399,27 +408,19 @@ def _count_above(Y, tau, gram_inv=None):
     By congruence (Sylvester's law of inertia) M Y M^T - tau I and
     Y - tau gram_inv have as many positive eigenvalues, and so does the
     block-diagonal D of the Bunch-Kaufman factorization L D L^T of the
-    latter (`dsytrf`): a 1x1 pivot counts when positive, a 2x2 pivot by
-    its determinant and trace. About a quarter of the flops of an
-    eigvalsh."""
+    latter (`dsytrf`): a 1x1 pivot counts when positive, and a 2x2 pivot
+    [[a, b], [b, c]] counts once, since the pivoting takes one only when
+    |a c| < alpha^2 b^2 < b^2, so it has one eigenvalue of each sign
+    (Bunch & Kaufman, Math. Comp. 31, 1977). About a quarter of the flops
+    of an eigvalsh."""
     k = Y.shape[0]
     if k == 0:
         return 0
     ldu, ipiv, _ = lapack.dsytrf(_shifted(Y, -tau, gram_inv), lower=True,
                                  lwork=_sytrf_lwork(k), overwrite_a=True)
-    d = ldu.diagonal()
-    count = np.count_nonzero(d[ipiv > 0] > 0)
-    # both rows of a 2x2 pivot hold the same negative ipiv entry and the
-    # pivots do not overlap, so every other such row starts a pivot
-    start = np.flatnonzero(ipiv < 0)[::2]
-    if start.size:
-        a, c = d[start], d[start + 1]
-        det = a * c - ldu[start + 1, start] ** 2
-        # det < 0: one positive eigenvalue and one negative; else both
-        # have the trace's sign, or one of them is zero where det = 0
-        count += (np.count_nonzero(det < 0)
-                  + int(np.dot(a + c > 0, 1 + np.sign(det))))
-    return int(count)
+    # both rows of a 2x2 pivot hold the same negative ipiv entry
+    return int(np.count_nonzero(ldu.diagonal()[ipiv > 0] > 0)
+               + np.count_nonzero(ipiv < 0) // 2)
 
 
 def _count_each(walk, out, tau):
@@ -742,10 +743,9 @@ def _run_gram_grid(T, Bm, P0, grid, q, w, keep_full, coupling=None,
         # (`_count_batches`). The rounded nodes are monotone only up to
         # rounding: if any count it takes falls below one before it, the
         # threshold lies within the rounding of an eigenvalue, and the
-        # pass counts every node instead, as it does from an X0.
-        if P0.shape[1] or not _count_batches(
-                _gram_batches(pairs, G0, grid.n_steps), out, tau):
-            _count_each(((G, None) for G, *_ in nodes()), out, tau)
+        # default pass counts every node instead, as it does from an X0.
+        return not P0.shape[1] and _count_batches(
+            _gram_batches(pairs, G0, grid.n_steps), out, tau)
 
     # the exp grid never clips
     run = _collect(nodes(full=keep_full), grid.n_steps + 1, k, w, keep_full,
@@ -939,9 +939,9 @@ def _bdf_setup(T, Bm, P0, grid, order):
 
 
 def _bdf_steps(setup, w, full=True, clips=None):
-    """(Y_i, rows_i, clipped, history) for the nodes i = 0..N of a BDF grid
-    from its `_bdf_setup` step data: Y0, then values in `basis`, by the
-    `startup` map up to node len(alphas) - 1 and BDF steps after it.
+    """(Y_i, rows_i, clipped, Yr_i) for the nodes i = 0..N of a BDF grid
+    from its `_bdf_setup` step data: Y0, then values Yr_i in `basis`, by
+    the `startup` map up to node len(alphas) - 1 and BDF steps after it.
     `rows_i` are the last w rows of Y_i. `clipped` tells whether the PSD
     screen, run in the basis, failed: the node is lifted, clipped by
     `_psd_clip` and projected back. `clips`, when given, is the set of the
@@ -949,12 +949,13 @@ def _bdf_steps(setup, w, full=True, clips=None):
     clip and no node is screened, which decides as that pass did, since
     the inputs are bitwise the same. A node after Y0 that is not clipped
     lifts only its rows, and its full Y_i too when `full` is set or i = N;
-    otherwise Y_i is None. `history` is the last len(alphas) values in the
-    basis (fewer in the start-up), newest first, updated in place."""
+    otherwise Y_i is None. `Yr_i` is the node's value in the basis, for a
+    clipped node the clipped value projected back."""
     Y0, basis, alphas = setup.Y0, setup.basis, setup.alphas
     k, order = Y0.shape[0], len(alphas)
+    # the last len(alphas) basis values (fewer in the start-up), newest first
     history = [basis.project(Y0)]
-    yield Y0, Y0[k - w:, :], False, history
+    yield Y0, Y0[k - w:, :], False, history[0]
     for i in range(1, setup.n_steps + 1):
         if i < order:
             Yr = setup.startup(history[0])
@@ -974,14 +975,7 @@ def _bdf_steps(setup, w, full=True, clips=None):
             Y = basis.lift(Yr, rows) if full or i == setup.n_steps else None
         history.insert(0, Yr)
         del history[order:]
-        yield Y, rows, clipped, history
-
-
-def _bdf_nodes(setup, w, clips=None):
-    """Y_0, ..., Y_N of the BDF grid of `_bdf_setup`'s step data, each
-    with the last w rows the grid run with bar width w takes; `clips` as
-    in `_bdf_steps`."""
-    return (Y for Y, *_ in _bdf_steps(setup, w, clips=clips))
+        yield Y, rows, clipped, Yr
 
 
 def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
@@ -995,7 +989,7 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
     def jump(node, s):
         # from the basis value of the last node walked, unscreened
         step = _exact_step(T, Bm, s * grid.h, basis, setup.Q)
-        return basis.lift(step(node[3][0]))
+        return basis.lift(step(node[3]))
 
     def count(out, tau):
         # Every node, since BDF2 and BDF3 steps are not known to keep the
@@ -1003,15 +997,16 @@ def _run_bdf_grid(T, Bm, P0, grid, order, w, keep_full, coupling=None,
         # node: a node the grid holds lifted (Y0, clipped, tf) is counted
         # as it is, any other as its basis value with the basis's gram_inv.
         walk = _bdf_steps(setup, 0, full=False, clips=clips)
-        _count_each(((Y, None) if Y is not None else (history[0], basis.gram_inv)
-                     for Y, _, _, history in walk), out, tau)
+        _count_each(((Y, None) if Y is not None else (Yr, basis.gram_inv)
+                     for Y, _, _, Yr in walk), out, tau)
+        return True
 
     run = _collect(_bdf_steps(setup, w, full=keep_full), grid.n_steps + 1,
                    T.shape[0], w, keep_full, coupling, stop, jump,
                    bdf_basis=basis.kind, bdf_cond=basis.cond)
     clips = frozenset(run.clipped)
-    return replace(run, replay=functools.partial(_bdf_nodes, setup, w, clips),
-                   count=count)
+    return replace(run, count=count, replay=lambda: (
+        Y for Y, *_ in _bdf_steps(setup, w, clips=clips)))
 
 
 # -- outer Krylov loop ------------------------------------------------------
@@ -1050,20 +1045,15 @@ def _route(config):
 
 
 class KrylovStep(NamedTuple):
-    """Krylov step m: the projected data. Its `coupling` and
-    `decomposition` (a shallow copy) hold step m's arrays: later `extend`
-    calls replace T_bar, and write basis columns only past the ones these
-    views cover."""
+    """Krylov step m: the projected data. Its `decomposition` is a shallow
+    copy that holds step m's state: its m, T, coupling, widths and inner
+    width are step m's, since later `extend` calls replace T_bar and the
+    widths, and write basis columns only past the ones its views cover."""
 
-    m: int
-    basis_size: int
-    T: np.ndarray
+    decomposition: KrylovDecomposition
     Bm: np.ndarray
     P0: np.ndarray
-    w: int                             # width of the newest inner block
     broke: bool                        # full breakdown: the last step
-    coupling: np.ndarray
-    decomposition: KrylovDecomposition
     started: float                     # perf_counter() before the extend
 
 
@@ -1086,10 +1076,8 @@ def krylov_steps(op, B, Z0, config):
             # partial rank loss narrows the block and the process keeps
             # going; a full breakdown means the subspace is invariant
             broke = exc.rank == 0
-        T, Bm, P0 = dec.T, dec.project_block(B), dec.project_block(Z0)
-        yield KrylovStep(dec.m, dec.inner_width, T, Bm, P0,
-                         dec.widths[dec.m - 1], broke, dec.coupling,
-                         copy.copy(dec), started)
+        yield KrylovStep(copy.copy(dec), dec.project_block(B),
+                         dec.project_block(Z0), broke, started)
 
 
 def full_grid_run(step, grid, config, stop=None):
@@ -1099,19 +1087,19 @@ def full_grid_run(step, grid, config, stop=None):
     record, a "probe" row when the walk ended before tf. `stop(res)` reads
     the residuals of a batch."""
     grid_run, scheme = _route(config)
-    run = grid_run(step.T, step.Bm, step.P0, grid, scheme, step.w,
-                   keep_full=False, coupling=step.coupling, stop=stop)
+    dec = step.decomposition
+    run = grid_run(dec.T, step.Bm, step.P0, grid, scheme, dec.widths[dec.m - 1],
+                   keep_full=False, coupling=dec.coupling, stop=stop)
     res = run.residuals
     if len(res) <= grid.n_steps:
         fields = {"grid": "probe",
-                  "residual_final": float(residual_norm(step.coupling,
-                                                        run.final)),
+                  "residual_final": float(residual_norm(dec.coupling, run.final)),
                   "gbar_sup": None, "probe_nodes": len(res)}
     else:
         fields = {"residual_final": float(res[-1]), "gbar_sup": run.gbar_sup}
     return run, res, IterationRecord(
-        m=step.m, basis_size=step.basis_size, residual_max=float(np.max(res)),
-        coupling_norm=frob_norm(step.coupling), small_final=run.final,
+        m=dec.m, basis_size=dec.inner_width, residual_max=float(np.max(res)),
+        coupling_norm=frob_norm(dec.coupling), small_final=run.final,
         elapsed_s=time.perf_counter() - step.started, bdf_basis=run.bdf_basis,
         bdf_cond=run.bdf_cond, psd_clips=run.psd_clips, **fields)
 
@@ -1128,7 +1116,7 @@ def solve(op, B, X0, grid, config):
     iterations = []
     converged = False
     for step in krylov_steps(op, B, Z0, config):
-        last = step.broke or step.m >= config.m_max
+        last = step.broke or step.decomposition.m >= config.m_max
         # the previous walk's step data are not needed past its record
         run = None
         run, res, rec = full_grid_run(step, grid, config, None if last else stop)

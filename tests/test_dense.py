@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlekrylov.dense import (LyapunovSolver, SolvabilityError, expm,
-                             frob_norm, log_norm_mu2, lyap_direct, qr_thin,
+from dlekrylov.dense import (LyapunovSolver, SolvabilityError,
+                             check_lyapunov_solvable, expm, frob_norm, log_norm_mu2, lyap_direct, qr_thin,
                              spec_norm_2)
 
 
@@ -121,6 +121,13 @@ def test_lyap_residual_and_symmetry():
 def test_lyap_singular_pair_raises():
     with pytest.raises(SolvabilityError):
         lyap_direct(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def test_lyapunov_solvable_threshold_is_1e_14_of_the_scale():
+    # a pair sum of 1e-13 at scale 1 is solvable, one of 1e-15 is not
+    check_lyapunov_solvable(np.array([1.0, -1.0 + 1e-13]))
+    with pytest.raises(SolvabilityError):
+        check_lyapunov_solvable(np.array([1.0, -1.0 + 1e-15]))
 
 
 def test_lyap_solver_reuse_matches_one_shot():

@@ -167,6 +167,20 @@ def test_extended_identity_deflates_at_init():
     assert exc.value.rank == 0
 
 
+def test_start_block_keeps_a_direction_above_the_deflation_tolerance():
+    # [b, b + 1e-11 ||b|| u], u a unit vector orthogonal to b: its second
+    # direction is about 7e-12 of the block's norm, above _DEFLATION_TOL
+    # = 1e-12, so the block variant keeps both columns
+    op = wrap_sparse(gen_convdiff(10))
+    b = gen_random_block(100, 1, seed=7)[:, 0]
+    u = gen_random_block(100, 1, seed=8)[:, 0]
+    u -= (u @ b) / (b @ b) * b
+    u /= np.linalg.norm(u)
+    B = np.column_stack([b, b + 1e-11 * np.linalg.norm(b) * u])
+    dec = KrylovDecomposition(op, B, variant="block")
+    assert dec.widths == [2]
+
+
 def test_extended_span_matches_moment_space():
     rng = np.random.default_rng(6)
     d = np.logspace(np.log10(0.5), np.log10(10.0), 20)   # well separated
@@ -388,7 +402,7 @@ def test_krylov_steps_write_one_buffer_allocated_for_the_step_budget(variant):
     for step in krylov_steps(op, gen_random_block(64, 2, seed=5),
                              np.zeros((64, 0)), config):
         dec = step.decomposition
-        views = (step.decomposition.inner_basis, step.coupling, dec.basis, dec.T_bar)
+        views = (dec.inner_basis, dec.coupling, dec.basis, dec.T_bar)
         steps.append((step, views, [a.copy() for a in views]))
     assert len(steps) == 9
     first = steps[0][0].decomposition
@@ -396,7 +410,7 @@ def test_krylov_steps_write_one_buffer_allocated_for_the_step_budget(variant):
     assert all(step.decomposition._buf is first._buf for step, _, _ in steps)
     for step, views, values in steps:
         dec = step.decomposition
-        now = (step.decomposition.inner_basis, step.coupling, dec.basis, dec.T_bar)
+        now = (dec.inner_basis, dec.coupling, dec.basis, dec.T_bar)
         for view, current, value in zip(views, now, values):
             np.testing.assert_array_equal(view, value)
             np.testing.assert_array_equal(current, value)
@@ -501,8 +515,8 @@ def test_extended_basis_stays_orthonormal_at_n_6400(problem):
 
 @pytest.mark.parametrize("variant", ["block", "extended"])
 def test_extend_holds_at_most_four_and_a_half_blocks(variant):
-    # the candidate is orthogonalized in place and dropped before the
-    # transpose action: one extend at n = 10,000 peaks at 4 n x w blocks
+    # the candidate is orthogonalized in place and dropped once the new
+    # block is formed: one extend at n = 10,000 peaks at 4 n x w blocks
     # (6 on the extended variant and 5 on the block variant with a fresh
     # array per Gram-Schmidt pass)
     import tracemalloc

@@ -16,8 +16,7 @@ import pytest
 
 from dlekrylov.cli import build_spec_and_config, load_config, main
 from dlekrylov.problems import build_problem
-from dlekrylov.solvers import (Trajectory, _run_gram_grid, full_grid_run,
-                               krylov_steps)
+from dlekrylov.solvers import Trajectory, full_grid_run, krylov_steps
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -74,7 +73,8 @@ def test_experiment_runs_through_the_cli(tmp_path, path):
         # each row is the residual at tf of step m's full grid
         spec, config = build_spec_and_config(cfg)
         op, B, grid = build_problem(spec)
-        expected = [[step.m, full_grid_run(step, grid, config)[2].residual_final]
+        expected = [[step.decomposition.m,
+                     full_grid_run(step, grid, config)[2].residual_final]
                     for step in krylov_steps(op, B, np.zeros((spec.n, 0)), config)]
         got = [[int(m), float(r)] for m, r, _, _ in
                (line.split(",") for line in lines[1:])]
@@ -219,9 +219,8 @@ def _line_of(fn, text):
 def test_line_trace_lists_the_lines_a_run_leaves_unrun(tmp_path):
     # a solve with a nonzero B never takes krylov_steps' early return, and
     # an eba-exp solve from X0 = 0 counts its ranks at the batch ends, so
-    # the per-node fallback of the exp grid's rank pass stays unrun, and
-    # so does the per-node default of Trajectory.ranks, which the grid
-    # run's pass replaces
+    # the per-node default of Trajectory.ranks, which is also the exp grid
+    # rank pass's fallback, stays unrun
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({
         "problem": {"kind": "convdiff", "n0": 6, "s": 2, "t0": 0.0,
@@ -235,11 +234,10 @@ def test_line_trace_lists_the_lines_a_run_leaves_unrun(tmp_path):
              if line.startswith("src/dlekrylov/solvers.py:")]
     assert str(_line_of(krylov_steps, "return")) in unrun
     assert str(_line_of(krylov_steps, "broke = False")) not in unrun
-    assert str(_line_of(_run_gram_grid, "_count_each(((G, None) for G, *_ in "
-                        "nodes()), out, tau)")) in unrun
     assert str(_line_of(Trajectory.ranks, "_count_each(((G, None) for G in "
                         "self.replay()), out, tau)")) in unrun
-    assert str(_line_of(Trajectory.ranks, "self.count(out, tau)")) not in unrun
+    assert str(_line_of(Trajectory.ranks, "if self.count is None or not "
+                        "self.count(out, tau):")) not in unrun
     assert str(_line_of(Trajectory.ranks, "tau = _RANK_THRESHOLD")) not in unrun
     assert "# ran solve on tiny.json: exit 3" in proc.stdout
     assert "m=4" in proc.stderr and "m=4" not in proc.stdout

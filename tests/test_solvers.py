@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import zlib
 
 import numpy as np
@@ -239,6 +240,16 @@ def test_bdf_grid_ill_conditioned_eigenvectors_fall_back_to_schur():
         ref = _reference_bdf_grid(T, Bm, P0, grid, order)
         assert _max_rel_diff(run.full, ref) <= 1e-11
         np.testing.assert_array_equal(list(run.replay()), run.full)
+
+
+def test_eigen_basis_serves_a_cond_between_1e2_and_1e3():
+    # T = S diag(-1, -2) S^-1, S = [[1, 1], [0, 4e-3]]: cond(V) lies in
+    # (1e2, 1e3], at most _EIGEN_COND_MAX, so the BDF grid keeps the
+    # eigen basis
+    S = np.array([[1.0, 1.0], [0.0, 4e-3]])
+    T = S @ np.diag([-1.0, -2.0]) @ np.linalg.inv(S)
+    basis = solvers._bdf_basis(T, 0.01)
+    assert basis.kind == "eigen" and 1e2 < basis.cond <= 1e3
 
 
 def _spectrum_case(spectrum):
@@ -685,6 +696,32 @@ def test_count_above_matches_eigvalsh(k, kind, cond):
         assert two_by_two                # the 2x2 pivots were exercised
 
 
+@pytest.mark.parametrize("kind", ["indefinite", "low-rank"])
+def test_bunch_kaufman_2x2_pivots_are_indefinite(kind):
+    # `_count_above` counts each 2x2 pivot [[a, b], [b, c]] of dsytrf as one
+    # positive eigenvalue: Bunch-Kaufman takes one only when
+    # |a c| < alpha^2 b^2, so a c - b^2 < 0. Random symmetric matrices
+    # over many scales, and low-rank PSD ones minus 1e-12 I as a rank
+    # count at tau = 1e-12 factors them: past their rank, the rounding of
+    # the elimination leaves an indefinite block where it exceeds 1e-12
+    rng = np.random.default_rng(90)
+    pivots = 0
+    for trial in range(200):
+        k = int(rng.integers(2, 60))
+        if kind == "indefinite":
+            Y = sym_part(rng.standard_normal((k, k))) * 10.0 ** rng.uniform(-6, 6)
+        else:
+            Z = rng.standard_normal((k, int(rng.integers(1, k))))
+            Y = (Z * 10.0 ** rng.uniform(-3, 6)) @ Z.T - 1e-12 * np.eye(k)
+        ldu, ipiv, _ = lapack.dsytrf(Y, lower=True,
+                                     lwork=solvers._sytrf_lwork(k))
+        start = np.flatnonzero(ipiv < 0)[::2]
+        a, c = ldu[start, start], ldu[start + 1, start + 1]
+        assert np.all(a * c - ldu[start + 1, start] ** 2 < 0), trial
+        pivots += start.size
+    assert pivots >= 100                 # the 2x2 pivots were exercised
+
+
 def test_truncated_factor_is_finite_where_the_count_passes_eigvalsh():
     # lambda_max = 1e12 puts the eigensolver's rounding (about 1e-3) far
     # above dtol: the count can keep an eigenvalue eigh gives as <= 0
@@ -763,7 +800,9 @@ def test_each_route_counts_as_the_per_node_pass(route, monkeypatch):
     got = np.full(len(traj.nodes), -1)
     got[-1] = solvers._count_above(traj.final_small, tau)
     want = got.copy()
-    traj.count(got, tau)
+    if not traj.count(got, tau):        # from an X0: the default pass
+        assert route == "exp-x0"
+        got = traj.ranks()
     solvers._count_each(((G, None) for G in traj.replay()), want, tau)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(traj.ranks(), _per_node_ranks(traj))
@@ -785,7 +824,7 @@ def test_replays_clip_the_nodes_the_deciding_run_clipped(monkeypatch):
     dec = traj.decomposition
     setup = solvers._bdf_setup(dec.T, dec.project_block(B),
                                np.zeros((dec.T.shape[0], 0)), grid, 2)
-    screened = list(solvers._bdf_nodes(setup, dec.widths[dec.m - 1]))
+    screened = [Y for Y, *_ in solvers._bdf_steps(setup, dec.widths[dec.m - 1])]
     calls = {}
     _count_calls(monkeypatch, solvers, "_psd_screen", calls)
     np.testing.assert_array_equal(list(traj.replay()), screened)
@@ -1126,6 +1165,18 @@ def test_trajectory_stream_replays_last_grid_run(method, eigen_cond_max,
     assert traj.ranks()[-1] == traj.lowrank_factor(-1).rank
 
 
+@pytest.mark.parametrize("method", ["eba_exp", "eba_bdf"])
+def test_replayed_nodes_are_exactly_symmetric(method):
+    # the rank count reads only a node's lower triangle, so every node a
+    # replay yields is symmetric bitwise, the BDF route's lifted basis
+    # values too
+    traj = solve(wrap_sparse(gen_convdiff(10)), gen_random_block(100, 2, seed=7),
+                 None, TimeGrid(0.0, 0.5, 1e-2),
+                 SolverConfig(method=method, m_max=6, tol=1e-300))
+    for Y in traj.replay():
+        np.testing.assert_array_equal(Y, Y.T)
+
+
 def test_small_solutions_are_materialized_once_and_read_only(monkeypatch):
     A = _stable_dense(12, 24)
     B = np.random.default_rng(25).random((12, 1))
@@ -1174,7 +1225,8 @@ def test_grid_walk_memory_does_not_grow_with_its_bar_rows():
     cfg = SolverConfig(m_max=5, tol=1e-300)
     *_, step = solvers.krylov_steps(op, gen_random_block(36, 2, seed=7),
                                     np.zeros((36, 0)), cfg)
-    w, k, n_nodes = step.w, step.basis_size, len(grid.nodes)
+    dec = step.decomposition
+    w, k, n_nodes = dec.widths[dec.m - 1], dec.inner_width, len(grid.nodes)
     assert (w, k, n_nodes) == (4, 20, 20001)
     tracemalloc.start()
     try:
@@ -1330,6 +1382,40 @@ def test_exact_step_pair_on_stiff_T_matches_the_closed_form():
     assert frob_norm(delta - ref) <= 1e-11 * frob_norm(ref)
 
 
+@pytest.mark.parametrize("q", [4, 6])
+def test_panel_halvings_are_the_fewest_that_reach_1e_14(q):
+    # the q-point rule's error bound on a panel h / 2^j of integrand
+    # variation e^{2 ||T|| s}, coef (2 ||T|| h / 2^j)^(2q) with
+    # coef = (q!)^4 / ((2q + 1) ((2q)!)^3), is at most 1e-14 at the j
+    # returned and above it one halving sooner; the 1e-9 relative slack is
+    # for the rounding of the two ways of forming the bound
+    coef = math.factorial(q) ** 4 / ((2 * q + 1) * math.factorial(2 * q) ** 3)
+
+    def bound(th, j):
+        return coef * (2.0 * th / 2 ** j) ** (2 * q)
+
+    for th in np.geomspace(1e-3, 1e4, 97):
+        j = solvers._panel_halvings(th, 1.0, q)
+        assert bound(th, j) <= 1e-14 * (1 + 1e-9), th
+        assert j == 0 or bound(th, j - 1) > 1e-14 * (1 - 1e-9), th
+
+
+def test_gauss_legendre_computes_each_rule_once(monkeypatch):
+    # the rule on [-1, 1] is cached per q, and each interval is mapped
+    # from it as from a fresh one
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda q: calls.append(q) or leggauss(q))
+    solvers._legendre_rule.cache_clear()
+    x0, w0 = leggauss(5)
+    for a, b in ((0.0, 1.0), (0.5, 2.0), (0.0, 1e-3)):
+        x, w = solvers.gauss_legendre(5, a, b)
+        np.testing.assert_array_equal(x, 0.5 * (b - a) * (x0 + 1.0) + a)
+        np.testing.assert_array_equal(w, 0.5 * (b - a) * w0)
+    assert calls == [5]
+
+
 def test_exact_step_pair_where_the_lyapunov_identity_cancels():
     # h * min |lam_a + lam_b| = 1e-9: the increment solved from the
     # Lyapunov identity T delta + delta T^T = E Q E^T - Q cancels
@@ -1443,7 +1529,7 @@ def _walk_by_full_grids(op, B, X0, grid, config):
     steps = []
     for step in solvers.krylov_steps(solvers.as_operator(op), B, Z0, config):
         run, res, _ = solvers.full_grid_run(step, grid, config)
-        steps.append((step.m, res, run, step))
+        steps.append((step.decomposition.m, res, run, step))
         if np.max(res) < config.tol:
             return steps, True
     return steps, False
@@ -1487,10 +1573,12 @@ def _assert_one_walk_per_step(op, B, X0, grid, config):
             assert rec.residual_max == np.max(res[:walked]) >= config.tol
             assert rec.gbar_sup is None
             if config.method == "eba_bdf":
-                final = _exact_tail(step.T, step.Bm, step.P0, grid,
-                                    config.bdf_order, step.w, walked - 1)[0]
+                dec = step.decomposition
+                final = _exact_tail(dec.T, step.Bm, step.P0, grid,
+                                    config.bdf_order, dec.widths[dec.m - 1],
+                                    walked - 1)[0]
                 assert rec.residual_final == pytest.approx(
-                    residual_norm(step.coupling, final), rel=1e-10)
+                    residual_norm(dec.coupling, final), rel=1e-10)
                 np.testing.assert_allclose(
                     rec.small_final, final, rtol=1e-10,
                     atol=1e-10 * np.abs(final).max())
@@ -1778,7 +1866,7 @@ def test_bdf_probe_head_equals_the_full_grid_bitwise(case, stride, order,
         final = _exact_tail(T, Bm, P0, grid, order, w, stride - 1)[0]
         np.testing.assert_allclose(stopped.final, final, rtol=1e-12)
     setup = solvers._bdf_setup(T, Bm, P0, grid, order)
-    nodes = solvers._bdf_nodes(setup, w)
+    nodes = (Y for Y, *_ in solvers._bdf_steps(setup, w))
     np.testing.assert_array_equal(list(itertools.islice(nodes, stride)),
                                   full.full[:stride])
 
@@ -1842,7 +1930,8 @@ def test_bdf_jump_temporaries_stay_below_the_whole_matrix_maps(monkeypatch):
     cfg = SolverConfig(method="eba_bdf", bdf_order=2, m_max=18, tol=1e-300)
     *_, step = solvers.krylov_steps(op, gen_random_block(400, 2, seed=7),
                                     np.zeros((400, 0)), cfg)
-    k = step.basis_size
+    dec = step.decomposition
+    k = dec.inner_width
     assert k == 72
     peaks = []
     collect = solvers._collect
@@ -1863,8 +1952,8 @@ def test_bdf_jump_temporaries_stay_below_the_whole_matrix_maps(monkeypatch):
         return collect(*args[:7], traced, **fields)
 
     monkeypatch.setattr(solvers, "_collect", traced_collect)
-    run = _run_bdf_grid(step.T, step.Bm, step.P0, TimeGrid(0.0, 2.0, 1e-3), 2,
-                        step.w, keep_full=False, coupling=step.coupling,
+    run = _run_bdf_grid(dec.T, step.Bm, step.P0, TimeGrid(0.0, 2.0, 1e-3), 2,
+                        dec.widths[dec.m - 1], keep_full=False, coupling=dec.coupling,
                         stop=lambda res: True)
     assert run.bdf_basis == "eigen" and len(run.residuals) == solvers._PROBE_STRIDE
     assert len(peaks) == 1 and peaks[0] < 20 * 16 * k * k
@@ -2222,18 +2311,17 @@ def test_krylov_steps_keep_their_arrays_after_the_walk(method):
     grid = TimeGrid(0.0, 0.5, 1e-2)
     cfg = SolverConfig(method=method, m_max=5)
     steps = list(solvers.krylov_steps(op, B, np.zeros((36, 0)), cfg))
-    assert [step.m for step in steps] == [1, 2, 3, 4, 5]
+    assert [step.decomposition.m for step in steps] == [1, 2, 3, 4, 5]
     # read after the walk has finished: each step still holds its own m
     for step in steps:
-        dec = solve(op, B, None, grid, SolverConfig(method=method, m_max=step.m,
+        held = step.decomposition
+        dec = solve(op, B, None, grid, SolverConfig(method=method, m_max=held.m,
                                                     tol=1e-300)).decomposition
-        assert step.basis_size == dec.inner_width and not step.broke
-        np.testing.assert_array_equal(step.T, dec.T)
-        np.testing.assert_array_equal(step.coupling, dec.coupling)
-        np.testing.assert_array_equal(step.decomposition.inner_basis,
-                                      dec.inner_basis)
-        np.testing.assert_array_equal(step.decomposition.coupling, dec.coupling)
-        assert step.decomposition.widths == dec.widths
+        assert held.inner_width == dec.inner_width and not step.broke
+        np.testing.assert_array_equal(held.T, dec.T)
+        np.testing.assert_array_equal(held.inner_basis, dec.inner_basis)
+        np.testing.assert_array_equal(held.coupling, dec.coupling)
+        assert held.widths == dec.widths
 
 
 def test_trajectory_method_is_the_config_method():
