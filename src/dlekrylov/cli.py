@@ -173,6 +173,9 @@ def cmd_solve(args):
     _write_csv(csv_path, ["t", "residual_frobenius", "rank"],
                [(t, r, int(k)) for t, r, k in zip(traj.nodes, traj.residuals, ranks)])
 
+    # the rank column was the last reader of the grid's step data: the
+    # factor reads only the stored node at tf
+    traj = dataclasses.replace(traj, replay=None, count=None)
     write_factor = cfg.get("output", {}).get("write_factor", False)
     Z = traj.lowrank_factor(-1).Z if write_factor else None
     report = {
@@ -291,13 +294,14 @@ def cmd_sweep(args):
     mu2 = log_norm_mu2(A) if oracle_ok else None
     refs = {}
 
-    def row(value, g, rec, lift):
-        # rec is the record of a full grid run on the grid g
+    def row(value, g, rec, final, lift):
+        # rec is the record of a full grid run on the grid g, and final
+        # its node at tf
         err = np.nan
         if oracle_ok:
             if g not in refs:
                 refs[g] = _reference_final(A, B, g)
-            err = frob_norm(lift(rec.small_final) - refs[g])
+            err = frob_norm(lift(final) - refs[g])
         bound = np.nan
         if mu2 is not None and mu2 < 0:
             bound = error_bound_stable(mu2, rec.coupling_norm, rec.gbar_sup,
@@ -313,8 +317,9 @@ def cmd_sweep(args):
         for step in steps:
             dec = step.decomposition
             if dec.m in values:
-                by_m[dec.m] = row(dec.m, grid, full_grid_run(step, grid, walk)[2],
-                                  dec.lift)
+                run, _, rec = full_grid_run(step, grid, walk)
+                by_m[dec.m] = row(dec.m, grid, rec, run.final, dec.lift)
+                del run         # its step data go before the next extend
         rows = [by_m[m] for m in values if m in by_m]
     else:
         # one solve per value, whose grid or BDF order differs; its row
@@ -330,7 +335,8 @@ def cmd_sweep(args):
         rows = []
         for value, run_cfg, g in runs:
             traj = solve(op, B, None, g, run_cfg)
-            rows.append(row(value, g, traj.iterations[-1], traj.lift))
+            rows.append(row(value, g, traj.iterations[-1], traj.final_small,
+                            traj.lift))
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     _write_csv(csv_path, ["axis_value", "residual", "error", "bound_eq19"], rows)

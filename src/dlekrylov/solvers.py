@@ -36,7 +36,9 @@ last w rows of a node, all the residual formula reads) of one batch of
 `_PROBE_STRIDE` nodes at a time, and reduces each batch to its residuals
 and its largest row norm as it fills: a walk keeps one residual per node.
 A full node it needs only at the end of a batch, where a stopped walk
-ends.
+ends. A solve holds one step's grid data at a time: a walk that does not
+end the solve is dropped once its record is taken, before the next
+`extend`, and a record keeps no node, only numbers.
 Below the last step the walk carries a stop test: it reads the residuals
 of each batch, and a residual at or above the tolerance proves the step
 has not converged, so the walk ends there and the loop moves on. The
@@ -190,15 +192,16 @@ class IterationRecord:
     first batch of `_PROBE_STRIDE` nodes holding a residual at or above
     `tol`: `probe_nodes` counts the nodes it walked, `residual_max` is the
     largest residual over them, and `gbar_sup`, which needs every node, is
-    None. Its `residual_final` and `small_final` are at tf, reached from
-    the last node walked by the exact propagator over the remaining span,
+    None. Its `residual_final` is at tf, at the value reached from the
+    last node walked by the exact propagator over the remaining span,
     unscreened: on eba-exp the step pair raised to the remaining steps, so
     it matches the full grid at rounding level; on eba-bdf the exact
     solution from that node, which differs from the BDF grid's value at
     tf by the scheme's own error. A "full" step walked every node.
     `psd_clips` counts the clipped nodes among the nodes the walk
-    recorded. `report.json` holds each record as a row of its fields but
-    the two marked `report` False."""
+    recorded. A record holds no node: the value at tf is the run's
+    `final`. `report.json` holds each record as a row of its fields but
+    the one marked `report` False."""
 
     m: int
     basis_size: int
@@ -206,7 +209,6 @@ class IterationRecord:
     residual_max: float
     coupling_norm: float
     gbar_sup: float = field(metadata={"report": False})
-    small_final: np.ndarray = field(metadata={"report": False})
     elapsed_s: float
     bdf_basis: str = None              # step basis of a BDF grid run
     bdf_cond: float = None             # cond(V) that chose that basis
@@ -1026,7 +1028,7 @@ def _zero_trajectory(n, grid, config):
     zero, n_nodes = np.zeros((0, 0)), grid.n_steps + 1
     rec = IterationRecord(m=1, basis_size=0, residual_final=0.0,
                           residual_max=0.0, coupling_norm=0.0, gbar_sup=0.0,
-                          small_final=zero, elapsed_s=0.0)
+                          elapsed_s=0.0)
     return Trajectory(
         grid=grid, final_small=zero,
         replay=functools.partial(itertools.repeat, zero, n_nodes),
@@ -1099,7 +1101,7 @@ def full_grid_run(step, grid, config, stop=None):
         fields = {"residual_final": float(res[-1]), "gbar_sup": run.gbar_sup}
     return run, res, IterationRecord(
         m=dec.m, basis_size=dec.inner_width, residual_max=float(np.max(res)),
-        coupling_norm=frob_norm(dec.coupling), small_final=run.final,
+        coupling_norm=frob_norm(dec.coupling),
         elapsed_s=time.perf_counter() - step.started, bdf_basis=run.bdf_basis,
         bdf_cond=run.bdf_cond, psd_clips=run.psd_clips, **fields)
 
@@ -1117,14 +1119,15 @@ def solve(op, B, X0, grid, config):
     converged = False
     for step in krylov_steps(op, B, Z0, config):
         last = step.broke or step.decomposition.m >= config.m_max
-        # the previous walk's step data are not needed past its record
-        run = None
         run, res, rec = full_grid_run(step, grid, config, None if last else stop)
         iterations.append(rec)
         # a walk that reached tf read every node
         converged = rec.grid == "full" and bool(np.max(res) < config.tol)
-        if converged:
+        if converged or last:
             break
+        # the walk's step data are not needed past its record: they go
+        # before the next extend
+        del run
 
     if not iterations:
         return _zero_trajectory(op.dim, grid, config)

@@ -188,6 +188,49 @@ def test_solve_frees_the_basis_before_writing_the_factor(tmp_path, monkeypatch):
     assert alive == [False, False]
 
 
+def _track_grid_data(monkeypatch, build, attr):
+    """A list that gains a weak reference to `attr` of the step data each
+    call of the grid set-up `solvers.<build>` returns."""
+    import weakref
+
+    from dlekrylov import solvers
+
+    refs = []
+    make = getattr(solvers, build)
+
+    def tracked(*args):
+        data = make(*args)
+        refs.append(weakref.ref(getattr(data, attr)))
+        return data
+
+    monkeypatch.setattr(solvers, build, tracked)
+    return refs
+
+
+@pytest.mark.parametrize("method,build,attr", [
+    ("eba_exp", "_stride_pairs", "E"), ("eba_bdf", "_bdf_setup", "forcing")])
+def test_solve_frees_the_grid_data_before_the_factor(tmp_path, monkeypatch,
+                                                     method, build, attr):
+    # the rank column is the last reader of the last grid's step data (the
+    # exp `_Stride` table, the BDF `_BDFSetup`): by reference count alone,
+    # no grid's data is alive when the factor is formed
+    from dlekrylov import solvers
+
+    refs, alive = _track_grid_data(monkeypatch, build, attr), []
+    factor = solvers.Trajectory.lowrank_factor
+
+    def lowrank_factor(self, i=-1):
+        alive.append([ref() is not None for ref in refs])
+        return factor(self, i)
+
+    monkeypatch.setattr(solvers.Trajectory, "lowrank_factor", lowrank_factor)
+    cfg = _write_cfg(tmp_path, problem=_base_problem(),
+                     solver={"method": method, "m_max": 10, "tol": 1e-8},
+                     output={"write_factor": True})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(alive) == 1 and len(alive[0]) > 1 and not any(alive[0])
+
+
 def test_report_echoes_the_config(tmp_path):
     cfg = _write_cfg(tmp_path, problem=_base_problem(seed=9),
                      solver={"method": "eba_bdf", "bdf_order": 1, "tol": 1e-6,
@@ -214,8 +257,8 @@ def test_report_echoes_the_config(tmp_path):
 
 
 def test_report_rows_are_the_step_records(tmp_path, monkeypatch):
-    # each row holds every IterationRecord field but gbar_sup and
-    # small_final, under the field's own name and in the record's order
+    # each row holds every IterationRecord field but gbar_sup, under the
+    # field's own name and in the record's order
     trajs = []
     solve = cli.solve
     monkeypatch.setattr(cli, "solve", lambda *args: trajs.append(solve(*args)) or trajs[-1])
@@ -225,7 +268,7 @@ def test_report_rows_are_the_step_records(tmp_path, monkeypatch):
     main(["solve", "--config", cfg, "--out", out])
     rows = _strict_json(os.path.join(out, "report.json"))["iterations"]
     kept = [f.name for f in dataclasses.fields(IterationRecord)
-            if f.name not in ("gbar_sup", "small_final")]
+            if f.name != "gbar_sup"]
     assert kept == ["m", "basis_size", "residual_final", "residual_max",
                     "coupling_norm", "elapsed_s", "bdf_basis", "bdf_cond",
                     "grid", "psd_clips", "probe_nodes"]
@@ -649,6 +692,29 @@ def test_sweep_over_m_builds_step_data_for_the_listed_m_only(tmp_path, monkeypat
                      sweep={"axis": "m", "values": [16, 3, 1, 3, 8]})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert calls == {"_bdf_basis": 4, "_run_bdf_grid": 4}
+
+
+def test_sweep_over_m_drops_each_grid_before_the_next_extend(tmp_path,
+                                                            monkeypatch):
+    # a listed step's row is the last reader of its grid's step data (the
+    # exp `_Stride` table): by reference count alone, none is alive when
+    # the next extend starts
+    from dlekrylov import krylov
+
+    refs, alive = _track_grid_data(monkeypatch, "_stride_pairs", "E"), []
+    extend = krylov.KrylovDecomposition.extend
+
+    def checked(self, op):
+        alive.append([ref() is not None for ref in refs])
+        return extend(self, op)
+
+    monkeypatch.setattr(krylov.KrylovDecomposition, "extend", checked)
+    cfg = _write_cfg(tmp_path, problem=_base_problem(tf=0.3),
+                     solver={"m_max": 3, "tol": 1e-9},
+                     sweep={"axis": "m", "values": [2, 3, 4, 5]})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(refs) == 4
+    assert alive == [[False] * max(i - 1, 0) for i in range(5)]
 
 
 def test_compare_without_oracle_holds_no_dense_solution(tmp_path):

@@ -130,6 +130,16 @@ def test_lyapunov_solvable_threshold_is_1e_14_of_the_scale():
         check_lyapunov_solvable(np.array([1.0, -1.0 + 1e-15]))
 
 
+def test_a_perturbed_trsyl_solve_raises():
+    # the pair sum 1e-13 passes the 1e-14 solvability floor, but dtrsyl
+    # perturbs any pair sum below eps max|S| (about 2.2e-12 here) and
+    # reports it with info = 1, which the solve turns into an error
+    F = np.array([[1.0, 1e4], [0.0, -1.0 + 1e-13]])
+    solver = LyapunovSolver(F)
+    with pytest.raises(SolvabilityError, match="perturbed"):
+        solver.solve_schur(np.eye(2))
+
+
 def test_lyap_solver_reuse_matches_one_shot():
     rng = np.random.default_rng(5)
     F = rng.standard_normal((7, 7)) - 5.0 * np.eye(7)

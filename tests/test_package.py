@@ -14,7 +14,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 PACKAGE = os.path.join(ROOT, "src", "dlekrylov")
 README = os.path.join(ROOT, "README.md")
 
-# item 12(a) of ROADMAP.md wires the general bound into `sweep`, which
+# item 15(a) of ROADMAP.md wires the general bound into `sweep`, which
 # removes this exception
 TEST_ONLY_EXCEPTIONS = {"error_bound_general"}
 

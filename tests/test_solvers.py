@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -1572,20 +1573,26 @@ def _assert_one_walk_per_step(op, B, X0, grid, config):
             assert rec.probe_nodes == walked
             assert rec.residual_max == np.max(res[:walked]) >= config.tol
             assert rec.gbar_sup is None
+            # the record keeps no node: its value at tf is the stopped
+            # run's, walked again with the solve's stop rule
+            dec = step.decomposition
+            probe = solvers.full_grid_run(
+                step, grid, config, lambda r: np.max(r) >= config.tol)[0]
+            assert len(probe.residuals) == walked
+            assert rec.residual_final == residual_norm(dec.coupling, probe.final)
             if config.method == "eba_bdf":
-                dec = step.decomposition
                 final = _exact_tail(dec.T, step.Bm, step.P0, grid,
                                     config.bdf_order, dec.widths[dec.m - 1],
                                     walked - 1)[0]
                 assert rec.residual_final == pytest.approx(
                     residual_norm(dec.coupling, final), rel=1e-10)
                 np.testing.assert_allclose(
-                    rec.small_final, final, rtol=1e-10,
+                    probe.final, final, rtol=1e-10,
                     atol=1e-10 * np.abs(final).max())
             elif not run.clipped:
                 assert rec.residual_final == pytest.approx(res[-1], rel=1e-10)
                 np.testing.assert_allclose(
-                    rec.small_final, run.final, rtol=1e-10,
+                    probe.final, run.final, rtol=1e-10,
                     atol=1e-10 * np.abs(run.final).max())
         else:
             # the last step, or no batch before tf reached tol
@@ -1803,6 +1810,78 @@ def test_probe_first_run_equals_a_full_grid_at_every_step(variant, tol):
     assert traj.converged
     kinds = [r.grid for r in traj.iterations]
     assert kinds == ["probe"] * (len(kinds) - 1) + ["full"] and len(kinds) > 3
+
+
+def _convdiff_case():
+    """The convdiff n = 100 problem of the probe tests: op, B and grid."""
+    return (wrap_sparse(gen_convdiff(10)), gen_random_block(100, 2, seed=7),
+            TimeGrid(0.0, 1.0, 1e-2))
+
+
+@pytest.mark.parametrize("method,build,attr", [
+    ("eba_exp", "_stride_pairs", "E"), ("eba_bdf", "_bdf_setup", "forcing")])
+def test_a_walk_is_dropped_before_the_next_extend(monkeypatch, method, build,
+                                                   attr):
+    # each grid walk's step data (the exp `_Stride` table, the BDF
+    # `_BDFSetup`) are unreachable, by reference counts alone, once the
+    # walk's record is taken: none is alive when the next extend starts,
+    # and the trajectory holds the last walk's only
+    refs, alive = [], []
+    make = getattr(solvers, build)
+
+    def tracked(*args):
+        data = make(*args)
+        refs.append(weakref.ref(getattr(data, attr)))
+        return data
+
+    extend = KrylovDecomposition.extend
+
+    def checked(self, op):
+        alive.append([ref() is not None for ref in refs])
+        return extend(self, op)
+
+    monkeypatch.setattr(solvers, build, tracked)
+    monkeypatch.setattr(KrylovDecomposition, "extend", checked)
+    op, B, grid = _convdiff_case()
+    traj = solve(op, B, None, grid, SolverConfig(method=method, m_max=20,
+                                                 tol=1e-4))
+    assert traj.converged and len(traj.iterations) > 3
+    assert alive == [[False] * m for m in range(len(traj.iterations))]
+    assert [ref() is not None for ref in refs] == (
+        [False] * (len(refs) - 1) + [True])
+
+
+@pytest.mark.parametrize("method", ["eba_exp", "eba_bdf"])
+def test_a_batch_whose_largest_residual_is_tol_stops_the_walk(method):
+    # the stop test reads "at or above tol": a first batch whose largest
+    # residual equals tol stops the first step's walk after its 10 nodes
+    op, B, grid = _convdiff_case()
+    first = solve(op, B, None, grid, SolverConfig(method=method, m_max=20,
+                                                  tol=1e300))
+    assert first.converged and len(first.iterations) == 1
+    tol = float(np.max(first.residuals[:10]))
+    assert tol > 0
+    rec = solve(op, B, None, grid, SolverConfig(method=method, m_max=20,
+                                                tol=tol)).iterations[0]
+    assert rec.grid == "probe" and rec.probe_nodes == 10
+    assert rec.residual_max == tol
+
+
+@pytest.mark.parametrize("method", ["eba_exp", "eba_bdf"])
+def test_a_last_step_whose_largest_residual_is_tol_has_not_converged(method):
+    # convergence needs every residual below tol: with m_max at the step a
+    # first solve converged at and tol its largest residual, that step's
+    # walk reaches tf but does not converge
+    op, B, grid = _convdiff_case()
+    first = solve(op, B, None, grid, SolverConfig(method=method, m_max=20,
+                                                  tol=1e-4))
+    assert first.converged
+    m, tol = first.iterations[-1].m, first.iterations[-1].residual_max
+    traj = solve(op, B, None, grid, SolverConfig(method=method, m_max=m,
+                                                 tol=tol))
+    rec = traj.iterations[-1]
+    assert rec.m == m and rec.grid == "full" and rec.residual_max == tol
+    assert not traj.converged
 
 
 def test_probes_below_tol_do_not_declare_convergence(monkeypatch):
