@@ -26,8 +26,8 @@ from .mmio import (MatrixMarketParseError, published, write_matrix_market,
                    write_matrix_market_array)
 from .problems import (InputError, ProblemSpec, build_problem, dense_matrix,
                        gen_convdiff, gen_random_block, heat_fem_matrices)
-from .solvers import (SolverConfig, TimeGrid, full_grid_run, krylov_steps,
-                      solve)
+from .solvers import (SolverConfig, TimeGrid, from_fields, full_grid_run,
+                      krylov_steps, solve)
 from .sparsela import FactorizationError
 
 
@@ -123,16 +123,10 @@ def build_spec_and_config(cfg):
     try:
         spec = ProblemSpec.from_dict(cfg.get("problem", {}))
         spec.grid                      # raises on a grid h does not divide
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"problem section: {exc}") from exc
-    solver_cfg = cfg.get("solver", {})
     try:
-        config = SolverConfig(**solver_cfg)
-    except TypeError as exc:
-        bad = set(solver_cfg) - set(SolverConfig.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"solver section: unknown fields {sorted(bad)}") from exc
-        raise ConfigError(f"solver section: {exc}") from exc
+        config = from_fields(SolverConfig, cfg.get("solver", {}), "unknown fields")
     except ValueError as exc:
         raise ConfigError(f"solver section: {exc}") from exc
     return spec, config

@@ -1,5 +1,5 @@
 """Matrix Market I/O: coordinate files for sparse matrices, array files
-for dense blocks.
+for dense blocks; a dense block is also read from a coordinate file.
 
 A small hand-rolled parser is used instead of scipy.io so that malformed
 files, a bad size line or a byte that is not UTF-8 among them, are
@@ -265,6 +265,16 @@ def read_matrix_market_array(path):
     if k != vals.size:
         raise MatrixMarketParseError(path, len(raw_lines), f"expected {vals.size} values, found {k}")
     return vals.reshape((ncols, nrows)).T.copy()
+
+
+def read_matrix_market_block(path):
+    """Read a dense block from a real Matrix Market file: an array file as
+    `read_matrix_market_array` reads it, any other as a coordinate file."""
+    with open(path, "rb") as fh:
+        layout = fh.readline().lower().split()[2:3]
+    if layout == [b"array"]:
+        return read_matrix_market_array(path)
+    return read_matrix_market(path).toarray()
 
 
 def write_matrix_market_array(M, path):

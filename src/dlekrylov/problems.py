@@ -6,16 +6,14 @@ discretization of one-dimensional heat flow (mass/stiffness tridiagonals).
 External problems come in through Matrix Market files.
 """
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, diags
 
-from .mmio import read_matrix_market, read_matrix_market_array
+from .mmio import read_matrix_market, read_matrix_market_block
 from .sparsela import Factorization, operator_from_pair, wrap_sparse
-from .solvers import TimeGrid
+from .solvers import TimeGrid, check_fields, from_fields
 
 
 @dataclass
@@ -38,34 +36,16 @@ class ProblemSpec:
     b_path: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("convdiff", "heat_fem", "external"):
-            raise ValueError("kind must be one of ['convdiff', 'heat_fem', "
-                             f"'external'], got {self.kind!r}")
-        # bool is an Integral, and JSON true would read as 1
-        for name in ("n0", "n", "s", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        least = {"s": 1, "seed": 0}
-        if self.kind == "convdiff":
-            least["n0"] = 2
-        elif self.kind == "heat_fem":
-            least["n"] = 2
-        for name, low in least.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, "
-                                 f"got {getattr(self, name)}")
-        for name in ("dt", "alpha"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not 0 < value < math.inf):
-                raise ValueError(f"{name} must be a positive finite number, "
-                                 f"got {value!r}")
+        check_fields(self, ("convdiff", "heat_fem", "external"), "kind")
+        check_fields(self, "integer", "n0", "n", "s", "seed")
+        check_fields(self, "integer", "s", least=1)
+        check_fields(self, "integer", "seed", least=0)
+        size = {"convdiff": "n0", "heat_fem": "n"}.get(self.kind)
+        if size:
+            check_fields(self, "integer", size, least=2)
+        check_fields(self, "positive", "dt", "alpha")
         # `open` reads a non-string path such as 0 or True as a file descriptor
-        for name in ("a_path", "b_path"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+        check_fields(self, "string", "a_path", "b_path")
         if self.kind == "convdiff":
             self.n = self.n0 * self.n0
 
@@ -78,11 +58,7 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown problem fields: {sorted(unknown)}")
-        return cls(**d)
+        return from_fields(cls, d, "unknown problem fields:")
 
 
 def gen_random_block(n, s, seed):
@@ -192,15 +168,13 @@ def build_problem(spec):
         op, build_b = gen_heat_fem(spec.n, spec.dt, spec.alpha)
         F = gen_random_block(spec.n, spec.s, spec.seed)
         B = build_b(F)
-    elif spec.kind == "external":
+    else:                               # "external": ProblemSpec checks kind
         try:
             A = read_matrix_market(spec.a_path)
-            if not spec.b_path:
-                B = gen_random_block(A.shape[0], spec.s, spec.seed)
-            elif _is_array_file(spec.b_path):
-                B = read_matrix_market_array(spec.b_path)
+            if spec.b_path:
+                B = read_matrix_market_block(spec.b_path)
             else:
-                B = read_matrix_market(spec.b_path).toarray()
+                B = gen_random_block(A.shape[0], spec.s, spec.seed)
         except OSError as exc:
             raise InputError(f"cannot read an input file: {exc}") from exc
         if A.shape[0] != A.shape[1]:
@@ -218,15 +192,7 @@ def build_problem(spec):
             _require_finite(spec.b_path, B)
         op = wrap_sparse(A)
         spec.n = A.shape[0]
-    else:
-        raise ValueError(f"unknown problem kind {spec.kind!r}")
     return op, B, spec.grid
-
-
-def _is_array_file(path):
-    with open(path, "rb") as fh:
-        header = fh.readline().split()
-    return len(header) >= 3 and header[2].lower() == b"array"
 
 
 def dense_matrix(op):

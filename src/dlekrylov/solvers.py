@@ -105,6 +105,40 @@ class PSDViolationError(ValueError):
     """A projected solution has an eigenvalue below the allowed floor."""
 
 
+def check_fields(obj, rule, *names, least=None):
+    """Raise a ValueError naming the first of the fields `names` of `obj`
+    that `rule` refuses: a tuple takes its members, "integer" an integer
+    (at least `least`, if given), "finite" a finite number, "positive" a
+    positive finite one and "string" a string. A bool is no number, though
+    Python counts it an integer: JSON true would read as 1."""
+    for name in names:
+        value = getattr(obj, name)
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if isinstance(rule, tuple):
+            ok, need = value in rule, f"one of {list(rule)}"
+        elif rule == "string":
+            ok, need = isinstance(value, str), "a string"
+        elif rule == "integer":
+            ok, need = number and isinstance(value, numbers.Integral), "an integer"
+        else:
+            positive = rule == "positive"
+            ok = number and (0 if positive else -math.inf) < value < math.inf
+            need = "a positive finite number" if positive else "a finite number"
+        if not ok:
+            raise ValueError(f"{name} must be {need}, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def from_fields(cls, fields, unknown):
+    """`cls(**fields)` for the dataclass `cls`; keys that name none of its
+    fields are a ValueError reading `unknown` and the sorted keys."""
+    bad = sorted(set(fields) - set(cls.__dataclass_fields__))
+    if bad:
+        raise ValueError(f"{unknown} {bad}")
+    return cls(**fields)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t0, t0+h, ..., tf."""
@@ -114,11 +148,7 @@ class TimeGrid:
     h: float
 
     def __post_init__(self):
-        for name in ("t0", "tf", "h"):
-            value = getattr(self, name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        check_fields(self, "finite", "t0", "tf", "h")
         if self.h <= 0:
             raise ValueError(f"step must be positive, got {self.h}")
         if self.tf <= self.t0:
@@ -148,22 +178,11 @@ class SolverConfig:
     bdf_order: int = 2
 
     def __post_init__(self):
-        for name, choices in (("method", ("eba_exp", "eba_bdf")),
-                              ("krylov_variant", ("extended", "block"))):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be one of {list(choices)}, "
-                                 f"got {getattr(self, name)!r}")
-        # bool is an Integral, and JSON true would read as 1
-        for name in ("m_max", "bdf_order"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if (not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool)
-                or not 0 < self.tol < math.inf):
-            raise ValueError(f"tol must be a positive finite number, "
-                             f"got {self.tol!r}")
-        if self.m_max < 1:
-            raise ValueError(f"m_max must be at least 1, got {self.m_max}")
+        check_fields(self, ("eba_exp", "eba_bdf"), "method")
+        check_fields(self, ("extended", "block"), "krylov_variant")
+        check_fields(self, "integer", "m_max", "bdf_order")
+        check_fields(self, "positive", "tol")
+        check_fields(self, "integer", "m_max", least=1)
         if self.bdf_order not in BDF_TABLE:
             raise ValueError(f"bdf_order must be in {sorted(BDF_TABLE)}")
 

@@ -85,6 +85,29 @@ def test_solve_zero_b_exits_cleanly(tmp_path):
     assert _strict_json(os.path.join(out, "report.json"))["final_residual"] == 0.0
 
 
+def test_solve_reads_b_from_a_coordinate_file_as_from_an_array_file(tmp_path):
+    from scipy.sparse import csr_matrix
+
+    from dlekrylov.mmio import write_matrix_market, write_matrix_market_array
+    from dlekrylov.problems import gen_convdiff, gen_random_block
+
+    a_path = str(tmp_path / "A.mtx")
+    write_matrix_market(gen_convdiff(10), a_path)
+    B = gen_random_block(100, 2, seed=7)
+    write_matrix_market_array(B, str(tmp_path / "array.mtx"))
+    write_matrix_market(csr_matrix(B), str(tmp_path / "coordinate.mtx"))
+    outputs = {}
+    for layout in ("array", "coordinate"):
+        cfg = _write_cfg(tmp_path, name=f"{layout}.json", problem=_base_problem(
+            kind="external", a_path=a_path, b_path=str(tmp_path / f"{layout}.mtx"),
+            tf=0.1), solver={"m_max": 20, "tol": 1e-8}, output={"write_factor": True})
+        out = str(tmp_path / layout)
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        outputs[layout] = [open(os.path.join(out, name), "rb").read()
+                           for name in ("solution.csv", "factor_tf.mtx")]
+    assert outputs["coordinate"] == outputs["array"]
+
+
 def test_solve_deterministic_csv(tmp_path):
     cfg = _write_cfg(tmp_path, problem=_base_problem(),
                      solver={"m_max": 8, "tol": 1e-8})
@@ -316,10 +339,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     # JSON true and false are not numbers, though bool is an int
     for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
                        ("tol", "1e-3"), ("m_max", True), ("bdf_order", True),
-                       ("tol", True)):
+                       ("tol", True), ("tol", 1e999)):
         capsys.readouterr()
         cfg5 = _write_cfg(tmp_path, name="c5.json", problem=_base_problem(),
                           solver={field: bad})
+        if bad == 1e999:
+            # json.dump writes inf as the token Infinity, which is no JSON
+            c5 = tmp_path / "c5.json"
+            c5.write_text(c5.read_text().replace("Infinity", "1e999"))
         assert main(["solve", "--config", cfg5, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and field in err and repr(bad) in err
@@ -327,7 +354,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     # a bad problem field or time grid is named too, not passed on to the
     # generators; the JSON number -1e400 reads as -inf
     for field, bad in (("n0", 2.5), ("n0", 0), ("n0", True), ("s", True),
-                       ("seed", -1), ("h", 1e9), ("t0", -1e400), ("h", "0.01")):
+                       ("seed", -1), ("h", 1e9), ("t0", -1e400), ("h", "0.01"),
+                       ("t0", True)):
         capsys.readouterr()
         cfg6 = _write_cfg(tmp_path, name="c6.json",
                           problem=_base_problem(**{field: bad}))
@@ -446,6 +474,19 @@ def test_unreadable_config_file_is_config_error(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ") and reason in err
     assert not out.exists()
+
+
+def test_config_error_names_the_first_fault(tmp_path, capsys):
+    # a field's type is checked before another field's lower bound: an
+    # integer's, and a number's too
+    for sections, first in (
+            ({"problem": _base_problem(n0=1, seed=True)},
+             "problem section: seed must be an integer, got True"),
+            ({"problem": _base_problem(), "solver": {"m_max": 0, "tol": True}},
+             "solver section: tol must be a positive finite number, got True")):
+        cfg = _write_cfg(tmp_path, **sections)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {first}\n"
 
 
 def test_m_max_below_one_is_config_error(tmp_path, capsys):

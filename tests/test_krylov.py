@@ -6,7 +6,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from dlekrylov import krylov
-from dlekrylov.dense import frob_norm, spec_norm_2
+from dlekrylov.dense import frob_norm, qr_thin, spec_norm_2
 from dlekrylov.krylov import KrylovBreakdown, KrylovDecomposition
 from dlekrylov.problems import gen_convdiff, gen_heat_fem, gen_random_block
 from dlekrylov.solvers import SolverConfig, krylov_steps
@@ -179,6 +179,21 @@ def test_start_block_keeps_a_direction_above_the_deflation_tolerance():
     B = np.column_stack([b, b + 1e-11 * np.linalg.norm(b) * u])
     dec = KrylovDecomposition(op, B, variant="block")
     assert dec.widths == [2]
+
+
+def test_a_direction_exactly_at_the_deflation_tolerance_is_dropped():
+    # [e1, 1e-12 e2] has Frobenius norm exactly 1.0, so the threshold is
+    # _DEFLATION_TOL = 1e-12, and both R's second diagonal entry and the
+    # second singular value equal it: a direction must lie above the
+    # threshold to be kept, in the QR test and in the SVD count alike
+    B = np.zeros((100, 2))
+    B[0, 0], B[1, 1] = 1.0, 1e-12
+    assert frob_norm(B) == 1.0
+    assert abs(qr_thin(B, rank_tol=0.0)[1][1, 1]) == 1e-12
+    assert np.linalg.svd(B, compute_uv=False)[1] == 1e-12
+    dec = KrylovDecomposition(wrap_sparse(gen_convdiff(10)), B, variant="block")
+    assert dec.widths == [1]
+    assert dec._dropped
 
 
 def test_extended_span_matches_moment_space():

@@ -144,10 +144,10 @@ def test_spec_rejects_unknown_fields():
 
 @pytest.mark.parametrize("field,bad", [
     ("n0", 2.5), ("n0", 0), ("n0", 1), ("n0", True), ("s", True), ("s", 0),
-    ("s", "2"), ("seed", -1), ("seed", 1.0), ("n", 2.0),
+    ("s", "2"), ("seed", -1), ("seed", 1.0), ("seed", True), ("n", 2.0),
     ("dt", -1), ("dt", 0.0), ("dt", np.inf), ("dt", True), ("alpha", np.nan),
-    ("alpha", "0.05"), ("kind", "convection"), ("a_path", 0), ("b_path", True),
-    ("a_path", None)])
+    ("alpha", "0.05"), ("alpha", True), ("kind", "convection"), ("a_path", 0),
+    ("b_path", True), ("a_path", None)])
 def test_spec_rejects_bad_fields(field, bad):
     kind = "heat_fem" if field in ("n", "dt", "alpha") else "convdiff"
     with pytest.raises(ValueError, match=field):
