@@ -74,6 +74,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -108,9 +109,10 @@ class PSDViolationError(ValueError):
 def check_fields(obj, rule, *names, least=None):
     """Raise a ValueError naming the first of the fields `names` of `obj`
     that `rule` refuses: a tuple takes its members, "integer" an integer
-    (at least `least`, if given), "finite" a finite number, "positive" a
-    positive finite one and "string" a string. A bool is no number, though
-    Python counts it an integer: JSON true would read as 1."""
+    (at least `least`, if given), "finite" a number within float range,
+    "positive" a positive one and "string" a string. A bool is no number,
+    though Python counts it an integer: JSON true would read as 1. JSON
+    reads 1 followed by 400 zeros as an integer no float holds."""
     for name in names:
         value = getattr(obj, name)
         number = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -122,7 +124,8 @@ def check_fields(obj, rule, *names, least=None):
             ok, need = number and isinstance(value, numbers.Integral), "an integer"
         else:
             positive = rule == "positive"
-            ok = number and (0 if positive else -math.inf) < value < math.inf
+            ok = (number and abs(value) <= sys.float_info.max
+                  and (value > 0 or not positive))
             need = "a positive finite number" if positive else "a finite number"
         if not ok:
             raise ValueError(f"{name} must be {need}, got {value!r}")
@@ -631,15 +634,16 @@ def _propagate(pair, G):
 
 def _stride_pairs(E, delta, n_steps):
     """The `_Stride` table of the one-step pair (E, delta) for a grid of N
-    steps in batches of `_PROBE_STRIDE` nodes, built in place from the one
-    before: E_j = E_{j-1} E, delta_j = delta_{j-1} + E_{j-1} delta E_{j-1}^T."""
+    steps in batches of `_PROBE_STRIDE` nodes, each pair the one-step pair
+    then the one before (`_compose`): E_j = E_{j-1} E,
+    delta_j = E_{j-1} delta E_{j-1}^T + delta_{j-1}."""
     s, k = _PROBE_STRIDE, E.shape[0]
     n = max(b - a for a, b in _batches(n_steps, s))
     pairs = _Stride(s, np.empty((n, k, k)), np.empty((n, k, k)))
     pairs.E[0], pairs.delta[0] = E, delta
     for j in range(1, n):
-        np.matmul(pairs.E[j - 1], E, out=pairs.E[j])
-        pairs.delta[j] = _propagate((pairs.E[j - 1], pairs.delta[j - 1]), delta)
+        pairs.E[j], pairs.delta[j] = _compose((E, delta),
+                                              (pairs.E[j - 1], pairs.delta[j - 1]))
     return pairs
 
 
@@ -876,24 +880,13 @@ class _StepBasis:
         return apply
 
 
-def _pair_basis(lam, V, cond, h_beta):
-    """The eigen step basis in real coordinates.
-
-    Each conjugate pair (v, conj v) of eigenvectors in V becomes the columns
-    (Re v, Im v) of W, which lists T's real eigenvalues first and then the
-    pairs. So V = W P up to that order, with P 2x2-block-diagonal: blocks
-    [[1, 1], [i, -i]] on the pairs (P / sqrt(2) is unitary there) and 1
-    elsewhere, and cond(W) is within a factor sqrt(2) of cond(V). The
-    eigenbasis solve is Rh * inv_pair elementwise, inv_pair_ab =
-    -1 / (lam_F_a + lam_F_b) over the eigenvalues lam_F = h_beta*lam - 1/2
-    of F, and `entrywise` reads it in W's coordinates."""
-    k = len(lam)
-    first = np.flatnonzero(lam.imag > 0)   # LAPACK lists v before conj v
-    order = np.r_[np.flatnonzero(lam.imag == 0), np.c_[first, first + 1].ravel()]
-    lam, V = lam[order], V[:, order]
-    r = k - 2 * len(first)                 # r real eigenvalues, then pairs
-    W = np.array(V.real)
-    W[:, r + 1::2] = V[:, r::2].imag
+def _pair_basis(lam, W, cond, h_beta):
+    """The eigen step basis in real coordinates: W, the real pair basis
+    of `_bdf_basis`, with `lam` in its order and `cond` = cond(V) =
+    cond(W D). The eigenbasis solve is Rh * inv_pair elementwise,
+    inv_pair_ab = -1 / (lam_F_a + lam_F_b) over the eigenvalues
+    lam_F = h_beta*lam - 1/2 of F, and `entrywise` reads it in W's
+    coordinates."""
     W_inv = np.linalg.inv(W)
     lam_F = h_beta * lam - 0.5
     check_lyapunov_solvable(lam_F)
@@ -905,13 +898,31 @@ def _pair_basis(lam, V, cond, h_beta):
 
 
 def _bdf_basis(T, h_beta):
-    """Step basis of a BDF grid: the real pair basis of T's eigenvectors V
-    when cond(V) is at most _EIGEN_COND_MAX, else the real Schur vectors of
-    F = h_beta*T - I/2."""
+    """Step basis of a BDF grid: the real pair basis W of T's eigenvectors
+    V when cond(V) is at most _EIGEN_COND_MAX, else the real Schur vectors
+    of F = h_beta*T - I/2.
+
+    Each conjugate pair (v, conj v) of eigenvectors in V becomes the
+    columns (Re v, Im v) of W, which lists T's real eigenvalues first and
+    then the pairs. So V = W P up to that order, with P 2x2-block-diagonal:
+    blocks [[1, 1], [i, -i]] on the pairs and 1 elsewhere. P = D U with U
+    unitary and D = sqrt(2) on the pair columns and 1 elsewhere, so
+    cond(V) = cond(W D) exactly, read from the singular values of the real
+    W D: no complex array reaches LAPACK."""
     lam, V = np.linalg.eig(T)
-    cond = float(np.linalg.cond(V))
+    first = np.flatnonzero(lam.imag > 0)   # LAPACK lists v before conj v
+    order = np.r_[np.flatnonzero(lam.imag == 0), np.c_[first, first + 1].ravel()]
+    lam, V = lam[order], V[:, order]
+    r = len(lam) - 2 * len(first)          # r real eigenvalues, then pairs
+    W = np.array(V.real)
+    W[:, r + 1::2] = V[:, r::2].imag
+    d = np.ones(len(lam))
+    d[r:] = math.sqrt(2.0)
+    sv = np.linalg.svd(W * d, compute_uv=False)
+    with np.errstate(divide="ignore", over="ignore"):
+        cond = float(sv[0] / sv[-1])       # inf where W is singular
     if cond <= _EIGEN_COND_MAX:
-        return _pair_basis(lam, V, cond, h_beta)
+        return _pair_basis(lam, W, cond, h_beta)
     lyap = LyapunovSolver(h_beta * T - 0.5 * np.eye(T.shape[0]))
     return _StepBasis("schur", cond, lyap.U, lyap.U.T, lyap.solve_schur)
 

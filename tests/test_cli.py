@@ -339,7 +339,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     # JSON true and false are not numbers, though bool is an int
     for field, bad in (("method", "eba-expo"), ("krylov_variant", "blok"),
                        ("tol", "1e-3"), ("m_max", True), ("bdf_order", True),
-                       ("tol", True), ("tol", 1e999)):
+                       ("tol", True), ("tol", 1e999), ("tol", 10**400)):
         capsys.readouterr()
         cfg5 = _write_cfg(tmp_path, name="c5.json", problem=_base_problem(),
                           solver={field: bad})
@@ -352,10 +352,12 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert "config error" in err and field in err and repr(bad) in err
         assert "unknown fields" not in err
     # a bad problem field or time grid is named too, not passed on to the
-    # generators; the JSON number -1e400 reads as -inf
+    # generators; the JSON number -1e400 reads as -inf, and 1 followed by
+    # 400 zeros as an integer that no float holds
     for field, bad in (("n0", 2.5), ("n0", 0), ("n0", True), ("s", True),
                        ("seed", -1), ("h", 1e9), ("t0", -1e400), ("h", "0.01"),
-                       ("t0", True)):
+                       ("t0", True), ("t0", 10**400), ("tf", 10**400),
+                       ("tf", -10**400), ("h", 10**400)):
         capsys.readouterr()
         cfg6 = _write_cfg(tmp_path, name="c6.json",
                           problem=_base_problem(**{field: bad}))
@@ -366,7 +368,8 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["solve", "--config", cfg6, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error: problem section" in err and field in err
-    for field, bad in (("dt", -1), ("alpha", 0)):
+    for field, bad in (("dt", -1), ("alpha", 0), ("dt", 10**400),
+                       ("alpha", 10**400)):
         capsys.readouterr()
         cfg7 = _write_cfg(tmp_path, name="c7.json",
                           problem={"kind": "heat_fem", "n": 8, field: bad})

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 import weakref
 import zlib
 
@@ -253,6 +254,120 @@ def test_eigen_basis_serves_a_cond_between_1e2_and_1e3():
     assert basis.kind == "eigen" and 1e2 < basis.cond <= 1e3
 
 
+def _conditioned_case(seed, k, share, log_c):
+    """A stable T = S D S^-1 of order k: D with round(share * (k // 2))
+    2x2 blocks of conjugate pairs after its real eigenvalues, and S with
+    singular values from 1 to 10**log_c between two random orthogonal
+    factors, which sets cond(V) near 10**log_c."""
+    rng = np.random.default_rng(seed)
+    r = k - 2 * round(share * (k // 2))
+    D = np.diag(-rng.uniform(0.2, 3.0, k))
+    for j in range(r, k, 2):
+        D[j + 1, j + 1] = D[j, j]
+        D[j, j + 1] = rng.uniform(0.3, 4.0)
+        D[j + 1, j] = -D[j, j + 1]
+    Q1, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    S = (Q1 * np.geomspace(1.0, 10.0 ** log_c, k)) @ Q2
+    return S @ D @ np.linalg.inv(S)
+
+
+def _assert_cond_of_eigenvectors(basis, T):
+    # cond(V) from the complex V and cond(W D) from the real W D are one
+    # number, each read from a backward-stable SVD, so they differ by
+    # about k eps cond(V): 4,000 seeded draws of this test's cases (k in
+    # 2..12, cond(V) from 1.0 to 998), run outside pytest, differed by at
+    # most 1.35 k eps cond(V), which the bound of 10 k eps cond(V) covers
+    ref = np.linalg.cond(np.linalg.eig(T)[1])
+    k = T.shape[0]
+    assert abs(basis.cond - ref) <= 10 * k * np.finfo(float).eps * ref * ref
+    return ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=12),
+       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=3.0))
+@example(1, 6, 0.0, 2.0)     # no pair
+@example(2, 12, 1.0, 2.5)    # only pairs
+@example(3, 9, 0.5, 0.0)     # a mix, S orthogonal
+def test_bdf_basis_cond_is_the_cond_of_the_eigenvectors(seed, k, share, log_c):
+    T = _conditioned_case(seed, k, share, log_c)
+    assume(np.linalg.cond(np.linalg.eig(T)[1]) <= 1e3)
+    basis = solvers._bdf_basis(T, 0.02)
+    _assert_cond_of_eigenvectors(basis, T)
+
+
+def test_bdf_basis_cond_of_a_real_spectrum_is_that_of_v():
+    # all eigenvalues real: d = 1 and W = V, so cond is numpy's cond of
+    # V's real part bitwise
+    T = _conditioned_case(5, 8, 0.0, 2.0)
+    lam, V = np.linalg.eig(T)
+    assert not np.iscomplexobj(lam)
+    basis = solvers._bdf_basis(T, 0.02)
+    assert basis.kind == "eigen"
+    assert basis.cond == np.linalg.cond(V.real)
+
+
+@pytest.mark.parametrize("k", [2, 21])
+def test_bdf_basis_of_a_jordan_block_is_schur(k):
+    # a Jordan block's computed eigenvectors are near parallel; at k = 21
+    # W's smallest singular value is exactly 0, and cond reads inf with no
+    # division warning
+    T = -np.eye(k) + np.eye(k, k, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = solvers._bdf_basis(T, 0.02)
+    assert basis.kind == "schur" and basis.cond > 1e3
+    assert (basis.cond == math.inf) == (k == 21)
+
+
+def test_bdf_basis_cond_on_a_convection_dominated_projection():
+    # the c = 300 convdiff that CI compares: cond(V) reaches 1.5e4, and
+    # on every Krylov step the route is the one numpy's cond of V would
+    # choose, the eigen basis at m = 9 (cond 970) among 12 Schur steps
+    c = 300.0
+    op = wrap_sparse(gen_convdiff(40, f1=lambda x, y: c * x * y,
+                                  f2=lambda x, y: c * np.exp(x**2 * y)))
+    cfg = SolverConfig(method="eba_bdf", m_max=20)
+    kinds = []
+    for step in solvers.krylov_steps(op, gen_random_block(1600, 2, seed=7),
+                                     np.zeros((1600, 0)), cfg):
+        T = step.decomposition.T
+        basis = solvers._bdf_basis(T, 1e-3 * BDF_TABLE[2][0])
+        ref = _assert_cond_of_eigenvectors(basis, T)
+        assert basis.kind == ("eigen" if ref <= 1e3 else "schur")
+        kinds.append(basis.kind)
+    assert kinds == ["eigen"] * 7 + ["schur", "eigen"] + ["schur"] * 11
+
+
+@pytest.mark.parametrize("route", ["eigen", "schur"])
+def test_eba_bdf_hands_numpy_lapack_no_complex_array(route, monkeypatch):
+    # T has conjugate pairs, so V is complex; cond(V) is read from the
+    # real pair basis on both routes. The convection case reaches the
+    # Schur basis at m = 19 and 20
+    for name in ("svd", "cond", "inv", "solve", "eig", "eigvals", "eigh",
+                 "eigvalsh", "qr", "cholesky", "det", "slogdet", "pinv",
+                 "lstsq", "matrix_rank"):
+        def real_only(a, *args, _inner=getattr(np.linalg, name), _name=name,
+                      **kw):
+            if np.iscomplexobj(a):
+                raise AssertionError(f"np.linalg.{_name} of a complex array")
+            return _inner(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, real_only)
+    op, n, tol = wrap_sparse(gen_convdiff(10)), 100, 1e-8
+    if route == "schur":
+        c = 300.0
+        op = wrap_sparse(gen_convdiff(20, f1=lambda x, y: c * x * y,
+                                      f2=lambda x, y: c * np.exp(x**2 * y)))
+        n, tol = 400, 1e-300
+    traj = solve(op, gen_random_block(n, 2, seed=7), None,
+                 TimeGrid(0.0, 0.05, 1e-2),
+                 SolverConfig(method="eba_bdf", m_max=20, tol=tol))
+    kinds = {r.bdf_basis for r in traj.iterations}
+    assert kinds == ({"eigen"} if route == "eigen" else {"eigen", "schur"})
+
+
 def _spectrum_case(spectrum):
     """A stable T whose eigenvalues are all real, all in conjugate pairs,
     or both."""
@@ -388,8 +503,9 @@ def _pair_spectrum_basis(seed, k, n_pairs):
         D[j, j + 1] = rng.uniform(0.3, 4.0)
         D[j + 1, j] = -D[j, j + 1]
     S = np.eye(k) + 0.3 / np.sqrt(k) * rng.standard_normal((k, k))
-    lam, V = np.linalg.eig(S @ D @ np.linalg.inv(S))
-    return solvers._pair_basis(lam, V, float(np.linalg.cond(V)), 0.02)
+    basis = solvers._bdf_basis(S @ D @ np.linalg.inv(S), 0.02)
+    assert basis.kind == "eigen"
+    return basis
 
 
 @settings(max_examples=60, deadline=None)
@@ -1758,9 +1874,18 @@ def test_exp_jump_to_tf_reads_the_table(fail_at, monkeypatch):
     monkeypatch.setattr(solvers, "_compose",
                         lambda *args: composed.append(1) or compose(*args))
     asked = []
+
+    def stop(res):
+        # only the jump's compositions count, made after the stop test ends
+        # the walk; the table's s - 1 come before it
+        asked.append(1)
+        if len(asked) > fail_at:
+            composed.clear()
+            return True
+        return False
+
     run = _run_gram_grid(T, Bm, P0, grid, 4, w, keep_full=False,
-                         coupling=coupling,
-                         stop=lambda res: asked.append(1) or len(asked) > fail_at)
+                         coupling=coupling, stop=stop)
     assert len(run.residuals) == 7 * (fail_at + 1)
     assert len(composed) <= 4
     assert frob_norm(run.final - full.final) <= 1e-12 * frob_norm(full.final)
